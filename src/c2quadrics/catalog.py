@@ -33,7 +33,7 @@ from .coefficients import (
     trans,
 )
 from .component import ComponentRing
-from .grading import Grading, OMEGA0, OMEGA1, W, XW, coset_index
+from .grading import Grading, OMEGA1, W, XW, coset_index
 from .levele import LevelEModel
 from .noneq import InvalidSizeError, NoneqQuadricRing
 from .rewrite import MONO_ONE, Presentation, RingElement, mono_mul
@@ -72,15 +72,18 @@ def parse_space(text):
         return ("point",)
     if text == "bu1":
         return ("bu1",)
-    for tag in ("proj", "binate", "quadric"):
-        if text.startswith(tag + ":"):
-            nums = text[len(tag) + 1 :].split(",")
-            if len(nums) != 2:
-                raise InvalidSizeError("bad space id %r" % text)
-            return (tag, int(nums[0]), int(nums[1]))
-    if text.startswith("neq:"):
-        n, kind = text[4:].split(",")
-        return ("neq", int(n), kind.strip())
+    try:
+        for tag in ("proj", "binate", "quadric"):
+            if text.startswith(tag + ":"):
+                nums = text[len(tag) + 1 :].split(",")
+                if len(nums) != 2:
+                    raise InvalidSizeError("bad space id %r" % text)
+                return (tag, int(nums[0]), int(nums[1]))
+        if text.startswith("neq:"):
+            n, kind = text[4:].split(",")
+            return ("neq", int(n), kind.strip())
+    except ValueError:
+        raise InvalidSizeError("bad space id %r" % text) from None
     raise InvalidSizeError("unknown space id %r" % text)
 
 
@@ -590,6 +593,8 @@ def _make_canonical(deck):
     z1_inv = deck.get("z1_inv", False)
     infinite = p is None
 
+    # Every branch below accepts only s == 0 or t == 0; the basis
+    # enumeration (_enumerate_coset_monomials) depends on this.
     def canonical(m):
         s, t, i, j, d, w0, w1 = m
         if i < 0 or j < 0 or d < 0 or w0 < 0 or w1 < 0:
@@ -1254,56 +1259,30 @@ def basis_slice(pres, coset, window):
 def _enumerate_coset_monomials(pres, coset, window):
     """Canonical monomials of one coset whose gradings can meet the window.
 
-    Each canonical family has at most one window-unbounded exponent, so the
-    enumeration walks family by family with a single free parameter.
+    Every canonical monomial has s == 0 or t == 0 (see _make_canonical), and
+    inside one coset t = t0 + s with t0 fixed by (i, j, d, w0, w1).  So each
+    such cell holds at most the two candidates (0, t0) and (-t0, 0), and the
+    cost is O(p*q) per coset whatever the window's reach (for bu1 the
+    stand-ins for p and q grow with the reach).
     """
     (a0, a1), (b0, b1) = window
     span = max(abs(a0), abs(a1), abs(b0), abs(b1)) + abs(coset)
     p = pres.p if pres.p is not None else span + 2
     q = pres.q if pres.q is not None else span + 2
     bound = span + 2 * (p + q) + 8
-    xg = pres.x_grading
-
-    def target_t(s, i, j, d, w0, w1):
-        return (
-            coset
-            + s
-            - i
-            + j
-            - (d * coset_index(xg) if d else 0)
-            - (w0 * p if w0 else 0)
-            + (w1 * q if w1 else 0)
-        )
-
+    cells = [(0, 0, 0)]
+    if pres.has_x:
+        cells += [(0, 1, 0), (0, 0, 1), (1, 0, 0)]
     out = []
-
-    def try_mono(s, i, j, d, w0, w1):
-        t = target_t(s, i, j, d, w0, w1)
-        if abs(t) > bound or abs(s) > bound:
-            return
-        m = (s, t, i, j, d, w0, w1)
-        if pres.canonical(m):
-            out.append(m)
-
-    dmax = 2 if pres.has_x else 1
-    for d in range(dmax):
-        # plain and divided monomials: i, j small; one zeta exponent free
+    for d, w0, w1 in cells:
+        shift = coset - (coset_index(pres.x_grading) if d else 0) - w0 * p + w1 * q
         for i in range(0, p + 2):
             for j in range(0, q + 2):
-                for s in range(-bound, bound + 1):
-                    t = target_t(s, i, j, d, 0, 0)
-                    if abs(t) > bound:
-                        continue
-                    if s != 0 and t != 0:
-                        # canonical monomials never mix the zeta signs
-                        if not (pres.z0_inv or pres.z1_inv):
-                            continue
-                    try_mono(s, i, j, d, 0, 0)
-        if pres.has_x and d == 0:
-            # div-flagged classes: i or j pinned to 0, one exponent free
-            for w0, w1 in ((1, 0), (0, 1)):
-                for i in range(0, p + 2):
-                    for j in range(0, q + 2):
-                        for s in range(-bound, bound + 1):
-                            try_mono(s, i, j, d, w0, w1)
+                t0 = shift - i + j
+                if abs(t0) > bound:
+                    continue
+                for s in sorted({0, -t0}):
+                    m = (s, t0 + s, i, j, d, w0, w1)
+                    if pres.canonical(m):
+                        out.append(m)
     return out

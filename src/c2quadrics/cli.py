@@ -13,21 +13,20 @@ Space ids: point, bu1, proj:p,q, binate:p,q, quadric:m,n, neq:n,B|D.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 
 from .atlas import atlas_document, dump_atlas, load_atlas, SchemaError
 from .catalog import (
+    InvalidWindowError,
     RestrictedGradingWarning,
     basis_slice,
     make_space,
-    parse_space,
 )
 from .coefficients import InhomogeneousError
 from .diagram import diagram
 from .expressions import ExprError, parse_expression
-from .noneq import InvalidSizeError, NoneqQuadricRing, elt_str
+from .noneq import InvalidSizeError, NoneqQuadricRing
 from .solver import audit_full, verify_relations
 
 
@@ -195,21 +194,30 @@ def cmd_atlas(args):
     return 0
 
 
+def _one_line_warning(message, category, filename, lineno, file=None, line=None):
+    print("warning: %s" % message, file=sys.stderr)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "reduce":
-            return cmd_reduce(args)
-        if args.command == "basis":
-            return cmd_basis(args)
-        if args.command == "diagram":
-            return cmd_diagram(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "atlas":
-            return cmd_atlas(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _one_line_warning
+            if args.command == "reduce":
+                return cmd_reduce(args)
+            if args.command == "basis":
+                return cmd_basis(args)
+            if args.command == "diagram":
+                return cmd_diagram(args)
+            if args.command == "verify":
+                return cmd_verify(args)
+            if args.command == "atlas":
+                return cmd_atlas(args)
     except InvalidSizeError as exc:
         print("invalid space: %s" % exc, file=sys.stderr)
+        return 2
+    except InvalidWindowError as exc:
+        print("invalid window: %s" % exc, file=sys.stderr)
         return 2
     return 2
 

@@ -103,10 +103,6 @@ G = BurnsideElt(0, 1)
 KAPPA_A = BurnsideElt(2, -1)   # kappa = 2 - g inside A(C2)
 
 
-def burnside_mul(x, y):
-    return x * y
-
-
 # ---------------------------------------------------------------------------
 # Level-e coefficients Z[iota^{+-1}]
 
@@ -389,7 +385,6 @@ def _mono_str(m):
 
 
 ONE = PointElt.from_int(1)
-ZERO_PT = PointElt()
 E_PT = PointElt.monomial(E)
 XI_PT = PointElt.monomial(XI)
 KAPPA_PT = PointElt.monomial(KAPPA)

@@ -126,9 +126,6 @@ class ComponentRing:
             out[k] = out.get(k, PointElt()) + coeff
         return self.reduce(out)
 
-    def t_act_levele(self, w):
-        return self.model.t_act(w)
-
     def phi(self, x):
         """Collapse to the nonequivariant ring of the component:
         {(d, eps): int}, with transfers and kappa-torsion killed."""
@@ -155,10 +152,6 @@ class ComponentRing:
                 key = (a, u, d, eps)
                 w[key] = w.get(key, 0) + n
         return self.model.reduce(w)
-
-    def shift_invertible(self, w, k):
-        """Multiply a level-e element by zc^{-k} (zc restricts to zeta)."""
-        return {(a, b - k, d, eps): n for (a, b, d, eps), n in w.items()}
 
     def shift_noninvertible(self, w, k):
         """Divide a level-e element by the k-th power of the other Euler

@@ -227,7 +227,3 @@ class Parser:
 def parse_expression(pres, text):
     """Parse and normalize an expression in the presentation's ring."""
     return pres.normal_form(Parser(pres, text).parse())
-
-
-def print_element(x):
-    return str(x)

@@ -148,10 +148,6 @@ def add_elts(x, y):
     return {k: v for k, v in out.items() if v}
 
 
-def scale_elt(x, n):
-    return {k: n * v for k, v in x.items() if n * v}
-
-
 def levele_str(elt):
     if not elt:
         return "0"

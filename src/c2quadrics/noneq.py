@@ -148,18 +148,3 @@ class NoneqQuadricRing:
 
     def __repr__(self):
         return "NoneqQuadricRing(n=%d, kind=%s)" % (self.n, self.kind)
-
-
-def elt_str(elt):
-    if not elt:
-        return "0"
-    parts = []
-    for (d, eps), v in sorted(elt.items()):
-        name = []
-        if d:
-            name.append("c^%d" % d if d > 1 else "c")
-        if eps:
-            name.append("y")
-        mono = "*".join(name) if name else "1"
-        parts.append("%d*%s" % (v, mono))
-    return " + ".join(parts)

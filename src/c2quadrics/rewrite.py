@@ -33,7 +33,6 @@ from .coefficients import (
     InhomogeneousError,
     LevelECoeff,
     PointElt,
-    point_phi,
     point_rho,
     point_tau,
 )
@@ -42,10 +41,6 @@ from .grading import Grading, IOTA_DEG, OMEGA0, OMEGA1, W, XW
 
 class NonTerminatingError(RuntimeError):
     """Rewriting exceeded its step budget (a bad rule set)."""
-
-
-class UndefinedOnGeneratorError(KeyError):
-    """A homomorphism table has no entry for a generator."""
 
 
 MONO_ONE = (0, 0, 0, 0, 0, 0, 0)
@@ -520,7 +515,7 @@ class Presentation:
                     out = out + RingElement(self, "top", atoms={(a, b): 2 * v})
                 continue
             if eps == 0:
-                out = out + self._tau_lift(a, b, d, 0, 0, v)
+                out = out + self._tau_lift(a, b, d, 0, v)
             elif eps == 2:
                 # binate t(y): tau(iota^a zeta^b ty) = (-1)^a tau(iota^a zeta^b y)
                 sign = -1 if a % 2 else 1
@@ -532,10 +527,10 @@ class Presentation:
                     A, B, C = self.rho_x
                     if d < C:
                         raise ValueError("cannot lift %s along rho(x)" % ((a, b, d, eps),))
-                    out = out + self._tau_lift(a - A, b - B, d - C, 1, 0, v)
+                    out = out + self._tau_lift(a - A, b - B, d - C, 1, v)
         return out
 
-    def _tau_lift(self, a, b, d, xexp, _unused, v):
+    def _tau_lift(self, a, b, d, xexp, v):
         """tau(iota^a zeta^b c^d) * x^xexp via Frobenius reciprocity."""
         tb = b - d
         if tb >= 0:
@@ -549,15 +544,6 @@ class Presentation:
         return self.normal_form(RingElement(self, "top", c2={mono: coeff}))
 
     # -- homomorphisms -------------------------------------------------------
-
-    def apply_hom(self, which, x):
-        if which == "rho":
-            return self.rho(x)
-        if which == "eta":
-            return self.eta(x)
-        if which == "phi":
-            return self.phi(x)
-        raise UndefinedOnGeneratorError(which)
 
     def eta(self, x):
         """Restriction to the two fixed-set components."""

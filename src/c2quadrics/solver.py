@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import random
 
-from .catalog import basis_slice, eta_of_element, _enumerate_coset_monomials
+from .catalog import basis_slice, _enumerate_coset_monomials
 from .coefficients import BurnsideElt, G, PointElt, pos, negkappa, trans
-from .grading import Grading, coset_index
+from .grading import coset_index
 from .rewrite import RingElement, _sample_monomials, confluence_probe
 
 

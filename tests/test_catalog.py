@@ -264,3 +264,78 @@ def test_quadric_per_coset_counts():
         for coset in (-2, 0, 1, 3):
             monos = _enumerate_coset_monomials(Q, coset, ((-60, 60), (-60, 60)))
             assert len(monos) == expect, (m, n, coset)
+
+
+ENUM_SPACES = [
+    "point", "bu1", "proj:0,2", "proj:2,0", "proj:2,3", "binate:0,2",
+    "binate:2,1", "binate:3,3", "quadric:1,1", "quadric:1,5", "quadric:0,4",
+    "quadric:4,0", "quadric:3,5", "quadric:2,3", "quadric:3,2", "quadric:2,2",
+    "quadric:4,4",
+]
+
+
+def test_canonical_monomials_never_mix_zeta_signs():
+    # _enumerate_coset_monomials tries only s == 0 and t == 0 per cell
+    for sid in ENUM_SPACES:
+        pres = make_space(sid)
+        p = pres.p if pres.p is not None else 4
+        q = pres.q if pres.q is not None else 4
+        for s in range(-5, 6):
+            for t in range(-5, 6):
+                if s == 0 or t == 0:
+                    continue
+                for i in range(p + 3):
+                    for j in range(q + 3):
+                        for d in range(2):
+                            for w0 in range(2):
+                                for w1 in range(2):
+                                    m = (s, t, i, j, d, w0, w1)
+                                    assert not pres.canonical(m), (sid, m)
+
+
+def _scan_coset_monomials(pres, coset, window):
+    """Reference: scan every zeta exponent s in [-bound, bound] per cell."""
+    from c2quadrics.grading import coset_index
+
+    (a0, a1), (b0, b1) = window
+    span = max(abs(a0), abs(a1), abs(b0), abs(b1)) + abs(coset)
+    p = pres.p if pres.p is not None else span + 2
+    q = pres.q if pres.q is not None else span + 2
+    bound = span + 2 * (p + q) + 8
+    xg = pres.x_grading
+    out = []
+    dmax = 2 if pres.has_x else 1
+    for d in range(dmax):
+        flags = [(0, 0)]
+        if pres.has_x and d == 0:
+            flags += [(1, 0), (0, 1)]
+        for w0, w1 in flags:
+            for i in range(0, p + 2):
+                for j in range(0, q + 2):
+                    for s in range(-bound, bound + 1):
+                        t = (
+                            coset + s - i + j
+                            - (d * coset_index(xg) if d else 0)
+                            - w0 * p + w1 * q
+                        )
+                        if abs(t) > bound:
+                            continue
+                        m = (s, t, i, j, d, w0, w1)
+                        if pres.canonical(m):
+                            out.append(m)
+    return out
+
+
+def test_enumeration_matches_scan():
+    from c2quadrics.catalog import _enumerate_coset_monomials
+
+    small = [((-3, 6), (-2, 5)), ((0, 1), (-1, 0))]
+    wide = [((-12, 0), (0, 12)), ((-30, 4), (-30, 30)), ((0, 36), (-36, 0))]
+    for sid in ENUM_SPACES:
+        pres = make_space(sid)
+        windows = small if pres.p is None else small + wide
+        for coset in range(-4, 5):
+            for window in windows:
+                got = _enumerate_coset_monomials(pres, coset, window)
+                want = _scan_coset_monomials(pres, coset, window)
+                assert sorted(got) == sorted(want), (sid, coset, window)

@@ -94,3 +94,32 @@ def test_atlas_emit_and_load(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "atlas", "load", str(path))
     assert code == 1 and "rejected" in err
+
+
+@pytest.mark.parametrize("command", ["basis", "diagram"])
+def test_reversed_window_is_one_line(capsys, command):
+    code, out, err = run(capsys, command, "quadric:3,3", "--window", "5:1,0:1")
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("invalid window:")
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("argv", [
+    ("basis", "quadric:3,x"),
+    ("reduce", "quadric:3,x", "1"),
+    ("verify", "neq:4"),
+])
+def test_bad_space_id_is_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("invalid space:")
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.filterwarnings("default::c2quadrics.catalog.RestrictedGradingWarning")
+def test_restricted_grading_warning_is_one_line(capsys):
+    code, out, err = run(capsys, "reduce", "quadric:0,2", "1")
+    assert code == 0
+    assert out.splitlines()[0] == "1"
+    assert err.count("\n") == 1
+    assert err.startswith("warning: grading restricted:")
