@@ -43,7 +43,13 @@ from .grading import (
     underlying_degree,
 )
 from .noneq import InvalidSizeError, NoneqQuadricRing
-from .rewrite import NonTerminatingError, Presentation, RingElement, confluence_probe
+from .rewrite import (
+    NonTerminatingError,
+    NotAClassError,
+    Presentation,
+    RingElement,
+    confluence_probe,
+)
 from .solver import (
     InconsistentError,
     audit_full,

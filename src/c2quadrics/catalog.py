@@ -126,17 +126,40 @@ def _terms_elt(pres, terms, rest=MONO_ONE):
     return out
 
 
-def _delta(m, ds=0, dt=0, di=0, dj=0, dd=0, dw0=0, dw1=0):
-    s, t, i, j, d, w0, w1 = m
-    return (s + ds, t + dt, i + di, j + dj, d + dd, w0 + dw0, w1 + dw1)
+def _mono(s=0, t=0, i=0, j=0, d=0, w0=0, w1=0):
+    return (s, t, i, j, d, w0, w1)
 
 
-def _elt(pres, *pairs):
-    """pairs of (coeff, mono) -> raw element."""
+def _linear(pres, m, pairs):
+    """sum of coeff * (m * delta) over the (coeff, delta) pairs, as a raw element."""
+    c2 = {}
+    for coeff, delta in pairs:
+        mono = mono_mul(m, delta)
+        tot = c2[mono] + coeff if mono in c2 else coeff
+        if tot.is_zero():
+            c2.pop(mono, None)
+        else:
+            c2[mono] = tot
     out = RingElement(pres, "top")
-    for coeff, mono in pairs:
-        out = out + RingElement(pres, "top", c2={mono: coeff})
+    out.c2 = c2
     return out
+
+
+def _xi_shift(pres, m, n):
+    """xi^n * m / (z0*z1)^n, from zeta0*zeta1 = xi."""
+    return _linear(pres, m, [(_xi_pow(n), _mono(s=-n, t=-n))])
+
+
+# fixed right-hand sides as (coeff, delta) lists, named after a rule
+# that uses them: the e^2-relation e^2 = z0*cw - (1-k)*z1*cx and its
+# consequences under zeta0*zeta1 = xi
+_E2 = [(E2, _mono(s=-1, i=-1)), (ONE_MINUS_K, _mono(s=-1, t=1, i=-1, j=1))]
+_W0_CW = [(E2, _mono(s=-1, i=-1)), (ONE_MINUS_K * XI, _mono(s=-2, i=-1, j=1))]
+_W1_CX = [(E2, _mono(t=-1, j=-1)), (ONE_MINUS_K * XI, _mono(t=-2, i=1, j=-1))]
+_CX_TAIL = (ONE_MINUS_K * E2 * -1, _mono(t=-1, j=-1))
+_T2 = [(ONE_MINUS_K * XI, _mono(t=-2, i=1, j=-1)), _CX_TAIL]
+_CX_ELIM = [(ONE_MINUS_K, _mono(s=1, t=-1, i=1, j=-1)), _CX_TAIL]
+_DIV_S = [(XI, _mono(s=-1, t=-1))]
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +169,10 @@ def _elt(pres, *pairs):
 # xsq_terms, top_terms, divdiv_terms, rho_x, levele, x_grading
 
 
-def _build_rules(deck):
-    p, q = deck["p"], deck["q"]
-    has_x = deck["has_x"]
-    z0_inv = deck.get("z0_inv", False)
-    z1_inv = deck.get("z1_inv", False)
-    corrw = deck.get("corrw", [])
-    corrx = deck.get("corrx", [])
-    xsq_terms = deck.get("xsq_terms", [])
-    top_terms = deck.get("top_terms", [])
-    divdiv_terms = deck.get("divdiv_terms", [])
+def _build_rules(pres):
+    """The rewrite rules [(name, guard, rhs)] of a finished presentation."""
+    p, q = pres.p, pres.q
+    has_x, z0_inv, z1_inv = pres.has_x, pres.z0_inv, pres.z1_inv
     infinite = p is None  # BU(1)
 
     def ge_p(i):
@@ -164,40 +181,25 @@ def _build_rules(deck):
     def ge_q(j):
         return False if infinite else j >= q
 
+    def linear(pairs):
+        return lambda m: _linear(pres, m, pairs)
+
+    def terms_at(terms, delta):
+        return lambda m: _terms_elt(pres, terms, mono_mul(m, delta))
+
     rules = []
-
-    def rule(name, guard, rhs):
-        rules.append((name, guard, rhs))
-
-    def expand_corr(pres, m, corr, sign=-1, extra=()):
-        """sum of sign * corr-term * m (corr terms carry their own deltas)."""
-        out = RingElement(pres, "top")
-        for coeff, delta in corr:
-            mono = mono_mul(m, delta)
-            out = out + RingElement(pres, "top", c2={mono: coeff * sign})
-        return out
 
     # ---- x powers and div flags -----------------------------------------
 
     if has_x:
-        def g_xpow(m):
-            return m[4] >= 2
-
-        def r_xpow(m, _pres_ref=[None]):
-            pres = _pres_ref[0]
-            rest = _delta(m, dd=-2)
-            out = RingElement(pres, "top")
-            for coeff, delta in xsq_terms:
-                out = out + RingElement(pres, "top", c2={mono_mul(rest, delta): coeff})
-            return out
-
-        rules.append(("x_power", g_xpow, r_xpow))
+        xsq = [(c, mono_mul(delta, _mono(d=-2))) for c, delta in pres.xsq_terms]
+        rules.append(("x_power", lambda m: m[4] >= 2, linear(xsq)))
 
         def g_topx(m):
             s, t, i, j, d, w0, w1 = m
             return d >= 1 and w0 == 0 and w1 == 0 and ge_p(i) and ge_q(j)
 
-        rules.append(("top_x", g_topx, lambda m, _p=[None]: RingElement(_p[0], "top")))
+        rules.append(("top_x", g_topx, linear([])))
 
     def g_top(m):
         s, t, i, j, d, w0, w1 = m
@@ -210,46 +212,25 @@ def _build_rules(deck):
             return False
         return d == 0 and w0 == 0 and w1 == 0 and ge_p(i) and ge_q(j)
 
-    def r_top(m, _pres_ref=[None]):
-        pres = _pres_ref[0]
-        rest = _delta(m, di=-p, dj=-q)
-        return _terms_elt(pres, top_terms, rest)
-
     if not infinite:
-        rules.append(("top", g_top, r_top))
+        rules.append(("top", g_top, terms_at(pres.top_terms, _mono(i=-p, j=-q))))
 
     if has_x:
-        def g_divdiv(m):
-            return m[5] >= 1 and m[6] >= 1
+        # divw = cw^p - corrw and divx = cx^q - corrx
+        divw = [(ONE, _mono(i=p, w0=-1))]
+        divw += [(-c, mono_mul(delta, _mono(w0=-1))) for c, delta in pres.corrw]
+        divx = [(ONE, _mono(j=q, w1=-1))]
+        divx += [(-c, mono_mul(delta, _mono(w1=-1))) for c, delta in pres.corrx]
+        corrw_low = [(c, mono_mul(delta, _mono(i=-p))) for c, delta in pres.corrw]
+        corrx_low = [(c, mono_mul(delta, _mono(j=-q))) for c, delta in pres.corrx]
 
-        def r_divdiv(m, _pres_ref=[None]):
-            pres = _pres_ref[0]
-            rest = _delta(m, dw0=-1, dw1=-1)
-            return _terms_elt(pres, divdiv_terms, rest)
-
-        rules.append(("divdiv", g_divdiv, r_divdiv))
-
-        def g_w0sq(m):
-            return m[5] >= 2
-
-        def r_w0sq(m, _pres_ref=[None]):
-            pres = _pres_ref[0]
-            rest = _delta(m, dw0=-1)
-            out = RingElement(pres, "top", c2={_delta(rest, di=p): ONE})
-            return out + expand_corr(pres, rest, corrw, sign=-1)
-
-        rules.append(("w0_square", g_w0sq, r_w0sq))
-
-        def g_w1sq(m):
-            return m[6] >= 2
-
-        def r_w1sq(m, _pres_ref=[None]):
-            pres = _pres_ref[0]
-            rest = _delta(m, dw1=-1)
-            out = RingElement(pres, "top", c2={_delta(rest, dj=q): ONE})
-            return out + expand_corr(pres, rest, corrx, sign=-1)
-
-        rules.append(("w1_square", g_w1sq, r_w1sq))
+        rules.append((
+            "divdiv",
+            lambda m: m[5] >= 1 and m[6] >= 1,
+            terms_at(pres.divdiv_terms, _mono(w0=-1, w1=-1)),
+        ))
+        rules.append(("w0_square", lambda m: m[5] >= 2, linear(divw)))
+        rules.append(("w1_square", lambda m: m[6] >= 2, linear(divx)))
 
         def g_w0exp(m):
             s, t, i, j, d, w0, w1 = m
@@ -263,13 +244,7 @@ def _build_rules(deck):
                 return False
             return s >= 1 or (s == 0 and j <= q - 1)
 
-        def r_w0exp(m, _pres_ref=[None]):
-            pres = _pres_ref[0]
-            rest = _delta(m, dw0=-1)
-            out = RingElement(pres, "top", c2={_delta(rest, di=p): ONE})
-            return out + expand_corr(pres, rest, corrw, sign=-1)
-
-        rules.append(("w0_expand", g_w0exp, r_w0exp))
+        rules.append(("w0_expand", g_w0exp, linear(divw)))
 
         def g_w1exp(m):
             s, t, i, j, d, w0, w1 = m
@@ -283,13 +258,7 @@ def _build_rules(deck):
                 return False
             return t >= 1 or (t == 0 and i <= p - 1)
 
-        def r_w1exp(m, _pres_ref=[None]):
-            pres = _pres_ref[0]
-            rest = _delta(m, dw1=-1)
-            out = RingElement(pres, "top", c2={_delta(rest, dj=q): ONE})
-            return out + expand_corr(pres, rest, corrx, sign=-1)
-
-        rules.append(("w1_expand", g_w1exp, r_w1exp))
+        rules.append(("w1_expand", g_w1exp, linear(divx)))
 
         def g_w0cw(m):
             s, t, i, j, d, w0, w1 = m
@@ -298,15 +267,7 @@ def _build_rules(deck):
                 and w0 == 1 and w1 == 0 and d == 0 and i >= 1 and t == 0
             )
 
-        def r_w0cw(m, _pres_ref=[None]):
-            pres = _pres_ref[0]
-            return _elt(
-                pres,
-                (E2, _delta(m, ds=-1, di=-1)),
-                (ONE_MINUS_K * XI, _delta(m, ds=-2, di=-1, dj=1)),
-            )
-
-        rules.append(("w0_cw", g_w0cw, r_w0cw))
+        rules.append(("w0_cw", g_w0cw, linear(_W0_CW)))
 
         def g_w1cx(m):
             s, t, i, j, d, w0, w1 = m
@@ -315,15 +276,7 @@ def _build_rules(deck):
                 and w1 == 1 and w0 == 0 and d == 0 and j >= 1 and s == 0
             )
 
-        def r_w1cx(m, _pres_ref=[None]):
-            pres = _pres_ref[0]
-            return _elt(
-                pres,
-                (E2, _delta(m, dt=-1, dj=-1)),
-                (ONE_MINUS_K * XI, _delta(m, dt=-2, dj=-1, di=1)),
-            )
-
-        rules.append(("w1_cx", g_w1cx, r_w1cx))
+        rules.append(("w1_cx", g_w1cx, linear(_W1_CX)))
 
         def g_w0cx(m):
             s, t, i, j, d, w0, w1 = m
@@ -333,17 +286,8 @@ def _build_rules(deck):
                 and s <= 0 and t == 0
             )
 
-        def r_w0cx(m, _pres_ref=[None]):
-            pres = _pres_ref[0]
-            rest = _delta(m, dj=-q, dw0=-1)
-            out = _terms_elt(pres, divdiv_terms, rest)
-            for coeff, delta in corrx:
-                out = out + RingElement(
-                    pres, "top", c2={mono_mul(_delta(m, dj=-q), delta): coeff}
-                )
-            return out
-
-        rules.append(("w0_cx", g_w0cx, r_w0cx))
+        divdiv_w0 = terms_at(pres.divdiv_terms, _mono(j=-q, w0=-1))
+        rules.append(("w0_cx", g_w0cx, lambda m: divdiv_w0(m) + _linear(pres, m, corrx_low)))
 
         def g_w1cw(m):
             s, t, i, j, d, w0, w1 = m
@@ -353,17 +297,8 @@ def _build_rules(deck):
                 and s == 0
             )
 
-        def r_w1cw(m, _pres_ref=[None]):
-            pres = _pres_ref[0]
-            rest = _delta(m, di=-p, dw1=-1)
-            out = _terms_elt(pres, divdiv_terms, rest)
-            for coeff, delta in corrw:
-                out = out + RingElement(
-                    pres, "top", c2={mono_mul(_delta(m, di=-p), delta): coeff}
-                )
-            return out
-
-        rules.append(("w1_cw", g_w1cw, r_w1cw))
+        divdiv_w1 = terms_at(pres.divdiv_terms, _mono(i=-p, w1=-1))
+        rules.append(("w1_cw", g_w1cw, lambda m: divdiv_w1(m) + _linear(pres, m, corrw_low)))
 
     # ---- zeta bookkeeping -------------------------------------------------
 
@@ -371,48 +306,14 @@ def _build_rules(deck):
         def g_z1pos(m):
             return m[1] >= 1 and m[5] == 0 and m[6] == 0
 
-        def r_z1pos(m, _pres_ref=[None]):
-            pres = _pres_ref[0]
-            t = m[1]
-            return _elt(pres, (_xi_pow(t), _delta(m, ds=-t, dt=-t)))
-
-        rules.append(("z1_pos", g_z1pos, r_z1pos))
-
-        def g_cwelim(m):
-            return m[2] >= 1
-
-        def r_cwelim(m, _pres_ref=[None]):
-            pres = _pres_ref[0]
-            return _elt(
-                pres,
-                (E2, _delta(m, ds=-1, di=-1)),
-                (ONE_MINUS_K, _delta(m, ds=-1, dt=1, di=-1, dj=1)),
-            )
-
-        rules.append(("cw_elim", g_cwelim, r_cwelim))
+        rules.append(("z1_pos", g_z1pos, lambda m: _xi_shift(pres, m, m[1])))
+        rules.append(("cw_elim", lambda m: m[2] >= 1, linear(_E2)))
     elif z1_inv:
         def g_z0pos(m):
             return m[0] >= 1 and m[5] == 0 and m[6] == 0
 
-        def r_z0pos(m, _pres_ref=[None]):
-            pres = _pres_ref[0]
-            s = m[0]
-            return _elt(pres, (_xi_pow(s), _delta(m, ds=-s, dt=-s)))
-
-        rules.append(("z0_pos", g_z0pos, r_z0pos))
-
-        def g_cxelim(m):
-            return m[3] >= 1
-
-        def r_cxelim(m, _pres_ref=[None]):
-            pres = _pres_ref[0]
-            return _elt(
-                pres,
-                (ONE_MINUS_K, _delta(m, ds=1, dt=-1, di=1, dj=-1)),
-                (ONE_MINUS_K * E2 * -1, _delta(m, dt=-1, dj=-1)),
-            )
-
-        rules.append(("cx_elim", g_cxelim, r_cxelim))
+        rules.append(("z0_pos", g_z0pos, lambda m: _xi_shift(pres, m, m[0])))
+        rules.append(("cx_elim", lambda m: m[3] >= 1, linear(_CX_ELIM)))
     else:
         def g_ximix(m):
             s, t, i, j, d, w0, w1 = m
@@ -422,15 +323,11 @@ def _build_rules(deck):
                 return True
             return False
 
-        def r_ximix(m, _pres_ref=[None]):
-            pres = _pres_ref[0]
+        def r_ximix(m):
             s, t = m[0], m[1]
-            if s > 0 and t > 0:
-                mu = min(s, t)
-                return _elt(pres, (_xi_pow(mu), _delta(m, ds=-mu, dt=-mu)))
             if s > 0:
-                return _elt(pres, (_xi_pow(s), _delta(m, ds=-s, dt=-s)))
-            return _elt(pres, (_xi_pow(t), _delta(m, ds=-t, dt=-t)))
+                return _xi_shift(pres, m, min(s, t) if t > 0 else s)
+            return _xi_shift(pres, m, t)
 
         rules.append(("xi_mix", g_ximix, r_ximix))
 
@@ -438,15 +335,7 @@ def _build_rules(deck):
             s, t, i, j, d, w0, w1 = m
             return s >= 1 and i >= 1 and t == 0 and w0 == 0 and w1 == 0
 
-        def r_e2(m, _pres_ref=[None]):
-            pres = _pres_ref[0]
-            return _elt(
-                pres,
-                (E2, _delta(m, ds=-1, di=-1)),
-                (ONE_MINUS_K, _delta(m, ds=-1, dt=1, di=-1, dj=1)),
-            )
-
-        rules.append(("e2", g_e2, r_e2))
+        rules.append(("e2", g_e2, linear(_E2)))
 
         def g_divs(m):
             s, t, i, j, d, w0, w1 = m
@@ -455,25 +344,13 @@ def _build_rules(deck):
                 and (not has_x or d >= 1)
             )
 
-        def r_divs(m, _pres_ref=[None]):
-            pres = _pres_ref[0]
-            return _elt(pres, (XI, _delta(m, ds=-1, dt=-1)))
-
-        rules.append(("div_s", g_divs, r_divs))
+        rules.append(("div_s", g_divs, linear(_DIV_S)))
 
         def g_t2(m):
             s, t, i, j, d, w0, w1 = m
             return t >= 2 and j >= 1 and w0 == 0 and w1 == 0
 
-        def r_t2(m, _pres_ref=[None]):
-            pres = _pres_ref[0]
-            return _elt(
-                pres,
-                (ONE_MINUS_K * XI, _delta(m, dt=-2, di=1, dj=-1)),
-                (ONE_MINUS_K * E2 * -1, _delta(m, dt=-1, dj=-1)),
-            )
-
-        rules.append(("t2", g_t2, r_t2))
+        rules.append(("t2", g_t2, linear(_T2)))
 
         if not infinite:
             def g_jhigh(m):
@@ -487,18 +364,15 @@ def _build_rules(deck):
                     return False
                 return True
 
-            def r_jhigh(m, _pres_ref=[None]):
-                pres = _pres_ref[0]
-                tail = _elt(pres, (ONE_MINUS_K * E2 * -1, _delta(m, dt=-1, dj=-1)))
+            def r_jhigh(m):
                 if m[2] + 1 < p:
-                    head = _elt(pres, (ONE_MINUS_K * XI, _delta(m, dt=-2, di=1, dj=-1)))
-                    return head + tail
+                    return _linear(pres, m, _T2)
+                tail = _linear(pres, m, [_CX_TAIL])
                 # z0 cw X contains the top monomial cw^p cx^q
-                lead = _delta(m, ds=1, dt=-1, di=1, dj=-1)
+                lead = mono_mul(m, _mono(s=1, t=-1, i=1, j=-1))
                 if lead[4] >= 1:
                     return tail  # top times x vanishes
-                rest = _delta(lead, di=-p, dj=-q)
-                head = _terms_elt(pres, top_terms, rest)
+                head = _terms_elt(pres, pres.top_terms, mono_mul(lead, _mono(i=-p, j=-q)))
                 return head.scale(ONE_MINUS_K) + tail
 
             rules.append(("jhigh", g_jhigh, r_jhigh))
@@ -509,15 +383,7 @@ def _build_rules(deck):
                     return False
                 return s <= 0 and t == 0 and i >= p + 1 and j <= q - 1 and w0 == 0 and w1 == 0
 
-            def r_ihigh(m, _pres_ref=[None]):
-                pres = _pres_ref[0]
-                return _elt(
-                    pres,
-                    (E2, _delta(m, ds=-1, di=-1)),
-                    (ONE_MINUS_K * XI, _delta(m, ds=-2, di=-1, dj=1)),
-                )
-
-            rules.append(("ihigh", g_ihigh, r_ihigh))
+            rules.append(("ihigh", g_ihigh, linear(_W0_CW)))
 
             def g_tpos_ihigh(m):
                 s, t, i, j, d, w0, w1 = m
@@ -526,64 +392,34 @@ def _build_rules(deck):
                     and (not has_x or d >= 1)
                 )
 
-            def r_tpos_ihigh(m, _pres_ref=[None]):
-                pres = _pres_ref[0]
-                return _elt(pres, (XI, _delta(m, ds=-1, dt=-1)))
-
-            rules.append(("tpos_ihigh", g_tpos_ihigh, r_tpos_ihigh))
+            rules.append(("tpos_ihigh", g_tpos_ihigh, linear(_DIV_S)))
 
     # ---- conversion of bare divided d0-monomials in quadrics --------------
 
-    if has_x:
-        def r_repl0(m, _pres_ref=[None]):
-            pres = _pres_ref[0]
-            out = RingElement(pres, "top", c2={_delta(m, di=-p, dw0=1): ONE})
-            for coeff, delta in corrw:
-                out = out + RingElement(
-                    pres, "top", c2={mono_mul(_delta(m, di=-p), delta): coeff}
-                )
-            return out
+    if has_x and not z1_inv and not z0_inv:
+        def g_repl0(m):
+            s, t, i, j, d, w0, w1 = m
+            if not (d == 0 and w0 == 0 and w1 == 0 and i >= p):
+                return False
+            if s <= -1:
+                return True
+            if t >= 1 and j < q:
+                return True
+            return s == 0 and t == 0 and i >= p + 1 and j < q
 
-        def r_repl1(m, _pres_ref=[None]):
-            pres = _pres_ref[0]
-            out = RingElement(pres, "top", c2={_delta(m, dj=-q, dw1=1): ONE})
-            for coeff, delta in corrx:
-                out = out + RingElement(
-                    pres, "top", c2={mono_mul(_delta(m, dj=-q), delta): coeff}
-                )
-            return out
+        rules.append(("repl0", g_repl0, linear([(ONE, _mono(i=-p, w0=1))] + corrw_low)))
 
-        if not z1_inv and not z0_inv:
-            def g_repl0(m):
-                s, t, i, j, d, w0, w1 = m
-                if not (d == 0 and w0 == 0 and w1 == 0 and i >= p):
-                    return False
-                if s <= -1:
-                    return True
-                if t >= 1 and j < q:
-                    return True
-                return s == 0 and t == 0 and i >= p + 1 and j < q
+        def g_repl1(m):
+            s, t, i, j, d, w0, w1 = m
+            if not (d == 0 and w0 == 0 and w1 == 0 and j >= q):
+                return False
+            if t <= -1 and s == 0:
+                return True
+            return i < p and (s >= 1 or (t in (0, 1) and s == 0 and j >= q + 1))
 
-            rules.append(("repl0", g_repl0, r_repl0))
-
-            def g_repl1(m):
-                s, t, i, j, d, w0, w1 = m
-                if not (d == 0 and w0 == 0 and w1 == 0 and j >= q):
-                    return False
-                if t <= -1 and s == 0:
-                    return True
-                return i < p and (s >= 1 or (t in (0, 1) and s == 0 and j >= q + 1))
-
-            rules.append(("repl1", g_repl1, r_repl1))
+        rules.append(("repl1", g_repl1, linear([(ONE, _mono(j=-q, w1=1))] + corrx_low)))
 
     return rules
-
-
-def _bind_rules(pres):
-    """Close each rule's rhs over the finished presentation."""
-    for name, guard, rhs in pres.rules:
-        cell = rhs.__defaults__[0]
-        cell[0] = pres
 
 
 def _make_canonical(deck):
@@ -736,11 +572,10 @@ def eta_of_element(pres, x):
 
 def _finish(name, space, deck, identities=()):
     cfg = dict(deck)
-    cfg["rules"] = _build_rules(deck)
     cfg["canonical"] = _make_canonical(deck)
     cfg["identities"] = list(identities)
     pres = Presentation(name, space, cfg)
-    _bind_rules(pres)
+    pres.rules = _build_rules(pres)
     pres.eta_data = _build_eta(pres, deck)
     return pres
 
@@ -834,7 +669,6 @@ def make_point():
         "q": 0,
         "has_x": False,
         "levele": LevelEModel("free"),
-        "rules": [],
     }
     cfg = dict(deck)
     cfg["canonical"] = lambda m: m == MONO_ONE
@@ -959,15 +793,12 @@ def _make_free_orbit(name, space):
     }
     cfg = dict(deck)
     cfg["canonical"] = lambda m: False
-    cfg["rules"] = [
-        ("x_zero", lambda m: m[4] >= 1, lambda m, _p=[None]: RingElement(_p[0], "top"))
-    ]
     cfg["identities"] = [
         ("x = 0", lambda P: (P.gen("x"), P.zero())),
         ("1 = t(y)", lambda P: (P.scalar(1), P.tau_atom(0, 0))),
     ]
     pres = Presentation(name, space, cfg)
-    _bind_rules(pres)
+    pres.rules = [("x_zero", lambda m: m[4] >= 1, lambda m: pres.zero())]
     pres.eta_data = {
         "R0": ComponentRing("zero", 0, "z1"),
         "R1": ComponentRing("zero", 0, "z0"),
@@ -1269,7 +1100,6 @@ def _enumerate_coset_monomials(pres, coset, window):
     span = max(abs(a0), abs(a1), abs(b0), abs(b1)) + abs(coset)
     p = pres.p if pres.p is not None else span + 2
     q = pres.q if pres.q is not None else span + 2
-    bound = span + 2 * (p + q) + 8
     cells = [(0, 0, 0)]
     if pres.has_x:
         cells += [(0, 1, 0), (0, 0, 1), (1, 0, 0)]
@@ -1279,8 +1109,6 @@ def _enumerate_coset_monomials(pres, coset, window):
         for i in range(0, p + 2):
             for j in range(0, q + 2):
                 t0 = shift - i + j
-                if abs(t0) > bound:
-                    continue
                 for s in sorted({0, -t0}):
                     m = (s, t0 + s, i, j, d, w0, w1)
                     if pres.canonical(m):

@@ -27,6 +27,7 @@ from .coefficients import InhomogeneousError
 from .diagram import diagram
 from .expressions import ExprError, parse_expression
 from .noneq import InvalidSizeError, NoneqQuadricRing
+from .rewrite import NotAClassError
 from .solver import audit_full, verify_relations
 
 
@@ -95,7 +96,12 @@ def cmd_reduce(args):
     except InhomogeneousError as exc:
         print("inhomogeneous expression: %s" % exc, file=sys.stderr)
         return 2
-    print(val)
+    try:
+        text = str(val)
+    except ValueError as exc:  # the int-to-str digit limit
+        print("result too large to print: %s" % exc, file=sys.stderr)
+        return 2
+    print(text)
     if grading is not None:
         print("# grading: %s  (level %s)" % (grading, val.level))
     return 0
@@ -218,6 +224,9 @@ def main(argv=None):
         return 2
     except InvalidWindowError as exc:
         print("invalid window: %s" % exc, file=sys.stderr)
+        return 2
+    except NotAClassError as exc:
+        print("not a class: %s" % exc, file=sys.stderr)
         return 2
     return 2
 

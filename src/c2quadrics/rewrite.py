@@ -22,7 +22,11 @@ iota^a zeta^b c^d y^eps (see levele.py).
 
 Rewrite rules are (name, guard, rhs) triples; rhs values are true ring
 identities, so reduction along any rule order computes the same class.
-``confluence_probe`` checks that empirically on random products.
+The catalog builds them from the finished presentation (``pres.rules``),
+so each guard and rhs closes over its presentation.  A non-canonical
+monomial that no rule rewrites raises ``NotAClassError``; exceeding the
+step budget raises ``NonTerminatingError``.  ``confluence_probe`` checks
+confluence empirically on random products.
 """
 
 from __future__ import annotations
@@ -41,6 +45,11 @@ from .grading import Grading, IOTA_DEG, OMEGA0, OMEGA1, W, XW
 
 class NonTerminatingError(RuntimeError):
     """Rewriting exceeded its step budget (a bad rule set)."""
+
+
+class NotAClassError(ValueError):
+    """Well-formed input outside the ring: a non-canonical monomial that no
+    rule rewrites and no transfer witness absorbs."""
 
 
 MONO_ONE = (0, 0, 0, 0, 0, 0, 0)
@@ -257,7 +266,7 @@ class Presentation:
         self.eta_data = cfg.get("eta_data")  # filled by catalog (component rings etc.)
         self.identity_specs = cfg.get("identities", [])
         self.max_steps = cfg.get("max_steps", 200000)
-        self.rules = cfg["rules"]            # [(name, guard, rhs)]
+        self.rules = []                      # [(name, guard, rhs)], set by the catalog
         self.canonical_fn = cfg["canonical"]
         self.warnings = cfg.get("warnings", [])
         self.gen_info = cfg.get("gen_info", {})
@@ -392,10 +401,7 @@ class Presentation:
                     for k2, v2 in res.atoms.items():
                         atoms[k2] = atoms.get(k2, 0) + v2
                     continue
-                raise NonTerminatingError(
-                    "no rule matches non-canonical monomial %s in %s"
-                    % (mono_str(mono), self.name)
-                )
+                raise NotAClassError("no rule rewrites %s in %s" % (mono_str(mono), self.name))
             val = matched(mono)
             for m2, v2 in val.c2.items():
                 push(m2, coeff * v2)
@@ -589,7 +595,7 @@ def confluence_probe(pres, samples=100, seed=0):
         raw = RingElement(pres, "top", c2={_mono_product(monos): coeff})
         try:
             ref = pres.normal_form(raw)
-        except NonTerminatingError as exc:
+        except (NonTerminatingError, NotAClassError) as exc:
             report["mismatches"].append({"sample": k, "error": str(exc)})
             continue
         for _ in range(3):
@@ -597,7 +603,7 @@ def confluence_probe(pres, samples=100, seed=0):
             rng.shuffle(order)
             try:
                 alt = pres.normal_form(raw, rule_order=order)
-            except NonTerminatingError as exc:
+            except (NonTerminatingError, NotAClassError) as exc:
                 report["mismatches"].append({"sample": k, "error": str(exc)})
                 continue
             if not (alt.c2 == ref.c2 and alt.atoms == ref.atoms):

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -123,3 +124,25 @@ def test_restricted_grading_warning_is_one_line(capsys):
     assert out.splitlines()[0] == "1"
     assert err.count("\n") == 1
     assert err.startswith("warning: grading restricted:")
+
+
+@pytest.mark.parametrize("space,expr", [
+    ("bu1", "z0^-1"),
+    ("quadric:3,3", "z0^-5"),
+    ("proj:2,1", "z0^-1*cw"),
+])
+def test_input_outside_the_ring_is_one_line(capsys, space, expr):
+    code, out, err = run(capsys, "reduce", space, expr)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("not a class:")
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_result_past_the_digit_limit_is_one_line(capsys):
+    code, out, err = run(capsys, "reduce", "quadric:3,3", "2^99999")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("result too large to print:")

@@ -1,8 +1,19 @@
 """Engine-level tests: normal forms, divided classes, the probe."""
 
+import hashlib
+import random
+import warnings
+
 import pytest
 
-from c2quadrics.catalog import make_bu1, make_binate, make_point, make_projective
+from c2quadrics.catalog import (
+    RestrictedGradingWarning,
+    make_binate,
+    make_bu1,
+    make_point,
+    make_projective,
+    make_space,
+)
 from c2quadrics.coefficients import (
     KAPPA_PT,
     ONE,
@@ -14,9 +25,13 @@ from c2quadrics.grading import OMEGA0, OMEGA1, W, XW, Grading
 from c2quadrics.rewrite import (
     MONO_ONE,
     NonTerminatingError,
+    NotAClassError,
     RingElement,
+    _sample_monomials,
     confluence_probe,
+    mono_mul,
 )
+from c2quadrics.solver import POINT_COEFFS
 
 E2 = PointElt.monomial(pos(2, 0))
 XI = PointElt.monomial(pos(0, 1))
@@ -107,6 +122,28 @@ def test_step_budget():
         B.normal_form(RingElement(B, "top", c2={(1, 1, 1, 1, 0, 0, 0): ONE}))
 
 
+def test_not_a_class():
+    import c2quadrics
+
+    assert "NotAClassError" in c2quadrics.__all__
+    assert issubclass(NotAClassError, ValueError)
+    for pres, mono in [
+        (make_bu1(), (-1, 0, 0, 0, 0, 0, 0)),
+        (make_projective(2, 1), (-1, 0, 1, 0, 0, 0, 0)),
+    ]:
+        with pytest.raises(NotAClassError):
+            pres.monomial_elt(mono)
+
+
+def test_probe_records_unmatched_monomials():
+    # with a rule disabled, some products match no rule: the probe reports
+    # them as mismatches instead of raising
+    P = make_projective(2, 1)
+    P.rules = [r for r in P.rules if r[0] != "e2"]
+    rep = confluence_probe(P, samples=50, seed=7)
+    assert any("no rule rewrites" in m.get("error", "") for m in rep["mismatches"])
+
+
 def test_probe_point_and_empty():
     pt = make_point()
     rep = confluence_probe(pt, samples=100, seed=1)
@@ -152,3 +189,75 @@ def test_concurrent_reduction_deterministic():
         futs = [pool.submit(lambda m=m: str(Q.monomial_elt(m))) for m in exprs * 16]
     got = [f.result() for f in futs]
     assert got == expected * 16
+
+
+# sha256 per space of the rule names and of exact normal forms (see
+# _golden_digest); a rewrite of the rule set must leave every entry as is
+GOLDEN = {
+    "point": "11d7da38982e9bd44e7da216ba3825f0255f5a0ae531d844aba43461cd52f0b6",
+    "bu1": "d90fce752d2a0a9c90af161faf54d8ecf189cecc43297b27372a3b4e863b13ca",
+    "proj:2,1": "f562181a394f89d33fd6add859df19c8fcc788a2f6aed4e6c6f17e7d0e201571",
+    "proj:0,3": "cf4c130513336a39dac8a15246848949b59449e3877284dceca55bcc816a0cac",
+    "binate:2,1": "41c080d33f43a54bdbb9df6bebcbaad54ba0cf3a613ce0b715ed061ab0bc816e",
+    "binate:0,2": "5db6fce442e10a812f3b6f9421dacc21f0b1bfb215364fa38490d2ccb808dc28",
+    "quadric:1,1": "8ea07d99e7bf939a40c99934ecd708545d59fc72f8ca2a0f2647d8a3c693e392",
+    "quadric:3,3": "20ef760f5ef40f6ef1798397dcddca910879670935d767813a1408fcdeadda75",
+    "quadric:5,3": "9781035d6284939344a86fd88519d329a04773989153927fee28b260b96d75d4",
+    "quadric:4,3": "d8cfceee0551df3d74c7253629c3238bf726b765762ab3be0ec457948a42b345",
+    "quadric:3,4": "e1cf1712682f1fa0322fd903e19a9ff45ab39a14ae3ac0a02f3c605838014d2d",
+    "quadric:4,4": "a9f6b2b1504d070f54963e5db2229343cdafa037132c9eb8bfb1deceea405618",
+    "quadric:6,5": "ff75dca6580738d337190e94898fbb535848b92068c12271a58faec7a57754ef",
+    "quadric:1,5": "21342328eb278585ff147d5fbdf7a48a65c086197a70b023d7cc90bf0d52ad58",
+    "quadric:5,1": "8d4d8a99dd0ce04fbdc71edb800256f706a12b99d229dd122b6523f77ceeead8",
+    "quadric:0,4": "d88584d544dd16870fcc286b1a154a098600eaff12175c51e5da36a6792663e5",
+    "quadric:2,3": "5bcdaf7c18558267cd61beee74c839b6801e5f4840837dd53d843d340ab2e421",
+    "quadric:3,2": "079db40a13d9698b2fe69b4e5f4e414ef5b2b1706d0b5478cb108a923c67781b",
+    "quadric:2,2": "85253a99d4e3d1bfb00660d5235e87ab34c822061f29d0f0cf41c0aad236841a",
+    "quadric:2,5": "6af0cc231950e68ba6d5ddd34dad2ddcf3a0b8ad3210cd6fb949145a19ee5d64",
+    "quadric:6,6": "6fff2b70c0db6fac1e82bdeef370c87e3008f9a5ef01105522c1e465f4754c92",
+    "quadric:7,4": "058f6b162cd420c6e0c1303ac9fab0e2f97176fe0d63e13f3231f593bd999bc2",
+}
+
+
+def _canonical_text(x):
+    c2 = sorted((m, sorted(v.c.items(), key=repr)) for m, v in x.c2.items())
+    return repr((x.level, c2, sorted(x.atoms.items()), sorted(x.e.items())))
+
+
+def _golden_digest(space, products=60):
+    """Hash the rule names and normal forms of seeded products: pairs from
+    _sample_monomials with a POINT_COEFFS coefficient, every product of at
+    most two generators, and (where there is an x) each sample times divw
+    and times divx."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RestrictedGradingWarning)
+        pres = make_space(space)
+    rng = random.Random(space)
+    h = hashlib.sha256(repr([name for name, _, _ in pres.rules]).encode())
+
+    def add(x):
+        h.update(_canonical_text(x).encode())
+
+    def reduce_raw(mono):
+        return pres.normal_form(RingElement(pres, "top", c2={mono: rng.choice(POINT_COEFFS)}))
+
+    pool = _sample_monomials(pres, rng)
+    for _ in range(products if pool else 0):
+        m1, m2 = rng.choice(pool), rng.choice(pool)
+        add(pres.mul(pres.monomial_elt(m1, rng.choice(POINT_COEFFS)), pres.monomial_elt(m2)))
+    units = [MONO_ONE]
+    if pres.name != "point":
+        units += [tuple(int(k == n) for k in range(7)) for n in range(7 if pres.has_x else 4)]
+    for a in units:
+        for b in units:
+            add(reduce_raw(mono_mul(a, b)))
+    if pres.has_x:
+        for m in pool:
+            for div in ((0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 0, 1)):
+                add(reduce_raw(mono_mul(m, div)))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("space", sorted(GOLDEN))
+def test_golden_normal_forms(space):
+    assert _golden_digest(space) == GOLDEN[space]
