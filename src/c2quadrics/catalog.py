@@ -36,7 +36,7 @@ from .component import ComponentRing
 from .grading import Grading, OMEGA1, W, XW, coset_index
 from .levele import LevelEModel
 from .noneq import InvalidSizeError, NoneqQuadricRing
-from .rewrite import MONO_ONE, Presentation, RingElement, mono_mul
+from .rewrite import MONO_ONE, Presentation, RingElement, _add_elt, _add_term, mono_mul
 
 
 class RestrictedGradingWarning(UserWarning):
@@ -118,11 +118,11 @@ def _terms_elt(pres, terms, rest=MONO_ONE):
     out = RingElement(pres, "top")
     for kind, c, payload in terms:
         if kind == "mono":
-            out = out + RingElement(pres, "top", c2={mono_mul(payload, rest): c})
+            _add_term(out.c2, mono_mul(payload, rest), c)
         else:
             a, b = payload
             w = pres.levele.mul(pres._rho_mono(rest), {(a, b, 0, 1): c})
-            out = out + pres.tau_of_levele(w)
+            _add_elt(out.c2, out.atoms, pres.tau_of_levele(w))
     return out
 
 
@@ -134,12 +134,7 @@ def _linear(pres, m, pairs):
     """sum of coeff * (m * delta) over the (coeff, delta) pairs, as a raw element."""
     c2 = {}
     for coeff, delta in pairs:
-        mono = mono_mul(m, delta)
-        tot = c2[mono] + coeff if mono in c2 else coeff
-        if tot.is_zero():
-            c2.pop(mono, None)
-        else:
-            c2[mono] = tot
+        _add_term(c2, mono_mul(m, delta), coeff)
     out = RingElement(pres, "top")
     out.c2 = c2
     return out

@@ -215,6 +215,11 @@ def monomial_grading(mono):
     return Grading(-2 * n, 2 * n, 0)
 
 
+def _mixed(m):
+    """e^i xi^j with i, j >= 1: its coefficients are stored mod 2."""
+    return m[0] == "p" and m[1] >= 1 and m[2] >= 1
+
+
 def _mono_mul(m1, m2):
     """Product of two canonical monomials, as a dict {monomial: int}."""
     t1, t2 = m1[0], m2[0]
@@ -253,7 +258,11 @@ def _normalize_trans(n, coeff):
 
 
 class PointElt:
-    """Homogeneous element of the point subring: {monomial: int}."""
+    """Homogeneous element of the point subring: {monomial: int}.
+
+    A value: sums and products may share their ``c`` with an operand, so
+    ``c`` is never changed in place.
+    """
 
     __slots__ = ("c",)
 
@@ -261,7 +270,7 @@ class PointElt:
         self.c = {}
         if c:
             for m, v in c.items():
-                if m[0] == "p" and m[1] >= 1 and m[2] >= 1:
+                if _mixed(m):
                     v %= 2
                 if v:
                     self.c[m] = v
@@ -295,15 +304,26 @@ class PointElt:
     def __add__(self, other):
         if isinstance(other, int):
             other = PointElt.from_int(other)
+        if not other.c:
+            return self
+        if not self.c:
+            return other
         out = dict(self.c)
         for m, v in other.c.items():
-            out[m] = out.get(m, 0) + v
-        return PointElt(out)
+            v += out.get(m, 0)
+            if _mixed(m):
+                v %= 2
+            if v:
+                out[m] = v
+            elif m in out:
+                del out[m]
+        return _point(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PointElt({m: -v for m, v in self.c.items()})
+        # a mixed e^i xi^j coefficient is 1 mod 2, its own negative
+        return _point({m: v if _mixed(m) else -v for m, v in self.c.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -366,6 +386,14 @@ class PointElt:
     @staticmethod
     def from_json(doc):
         return PointElt({tuple([d["tag"]] + d["args"]): d["coeff"] for d in doc})
+
+
+def _point(c):
+    """A PointElt over ``c`` as it is: no zero coefficient, mixed e^i xi^j
+    coefficients already reduced mod 2."""
+    out = object.__new__(PointElt)
+    out.c = c
+    return out
 
 
 def _mono_str(m):

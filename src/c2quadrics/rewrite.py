@@ -56,7 +56,41 @@ MONO_ONE = (0, 0, 0, 0, 0, 0, 0)
 
 
 def mono_mul(m1, m2):
-    return tuple(a + b for a, b in zip(m1, m2))
+    s, t, i, j, d, w0, w1 = m1
+    s2, t2, i2, j2, d2, w02, w12 = m2
+    return (s + s2, t + t2, i + i2, j + j2, d + d2, w0 + w02, w1 + w12)
+
+
+# In-place accumulators under the ring operations.  Results may share
+# PointElt coefficients with their operands, never the dicts.
+
+
+def _add_term(c2, m, v):
+    """c2[m] += v for a PointElt v; a zero sum removes m."""
+    w = c2.get(m)
+    if w is not None:
+        v = w + v
+    if v.c:
+        c2[m] = v
+    elif w is not None:
+        del c2[m]
+
+
+def _add_count(d, k, v):
+    """d[k] += v for an int v; a zero sum removes k."""
+    v += d.get(k, 0)
+    if v:
+        d[k] = v
+    else:
+        d.pop(k, None)
+
+
+def _add_elt(c2, atoms, x):
+    """Add the level-top element x into the two dicts."""
+    for m, v in x.c2.items():
+        _add_term(c2, m, v)
+    for k, v in x.atoms.items():
+        _add_count(atoms, k, v)
 
 
 def mono_str(m):
@@ -86,16 +120,12 @@ class RingElement:
             for m, v in c2.items():
                 if isinstance(v, int):
                     v = PointElt.from_int(v)
-                if not v.is_zero():
-                    self.c2[m] = self.c2.get(m, PointElt()) + v
+                if v.c:
+                    self.c2[m] = v
         if atoms:
-            for k, v in atoms.items():
-                if v:
-                    self.atoms[k] = self.atoms.get(k, 0) + v
+            self.atoms = {k: v for k, v in atoms.items() if v}
         if e:
-            for k, v in e.items():
-                if v:
-                    self.e[k] = self.e.get(k, 0) + v
+            self.e = {k: v for k, v in e.items() if v}
 
     # -- ring operations ---------------------------------------------------
 
@@ -106,26 +136,11 @@ class RingElement:
             raise ValueError("cannot add level-%s and level-%s elements" % (self.level, other.level))
         out = RingElement(self.pres, self.level)
         out.c2 = dict(self.c2)
-        for m, v in other.c2.items():
-            w = out.c2.get(m, PointElt()) + v
-            if w.is_zero():
-                out.c2.pop(m, None)
-            else:
-                out.c2[m] = w
         out.atoms = dict(self.atoms)
-        for k, v in other.atoms.items():
-            w = out.atoms.get(k, 0) + v
-            if w:
-                out.atoms[k] = w
-            else:
-                out.atoms.pop(k, None)
+        _add_elt(out.c2, out.atoms, other)
         out.e = dict(self.e)
         for k, v in other.e.items():
-            w = out.e.get(k, 0) + v
-            if w:
-                out.e[k] = w
-            else:
-                out.e.pop(k, None)
+            _add_count(out.e, k, v)
         return out
 
     __radd__ = __add__
@@ -148,11 +163,13 @@ class RingElement:
     def scale(self, coeff):
         """Multiply by a point-ring coefficient (or int)."""
         if isinstance(coeff, int):
-            out = RingElement(self.pres, self.level)
-            out.c2 = {m: v * coeff for m, v in self.c2.items() if not (v * coeff).is_zero()}
-            out.atoms = {k: v * coeff for k, v in self.atoms.items() if v * coeff}
-            out.e = {k: v * coeff for k, v in self.e.items() if v * coeff}
-            return out
+            return RingElement(
+                self.pres,
+                self.level,
+                c2={m: v * coeff for m, v in self.c2.items()},
+                atoms={k: v * coeff for k, v in self.atoms.items()},
+                e={k: v * coeff for k, v in self.e.items()},
+            )
         return self.pres.mul(self.pres.coeff_elt(coeff), self)
 
     def __mul__(self, other):
@@ -324,7 +341,10 @@ class Presentation:
     def canonical(self, mono):
         return self.canonical_fn(mono)
 
-    def normal_form(self, x, rule_order=None):
+    def normal_form(self, x, rule_order=None, _fallbacks=()):
+        """The canonical form of x.  ``_fallbacks`` holds the monomials whose
+        transfer-witness fallback is under way in an enclosing call; meeting
+        one again would recurse without end, so it is not a class."""
         if x.level == "e":
             out = RingElement(self, "e")
             out.e = self.levele.reduce(x.e)
@@ -334,18 +354,11 @@ class Presentation:
         for m, v in x.c2.items():
             if isinstance(v, int):
                 v = PointElt.from_int(v)
-            if not v.is_zero():
-                work[m] = work.get(m, PointElt()) + v
-        atoms = dict(x.atoms)
+            if v.c:
+                work[m] = v
+        atoms = {k: v for k, v in x.atoms.items() if v}
         done = {}
         steps = 0
-
-        def push(m2, v2):
-            tot = work.get(m2, PointElt()) + v2
-            if tot.is_zero():
-                work.pop(m2, None)
-            else:
-                work[m2] = tot
 
         while work:
             steps += 1
@@ -355,26 +368,15 @@ class Presentation:
                 )
             mono = next(iter(work))
             coeff = work.pop(mono)
-            if coeff.is_zero():
-                continue
             if self.free_orbit and mono[4] == 0:
                 # everything is a multiple of the unit tau(y):
                 # M*c = M*c*tau(y) = tau(rho(M*c)*y)
                 w = self._rho_mono_times(mono, coeff)
                 w = self.levele.mul(w, {(0, 0, 0, 1): 1})
-                res = self.tau_of_levele(w)
-                for m2, v2 in res.c2.items():
-                    push(m2, v2)
-                for k2, v2 in res.atoms.items():
-                    atoms[k2] = atoms.get(k2, 0) + v2
+                _add_elt(work, atoms, self.tau_of_levele(w, _fallbacks))
                 continue
             if self.canonical(mono):
-                prev = done.get(mono)
-                tot = coeff if prev is None else prev + coeff
-                if tot.is_zero():
-                    done.pop(mono, None)
-                else:
-                    done[mono] = tot
+                _add_term(done, mono, coeff)
                 continue
             matched = None
             for name, guard, rhs in rules:
@@ -388,38 +390,27 @@ class Presentation:
                 # level e
                 from .coefficients import transfer_witness
 
-                wit = transfer_witness(coeff)
+                wit = None if mono in _fallbacks else transfer_witness(coeff)
                 if wit is not None:
                     w = {}
                     for n, v in wit.c.items():
                         for k2, v2 in self._rho_mono(mono).items():
                             key = (k2[0] + n, k2[1], k2[2], k2[3])
                             w[key] = w.get(key, 0) + v * v2
-                    res = self.tau_of_levele(w)
-                    for m2, v2 in res.c2.items():
-                        push(m2, v2)
-                    for k2, v2 in res.atoms.items():
-                        atoms[k2] = atoms.get(k2, 0) + v2
+                    _add_elt(work, atoms, self.tau_of_levele(w, _fallbacks + (mono,)))
                     continue
                 raise NotAClassError("no rule rewrites %s in %s" % (mono_str(mono), self.name))
             val = matched(mono)
             for m2, v2 in val.c2.items():
-                push(m2, coeff * v2)
+                _add_term(work, m2, coeff * v2)
             if val.atoms:
                 rc = point_rho(coeff)
                 for (a, b), v2 in val.atoms.items():
-                    res = self.tau_of_levele(
-                        self.levele.reduce(
-                            {(a + k, b, 0, 1): v2 * n for k, n in rc.c.items()}
-                        )
-                    )
-                    for m3, v3 in res.c2.items():
-                        push(m3, v3)
-                    for k3, v3 in res.atoms.items():
-                        atoms[k3] = atoms.get(k3, 0) + v3
+                    w = self.levele.reduce({(a + k, b, 0, 1): v2 * n for k, n in rc.c.items()})
+                    _add_elt(work, atoms, self.tau_of_levele(w, _fallbacks))
         out = RingElement(self, "top")
         out.c2 = done
-        out.atoms = {k: v for k, v in atoms.items() if v}
+        out.atoms = atoms
         return out
 
     # -- multiplication -------------------------------------------------------
@@ -435,23 +426,24 @@ class Presentation:
             # top * level-e acts through rho
             return self.levele_elt(self.levele.mul(self.rho(x).e, y.e))
         terms = RingElement(self, "top")
+        c2, atoms = terms.c2, terms.atoms
         for m1, v1 in x.c2.items():
             for m2, v2 in y.c2.items():
-                terms = terms + RingElement(self, "top", c2={mono_mul(m1, m2): v1 * v2})
+                _add_term(c2, mono_mul(m1, m2), v1 * v2)
             for (a, b), v2 in y.atoms.items():
                 w = self._rho_mono_times(m1, v1 * v2)
                 shifted = self.levele.mul(w, {(a, b, 0, 1): 1})
-                terms = terms + self.tau_of_levele(shifted)
+                _add_elt(c2, atoms, self.tau_of_levele(shifted))
         for (a, b), v1 in x.atoms.items():
             for m2, v2 in y.c2.items():
                 w = self._rho_mono_times(m2, v2 * v1)
                 shifted = self.levele.mul(w, {(a, b, 0, 1): 1})
-                terms = terms + self.tau_of_levele(shifted)
+                _add_elt(c2, atoms, self.tau_of_levele(shifted))
             for (a2, b2), v2 in y.atoms.items():
                 # tau(w) tau(w') = tau(w * (1+t) w')
                 w2 = self.levele.one_plus_t({(a2, b2, 0, 1): v2})
                 prod = self.levele.mul({(a, b, 0, 1): v1}, w2)
-                terms = terms + self.tau_of_levele(prod)
+                _add_elt(c2, atoms, self.tau_of_levele(prod))
         return self.normal_form(terms)
 
     # -- Mackey structure -------------------------------------------------------
@@ -505,38 +497,39 @@ class Presentation:
             raise ValueError("t acts on level-e elements")
         return self.levele_elt(self.levele.t_act(x.e))
 
-    def tau_of_levele(self, w):
-        """Transfer: level-e element (raw dict or RingElement) to level top."""
+    def tau_of_levele(self, w, _fallbacks=()):
+        """Transfer: level-e element (raw dict or RingElement) to level top.
+        ``_fallbacks`` is passed on to ``normal_form``."""
         if isinstance(w, RingElement):
             w = w.e
         w = self.levele.reduce(w)
         out = RingElement(self, "top")
+        c2, atoms = out.c2, out.atoms
         for (a, b, d, eps), v in w.items():
             if self.free_orbit:
                 # two-point underlying space: 1 = y + ty, so
                 # tau(iota^a zeta^b) = (1 + (-1)^a) tau(iota^a zeta^b y)
                 if eps == 1:
-                    out = out + RingElement(self, "top", atoms={(a, b): v})
+                    _add_count(atoms, (a, b), v)
                 elif a % 2 == 0:
-                    out = out + RingElement(self, "top", atoms={(a, b): 2 * v})
+                    _add_count(atoms, (a, b), 2 * v)
                 continue
             if eps == 0:
-                out = out + self._tau_lift(a, b, d, 0, v)
+                _add_elt(c2, atoms, self._tau_lift(a, b, d, 0, v, _fallbacks))
             elif eps == 2:
                 # binate t(y): tau(iota^a zeta^b ty) = (-1)^a tau(iota^a zeta^b y)
-                sign = -1 if a % 2 else 1
-                out = out + RingElement(self, "top", atoms={(a, b): sign * v})
+                _add_count(atoms, (a, b), -v if a % 2 else v)
             else:
                 if self.has_atoms and d == 0:
-                    out = out + RingElement(self, "top", atoms={(a, b): v})
+                    _add_count(atoms, (a, b), v)
                 else:
                     A, B, C = self.rho_x
                     if d < C:
                         raise ValueError("cannot lift %s along rho(x)" % ((a, b, d, eps),))
-                    out = out + self._tau_lift(a - A, b - B, d - C, 1, v)
+                    _add_elt(c2, atoms, self._tau_lift(a - A, b - B, d - C, 1, v, _fallbacks))
         return out
 
-    def _tau_lift(self, a, b, d, xexp, v):
+    def _tau_lift(self, a, b, d, xexp, v, fallbacks):
         """tau(iota^a zeta^b c^d) * x^xexp via Frobenius reciprocity."""
         tb = b - d
         if tb >= 0:
@@ -547,7 +540,7 @@ class Presentation:
             mono = (-tb, 0, d, 0, xexp, 0, 0)
         if coeff.is_zero():
             return RingElement(self, "top")
-        return self.normal_form(RingElement(self, "top", c2={mono: coeff}))
+        return self.normal_form(RingElement(self, "top", c2={mono: coeff}), None, fallbacks)
 
     # -- homomorphisms -------------------------------------------------------
 

@@ -130,6 +130,9 @@ def test_restricted_grading_warning_is_one_line(capsys):
     ("bu1", "z0^-1"),
     ("quadric:3,3", "z0^-5"),
     ("proj:2,1", "z0^-1*cw"),
+    ("point", "t(zeta)"),
+    ("point", "t(zeta)*cw"),
+    ("point", "t(zeta)*z0"),
 ])
 def test_input_outside_the_ring_is_one_line(capsys, space, expr):
     code, out, err = run(capsys, "reduce", space, expr)

@@ -18,6 +18,7 @@ from c2quadrics.coefficients import (
     InhomogeneousError,
     LevelECoeff,
     PointElt,
+    _mono_mul,
     monomial_grading,
     negkappa,
     point_mul,
@@ -28,6 +29,7 @@ from c2quadrics.coefficients import (
     trans,
     transfer_witness,
 )
+from c2quadrics.solver import POINT_COEFFS
 
 
 def mono_elt(m):
@@ -173,3 +175,60 @@ def test_transfer_witness():
 def test_point_json_round_trip():
     x = 3 * mono_elt(trans(-1)) - 2 * mono_elt(trans(-2))
     assert PointElt.from_json(x.to_json()) == x
+
+
+# reference copy of the dict-rebuild arithmetic: every result goes through
+# the validating constructor
+
+
+def ref_add(a, b):
+    out = dict(a.c)
+    for m, v in b.c.items():
+        out[m] = out.get(m, 0) + v
+    return PointElt(out)
+
+
+def ref_sub(a, b):
+    return ref_add(a, PointElt({m: -v for m, v in b.c.items()}))
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, v1 in a.c.items():
+        for m2, v2 in b.c.items():
+            for m, w in _mono_mul(m1, m2).items():
+                out[m] = out.get(m, 0) + v1 * v2 * w
+    return PointElt(out)
+
+
+def _kernel_pool():
+    """POINT_COEFFS with the sums and products of its pairs (by the reference
+    arithmetic), so that mixed e^i xi^j terms and zero meet in sums."""
+    pool = {}
+    for a in POINT_COEFFS:
+        pool[repr(a)] = a
+    for a, b in itertools.combinations_with_replacement(POINT_COEFFS, 2):
+        for x in (ref_add(a, b), ref_mul(a, b)):
+            pool[repr(x)] = x
+    return list(pool.values())
+
+
+def _is_reduced(x):
+    for m, v in x.c.items():
+        assert v != 0, (x, m)
+        if m[0] == "p" and m[1] >= 1 and m[2] >= 1:
+            assert v == 1, (x, m)
+
+
+def test_kernels_match_reference_arithmetic():
+    pool = _kernel_pool()
+    # a zero (k * xi) exercises the sums that return an operand
+    assert any(not x.c for x in pool)
+    assert any(m[0] == "p" and m[1] >= 1 and m[2] >= 1 for x in pool for m in x.c)
+    for a, b in itertools.product(pool, repeat=2):
+        before = (dict(a.c), dict(b.c))
+        for op, ref in ((a + b, ref_add(a, b)), (a - b, ref_sub(a, b)), (a * b, ref_mul(a, b))):
+            assert op.c == ref.c, (a, b)
+            _is_reduced(op)
+        assert (dict(a.c), dict(b.c)) == before, (a, b)
+

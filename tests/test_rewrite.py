@@ -1,6 +1,7 @@
 """Engine-level tests: normal forms, divided classes, the probe."""
 
 import hashlib
+import itertools
 import random
 import warnings
 
@@ -135,6 +136,14 @@ def test_not_a_class():
             pres.monomial_elt(mono)
 
 
+def test_transfer_fallback_reentry_is_not_a_class():
+    # on the point ring the transfer-witness fallback of cx^2 leads to
+    # z0^4*cw^2, whose own fallback leads back to itself
+    pt = make_point()
+    with pytest.raises(NotAClassError, match="no rule rewrites"):
+        pt.normal_form(RingElement(pt, "top", c2={(0, 0, 0, 2, 0, 0, 0): TRANS_M1}))
+
+
 def test_probe_records_unmatched_monomials():
     # with a rule disabled, some products match no rule: the probe reports
     # them as mismatches instead of raising
@@ -261,3 +270,55 @@ def _golden_digest(space, products=60):
 @pytest.mark.parametrize("space", sorted(GOLDEN))
 def test_golden_normal_forms(space):
     assert _golden_digest(space) == GOLDEN[space]
+
+
+# sha256 per space of the exact normal forms of every product of two
+# elements of _atom_elements: c2 x atom, atom x c2, atom x atom and the
+# mixed elements, pinned before the arithmetic under mul was rebuilt
+ATOM_GOLDEN = {
+    "binate:2,1": "51a0dbaeadaa634b36f6c257c87de3178c4593631dca633da95f4ed5b1fd9c98",
+    "quadric:3,3": "9a871501fbd5ecbccb13345ebb5de03dbc06f1fdb3a0d9b0d5f6695c72599acf",
+    "quadric:5,3": "f273ccc9fae566825875521db425b5bdaa95ee3cddeede03be91db8554b67361",
+}
+
+
+def _atom_elements(pres, rng):
+    """Two elements with c2 terms only, two with transfer atoms only, and
+    two that carry both.  The monomials are of low degree, so that few
+    products vanish."""
+    pool = [m for m in _sample_monomials(pres, rng) if sum(map(abs, m)) <= 2]
+
+    def c2_elt():
+        x = pres.zero()
+        for _ in range(3):
+            x = x + pres.monomial_elt(rng.choice(pool), rng.choice(POINT_COEFFS))
+        return x
+
+    def atom_elt():
+        x = pres.zero()
+        for _ in range(2):
+            a, b = rng.choice((-2, 0, 1, 2)), rng.choice((-1, 0, 1, 2))
+            x = x + pres.tau_atom(a, b, rng.choice((1, -1, 2, 3)))
+        return x
+
+    c2s = [c2_elt() for _ in range(2)]
+    atoms = [atom_elt() for _ in range(2)]
+    return c2s + atoms + [c2s[0] + atoms[1], c2_elt() + atom_elt()]
+
+
+@pytest.mark.parametrize("space", sorted(ATOM_GOLDEN))
+def test_golden_atom_products(space):
+    pres = make_space(space)
+    assert pres.has_atoms
+    elts = _atom_elements(pres, random.Random("atoms " + space))
+    assert all(x.atoms for x in elts[2:]) and not any(x.atoms for x in elts[:2])
+    pairs = list(itertools.product(range(len(elts)), repeat=2))
+    prod = {(i, j): pres.mul(elts[i], elts[j]) for i, j in pairs}
+    h = hashlib.sha256()
+    for ij in pairs:
+        h.update(_canonical_text(prod[ij]).encode())
+    assert h.hexdigest() == ATOM_GOLDEN[space]
+    for i, j in pairs:
+        assert prod[i, j] == prod[j, i]
+    for x, y, z in itertools.product(elts, repeat=3):
+        assert pres.mul(pres.mul(x, y), z) == pres.mul(x, pres.mul(y, z))
