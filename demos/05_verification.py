@@ -1,9 +1,8 @@
 """The verification suite and the JSON atlas.
 
 verify_relations replays every shipped identity three ways: the normal
-form of lhs - rhs, and the images under the restriction rho (checked
-against the nonequivariant oracle ring as well), the fixed-point map,
-and the restriction to the fixed-set components.  audit_full adds the
+form of lhs - rhs, and the images under the restriction rho, the
+fixed-point map, and the restriction to the fixed-set components.  audit_full adds the
 Mackey axioms, homomorphism multiplicativity on random products, the
 confluence probe, and the additive rank law.
 """
@@ -19,10 +18,9 @@ for m, n in [(5, 3), (4, 3), (3, 4), (4, 4)]:
     rep = verify_relations(make_quadric(m, n))
     print("Q^{%d,%d}:" % (m, n))
     for row in rep["identities"]:
-        print("   %-14s nf=%s rho=%s eta=%s phi=%s oracle=%s -> %s" % (
+        print("   %-14s nf=%s rho=%s eta=%s phi=%s -> %s" % (
             row["identity"], row["nf_zero"], row.get("rho", "-"),
-            row.get("eta", "-"), row.get("phi", "-"),
-            row.get("rho_oracle", "-"), row["status"],
+            row.get("eta", "-"), row.get("phi", "-"), row["status"],
         ))
 
 print("\nfull audit of Q^{3,3}:")

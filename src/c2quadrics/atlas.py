@@ -144,7 +144,7 @@ def atlas_document(space_ids, coset=0, window=((-16, 16), (-16, 16)), seed=0, au
     spaces = []
     for sid in sorted(space_ids):
         pres = make_space(sid)
-        if hasattr(pres, "reduce"):  # nonequivariant oracle ring
+        if hasattr(pres, "reduce"):  # nonequivariant quadric ring
             spaces.append({"space": sid, "kind": "nonequivariant", "basis": [
                 {"key": list(k), "degree": d} for k, d in pres.basis()
             ]})

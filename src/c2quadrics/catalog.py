@@ -9,7 +9,7 @@ Spaces and their space-id grammar:
     quadric:m,n      the symmetric quadric Q^{m,n}, dispatched by parity:
                        (odd, odd) -> BB(p,q), (even, odd) -> DB, (odd, even) -> BD,
                        (even, even) -> DD
-    neq:n,B|D        the nonequivariant oracle ring
+    neq:n,B|D        the nonequivariant ring Z[c,y]/(...) of the n-quadric
 
 Every presentation uses the same orientation of the e^2-relation
 

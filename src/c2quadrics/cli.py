@@ -4,7 +4,7 @@ Commands:
     reduce SPACE EXPR                normal form and grading of an expression
     basis SPACE [--coset N] [--window a0:a1,b0:b1]
     diagram SPACE [--coset N] [--window ...] [--format ascii|svg]
-    verify [SPACE | --all --max N] [--seed S]
+    verify [SPACE... | --all --max N] [--seed S]
     atlas emit SPACES... [-o FILE]   / atlas load FILE
 
 Space ids: point, bu1, proj:p,q, binate:p,q, quadric:m,n, neq:n,B|D.
@@ -64,7 +64,7 @@ def build_parser():
     p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
 
     p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("space", nargs="?")
+    p.add_argument("spaces", nargs="*")
     p.add_argument("--all", action="store_true")
     p.add_argument("--max", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
@@ -81,10 +81,19 @@ def build_parser():
     return ap
 
 
-def cmd_reduce(args):
+def _equivariant_space(args):
+    """The presentation of args.space, or None (after one line on stderr)
+    for a nonequivariant ring, which has no gradings or classes to show."""
     pres = make_space(args.space)
     if isinstance(pres, NoneqQuadricRing):
-        print("use an equivariant space id with `reduce`", file=sys.stderr)
+        print("use an equivariant space id with `%s`" % args.command, file=sys.stderr)
+        return None
+    return pres
+
+
+def cmd_reduce(args):
+    pres = _equivariant_space(args)
+    if pres is None:
         return 2
     try:
         val = parse_expression(pres, args.expr)
@@ -108,7 +117,9 @@ def cmd_reduce(args):
 
 
 def cmd_basis(args):
-    pres = make_space(args.space)
+    pres = _equivariant_space(args)
+    if pres is None:
+        return 2
     rows = basis_slice(pres, args.coset, args.window)
     for g, label in rows:
         print("%4d %4d  %-6s  %s" % (g.a, g.b, label, g))
@@ -121,7 +132,9 @@ def cmd_basis(args):
 
 
 def cmd_diagram(args):
-    pres = make_space(args.space)
+    pres = _equivariant_space(args)
+    if pres is None:
+        return 2
     sys.stdout.write(diagram(pres, args.coset, args.window, args.format))
     return 0
 
@@ -157,8 +170,9 @@ def cmd_verify(args):
                     if pm > bound or pn > bound or m + n < 2:
                         continue
                     ok = _verify_one("quadric:%d,%d" % (m, n), args.seed, args.full) and ok
-        elif args.space:
-            ok = _verify_one(args.space, args.seed, args.full)
+        elif args.spaces:
+            for space_id in args.spaces:
+                ok = _verify_one(space_id, args.seed, args.full) and ok
         else:
             print("give a space id or --all", file=sys.stderr)
             return 2

@@ -302,7 +302,9 @@ class PointElt:
         return hash(frozenset(self.c.items()))
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, PointElt):
+            if not isinstance(other, int):
+                return NotImplemented
             other = PointElt.from_int(other)
         if not other.c:
             return self
@@ -331,9 +333,11 @@ class PointElt:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return PointElt({m: other * v for m, v in self.c.items()})
-        if isinstance(other, BurnsideElt):
+        if not isinstance(other, PointElt):
+            if isinstance(other, int):
+                return PointElt({m: other * v for m, v in self.c.items()})
+            if not isinstance(other, BurnsideElt):
+                return NotImplemented
             other = PointElt.from_burnside(other)
         out = {}
         for m1, v1 in self.c.items():

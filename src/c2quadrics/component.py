@@ -9,8 +9,10 @@ free nonequivariant cohomology H*, so its equivariant cohomology is
 where zc is whichever of the two Euler-type classes is invertible over
 that component (zeta1 over component 0, zeta0 over component 1) and H*
 is one of: Z[c] (free), Z[c]/c^P (projective space), or a quadric ring
-of type B or D.  Elements are {(u, d, eps): PointElt} with u the
-zc-exponent.
+of type B or D (the zero ring for an empty component).  Elements are
+{(u, d, eps): PointElt} with u the zc-exponent.  H* is the quotient
+``LevelEModel.quotient`` (levele.py) of the component's model: ``reduce``
+and ``phi`` apply it to the (d, eps) part of each term.
 
 Because the action is trivial, restriction and transfer factor through
 the point ring coefficientwise, which makes the divisibility check
@@ -69,7 +71,7 @@ class ComponentRing:
                 v = PointElt.from_int(v)
             if v.is_zero():
                 continue
-            for (_, _, d2, e2), n in self.model.reduce({(0, 0, d, eps): 1}).items():
+            for (d2, e2), n in self.model.quotient({(d, eps): 1}).items():
                 key = (u, d2, e2)
                 out[key] = out.get(key, PointElt()) + v * n
         return {k: v for k, v in out.items() if not v.is_zero()}
@@ -89,8 +91,6 @@ class ComponentRing:
         out = {}
         for (u1, d1, e1), v1 in x.items():
             for (u2, d2, e2), v2 in y.items():
-                if self.kind == "binate" and e1 and e2:
-                    continue
                 k = (u1 + u2, d1 + d2, e1 + e2)
                 out[k] = out.get(k, PointElt()) + v1 * v2
         return self.reduce(out)
@@ -129,15 +129,12 @@ class ComponentRing:
     def phi(self, x):
         """Collapse to the nonequivariant ring of the component:
         {(d, eps): int}, with transfers and kappa-torsion killed."""
-        if self.empty:
-            return {}
         out = {}
         for (u, d, eps), v in x.items():
             n = point_phi(v)
             if n:
-                out[(0, 0, d, eps)] = out.get((0, 0, d, eps), 0) + n
-        red = self.model.reduce(out)
-        return {(d, eps): n for (_, _, d, eps), n in red.items()}
+                out[(d, eps)] = out.get((d, eps), 0) + n
+        return self.model.quotient(out)
 
     def transfer_witness(self, x):
         """If x = tau(w), return the level-e element w, else None."""

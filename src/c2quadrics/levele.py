@@ -1,4 +1,5 @@
-"""Level-C2/e parts of the graded rings.
+"""Level-C2/e parts of the graded rings, and the one implementation of the
+nonequivariant rings Z[c, y]/(relations) behind them.
 
 A level-e element is a sparse integer combination of monomials
 
@@ -19,6 +20,11 @@ Models:
     ("binate", N)  c^d (d < N), y, ty; c^N = y + ty, c y = 0, y-part
                    products vanish
     ("zero",)      the zero ring (empty space)
+
+``LevelEModel.quotient`` writes these relations once, on {(d, eps): int}.
+``reduce`` lifts it to level-e elements one (iota, zeta)-exponent at a
+time; the component rings (``component.py``) and the nonequivariant
+quadric rings (``noneq.py``) reduce through it as well.
 """
 
 from __future__ import annotations
@@ -50,63 +56,70 @@ class LevelEModel:
             g = g + Grading(self.y_degree())
         return g
 
-    def reduce(self, elt):
+    def quotient(self, elt):
+        """Reduce {(d, eps): int} modulo the nonequivariant relations of
+        this model: the one implementation of the quotients of Z[c, y]."""
+        kind, P = self.kind, self.size
         out = {}
+        if kind == "zero":
+            return out
         stack = list(elt.items())
         while stack:
-            (a, b, d, eps), v = stack.pop()
-            if v == 0 or self.kind == "zero":
+            (d, eps), v = stack.pop()
+            if v == 0:
                 continue
-            kind, P = self.kind, self.size
-            if kind in ("free",):
+            if kind in ("free", "proj"):
                 if eps:
                     raise ValueError("no y classes in this model")
-                out[(a, b, d, 0)] = out.get((a, b, d, 0), 0) + v
-                continue
-            if kind == "proj":
-                if eps:
-                    raise ValueError("no y classes in this model")
-                if d >= P:
+                if kind == "proj" and d >= P:
                     continue
-                out[(a, b, d, 0)] = out.get((a, b, d, 0), 0) + v
-                continue
-            if kind == "binate":
+            elif kind == "binate":
                 if eps >= 1 and d >= 1:
                     continue  # c * y = c * ty = 0
                 if eps >= 3 or eps < 0:
                     raise ValueError("bad y exponent")
                 if eps == 0 and d >= P:
                     if d == P:
-                        stack.append(((a, b, 0, 1), v))
-                        stack.append(((a, b, 0, 2), v))
+                        stack.append(((0, 1), v))
+                        stack.append(((0, 2), v))
                     continue  # c^{N+k} = c^k(y + ty) = 0 for k >= 1
-                out[(a, b, d, eps)] = out.get((a, b, d, eps), 0) + v
-                continue
             # quadric models B / D
-            if eps >= 2:
+            elif eps >= 2:
                 if kind == "B":
                     continue  # y^2 = 0
                 if P == 1:
-                    stack.append(((a, b, d, eps - 1), v))  # y^2 = y
-                    continue
-                if P % 2 == 1:
-                    stack.append(((a, b, d + P - 1, eps - 1), v))
+                    stack.append(((d, eps - 1), v))  # y^2 = y
+                elif P % 2 == 1:
+                    stack.append(((d + P - 1, eps - 1), v))
                 continue
-            if kind == "D" and P == 1:
+            elif kind == "D" and P == 1:
                 if d > 0:
                     continue  # c = 0 on two points
-                out[(a, b, d, eps)] = out.get((a, b, d, eps), 0) + v
-                continue
-            if d >= P:
+            elif d >= P:
                 if eps == 1:
                     continue  # c^P y = 0 in both B and D
                 if kind == "B":
-                    stack.append(((a, b, d - P, 1), 2 * v))
+                    stack.append(((d - P, 1), 2 * v))
                 else:
-                    stack.append(((a, b, d - P + 1, 1), 2 * v))
+                    stack.append(((d - P + 1, 1), 2 * v))
                 continue
-            out[(a, b, d, eps)] = out.get((a, b, d, eps), 0) + v
+            # c^d y^eps is a basis monomial
+            out[(d, eps)] = out.get((d, eps), 0) + v
         return {k: v for k, v in out.items() if v}
+
+    def reduce(self, elt):
+        """Reduce {(a, b, d, eps): int}: the quotient, one (a, b) at a time."""
+        groups = {}
+        for (a, b, d, eps), v in elt.items():
+            g = groups.get((a, b))
+            if g is None:
+                g = groups[(a, b)] = {}
+            g[(d, eps)] = v
+        out = {}
+        for (a, b), g in groups.items():
+            for (d, eps), v in self.quotient(g).items():
+                out[(a, b, d, eps)] = v
+        return out
 
     def mul(self, x, y):
         out = {}

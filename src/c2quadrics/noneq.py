@@ -1,4 +1,4 @@
-"""Nonequivariant cohomology rings of complex quadrics (oracle rings).
+"""Nonequivariant cohomology rings of complex quadrics (the neq: spaces).
 
 For an odd quadric (type B, 2p+1 coordinates):
 
@@ -16,10 +16,14 @@ deg y = 2(p-1); the middle degree 2(p-1) has the two basis elements
 c^{p-1} and y.  The case 2p = 2 is the two-point space Z[y]/(y^2 - y)
 with c = 0.
 
-Elements are sparse dicts {(d, eps): coeff} with eps in {0, 1}.
+Elements are sparse dicts {(d, eps): coeff} with eps in {0, 1}.  The
+relations are not repeated here: ``reduce`` is ``LevelEModel.quotient``
+(levele.py) of the model of kind B or D (the zero model for n <= 1).
 """
 
 from __future__ import annotations
+
+from .levele import LevelEModel
 
 
 class InvalidSizeError(ValueError):
@@ -42,7 +46,7 @@ class NoneqQuadricRing:
         self.kind = kind
         self.p = n // 2
         self.zero_ring = n <= 1  # empty quadric
-        self.eps = self.p % 2 if kind == "D" else 0
+        self.model = LevelEModel("zero") if self.zero_ring else LevelEModel(kind, self.p)
 
     # -- element constructors ------------------------------------------
 
@@ -72,41 +76,7 @@ class NoneqQuadricRing:
         return 2 * key[0] + key[1] * self.y_degree()
 
     def reduce(self, elt):
-        out = {}
-        stack = [(k, v) for k, v in elt.items()]
-        while stack:
-            (d, eps), v = stack.pop()
-            if v == 0:
-                continue
-            if self.zero_ring:
-                continue
-            if eps >= 2:
-                # y^2 relation
-                if self.kind == "B":
-                    continue
-                if self.p == 1:  # two points: y^2 = y
-                    stack.append(((d, eps - 1), v))
-                    continue
-                if self.eps:
-                    stack.append(((d + self.p - 1, eps - 1), v))
-                continue
-            if self.p == 1 and self.kind == "D":
-                if d > 0:
-                    continue  # c = 0 on two points
-                out[(d, eps)] = out.get((d, eps), 0) + v
-                continue
-            if d >= self.p:
-                if self.kind == "B":
-                    if eps == 1:
-                        continue  # c^p y = 2y^2 = 0
-                    stack.append(((d - self.p, 1), 2 * v))
-                else:
-                    if eps == 1:
-                        continue  # c^p y = 2c y^2 = 2eps c^p y => 0
-                    stack.append(((d - self.p + 1, 1), 2 * v))
-                continue
-            out[(d, eps)] = out.get((d, eps), 0) + v
-        return {k: v for k, v in out.items() if v}
+        return self.model.quotient(elt)
 
     def add(self, x, y):
         out = dict(x)

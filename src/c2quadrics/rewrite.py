@@ -132,6 +132,8 @@ class RingElement:
     def __add__(self, other):
         if isinstance(other, int):
             other = self.pres.scalar(other)
+        elif isinstance(other, PointElt):
+            other = self.pres.coeff_elt(other)
         if self.level != other.level:
             raise ValueError("cannot add level-%s and level-%s elements" % (self.level, other.level))
         out = RingElement(self.pres, self.level)
@@ -195,6 +197,8 @@ class RingElement:
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.pres.scalar(other)
+        elif isinstance(other, PointElt):
+            other = self.pres.coeff_elt(other)
         if not isinstance(other, RingElement):
             return NotImplemented
         a = self.pres.normal_form(self)

@@ -75,6 +75,13 @@ def test_verify_single(capsys):
     assert "overall: pass" in out
 
 
+def test_verify_several_spaces(capsys):
+    code, out, _ = run(capsys, "verify", "quadric:3,3", "neq:5,B")
+    assert code == 0
+    assert "quadric:3,3" in out and "neq:5,B" in out
+    assert out.splitlines()[-1] == "overall: pass"
+
+
 def test_verify_noneq_idempotents(capsys):
     code, out, _ = run(capsys, "verify", "neq:2,D")
     assert code == 0
@@ -103,6 +110,14 @@ def test_reversed_window_is_one_line(capsys, command):
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("invalid window:")
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("command", ["basis", "diagram"])
+def test_nonequivariant_space_is_one_line(capsys, command):
+    code, out, err = run(capsys, command, "neq:5,B")
+    assert code == 2
+    assert err == "use an equivariant space id with `%s`\n" % command
+    assert out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,6 +16,7 @@ from c2quadrics.catalog import (
     make_space,
 )
 from c2quadrics.coefficients import (
+    E_PT,
     KAPPA_PT,
     ONE,
     PointElt,
@@ -114,6 +115,21 @@ def test_gradings_of_normal_forms():
     x = P.monomial_elt((1, 0, 1, 0, 0, 0, 0))  # z0*cw, rewrites
     assert x.grading() == OMEGA0 + W
     assert P.mono_grading((0, 0, 1, 1, 0, 0, 0)) == W + XW
+
+
+def test_point_coefficient_on_either_side():
+    Q = make_space("quadric:3,3")
+    mixed = Q.gen("cw") * KAPPA_PT + Q.gen("x") * 3 + Q.gen("divw")
+    for x in (Q.gen("cw"), Q.gen("cx"), Q.gen("x"), Q.gen("z0"), mixed):
+        assert E_PT * x == x * E_PT
+        assert E_PT + x == x + E_PT
+        assert E_PT - x == -(x - E_PT)
+    assert Q.coeff_elt(E_PT) == E_PT and E_PT == Q.coeff_elt(E_PT)
+    assert Q.gen("cw") != E_PT
+    with pytest.raises(TypeError):
+        E_PT + "cw"
+    with pytest.raises(TypeError):
+        E_PT * "cw"
 
 
 def test_step_budget():

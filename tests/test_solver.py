@@ -14,6 +14,7 @@ from c2quadrics.catalog import (
 )
 from c2quadrics.coefficients import PointElt, negkappa, trans
 from c2quadrics.grading import W, XW
+from c2quadrics.rewrite import Presentation, RingElement
 from c2quadrics.solver import (
     InconsistentError,
     audit_full,
@@ -138,6 +139,19 @@ def test_verify_relations_report_shape():
     for row in rep["identities"]:
         assert row["status"] == "pass"
         assert "lhs_nf" in row and "rhs_nf" in row
+
+
+def test_level_e_rows_compare_sides_without_normal_form(monkeypatch):
+    # a normal form that sends everything to 0 hides rho(x) != rho-image of
+    # the catalog from nf_zero and t_coherent; the direct comparison sees it
+    Q = make_quadric(3, 1)
+    monkeypatch.setattr(
+        Presentation, "normal_form", lambda self, x, *a, **k: RingElement(self, x.level)
+    )
+    rows = {row["identity"]: row for row in verify_relations(Q)["identities"]}
+    row = rows["rho(x)"]
+    assert row["nf_zero"] and row["t_coherent"]
+    assert not row["sides_equal"] and row["status"] == "fail"
 
 
 def test_rank_table_bb53():
