@@ -28,6 +28,7 @@ from .coefficients import (
     KAPPA_PT,
     ONE,
     PointElt,
+    _add_term,
     negkappa,
     pos,
     trans,
@@ -36,7 +37,7 @@ from .component import ComponentRing
 from .grading import Grading, OMEGA1, W, XW, coset_index
 from .levele import LevelEModel
 from .noneq import InvalidSizeError, NoneqQuadricRing
-from .rewrite import MONO_ONE, Presentation, RingElement, _add_elt, _add_term, mono_mul
+from .rewrite import MONO_ONE, Presentation, RingElement, _add_elt, mono_mul
 
 
 class RestrictedGradingWarning(UserWarning):
@@ -481,33 +482,56 @@ def _make_canonical(deck):
 # eta machinery
 
 
+def _eta_base(pres, side, i, j, d, w):
+    """eta_side(cw^i cx^j x^d div^w), div the other side's divided class
+    (divx for side 0, divw for side 1), computed once per presentation.
+
+    ``pres.eta_images`` holds these products keyed (side, i, j, d, w).  On
+    spaces with finite p, q the arguments come from canonical monomials
+    (or their divided cores): i <= p, j <= q, d <= 1, w <= 1, so the table
+    never exceeds 2*(p+1)*(q+1)*2*2 entries and lives as long as the
+    presentation.  BU(1) has no such bound, so its products are not kept.
+    """
+    key = (side, i, j, d, w)
+    img = pres.eta_images.get(key)
+    if img is None:
+        data = pres.eta_data
+        R = data["R0"] if side == 0 else data["R1"]
+        if side == 0:
+            gens = (data["eta0_cw"], data["eta0_cx"], data.get("eta0_x"), data.get("eta0_divx"))
+        else:
+            gens = (data["eta1_cw"], data["eta1_cx"], data.get("eta1_x"), data.get("eta1_divw"))
+        img = R.one()
+        for gen, e in zip(gens, (i, j, d, w)):
+            if e:
+                img = R.mul(img, R.power(gen, e))
+        if pres.p is not None:
+            pres.eta_images[key] = img
+    return img
+
+
 def _eta_direct_mono(pres, side, mono, coeff):
     """Image of coeff*mono under eta_side, valid when the non-invertible
     zeta exponent is >= 0 and the div flag for this side is absent."""
     R = pres.eta_data["R0"] if side == 0 else pres.eta_data["R1"]
     if R.empty:
         return {}
-    data = pres.eta_data
     s, t, i, j, d, w0, w1 = mono
     if side == 0:
-        inv_exp, non_exp = t, s
-        own_w, other_w = w0, w1
-        div_other = data.get("eta0_divx")
-        imgs = (data["eta0_cw"], data["eta0_cx"], data.get("eta0_x"))
+        inv_exp, non_exp, own_w, other_w = t, s, w0, w1
     else:
-        inv_exp, non_exp = s, t
-        own_w, other_w = w1, w0
-        div_other = data.get("eta1_divw")
-        imgs = (data["eta1_cw"], data["eta1_cx"], data.get("eta1_x"))
+        inv_exp, non_exp, own_w, other_w = s, t, w1, w0
     assert non_exp >= 0 and own_w == 0
-    out = R.monomial(inv_exp, 0, 0, coeff)
-    if non_exp:
-        out = R.mul(out, R.power(R.monomial(-1, 0, 0, XI), non_exp))
-    for img, e in zip(imgs, (i, j, d)):
-        if e:
-            out = R.mul(out, R.power(img, e))
-    if other_w:
-        out = R.mul(out, R.power(div_other, other_w))
+    # the non-invertible zeta maps to xi * zc^-1, so the rest of the
+    # monomial maps to the single term coeff*xi^non_exp * zc^shift at
+    # c^0 y^0, which commutes with the quotient: apply it termwise
+    scale = coeff * _xi_pow(non_exp) if non_exp else coeff
+    shift = inv_exp - non_exp
+    out = {}
+    for (u, d2, eps), v in _eta_base(pres, side, i, j, d, other_w).items():
+        v = v * scale
+        if v.c:
+            out[(u + shift, d2, eps)] = v
     return out
 
 
@@ -526,7 +550,8 @@ def eta_of_element(pres, x):
             neg = s if side == 0 else t
             own_w = w0 if side == 0 else w1
             if neg >= 0 and own_w == 0:
-                acc = R.add(acc, _eta_direct_mono(pres, side, mono, coeff))
+                for k, v in _eta_direct_mono(pres, side, mono, coeff).items():
+                    _add_term(acc, k, v)
                 continue
             # divided class: tau(shift of a witness) times the direct rest
             rest = list(mono)

@@ -177,10 +177,6 @@ class LevelECoeff:
         )
 
 
-def levele_taction(x):
-    return x.t_act()
-
-
 # ---------------------------------------------------------------------------
 # Point ring monomials
 
@@ -398,6 +394,18 @@ def _point(c):
     out = object.__new__(PointElt)
     out.c = c
     return out
+
+
+def _add_term(c, m, v):
+    """c[m] += v for a PointElt v; a zero sum removes m.  The in-place
+    accumulator of every {key: PointElt} dict (rewrite, component)."""
+    w = c.get(m)
+    if w is not None:
+        v = w + v
+    if v.c:
+        c[m] = v
+    elif w is not None:
+        del c[m]
 
 
 def _mono_str(m):

@@ -12,7 +12,8 @@ is one of: Z[c] (free), Z[c]/c^P (projective space), or a quadric ring
 of type B or D (the zero ring for an empty component).  Elements are
 {(u, d, eps): PointElt} with u the zc-exponent.  H* is the quotient
 ``LevelEModel.quotient`` (levele.py) of the component's model: ``reduce``
-and ``phi`` apply it to the (d, eps) part of each term.
+and ``phi`` apply it to the (d, eps) part of each term, ``reduce`` through
+a per-ring table of the quotients of single monomials c^d y^eps.
 
 Because the action is trivial, restriction and transfer factor through
 the point ring coefficientwise, which makes the divisibility check
@@ -21,7 +22,7 @@ the point ring coefficientwise, which makes the divisibility check
 
 from __future__ import annotations
 
-from .coefficients import LevelECoeff, PointElt, point_phi, point_rho, point_tau, transfer_witness
+from .coefficients import LevelECoeff, PointElt, _add_term, point_phi, point_rho, point_tau, transfer_witness
 from .grading import Grading, OMEGA0, OMEGA1
 from .levele import LevelEModel
 
@@ -36,6 +37,8 @@ class ComponentRing:
         self.zeta_name = zeta_name
         self.empty = model_kind == "zero"
         self.zeta_grading = OMEGA1 if zeta_name == "z1" else OMEGA0
+        # {(d, eps): ((d', eps', n), ...)}: c^d y^eps = sum n c^d' y^eps'
+        self._quotients = {}
 
     def y_degree(self):
         return self.model.y_degree()
@@ -62,6 +65,13 @@ class ComponentRing:
             coeff = PointElt.from_int(coeff)
         return self.reduce({(u, d, eps): coeff})
 
+    def _quotient(self, d, eps):
+        terms = self._quotients.get((d, eps))
+        if terms is None:
+            terms = tuple((d2, e2, n) for (d2, e2), n in self.model.quotient({(d, eps): 1}).items())
+            self._quotients[(d, eps)] = terms
+        return terms
+
     def reduce(self, elt):
         if self.empty:
             return {}
@@ -69,18 +79,18 @@ class ComponentRing:
         for (u, d, eps), v in elt.items():
             if isinstance(v, int):
                 v = PointElt.from_int(v)
-            if v.is_zero():
+            if not v.c:
                 continue
-            for (d2, e2), n in self.model.quotient({(d, eps): 1}).items():
-                key = (u, d2, e2)
-                out[key] = out.get(key, PointElt()) + v * n
-        return {k: v for k, v in out.items() if not v.is_zero()}
+            for d2, e2, n in self._quotient(d, eps):
+                _add_term(out, (u, d2, e2), v if n == 1 else v * n)
+        return out
 
     def add(self, x, y):
+        """Sum of two reduced elements."""
         out = dict(x)
         for k, v in y.items():
-            out[k] = out.get(k, PointElt()) + v
-        return {k: v for k, v in out.items() if not v.is_zero()}
+            _add_term(out, k, v)
+        return out
 
     def scale(self, x, coeff):
         if isinstance(coeff, int):
@@ -91,14 +101,18 @@ class ComponentRing:
         out = {}
         for (u1, d1, e1), v1 in x.items():
             for (u2, d2, e2), v2 in y.items():
-                k = (u1 + u2, d1 + d2, e1 + e2)
-                out[k] = out.get(k, PointElt()) + v1 * v2
+                _add_term(out, (u1 + u2, d1 + d2, e1 + e2), v1 * v2)
         return self.reduce(out)
 
     def power(self, x, n):
+        """x^n by square-and-multiply."""
         out = self.one()
-        for _ in range(n):
-            out = self.mul(out, x)
+        while n:
+            if n & 1:
+                out = self.mul(out, x)
+            n >>= 1
+            if n:
+                x = self.mul(x, x)
         return out
 
     def eq(self, x, y):
@@ -119,11 +133,7 @@ class ComponentRing:
         """Transfer of a level-e element; everything here is liftable."""
         out = {}
         for (a, b, d, eps), n in self.model.reduce(dict(w)).items():
-            coeff = point_tau(LevelECoeff.iota(a)) * n
-            if coeff.is_zero():
-                continue
-            k = (b, d, eps)
-            out[k] = out.get(k, PointElt()) + coeff
+            _add_term(out, (b, d, eps), point_tau(LevelECoeff.iota(a)) * n)
         return self.reduce(out)
 
     def phi(self, x):

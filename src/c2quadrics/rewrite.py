@@ -37,6 +37,7 @@ from .coefficients import (
     InhomogeneousError,
     LevelECoeff,
     PointElt,
+    _add_term,
     point_rho,
     point_tau,
 )
@@ -61,19 +62,9 @@ def mono_mul(m1, m2):
     return (s + s2, t + t2, i + i2, j + j2, d + d2, w0 + w02, w1 + w12)
 
 
-# In-place accumulators under the ring operations.  Results may share
-# PointElt coefficients with their operands, never the dicts.
-
-
-def _add_term(c2, m, v):
-    """c2[m] += v for a PointElt v; a zero sum removes m."""
-    w = c2.get(m)
-    if w is not None:
-        v = w + v
-    if v.c:
-        c2[m] = v
-    elif w is not None:
-        del c2[m]
+# In-place accumulators under the ring operations, next to
+# coefficients._add_term.  Results may share PointElt coefficients with
+# their operands, never the dicts.
 
 
 def _add_count(d, k, v):
@@ -189,6 +180,8 @@ class RingElement:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers only via divided classes")
+        # repeated multiplication: squaring a large element costs more than
+        # multiplying by a short base, so square-and-multiply is slower here
         out = self.pres.scalar(1)
         for _ in range(n):
             out = self.pres.mul(out, self)
@@ -285,6 +278,7 @@ class Presentation:
         self.top_terms = cfg.get("top_terms")    # cw^p cx^q as [(coeff|"atom", mono|(a,b))]
         self.divdiv_terms = cfg.get("divdiv_terms")
         self.eta_data = cfg.get("eta_data")  # filled by catalog (component rings etc.)
+        self.eta_images = {}                 # filled by catalog._eta_base on first use
         self.identity_specs = cfg.get("identities", [])
         self.max_steps = cfg.get("max_steps", 200000)
         self.rules = []                      # [(name, guard, rhs)], set by the catalog

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -164,3 +165,24 @@ def test_result_past_the_digit_limit_is_one_line(capsys):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("result too large to print:")
+
+
+# sha256 of the exact output of two commands that run eta and phi through
+# every deck, computed before the generator-image products were cached
+GOLDEN_OUTPUTS = [
+    (
+        ("verify", "--all", "--max", "2", "--full"),
+        "ce98571dadf711ed254e63d89c7a0f90bebddcd18705f06de5a4b4096b208b4e",
+    ),
+    (
+        ("atlas", "emit", "quadric:3,3", "quadric:4,3", "quadric:3,4", "quadric:4,4", "--audit"),
+        "a4ab507a98c341a383e40b0c1fe4f497bb92d225707d73128db769385fe80fd6",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_OUTPUTS)
+def test_golden_outputs(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,0 +1,169 @@
+"""eta and phi: the cached generator-image products against the uncached
+computation, multiplicativity, and the bound on the cache."""
+
+import random
+import warnings
+
+import pytest
+
+from c2quadrics import catalog
+from c2quadrics.catalog import RestrictedGradingWarning, make_space
+from c2quadrics.coefficients import PointElt, pos
+from c2quadrics.rewrite import NotAClassError, _sample_monomials
+from c2quadrics.solver import POINT_COEFFS
+
+XI = PointElt.monomial(pos(0, 1))
+
+# bu1, proj, binate, quadrics of all four parities, m or n = 2, and the
+# z0/z1-invertible decks
+SPACES = [
+    "point", "bu1", "proj:2,1", "proj:0,3", "proj:2,0", "binate:2,1", "binate:0,2",
+    "quadric:5,3", "quadric:4,3", "quadric:3,4", "quadric:4,4", "quadric:6,5",
+    "quadric:2,3", "quadric:3,2", "quadric:2,2", "quadric:1,5", "quadric:5,1",
+    "quadric:0,4", "quadric:4,0",
+]
+
+# the 2-torsion point classes e^i xi^j
+TORSION = [PointElt.monomial(pos(i, j)) for i in (1, 2) for j in (1, 2)]
+
+
+def _reference_power(R, x, n):
+    out = R.one()
+    for _ in range(n):
+        out = R.mul(out, x)
+    return out
+
+
+def _reference_direct_mono(pres, side, mono, coeff):
+    """The uncached image of coeff*mono: every factor multiplied out anew."""
+    R = pres.eta_data["R0"] if side == 0 else pres.eta_data["R1"]
+    if R.empty:
+        return {}
+    data = pres.eta_data
+    s, t, i, j, d, w0, w1 = mono
+    if side == 0:
+        inv_exp, non_exp = t, s
+        own_w, other_w = w0, w1
+        div_other = data.get("eta0_divx")
+        imgs = (data["eta0_cw"], data["eta0_cx"], data.get("eta0_x"))
+    else:
+        inv_exp, non_exp = s, t
+        own_w, other_w = w1, w0
+        div_other = data.get("eta1_divw")
+        imgs = (data["eta1_cw"], data["eta1_cx"], data.get("eta1_x"))
+    assert non_exp >= 0 and own_w == 0
+    out = R.monomial(inv_exp, 0, 0, coeff)
+    if non_exp:
+        out = R.mul(out, _reference_power(R, R.monomial(-1, 0, 0, XI), non_exp))
+    for img, e in zip(imgs, (i, j, d)):
+        if e:
+            out = R.mul(out, _reference_power(R, img, e))
+    if other_w:
+        out = R.mul(out, _reference_power(R, div_other, other_w))
+    return out
+
+
+def _reference_images(monkeypatch, pres, x):
+    """(eta, phi) of x with the uncached monomial images."""
+    with monkeypatch.context() as mp:
+        mp.setattr(catalog, "_eta_direct_mono", _reference_direct_mono)
+        e0, e1 = catalog.eta_of_element(pres, pres.normal_form(x))
+    R0, R1 = pres.eta_data["R0"], pres.eta_data["R1"]
+    return (e0, e1), (R0.phi(e0), R1.phi(e1))
+
+
+def _space(sid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RestrictedGradingWarning)
+        return make_space(sid)
+
+
+def _elements(pres, rng):
+    """Seeded mixed-coefficient elements: POINT_COEFFS and 2-torsion
+    coefficients on canonical monomials (negative zeta powers included),
+    sums of those, transfers, and the divided classes divw and divx."""
+    coeffs = POINT_COEFFS + TORSION
+    pool = _sample_monomials(pres, rng)
+    out = [pres.scalar(1), pres.coeff_elt(rng.choice(TORSION))]
+    for m in rng.sample(pool, min(len(pool), 24)):
+        out.append(pres.monomial_elt(m, rng.choice(coeffs)))
+    for _ in range(8 if pool else 0):
+        x = pres.zero()
+        for _ in range(3):
+            x = x + pres.monomial_elt(rng.choice(pool), rng.choice(coeffs))
+        out.append(x)
+    for a, b in ((0, 0), (-2, 1), (2, -1), (1, 2)):
+        if pres.has_atoms:
+            out.append(pres.tau_atom(a, b, rng.choice((1, -1, 3))))
+        try:
+            out.append(pres.tau_of_levele({(a, b, 0, 0): rng.choice((1, 2, -3))}))
+        except NotAClassError:
+            pass
+    if pres.has_x:
+        out += [pres.gen("divw"), pres.gen("divx"), pres.gen("divw") * rng.choice(coeffs)]
+        out.append(pres.gen("x") * pres.gen("divx") * rng.choice(TORSION))
+    return out
+
+
+@pytest.mark.parametrize("sid", SPACES)
+def test_cached_images_match_uncached(monkeypatch, sid):
+    pres = _space(sid)
+    elts = _elements(pres, random.Random("eta " + sid))
+    expect = [_reference_images(monkeypatch, pres, x) for x in elts]
+    # a fresh presentation fills its table in this order ...
+    cold = _space(sid)
+    cold_elts = _elements(cold, random.Random("eta " + sid))
+    for x, (eta, phi) in zip(cold_elts, expect):
+        assert cold.eta(x) == eta, (sid, str(x))
+        assert cold.phi(x) == phi, (sid, str(x))
+    # ... and the warm table answers in another order
+    order = list(range(len(elts)))
+    random.Random(sid).shuffle(order)
+    for k in order:
+        eta, phi = expect[k]
+        assert cold.eta(cold_elts[k]) == eta, (sid, str(cold_elts[k]))
+        assert cold.phi(cold_elts[k]) == phi, (sid, str(cold_elts[k]))
+    if cold.p is not None:
+        _assert_bounded(cold)
+
+
+def _assert_bounded(pres):
+    p, q = pres.p, pres.q
+    for side, i, j, d, w in pres.eta_images:
+        assert side in (0, 1) and 0 <= i <= p and 0 <= j <= q and d in (0, 1) and w in (0, 1)
+    assert len(pres.eta_images) <= 2 * (p + 1) * (q + 1) * 2 * 2
+
+
+@pytest.mark.parametrize("sid", SPACES)
+def test_eta_is_multiplicative(sid):
+    pres = _space(sid)
+    R0, R1 = pres.eta_data["R0"], pres.eta_data["R1"]
+    rng = random.Random("mult " + sid)
+    elts = _elements(pres, rng)
+    for _ in range(30):
+        x, y = rng.choice(elts), rng.choice(elts)
+        (x0, x1), (y0, y1) = pres.eta(x), pres.eta(y)
+        assert pres.eta(pres.mul(x, y)) == (R0.mul(x0, y0), R1.mul(x1, y1)), (sid, str(x), str(y))
+
+
+def test_image_table_is_bounded():
+    # a sweep of restrict-style products: single monomials with
+    # POINT_COEFFS coefficients, their eta/phi images and the candidates'
+    pres = _space("quadric:9,7")
+    rng = random.Random(97)
+    pool = _sample_monomials(pres, rng)
+    for _ in range(300):
+        x = pres.monomial_elt(rng.choice(pool), rng.choice(POINT_COEFFS))
+        xy = pres.mul(x, pres.monomial_elt(rng.choice(pool), rng.choice(POINT_COEFFS)))
+        pres.phi(xy)
+        for mono, coeff in xy.c2.items():
+            for pm in coeff.c:
+                pres.eta(pres.monomial_elt(mono, PointElt.monomial(pm)))
+    assert len(pres.eta_images) > 20
+    _assert_bounded(pres)
+
+
+def test_bu1_images_are_not_kept():
+    pres = _space("bu1")
+    pres.eta(pres.gen("cw") ** 5 * pres.gen("cx") ** 3)
+    assert pres.eta_images == {}
