@@ -572,7 +572,8 @@ def eta_of_element(pres, x):
             w = dict(core_w)
             if k:
                 w = R.shift_noninvertible(w, k)
-            acc = R.add(acc, R.tau(R.model.mul(w, R.rho(rest_img))))
+            for term, val in R.tau(R.model.mul(w, R.rho(rest_img))).items():
+                _add_term(acc, term, val)
         for (a, b), v in x.atoms.items():
             ye = data["eta0e_y"] if side == 0 else data["eta1e_y"]
             if side == 0:
@@ -580,8 +581,8 @@ def eta_of_element(pres, x):
             else:
                 # zeta = rho(z1) restricts over component 1 to iota^2/zeta
                 key = (a + 2 * b, -b, 0, 0)
-            w = R.model.mul({key: v}, ye)
-            acc = R.add(acc, R.tau(w))
+            for term, val in R.tau(R.model.mul({key: v}, ye)).items():
+                _add_term(acc, term, val)
         outs.append(acc)
     return tuple(outs)
 

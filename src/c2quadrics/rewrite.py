@@ -97,13 +97,21 @@ def mono_str(m):
 
 
 class RingElement:
-    """An element of a presentation, at level C2/C2 or C2/e."""
+    """An element of a presentation, at level C2/C2 or C2/e.
 
-    __slots__ = ("pres", "level", "c2", "atoms", "e")
+    An element is a value: once built, its terms never change, and every
+    operation returns a new element.  ``_eta`` holds the pair of
+    fixed-component images that ``Presentation.eta`` computed for it, or
+    None before the first call; being a value, the element cannot make it
+    stale.
+    """
+
+    __slots__ = ("pres", "level", "c2", "atoms", "e", "_eta")
 
     def __init__(self, pres, level="top", c2=None, atoms=None, e=None):
         self.pres = pres
         self.level = level
+        self._eta = None
         self.c2 = {}   # {monomial: PointElt}
         self.atoms = {}  # {(a, b): int} for tau(iota^a zeta^b y)
         self.e = {}    # {(a, b, d, eps): int}
@@ -543,10 +551,17 @@ class Presentation:
     # -- homomorphisms -------------------------------------------------------
 
     def eta(self, x):
-        """Restriction to the two fixed-set components."""
-        from .catalog import eta_of_element
+        """Restriction to the two fixed-set components.  The images are
+        kept on x when x belongs to this presentation and handed out as
+        fresh dicts, so a caller may change what it gets."""
+        img = x._eta if x.pres is self else None
+        if img is None:
+            from .catalog import eta_of_element
 
-        return eta_of_element(self, self.normal_form(x))
+            img = eta_of_element(self, self.normal_form(x))
+            if x.pres is self:
+                x._eta = img
+        return dict(img[0]), dict(img[1])
 
     def phi(self, x):
         """Fixed-point map: collapse eta through the point ring."""

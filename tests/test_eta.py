@@ -1,5 +1,6 @@
 """eta and phi: the cached generator-image products against the uncached
-computation, multiplicativity, and the bound on the cache."""
+computation, multiplicativity, the bound on the cache, and the images kept
+on each element."""
 
 import random
 import warnings
@@ -9,8 +10,8 @@ import pytest
 from c2quadrics import catalog
 from c2quadrics.catalog import RestrictedGradingWarning, make_space
 from c2quadrics.coefficients import PointElt, pos
-from c2quadrics.rewrite import NotAClassError, _sample_monomials
-from c2quadrics.solver import POINT_COEFFS
+from c2quadrics.rewrite import NotAClassError, RingElement, _sample_monomials
+from c2quadrics.solver import POINT_COEFFS, divisibility_witness
 
 XI = PointElt.monomial(pos(0, 1))
 
@@ -167,3 +168,55 @@ def test_bu1_images_are_not_kept():
     pres = _space("bu1")
     pres.eta(pres.gen("cw") ** 5 * pres.gen("cx") ** 3)
     assert pres.eta_images == {}
+
+
+def _fresh(x):
+    """A copy of x that has no eta image yet."""
+    return RingElement(x.pres, x.level, c2=x.c2, atoms=x.atoms, e=x.e)
+
+
+def _fresh_images(pres, x):
+    """(eta, phi) of x computed anew."""
+    e0, e1 = catalog.eta_of_element(pres, pres.normal_form(_fresh(x)))
+    R0, R1 = pres.eta_data["R0"], pres.eta_data["R1"]
+    return (e0, e1), (R0.phi(e0), R1.phi(e1))
+
+
+def _witnesses(pres, x):
+    return [divisibility_witness(pres, x, side) for side in ("z0", "z1")]
+
+
+@pytest.mark.parametrize("sid", SPACES)
+def test_stored_images_match_fresh(sid):
+    pres = _space(sid)
+    for x in _elements(pres, random.Random("stored " + sid)):
+        eta, phi = _fresh_images(pres, x)
+        assert pres.eta(x) == eta and pres.phi(x) == phi, (sid, str(x))
+        # the witnesses read the stored images and leave them as they were
+        assert _witnesses(pres, x) == _witnesses(pres, _fresh(x)), (sid, str(x))
+        assert pres.eta(x) == eta and pres.phi(x) == phi, (sid, str(x))
+
+
+def test_edited_image_leaves_the_next_answer():
+    pres = _space("quadric:5,3")
+    elts = [
+        pres.gen("cw") ** 2 * pres.gen("cx"),
+        pres.gen("x") * pres.gen("divx") * TORSION[0],
+        pres.gen("divw") + pres.tau_atom(2, 1),
+    ]
+    for x in elts:
+        eta, phi = _fresh_images(pres, x)
+        for img in pres.eta(x):
+            img.clear()
+            img[(7, 0, 0)] = PointElt.from_int(1)
+        assert pres.eta(x) == eta and pres.phi(x) == phi, str(x)
+        assert pres.eta(x)[0] is not pres.eta(x)[0]
+
+
+def test_image_is_kept_for_its_own_presentation():
+    Q1, Q2 = _space("quadric:5,3"), _space("quadric:6,5")
+    x = Q1.monomial_elt((0, 0, 1, 1, 0, 0, 0), POINT_COEFFS[2])
+    expect2 = Q2.eta(_fresh(x))
+    assert Q1.eta(x) != expect2
+    assert Q2.eta(x) == expect2
+    assert Q1.eta(x) == _fresh_images(Q1, x)[0]

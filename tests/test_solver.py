@@ -1,5 +1,6 @@
 """Solver and audit tests: undetermined coefficients, witnesses, faults."""
 
+import random
 import warnings
 
 import pytest
@@ -11,12 +12,18 @@ from c2quadrics.catalog import (
     make_bu1,
     make_projective,
     make_quadric,
+    make_space,
 )
-from c2quadrics.coefficients import PointElt, negkappa, trans
+from c2quadrics.coefficients import BurnsideElt, G, PointElt, negkappa, pos, trans
 from c2quadrics.grading import W, XW
-from c2quadrics.rewrite import Presentation, RingElement
+from c2quadrics.rewrite import Presentation, RingElement, _sample_monomials
 from c2quadrics.solver import (
+    POINT_COEFFS,
     InconsistentError,
+    _g_coords,
+    _image_coords,
+    _kernel_normalize,
+    _target_coords,
     audit_full,
     divisibility_witness,
     rank_table,
@@ -191,3 +198,106 @@ def test_audit_detects_seeded_fault():
             break
     rep = audit_full(Q, seed=2, samples=60, probe_samples=40)
     assert not rep["ok"]
+
+
+# -- the g*x columns, derived from the images of x ----------------------------
+
+G_PT = PointElt.from_burnside(G)
+RESTRICT_SPACES = ["quadric:9,7", "quadric:8,7", "quadric:9,6", "quadric:8,6", "binate:2,1", "proj:2,1"]
+# every point monomial of POINT_COEFFS and the 2-torsion classes e^i xi^j
+POINT_MONOS = sorted({m for c in POINT_COEFFS for m in c.c} | {pos(i, j) for i in (1, 2) for j in (1, 2)})
+CONSTRAINT_SETS = [("rho", "eta", "phi"), ("rho", "phi"), ("eta",), ("phi",)]
+
+
+def _restrict_space(sid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RestrictedGradingWarning)
+        return make_space(sid)
+
+
+def _candidates(pres, rng, n_monos):
+    """Point monomial x canonical monomial, and tau-atoms."""
+    pool = _sample_monomials(pres, rng)
+    out = [
+        pres.monomial_elt(mono, PointElt.monomial(pm))
+        for mono in rng.sample(pool, min(n_monos, len(pool)))
+        for pm in POINT_MONOS
+    ]
+    if pres.has_atoms:
+        out += [pres.tau_atom(a, b) for a, b in ((0, 0), (2, 1), (-2, 1), (1, 2), (4, -1))]
+    return out
+
+
+@pytest.mark.parametrize("sid", RESTRICT_SPACES)
+def test_derived_g_columns_equal_the_product_columns(sid):
+    pres = _restrict_space(sid)
+    for cand in _candidates(pres, random.Random("gcol " + sid), 12):
+        for names in CONSTRAINT_SETS:
+            cons = {name: True for name in names}
+            derived = _g_coords(pres, cand, _image_coords(pres, cand, cons), cons, G_PT)
+            assert derived == _image_coords(pres, cand.scale(G_PT), cons), (sid, str(cand), names)
+
+
+def _product_column_solve(pres, grading, candidates, constraints):
+    """solve_undetermined with the g*x column of every candidate computed
+    from the product g*x."""
+    cols = []
+    for cand in candidates:
+        cg = cand.grading()
+        if cg is not None and cg != grading:
+            raise ValueError("candidate grading %s is not %s" % (cg, grading))
+        cols.append(_image_coords(pres, cand, constraints))
+        cols.append(_image_coords(pres, cand.scale(G_PT), constraints))
+    target = _target_coords(pres, constraints)
+    keys = sorted(set().union(target, *cols), key=repr)
+    rows = [[col.get(k, 0) for col in cols] for k in keys]
+    rhs = [target.get(k, 0) for k in keys]
+    x, kernel = solve_integer_system(rows, rhs)
+    sol = _kernel_normalize(x, kernel)
+    pairs = [BurnsideElt(sol[2 * i], sol[2 * i + 1]) for i in range(len(candidates))]
+    kern = [
+        [BurnsideElt(v[2 * i], v[2 * i + 1]) for i in range(len(candidates))]
+        for v in kernel
+    ]
+    return {"solution": pairs, "unique": not kernel, "kernel": kern}
+
+
+def _outcome(solve, *args):
+    try:
+        res = solve(*args)
+    except InconsistentError:
+        return "inconsistent"
+    return (
+        [(c.u, c.v) for c in res["solution"]],
+        res["unique"],
+        [[(c.u, c.v) for c in v] for v in res["kernel"]],
+    )
+
+
+def test_solver_matches_the_product_columns():
+    # restrict-style queries: x*y for single monomials with POINT_COEFFS
+    # coefficients, split into point monomial x canonical monomial
+    # candidates, solved against the images of x*y
+    seen = []
+    for sid in RESTRICT_SPACES:
+        pres = _restrict_space(sid)
+        rng = random.Random("sweep " + sid)
+        # low exponents, so that few products vanish
+        pool = [
+            m for m in _sample_monomials(pres, rng)
+            if -1 <= m[0] <= 2 and -1 <= m[1] <= 2 and m[2] <= pres.p // 2 + 1 and m[3] <= pres.q // 2 + 1
+        ]
+        for _ in range(40):
+            x, y = (pres.monomial_elt(rng.choice(pool), rng.choice(POINT_COEFFS)) for _ in range(2))
+            xy = pres.mul(x, y)
+            cands = [pres.monomial_elt(m, PointElt.monomial(pm)) for m, c in xy.c2.items() for pm in c.c]
+            cands += [pres.tau_atom(a, b) for a, b in xy.atoms]
+            if not cands:
+                continue
+            cons = {"rho": pres.rho(xy), "eta": pres.eta(xy), "phi": pres.phi(xy)}
+            args = (pres, xy.grading(), cands, cons)
+            expect = _outcome(_product_column_solve, *args)
+            assert _outcome(solve_undetermined, *args) == expect, (sid, str(xy))
+            seen.append(expect == "inconsistent")
+    # the sweep meets solvable systems and the 2-torsion inconsistent ones
+    assert seen.count(False) >= 80 and seen.count(True) >= 10
