@@ -14,7 +14,7 @@ from c2quadrics.catalog import (
     make_quadric,
     make_space,
 )
-from c2quadrics.coefficients import BurnsideElt, G, PointElt, negkappa, pos, trans
+from c2quadrics.coefficients import G, PointElt, negkappa, pos, trans
 from c2quadrics.grading import W, XW
 from c2quadrics.rewrite import Presentation, RingElement, _sample_monomials
 from c2quadrics.solver import (
@@ -22,8 +22,6 @@ from c2quadrics.solver import (
     InconsistentError,
     _g_coords,
     _image_coords,
-    _kernel_normalize,
-    _target_coords,
     audit_full,
     divisibility_witness,
     rank_table,
@@ -228,76 +226,34 @@ def _candidates(pres, rng, n_monos):
     return out
 
 
+def _product_candidates(pres, rng, n_products):
+    """Restrict-style candidates: the point monomial x canonical monomial
+    terms and the tau-atoms of x*y, for single monomials x, y with
+    POINT_COEFFS coefficients."""
+    # low exponents, so that few products vanish
+    pool = [
+        m for m in _sample_monomials(pres, rng)
+        if -1 <= m[0] <= 2 and -1 <= m[1] <= 2 and m[2] <= pres.p // 2 + 1 and m[3] <= pres.q // 2 + 1
+    ]
+    out = []
+    for _ in range(n_products):
+        x, y = (pres.monomial_elt(rng.choice(pool), rng.choice(POINT_COEFFS)) for _ in range(2))
+        xy = pres.mul(x, y)
+        out += [pres.monomial_elt(m, PointElt.monomial(pm)) for m, c in xy.c2.items() for pm in c.c]
+        out += [pres.tau_atom(a, b) for a, b in xy.atoms]
+    return out
+
+
+# solve_undetermined builds its integer system from these columns and reads
+# the constraint values only through the target, so equal columns give the
+# same solution, kernel or InconsistentError as the product columns did
 @pytest.mark.parametrize("sid", RESTRICT_SPACES)
 def test_derived_g_columns_equal_the_product_columns(sid):
     pres = _restrict_space(sid)
-    for cand in _candidates(pres, random.Random("gcol " + sid), 12):
+    cands = _candidates(pres, random.Random("gcol " + sid), 12)
+    cands += _product_candidates(pres, random.Random("sweep " + sid), 40)
+    for cand in cands:
         for names in CONSTRAINT_SETS:
             cons = {name: True for name in names}
             derived = _g_coords(pres, cand, _image_coords(pres, cand, cons), cons, G_PT)
             assert derived == _image_coords(pres, cand.scale(G_PT), cons), (sid, str(cand), names)
-
-
-def _product_column_solve(pres, grading, candidates, constraints):
-    """solve_undetermined with the g*x column of every candidate computed
-    from the product g*x."""
-    cols = []
-    for cand in candidates:
-        cg = cand.grading()
-        if cg is not None and cg != grading:
-            raise ValueError("candidate grading %s is not %s" % (cg, grading))
-        cols.append(_image_coords(pres, cand, constraints))
-        cols.append(_image_coords(pres, cand.scale(G_PT), constraints))
-    target = _target_coords(pres, constraints)
-    keys = sorted(set().union(target, *cols), key=repr)
-    rows = [[col.get(k, 0) for col in cols] for k in keys]
-    rhs = [target.get(k, 0) for k in keys]
-    x, kernel = solve_integer_system(rows, rhs)
-    sol = _kernel_normalize(x, kernel)
-    pairs = [BurnsideElt(sol[2 * i], sol[2 * i + 1]) for i in range(len(candidates))]
-    kern = [
-        [BurnsideElt(v[2 * i], v[2 * i + 1]) for i in range(len(candidates))]
-        for v in kernel
-    ]
-    return {"solution": pairs, "unique": not kernel, "kernel": kern}
-
-
-def _outcome(solve, *args):
-    try:
-        res = solve(*args)
-    except InconsistentError:
-        return "inconsistent"
-    return (
-        [(c.u, c.v) for c in res["solution"]],
-        res["unique"],
-        [[(c.u, c.v) for c in v] for v in res["kernel"]],
-    )
-
-
-def test_solver_matches_the_product_columns():
-    # restrict-style queries: x*y for single monomials with POINT_COEFFS
-    # coefficients, split into point monomial x canonical monomial
-    # candidates, solved against the images of x*y
-    seen = []
-    for sid in RESTRICT_SPACES:
-        pres = _restrict_space(sid)
-        rng = random.Random("sweep " + sid)
-        # low exponents, so that few products vanish
-        pool = [
-            m for m in _sample_monomials(pres, rng)
-            if -1 <= m[0] <= 2 and -1 <= m[1] <= 2 and m[2] <= pres.p // 2 + 1 and m[3] <= pres.q // 2 + 1
-        ]
-        for _ in range(40):
-            x, y = (pres.monomial_elt(rng.choice(pool), rng.choice(POINT_COEFFS)) for _ in range(2))
-            xy = pres.mul(x, y)
-            cands = [pres.monomial_elt(m, PointElt.monomial(pm)) for m, c in xy.c2.items() for pm in c.c]
-            cands += [pres.tau_atom(a, b) for a, b in xy.atoms]
-            if not cands:
-                continue
-            cons = {"rho": pres.rho(xy), "eta": pres.eta(xy), "phi": pres.phi(xy)}
-            args = (pres, xy.grading(), cands, cons)
-            expect = _outcome(_product_column_solve, *args)
-            assert _outcome(solve_undetermined, *args) == expect, (sid, str(xy))
-            seen.append(expect == "inconsistent")
-    # the sweep meets solvable systems and the 2-torsion inconsistent ones
-    assert seen.count(False) >= 80 and seen.count(True) >= 10
