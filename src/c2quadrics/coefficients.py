@@ -331,10 +331,31 @@ class PointElt:
     def __mul__(self, other):
         if not isinstance(other, PointElt):
             if isinstance(other, int):
+                if len(self.c) == 1:
+                    # single term times an integer: one coefficient
+                    ((m, v),) = self.c.items()
+                    v *= other
+                    if _mixed(m):
+                        v %= 2
+                    return _point({m: v} if v else {})
                 return PointElt({m: other * v for m, v in self.c.items()})
             if not isinstance(other, BurnsideElt):
                 return NotImplemented
             other = PointElt.from_burnside(other)
+        if len(self.c) == 1 and len(other.c) == 1:
+            # single term times single term: the monomials of _mono_mul are
+            # distinct, so nothing accumulates
+            ((m1, v1),) = self.c.items()
+            ((m2, v2),) = other.c.items()
+            v1 *= v2
+            out = {}
+            for m, w in _mono_mul(m1, m2).items():
+                w *= v1
+                if _mixed(m):
+                    w %= 2
+                if w:
+                    out[m] = w
+            return _point(out)
         out = {}
         for m1, v1 in self.c.items():
             for m2, v2 in other.c.items():

@@ -84,6 +84,23 @@ def _add_elt(c2, atoms, x):
         _add_count(atoms, k, v)
 
 
+# the class of the exponents above every threshold
+_BIG = 1 << 20
+
+
+def _exponent_classes(n):
+    """Class ids of the exponents -1..n+1 compared with 0, 1, n-1 and n:
+    -1 below 0; _BIG above n; else the exponent itself at 0, 1, n-1 and n,
+    and 2 strictly between 1 and n-1.  With n = None (bu1) only 0 and 1
+    count.  Exponents outside the dict fall to -1 or _BIG."""
+    if n is None:
+        return {-1: -1, 0: 0, 1: 1, 2: _BIG}
+    return {
+        e: _BIG if e > n else (e if e in (-1, 0, 1, n - 1, n) else 2)
+        for e in range(-1, n + 2)
+    }
+
+
 def mono_str(m):
     s, t, i, j, d, w0, w1 = m
     names = [("z0", s), ("z1", t), ("cw", i), ("cx", j), ("x", d), ("divw", w0), ("divx", w1)]
@@ -291,6 +308,15 @@ class Presentation:
         self.max_steps = cfg.get("max_steps", 200000)
         self.rules = []                      # [(name, guard, rhs)], set by the catalog
         self.canonical_fn = cfg["canonical"]
+        # the left side of a top-level identity as one unreduced term:
+        # {identity name: (coeff, mono)}, read by solver.verify_relations
+        self.raw_lhs = cfg.get("raw_lhs", {})
+        # threshold classes of i and j (see _class_key); exponents outside
+        # -1..p+1 fall to the classes of -1 and p+1
+        self._iclass = _exponent_classes(self.p)
+        self._jclass = _exponent_classes(self.q)
+        self._class_table = {}               # {class key: True | (rule index, ...)}
+        self._class_rules = []               # the rules the table was built from
         self.warnings = cfg.get("warnings", [])
         self.gen_info = cfg.get("gen_info", {})
 
@@ -347,15 +373,72 @@ class Presentation:
     def canonical(self, mono):
         return self.canonical_fn(mono)
 
+    def _class_key(self, m):
+        """The threshold class of a monomial: s, t, d, w0, w1 clamped to
+        -1..2, and i, j by ``_exponent_classes``."""
+        s, t, i, j, d, w0, w1 = m
+        return (
+            s if -1 <= s <= 2 else (2 if s > 0 else -1),
+            t if -1 <= t <= 2 else (2 if t > 0 else -1),
+            self._iclass.get(i, _BIG if i > 0 else -1),
+            self._jclass.get(j, _BIG if j > 0 else -1),
+            d if -1 <= d <= 2 else (2 if d > 0 else -1),
+            w0 if -1 <= w0 <= 2 else (2 if w0 > 0 else -1),
+            w1 if -1 <= w1 <= 2 else (2 if w1 > 0 else -1),
+        )
+
+    def rule_class(self, mono):
+        """True if mono is canonical, else the indices into ``rules`` of the
+        rules whose guards hold on mono, in rule order.
+
+        Every guard and the canonical test compare each exponent only with
+        fixed thresholds (s, t, d, w0, w1 with -1..2; i with 0, 1, p-1, p;
+        j with 0, 1, q-1, q), so the answer depends on the threshold class of
+        mono alone, and is kept per class.  The table is rebuilt when
+        ``rules`` changes."""
+        key = self._class_key(mono)
+        entry = self._rule_table().get(key)
+        if entry is None:
+            entry = self._classify(mono, key)
+        return entry
+
+    def _rule_table(self):
+        """The class table, emptied first if ``rules`` changed since it was
+        filled (a rule may be replaced in place)."""
+        if self._class_rules != self.rules:
+            self._class_table = {}
+            self._class_rules = list(self.rules)
+        return self._class_table
+
+    def _classify(self, mono, key):
+        """Fill the table entry of mono's class by one ordered guard scan."""
+        if self.canonical_fn(mono):
+            entry = True
+        else:
+            entry = tuple(k for k, (_, guard, _) in enumerate(self.rules) if guard(mono))
+        self._class_table[key] = entry
+        return entry
+
     def normal_form(self, x, rule_order=None, _fallbacks=()):
-        """The canonical form of x.  ``_fallbacks`` holds the monomials whose
+        """The canonical form of x.
+
+        Each non-canonical monomial is rewritten by the first rule, in
+        ``rules`` order or in ``rule_order`` (a permutation of the rule
+        indices), whose guard holds on it.  Both orders read the per-class
+        table of ``rule_class``, which is exact only while every guard and
+        the canonical test compare exponents with the class thresholds
+        alone.  ``_fallbacks`` holds the monomials whose
         transfer-witness fallback is under way in an enclosing call; meeting
         one again would recurse without end, so it is not a class."""
         if x.level == "e":
             out = RingElement(self, "e")
             out.e = self.levele.reduce(x.e)
             return out
-        rules = self.rules if rule_order is None else [self.rules[k] for k in rule_order]
+        rules = self.rules
+        rank = None if rule_order is None else {k: n for n, k in enumerate(rule_order)}
+        table = self._rule_table()
+        class_key = self._class_key
+        free_orbit, max_steps = self.free_orbit, self.max_steps
         work = {}
         for m, v in x.c2.items():
             if isinstance(v, int):
@@ -368,28 +451,27 @@ class Presentation:
 
         while work:
             steps += 1
-            if steps > self.max_steps:
+            if steps > max_steps:
                 raise NonTerminatingError(
                     "step budget exceeded in %s while reducing %s" % (self.name, x)
                 )
             mono = next(iter(work))
             coeff = work.pop(mono)
-            if self.free_orbit and mono[4] == 0:
+            if free_orbit and mono[4] == 0:
                 # everything is a multiple of the unit tau(y):
                 # M*c = M*c*tau(y) = tau(rho(M*c)*y)
                 w = self._rho_mono_times(mono, coeff)
                 w = self.levele.mul(w, {(0, 0, 0, 1): 1})
                 _add_elt(work, atoms, self.tau_of_levele(w, _fallbacks))
                 continue
-            if self.canonical(mono):
+            cls = class_key(mono)
+            entry = table.get(cls)
+            if entry is None:
+                entry = self._classify(mono, cls)
+            if entry is True:
                 _add_term(done, mono, coeff)
                 continue
-            matched = None
-            for name, guard, rhs in rules:
-                if guard(mono):
-                    matched = rhs
-                    break
-            if matched is None:
+            if not entry:
                 # products of divided classes from opposite sides carry
                 # transfer (or kappa-killed) coefficients; absorb them by
                 # Frobenius reciprocity, which inverts the zeta powers at
@@ -406,7 +488,8 @@ class Presentation:
                     _add_elt(work, atoms, self.tau_of_levele(w, _fallbacks + (mono,)))
                     continue
                 raise NotAClassError("no rule rewrites %s in %s" % (mono_str(mono), self.name))
-            val = matched(mono)
+            first = entry[0] if rank is None else min(entry, key=rank.__getitem__)
+            val = rules[first][2](mono)
             for m2, v2 in val.c2.items():
                 _add_term(work, m2, coeff * v2)
             if val.atoms:
@@ -587,7 +670,10 @@ def confluence_probe(pres, samples=100, seed=0):
     """Reduce random products along shuffled rule orders; report mismatches.
 
     Returns {"samples": n, "mismatches": [...]}; an empty mismatch list is
-    the pass condition.
+    the pass condition.  Every order reads the same class table
+    (``Presentation.rule_class``), so the probe checks that the rule order
+    does not change a normal form; that the table agrees with a direct
+    guard scan is checked by the exhaustive class-table test.
     """
     rng = random.Random(seed)
     report = {"space": pres.name, "samples": samples, "mismatches": []}

@@ -276,9 +276,16 @@ def verify_relations(pres, check_homs=True):
             p0l, p1l = pres.phi(lhs)
             p0r, p1r = pres.phi(rhs)
             row["phi"] = p0l == p0r and p1l == p1r
+            # rho of the left side as written, one raw term taken termwise
+            # to level e, never through normal_form: a reduction that is
+            # wrong on both sides alike still shows here
+            if name in pres.raw_lhs:
+                coeff, mono = pres.raw_lhs[name]
+                row["rho_raw"] = pres._rho_mono_times(mono, coeff) == pres.rho(rhs).e
             row["status"] = (
                 "pass"
-                if row["nf_zero"] and row["rho"] and row["eta"] and row["phi"]
+                if row["nf_zero"] and row["rho"] and row.get("rho_raw", True)
+                and row["eta"] and row["phi"]
                 else "fail"
             )
         else:

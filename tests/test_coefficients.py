@@ -220,8 +220,15 @@ def _is_reduced(x):
             assert v == 1, (x, m)
 
 
+def _single_terms():
+    """One-term operands of every tag (p, k, t), with the mixed e^i xi^j
+    terms among them, at coefficients 1, -1 and 3 (1 mod 2 when mixed)."""
+    return [PointElt.monomial(m, v) for m in POOL for v in (1, -1, 3)]
+
+
 def test_kernels_match_reference_arithmetic():
-    pool = _kernel_pool()
+    singles = _single_terms()
+    pool = _kernel_pool() + singles
     # a zero (k * xi) exercises the sums that return an operand
     assert any(not x.c for x in pool)
     assert any(m[0] == "p" and m[1] >= 1 and m[2] >= 1 for x in pool for m in x.c)
@@ -231,4 +238,27 @@ def test_kernels_match_reference_arithmetic():
             assert op.c == ref.c, (a, b)
             _is_reduced(op)
         assert (dict(a.c), dict(b.c)) == before, (a, b)
+    # single terms against single terms, integers and Burnside elements:
+    # every pair of tags, zero products and mod-2 reductions among them
+    ints = (-3, -2, -1, 0, 1, 2, 5)
+    burnside = (G, KAPPA_A, BurnsideElt(1, 0), BurnsideElt(-1, 2), BurnsideElt(0, 0))
+    zeros = tags = 0
+    for a in singles:
+        before = dict(a.c)
+        for b in singles:
+            prod = a * b
+            assert prod.c == ref_mul(a, b).c, (a, b)
+            _is_reduced(prod)
+            zeros += not prod.c
+        tags += len({next(iter(b.c))[0] for b in singles})
+        for n in ints:
+            for prod in (a * n, n * a):
+                assert prod.c == ref_mul(a, PointElt.from_int(n)).c, (a, n)
+                _is_reduced(prod)
+        for g in burnside:
+            prod = a * g
+            assert prod.c == ref_mul(a, PointElt.from_burnside(g)).c, (a, g)
+            _is_reduced(prod)
+        assert dict(a.c) == before, a
+    assert zeros and tags == 3 * len(singles)
 

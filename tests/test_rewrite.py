@@ -29,6 +29,7 @@ from c2quadrics.rewrite import (
     NonTerminatingError,
     NotAClassError,
     RingElement,
+    _mono_product,
     _sample_monomials,
     confluence_probe,
     mono_mul,
@@ -338,3 +339,144 @@ def test_golden_atom_products(space):
         assert prod[i, j] == prod[j, i]
     for x, y, z in itertools.product(elts, repeat=3):
         assert pres.mul(pres.mul(x, y), z) == pres.mul(x, pres.mul(y, z))
+
+
+# -- the threshold-class table ---------------------------------------------------
+
+# point, bu1, proj (p = 0 and q = 0 among them), binate, the free orbit, all
+# four quadric parities, m or n = 2, and the z0/z1-invertible quadric decks
+CLASS_SPACES = [
+    "point", "bu1", "proj:2,1", "proj:0,2", "proj:3,0", "binate:2,1", "binate:0,2",
+    "binate:0,0", "quadric:1,1", "quadric:3,1", "quadric:1,3", "quadric:2,1",
+    "quadric:0,3", "quadric:5,3", "quadric:3,3", "quadric:4,3", "quadric:3,4",
+    "quadric:4,4", "quadric:4,2", "quadric:2,5", "quadric:2,2", "quadric:7,6",
+]
+
+
+def _space(space):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RestrictedGradingWarning)
+        return make_space(space)
+
+
+def _direct_class(pres, m):
+    """The ordered guard scan that the class table stands for."""
+    if pres.canonical_fn(m):
+        return True
+    return tuple(k for k, (_, guard, _) in enumerate(pres.rules) if guard(m))
+
+
+def _class_box(pres):
+    """Every monomial whose exponents reach past the outermost thresholds:
+    s, t to -2..3, d, w0, w1 to -1..3, i to -1..p+2, j to -1..q+2 (bu1 as
+    p = q = 1)."""
+    p = 1 if pres.p is None else pres.p
+    q = 1 if pres.q is None else pres.q
+    st, dw = range(-2, 4), range(-1, 4)
+    return itertools.product(st, st, range(-1, p + 3), range(-1, q + 3), dw, dw, dw)
+
+
+@pytest.mark.parametrize("space", CLASS_SPACES)
+def test_class_table_matches_direct_scan(space):
+    pres = _space(space)
+    # warm the table from reductions first, so that entries come from
+    # monomials other than the ones compared
+    confluence_probe(pres, samples=20, seed=3)
+    units = [tuple(int(k == n) for k in range(7)) for n in range(7)]
+    for a, b in itertools.product(units, repeat=2):
+        try:
+            pres.monomial_elt(mono_mul(a, b))
+        except NotAClassError:
+            pass
+    assert pres._class_table
+    for m in _class_box(pres):
+        assert pres.rule_class(m) == _direct_class(pres, m), (space, m)
+    assert len(pres._class_table) <= 4 * 4 * 7 * 7 * 4 * 4 * 4
+
+
+def test_exponent_classes_cover_every_threshold():
+    from c2quadrics.rewrite import _BIG, _exponent_classes
+
+    for n in range(0, 6):
+        cls = _exponent_classes(n)
+
+        def signs(e):
+            # e against 0, 1 and n (e <= n - 1 is e < n); for n = 0 the
+            # guards compare with 1 only as e >= 1, which is e > 0
+            return tuple((e > c) - (e < c) for c in ((0, 1, n) if n else (0,)))
+
+        for a in range(-3, n + 4):
+            for b in range(-3, n + 4):
+                ca = cls.get(a, _BIG if a > 0 else -1)
+                cb = cls.get(b, _BIG if b > 0 else -1)
+                if ca == cb:
+                    assert signs(a) == signs(b), (n, a, b)
+        # seven classes at most: -1, 0, 1, between, n - 1, n, above n
+        assert len(set(cls.values())) <= 7
+
+
+def _outcome(pres, x):
+    try:
+        return _canonical_text(pres.normal_form(x))
+    except NotAClassError as exc:
+        return "error: %s" % exc
+
+
+def _fault(pres, flip, off):
+    """Flip the sign of one rule and disable another, in place."""
+    names = [r[0] for r in pres.rules]
+    k = names.index(flip)
+    name, guard, rhs = pres.rules[k]
+    pres.rules[k] = (name, guard, lambda m, _r=rhs: -(_r(m)))
+    k = names.index(off)
+    name, guard, rhs = pres.rules[k]
+    pres.rules[k] = (name, lambda m: False, rhs)
+
+
+def test_warm_table_follows_rules_replaced_in_place():
+    from c2quadrics.solver import audit_full
+
+    pres = make_space("quadric:3,3")
+    rng = random.Random(12)
+    pool = _sample_monomials(pres, rng)
+    raws = [
+        RingElement(pres, "top", c2={_mono_product(rng.sample(pool, 3)): rng.choice(POINT_COEFFS)})
+        for _ in range(150)
+    ]
+    before = [_outcome(pres, x) for x in raws]
+    assert len(pres._class_table) > 20
+    _fault(pres, "xi_mix", "t2")
+    # the faulty rules on a cold table are the reference
+    cold = make_space("quadric:3,3")
+    _fault(cold, "xi_mix", "t2")
+    after = [_outcome(pres, x) for x in raws]
+    assert after == [_outcome(cold, RingElement(cold, "top", c2=x.c2)) for x in raws]
+    assert sum(a != b for a, b in zip(before, after)) >= 10
+    assert any(a.startswith("error") for a in after)
+    for m in pool:
+        assert pres.rule_class(m) == _direct_class(pres, m)
+    assert not audit_full(pres, seed=4, samples=60, probe_samples=60)["ok"]
+
+
+def test_rule_order_fires_first_matching_rule():
+    # the default order fires the first rule whose guard holds, a shuffled
+    # order the first one in its own order
+    pres = make_space("quadric:5,3")
+    fired = []
+    for k, (name, guard, rhs) in enumerate(pres.rules):
+        pres.rules[k] = (name, guard, lambda m, _k=k, _r=rhs: fired.append((_k, m)) or _r(m))
+    rng = random.Random(8)
+    pool = _sample_monomials(pres, rng)
+    raws = [
+        RingElement(pres, "top", c2={_mono_product(rng.sample(pool, 3)): ONE}) for _ in range(40)
+    ]
+    order = list(range(len(pres.rules)))
+    rng.shuffle(order)
+    for rule_order, rank in ((None, list(range(len(order)))), (order, order)):
+        del fired[:]
+        for x in raws:
+            pres.normal_form(x, rule_order=rule_order)
+        assert len(fired) > 50
+        for k, m in fired:
+            scan = _direct_class(pres, m)
+            assert k == min(scan, key=rank.index), (m, k, scan)

@@ -159,6 +159,29 @@ def test_level_e_rows_compare_sides_without_normal_form(monkeypatch):
     assert not row["sides_equal"] and row["status"] == "fail"
 
 
+def test_top_level_rows_compare_raw_rho(monkeypatch):
+    # every top-level row carries rho of its raw left side; on the shipped
+    # decks it agrees with rho of the reduced right side
+    for sid in ("bu1", "proj:2,1", "binate:2,1", "quadric:3,1", "quadric:4,4", "quadric:1,1"):
+        pres = _restrict_space(sid)
+        for row in verify_relations(pres)["identities"]:
+            if "rho" in row and row["identity"] != "x = 0":
+                assert row["rho_raw"], (sid, row["identity"])
+    # a normal form that sends everything to 0 passes nf_zero, rho, eta and
+    # phi of the top-level rows; their raw rho images do not
+    Q = make_quadric(3, 1)
+    monkeypatch.setattr(
+        Presentation, "normal_form", lambda self, x, *a, **k: RingElement(self, x.level)
+    )
+    rows = {row["identity"]: row for row in verify_relations(Q)["identities"]}
+    failed = [name for name in Q.raw_lhs if rows[name]["status"] == "fail"]
+    assert failed
+    for name in failed:
+        row = rows[name]
+        assert row["nf_zero"] and row["rho"] and row["eta"] and row["phi"]
+        assert not row["rho_raw"]
+
+
 def test_rank_table_bb53():
     Q = make_quadric(11, 7)
     table = rank_table(Q, 0, ((-2, 40), (-2, 40)))
