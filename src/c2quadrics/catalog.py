@@ -821,7 +821,6 @@ def _make_free_orbit(name, space):
         "free_orbit": True,
         "levele": LevelEModel("D", 1),
         "x_grading": W + XW - Grading(2),
-        "rho_x": (0, 0, 0),
         "xsq_terms": [],
         "components": (("zero", 0), ("zero", 0)),
         "eta_x": None,
@@ -833,9 +832,8 @@ def _make_free_orbit(name, space):
         ("x = 0", lambda P: (P.gen("x"), P.zero())),
         ("1 = t(y)", lambda P: (P.scalar(1), P.tau_atom(0, 0))),
     ]
-    # x is killed by its only rule, and rho_x is a placeholder, so "x = 0"
-    # has no raw rho image to compare
-    cfg["raw_lhs"] = {"1 = t(y)": (ONE, MONO_ONE)}
+    # x is killed by its only rule, so rho(x) = 0: the deck has no rho_x
+    cfg["raw_lhs"] = {"x = 0": (ONE, _mono(d=1)), "1 = t(y)": (ONE, MONO_ONE)}
     pres = Presentation(name, space, cfg)
     pres.rules = [("x_zero", lambda m: m[4] >= 1, lambda m: pres.zero())]
     pres.eta_data = {

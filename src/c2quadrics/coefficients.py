@@ -64,6 +64,8 @@ class BurnsideElt:
     def __add__(self, other):
         if isinstance(other, int):
             other = BurnsideElt(other)
+        elif not isinstance(other, BurnsideElt):
+            return NotImplemented
         return BurnsideElt(self.u + other.u, self.v + other.v)
 
     __radd__ = __add__
@@ -74,11 +76,15 @@ class BurnsideElt:
     def __sub__(self, other):
         if isinstance(other, int):
             other = BurnsideElt(other)
+        elif not isinstance(other, BurnsideElt):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
             other = BurnsideElt(other)
+        elif not isinstance(other, BurnsideElt):
+            return NotImplemented
         # g*g = 2g
         return BurnsideElt(
             self.u * other.u,
@@ -299,9 +305,12 @@ class PointElt:
 
     def __add__(self, other):
         if not isinstance(other, PointElt):
-            if not isinstance(other, int):
+            if isinstance(other, int):
+                other = PointElt.from_int(other)
+            elif isinstance(other, BurnsideElt):
+                other = PointElt.from_burnside(other)
+            else:
                 return NotImplemented
-            other = PointElt.from_int(other)
         if not other.c:
             return self
         if not self.c:
@@ -328,6 +337,9 @@ class PointElt:
             other = PointElt.from_int(other)
         return self + (-other)
 
+    def __rsub__(self, other):
+        return (-self) + other
+
     def __mul__(self, other):
         if not isinstance(other, PointElt):
             if isinstance(other, int):
@@ -348,6 +360,12 @@ class PointElt:
             ((m1, v1),) = self.c.items()
             ((m2, v2),) = other.c.items()
             v1 *= v2
+            if m1[0] == "p" and m2[0] == "p":
+                # e^i xi^j times e^k xi^l, mod 2 once both exponents are >= 1
+                i, j = m1[1] + m2[1], m1[2] + m2[2]
+                if i and j:
+                    v1 %= 2
+                return _point({("p", i, j): v1} if v1 else {})
             out = {}
             for m, w in _mono_mul(m1, m2).items():
                 w *= v1

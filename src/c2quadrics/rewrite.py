@@ -31,6 +31,7 @@ confluence empirically on random products.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .coefficients import (
@@ -296,7 +297,9 @@ class Presentation:
         self.free_orbit = cfg.get("free_orbit", False)
         self.levele = cfg["levele"]
         self.x_grading = cfg.get("x_grading")
-        self.rho_x = cfg.get("rho_x")       # (A, B, C): rho(x) = iota^A zeta^B c^C y
+        # (A, B, C): rho(x) = iota^A zeta^B c^C y; None: rho(x) = 0 (the
+        # free orbit, where x itself is 0, and the decks without x)
+        self.rho_x = cfg.get("rho_x")
         self.xsq_terms = cfg.get("xsq_terms")    # list of (PointElt, mono)
         self.corrw = cfg.get("corrw", [])   # cw^p - divw as [(PointElt, mono)]
         self.corrx = cfg.get("corrx", [])
@@ -317,6 +320,7 @@ class Presentation:
         self._jclass = _exponent_classes(self.q)
         self._class_table = {}               # {class key: True | (rule index, ...)}
         self._class_rules = []               # the rules the table was built from
+        self._sample_pool = None             # filled by _sample_monomials on first use
         self.warnings = cfg.get("warnings", [])
         self.gen_info = cfg.get("gen_info", {})
 
@@ -419,7 +423,7 @@ class Presentation:
         self._class_table[key] = entry
         return entry
 
-    def normal_form(self, x, rule_order=None, _fallbacks=()):
+    def normal_form(self, x, rule_order=None, _fallbacks=(), _seen=None):
         """The canonical form of x.
 
         Each non-canonical monomial is rewritten by the first rule, in
@@ -429,7 +433,13 @@ class Presentation:
         the canonical test compare exponents with the class thresholds
         alone.  ``_fallbacks`` holds the monomials whose
         transfer-witness fallback is under way in an enclosing call; meeting
-        one again would recurse without end, so it is not a class."""
+        one again would recurse without end, so it is not a class.
+
+        A set passed as ``_seen`` receives every table entry with two or
+        more rules that this loop fires, so with the default order it lists
+        the only steps at which another order could choose differently.
+        Nested reductions (through ``tau_of_levele``) always take the
+        default order and are not recorded."""
         if x.level == "e":
             out = RingElement(self, "e")
             out.e = self.levele.reduce(x.e)
@@ -489,6 +499,8 @@ class Presentation:
                     continue
                 raise NotAClassError("no rule rewrites %s in %s" % (mono_str(mono), self.name))
             first = entry[0] if rank is None else min(entry, key=rank.__getitem__)
+            if _seen is not None and len(entry) > 1:
+                _seen.add(entry)
             val = rules[first][2](mono)
             for m2, v2 in val.c2.items():
                 _add_term(work, m2, coeff * v2)
@@ -553,9 +565,12 @@ class Presentation:
             b -= w1 * self.q
             deg_c += w1 * self.q
         out = {(a, b, deg_c, 0): 1}
-        for _ in range(d):
+        if d:
+            if self.rho_x is None:
+                return {}
             A, B, C = self.rho_x
-            out = self.levele.mul(out, {(A, B, C, 1): 1})
+            for _ in range(d):
+                out = self.levele.mul(out, {(A, B, C, 1): 1})
         return out
 
     def _rho_mono_times(self, m, coeff):
@@ -674,10 +689,18 @@ def confluence_probe(pres, samples=100, seed=0):
     (``Presentation.rule_class``), so the probe checks that the rule order
     does not change a normal form; that the table agrees with a direct
     guard scan is checked by the exhaustive class-table test.
+
+    The reference reduction records the table entries with two or more
+    rules that it fires (``normal_form``'s ``_seen``).  A shuffled order
+    that ranks each such entry's first rule before the others fires the
+    same rule as the reference at every step: the work set then evolves
+    identically, so the reduction retraces the reference and ends at the
+    same normal form.  Such an order is drawn as always but not reduced, and
+    the report is the one that reducing it would give, for any rule set.
     """
     rng = random.Random(seed)
     report = {"space": pres.name, "samples": samples, "mismatches": []}
-    pool = _sample_monomials(pres, rng)
+    pool = _sample_monomials(pres)
     if not pool:
         return report
     for k in range(samples):
@@ -685,14 +708,17 @@ def confluence_probe(pres, samples=100, seed=0):
         monos = [rng.choice(pool) for _ in range(n_factors)]
         coeff = rng.choice([1, 1, 1, -1, 2])
         raw = RingElement(pres, "top", c2={_mono_product(monos): coeff})
+        seen = set()
         try:
-            ref = pres.normal_form(raw)
+            ref = pres.normal_form(raw, _seen=seen)
         except (NonTerminatingError, NotAClassError) as exc:
             report["mismatches"].append({"sample": k, "error": str(exc)})
             continue
         for _ in range(3):
             order = list(range(len(pres.rules)))
             rng.shuffle(order)
+            if all(min(entry, key=order.index) == entry[0] for entry in seen):
+                continue
             try:
                 alt = pres.normal_form(raw, rule_order=order)
             except (NonTerminatingError, NotAClassError) as exc:
@@ -717,21 +743,17 @@ def _mono_product(monos):
     return out
 
 
-def _sample_monomials(pres, rng):
-    """A pool of canonical monomials of small exponents."""
-    if pres.free_orbit:
-        return []
-    pool = []
-    p = pres.p if pres.p is not None else 3
-    q = pres.q if pres.q is not None else 3
-    for s in range(-2, 3):
-        for t in range(-2, 3):
-            for i in range(0, p + 2):
-                for j in range(0, q + 2):
-                    for d in range(0, 2 if pres.has_x else 1):
-                        for w0 in (0, 1):
-                            for w1 in (0, 1):
-                                m = (s, t, i, j, d, w0, w1)
-                                if pres.canonical(m) and m != MONO_ONE:
-                                    pool.append(m)
-    return pool
+def _sample_monomials(pres):
+    """A pool of canonical monomials of small exponents, as a tuple built
+    once per presentation."""
+    if pres._sample_pool is None:
+        p = pres.p if pres.p is not None else 3
+        q = pres.q if pres.q is not None else 3
+        box = itertools.product(
+            range(-2, 3), range(-2, 3), range(p + 2), range(q + 2),
+            range(2 if pres.has_x else 1), (0, 1), (0, 1),
+        )
+        pres._sample_pool = () if pres.free_orbit else tuple(
+            m for m in box if pres.canonical(m) and m != MONO_ONE
+        )
+    return pres._sample_pool

@@ -397,7 +397,7 @@ def audit_full(pres, seed=0, samples=120, probe_samples=200):
         record("relations", False, "exception: %s" % str(exc)[:200])
 
     # homogeneity: normal forms preserve the grading of homogeneous inputs
-    pool = _sample_monomials(pres, rng)
+    pool = _sample_monomials(pres)
     homog_ok = True
     for _ in range(min(samples, 60)):
         if not pool:

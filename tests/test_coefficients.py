@@ -262,3 +262,21 @@ def test_kernels_match_reference_arithmetic():
         assert dict(a.c) == before, a
     assert zeros and tags == 3 * len(singles)
 
+
+def test_burnside_operands_on_either_side():
+    # a Burnside element meets a point element on either side of +, - and *
+    # as its image under from_burnside
+    burnside = (G, KAPPA_A, BurnsideElt(1, 0), BurnsideElt(-1, 2), BurnsideElt(0, 0))
+    for b in burnside:
+        bp = PointElt.from_burnside(b)
+        for a in _kernel_pool() + _single_terms():
+            assert (b + a).c == (bp + a).c, (b, a)
+            assert (a + b).c == (a + bp).c, (a, b)
+            assert (b - a).c == (bp - a).c, (b, a)
+            assert (a - b).c == (a - bp).c, (a, b)
+            assert (b * a).c == (bp * a).c, (b, a)
+            assert (a * b).c == (a * bp).c, (a, b)
+    assert (G * E_PT).c == {} and (G + E_PT).c == (G_PT + E_PT).c
+    for op in (lambda: G + "e", lambda: G - 1.5, lambda: G * [1]):
+        with pytest.raises(TypeError):
+            op()

@@ -84,7 +84,7 @@ def _elements(pres, rng):
     coefficients on canonical monomials (negative zeta powers included),
     sums of those, transfers, and the divided classes divw and divx."""
     coeffs = POINT_COEFFS + TORSION
-    pool = _sample_monomials(pres, rng)
+    pool = _sample_monomials(pres)
     out = [pres.scalar(1), pres.coeff_elt(rng.choice(TORSION))]
     for m in rng.sample(pool, min(len(pool), 24)):
         out.append(pres.monomial_elt(m, rng.choice(coeffs)))
@@ -153,7 +153,7 @@ def test_image_table_is_bounded():
     # POINT_COEFFS coefficients, their eta/phi images and the candidates'
     pres = _space("quadric:9,7")
     rng = random.Random(97)
-    pool = _sample_monomials(pres, rng)
+    pool = _sample_monomials(pres)
     for _ in range(300):
         x = pres.monomial_elt(rng.choice(pool), rng.choice(POINT_COEFFS))
         xy = pres.mul(x, pres.monomial_elt(rng.choice(pool), rng.choice(POINT_COEFFS)))

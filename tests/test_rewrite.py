@@ -267,7 +267,7 @@ def _golden_digest(space, products=60):
     def reduce_raw(mono):
         return pres.normal_form(RingElement(pres, "top", c2={mono: rng.choice(POINT_COEFFS)}))
 
-    pool = _sample_monomials(pres, rng)
+    pool = _sample_monomials(pres)
     for _ in range(products if pool else 0):
         m1, m2 = rng.choice(pool), rng.choice(pool)
         add(pres.mul(pres.monomial_elt(m1, rng.choice(POINT_COEFFS)), pres.monomial_elt(m2)))
@@ -303,7 +303,7 @@ def _atom_elements(pres, rng):
     """Two elements with c2 terms only, two with transfer atoms only, and
     two that carry both.  The monomials are of low degree, so that few
     products vanish."""
-    pool = [m for m in _sample_monomials(pres, rng) if sum(map(abs, m)) <= 2]
+    pool = [m for m in _sample_monomials(pres) if sum(map(abs, m)) <= 2]
 
     def c2_elt():
         x = pres.zero()
@@ -438,7 +438,7 @@ def test_warm_table_follows_rules_replaced_in_place():
 
     pres = make_space("quadric:3,3")
     rng = random.Random(12)
-    pool = _sample_monomials(pres, rng)
+    pool = _sample_monomials(pres)
     raws = [
         RingElement(pres, "top", c2={_mono_product(rng.sample(pool, 3)): rng.choice(POINT_COEFFS)})
         for _ in range(150)
@@ -466,7 +466,7 @@ def test_rule_order_fires_first_matching_rule():
     for k, (name, guard, rhs) in enumerate(pres.rules):
         pres.rules[k] = (name, guard, lambda m, _k=k, _r=rhs: fired.append((_k, m)) or _r(m))
     rng = random.Random(8)
-    pool = _sample_monomials(pres, rng)
+    pool = _sample_monomials(pres)
     raws = [
         RingElement(pres, "top", c2={_mono_product(rng.sample(pool, 3)): ONE}) for _ in range(40)
     ]
@@ -480,3 +480,128 @@ def test_rule_order_fires_first_matching_rule():
         for k, m in fired:
             scan = _direct_class(pres, m)
             assert k == min(scan, key=rank.index), (m, k, scan)
+
+
+# -- the probe skips the orders that retrace the reference ----------------------
+
+
+def _probe_every_order(pres, samples, seed):
+    """confluence_probe reducing every shuffled order: the reference that the
+    skipping probe must reproduce report for report."""
+    rng = random.Random(seed)
+    report = {"space": pres.name, "samples": samples, "mismatches": []}
+    pool = _sample_monomials(pres)
+    if not pool:
+        return report
+    for k in range(samples):
+        n_factors = rng.choice([2, 2, 3])
+        monos = [rng.choice(pool) for _ in range(n_factors)]
+        coeff = rng.choice([1, 1, 1, -1, 2])
+        raw = RingElement(pres, "top", c2={_mono_product(monos): coeff})
+        try:
+            ref = pres.normal_form(raw)
+        except (NonTerminatingError, NotAClassError) as exc:
+            report["mismatches"].append({"sample": k, "error": str(exc)})
+            continue
+        for _ in range(3):
+            order = list(range(len(pres.rules)))
+            rng.shuffle(order)
+            try:
+                alt = pres.normal_form(raw, rule_order=order)
+            except (NonTerminatingError, NotAClassError) as exc:
+                report["mismatches"].append({"sample": k, "error": str(exc)})
+                continue
+            if not (alt.c2 == ref.c2 and alt.atoms == ref.atoms):
+                report["mismatches"].append(
+                    {"sample": k, "input": str(raw), "expected": str(ref), "got": str(alt)}
+                )
+    return report
+
+
+CRITERION_10_DECKS = (
+    "point", "bu1", "proj:2,1", "binate:1,1",
+    "quadric:5,3", "quadric:4,3", "quadric:3,4", "quadric:4,4",
+)
+
+
+def test_probe_reports_match_reducing_every_order():
+    for sid in CRITERION_10_DECKS:
+        pres = make_space(sid)
+        assert confluence_probe(pres, samples=300, seed=11) == _probe_every_order(pres, 300, 11), sid
+    # every single-rule fault of quadric:3,3, as criterion 10 seeds them
+    n_rules = len(make_space("quadric:3,3").rules)
+    mismatches = {"flip": 0, "disable": 0}
+    for idx in range(n_rules):
+        for fault in ("flip", "disable"):
+            pres = make_space("quadric:3,3")
+            name, guard, rhs = pres.rules[idx]
+            if fault == "flip":
+                pres.rules[idx] = (name, guard, lambda m, _r=rhs: -(_r(m)))
+            else:
+                pres.rules[idx] = (name, lambda m: False, rhs)
+            rep = confluence_probe(pres, samples=120, seed=5)
+            assert rep == _probe_every_order(pres, 120, 5), (name, fault)
+            mismatches[fault] += len(rep["mismatches"])
+    # a flipped rule shows only where shuffled orders leave the reference
+    # derivation, the case the skipping decides
+    assert mismatches["flip"] >= 10 and mismatches["disable"] >= 100, mismatches
+
+
+def test_probe_skips_some_orders_and_reduces_others():
+    for sid in ("quadric:5,3", "quadric:4,4"):
+        pres = make_space(sid)
+        reduce = pres.normal_form
+        shuffled = []
+
+        def counting(x, rule_order=None, *args, **kwargs):
+            if rule_order is not None:
+                shuffled.append(rule_order)
+            return reduce(x, rule_order, *args, **kwargs)
+
+        pres.normal_form = counting
+        confluence_probe(pres, samples=200, seed=3)
+        assert 0 < len(shuffled) < 3 * 200, (sid, len(shuffled))
+
+
+def _fresh_pool(pres):
+    """The sample pool enumerated here by nested loops."""
+    if pres.free_orbit:
+        return []
+    pool = []
+    p = pres.p if pres.p is not None else 3
+    q = pres.q if pres.q is not None else 3
+    for s in range(-2, 3):
+        for t in range(-2, 3):
+            for i in range(0, p + 2):
+                for j in range(0, q + 2):
+                    for d in range(0, 2 if pres.has_x else 1):
+                        for w0 in (0, 1):
+                            for w1 in (0, 1):
+                                m = (s, t, i, j, d, w0, w1)
+                                if pres.canonical(m) and m != MONO_ONE:
+                                    pool.append(m)
+    return pool
+
+
+def test_sample_pool_built_once():
+    for sid in ("point", "bu1", "proj:2,1", "proj:0,2", "binate:2,1", "quadric:1,1",
+                "quadric:3,3", "quadric:6,5"):
+        pres = make_space(sid)
+        pool = _sample_monomials(pres)
+        assert isinstance(pool, tuple)
+        assert _sample_monomials(pres) is pool
+        assert list(pool) == _fresh_pool(pres), sid
+
+
+@pytest.mark.parametrize("sid", ["quadric:1,1", "binate:0,0"])
+def test_free_orbit_rho_of_x_is_zero(sid):
+    # x = 0 on the free orbit, so an unreduced x times t(y) is 0, not t(y)
+    from c2quadrics.solver import verify_relations
+
+    P = make_space(sid)
+    x_raw = RingElement(P, "top", c2={(0, 0, 0, 0, 1, 0, 0): 1})
+    assert P.mul(x_raw, P.tau_atom(0, 0)).is_zero()
+    assert P.mul(P.tau_atom(1, 2), x_raw).is_zero()
+    assert P._rho_mono((0, 0, 0, 0, 2, 0, 0)) == {}
+    rows = {row["identity"]: row for row in verify_relations(P)["identities"]}
+    assert rows["x = 0"]["rho_raw"] and rows["x = 0"]["status"] == "pass"

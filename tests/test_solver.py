@@ -165,7 +165,7 @@ def test_top_level_rows_compare_raw_rho(monkeypatch):
     for sid in ("bu1", "proj:2,1", "binate:2,1", "quadric:3,1", "quadric:4,4", "quadric:1,1"):
         pres = _restrict_space(sid)
         for row in verify_relations(pres)["identities"]:
-            if "rho" in row and row["identity"] != "x = 0":
+            if "rho" in row:
                 assert row["rho_raw"], (sid, row["identity"])
     # a normal form that sends everything to 0 passes nf_zero, rho, eta and
     # phi of the top-level rows; their raw rho images do not
@@ -238,7 +238,7 @@ def _restrict_space(sid):
 
 def _candidates(pres, rng, n_monos):
     """Point monomial x canonical monomial, and tau-atoms."""
-    pool = _sample_monomials(pres, rng)
+    pool = _sample_monomials(pres)
     out = [
         pres.monomial_elt(mono, PointElt.monomial(pm))
         for mono in rng.sample(pool, min(n_monos, len(pool)))
@@ -255,7 +255,7 @@ def _product_candidates(pres, rng, n_products):
     POINT_COEFFS coefficients."""
     # low exponents, so that few products vanish
     pool = [
-        m for m in _sample_monomials(pres, rng)
+        m for m in _sample_monomials(pres)
         if -1 <= m[0] <= 2 and -1 <= m[1] <= 2 and m[2] <= pres.p // 2 + 1 and m[3] <= pres.q // 2 + 1
     ]
     out = []
