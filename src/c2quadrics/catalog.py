@@ -141,6 +141,22 @@ def _linear(pres, m, pairs):
     return out
 
 
+class _Linear:
+    """The fixed right-hand side m -> sum of coeff * (m * delta) over the
+    (coeff, delta) ``pairs``.  ``normal_form`` reads ``pairs`` and adds the
+    terms straight into its work set; calling the object builds the raw
+    element, as any other right-hand side does."""
+
+    __slots__ = ("pres", "pairs")
+
+    def __init__(self, pres, pairs):
+        self.pres = pres
+        self.pairs = tuple(pairs)
+
+    def __call__(self, m):
+        return _linear(self.pres, m, self.pairs)
+
+
 def _xi_shift(pres, m, n):
     """xi^n * m / (z0*z1)^n, from zeta0*zeta1 = xi."""
     return _linear(pres, m, [(_xi_pow(n), _mono(s=-n, t=-n))])
@@ -174,6 +190,11 @@ def _build_rules(pres):
     the threshold class of the monomial (``Presentation._class_key``).
     ``normal_form`` keeps one answer per class; a guard that compares with
     anything else breaks it, and the exhaustive class-table test fails.
+
+    A fixed right-hand side sum(coeff * (m * delta)) is a ``_Linear``: it
+    carries its (coeff, delta) ``pairs``, which ``normal_form`` applies as
+    data; every other right-hand side is a plain callable of the monomial,
+    and ``normal_form`` calls it.
     """
     p, q = pres.p, pres.q
     has_x, z0_inv, z1_inv = pres.has_x, pres.z0_inv, pres.z1_inv
@@ -186,7 +207,7 @@ def _build_rules(pres):
         return False if infinite else j >= q
 
     def linear(pairs):
-        return lambda m: _linear(pres, m, pairs)
+        return _Linear(pres, pairs)
 
     def terms_at(terms, delta):
         return lambda m: _terms_elt(pres, terms, mono_mul(m, delta))

@@ -27,7 +27,7 @@ from .coefficients import InhomogeneousError
 from .diagram import diagram
 from .expressions import ExprError, parse_expression
 from .noneq import InvalidSizeError, NoneqQuadricRing
-from .rewrite import NotAClassError
+from .rewrite import NonTerminatingError, NotAClassError
 from .solver import audit_full, verify_relations
 
 
@@ -242,6 +242,9 @@ def main(argv=None):
     except NotAClassError as exc:
         print("not a class: %s" % exc, file=sys.stderr)
         return 2
+    except NonTerminatingError as exc:
+        print("rule set at fault: %s" % exc, file=sys.stderr)
+        return 1
     return 2
 
 

@@ -80,6 +80,9 @@ class BurnsideElt:
             return NotImplemented
         return self + (-other)
 
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
     def __mul__(self, other):
         if isinstance(other, int):
             other = BurnsideElt(other)

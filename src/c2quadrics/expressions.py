@@ -144,7 +144,9 @@ class Parser:
 
     def take(self, expect=None):
         tok = self.peek()
-        if tok is None or (expect is not None and tok != expect):
+        if tok is None:
+            raise ExprError("unexpected end of input" + (", expected %r" % expect if expect else ""))
+        if expect is not None and tok != expect:
             raise ExprError("expected %r, found %r" % (expect, tok))
         self.pos += 1
         return tok

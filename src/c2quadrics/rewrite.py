@@ -35,6 +35,7 @@ import itertools
 import random
 
 from .coefficients import (
+    BurnsideElt,
     InhomogeneousError,
     LevelECoeff,
     PointElt,
@@ -146,11 +147,22 @@ class RingElement:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
+    def _coerce(self, other):
+        """An int, BurnsideElt or PointElt operand as an element of this
+        presentation; None for an operand of any other type."""
         if isinstance(other, int):
-            other = self.pres.scalar(other)
-        elif isinstance(other, PointElt):
-            other = self.pres.coeff_elt(other)
+            return self.pres.scalar(other)
+        if isinstance(other, BurnsideElt):
+            other = PointElt.from_burnside(other)
+        if isinstance(other, PointElt):
+            return self.pres.coeff_elt(other)
+        return None
+
+    def __add__(self, other):
+        if not isinstance(other, RingElement):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         if self.level != other.level:
             raise ValueError("cannot add level-%s and level-%s elements" % (self.level, other.level))
         out = RingElement(self.pres, self.level)
@@ -172,12 +184,14 @@ class RingElement:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.pres.scalar(other)
+        if not isinstance(other, RingElement):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def scale(self, coeff):
         """Multiply by a point-ring coefficient (or int)."""
@@ -192,16 +206,15 @@ class RingElement:
         return self.pres.mul(self.pres.coeff_elt(coeff), self)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        if isinstance(other, PointElt):
-            return self.scale(other)
-        return self.pres.mul(self, other)
-
-    def __rmul__(self, other):
+        if isinstance(other, RingElement):
+            return self.pres.mul(self, other)
+        if isinstance(other, BurnsideElt):
+            other = PointElt.from_burnside(other)
         if isinstance(other, (int, PointElt)):
             return self.scale(other)
         return NotImplemented
+
+    __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
@@ -214,12 +227,10 @@ class RingElement:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.pres.scalar(other)
-        elif isinstance(other, PointElt):
-            other = self.pres.coeff_elt(other)
         if not isinstance(other, RingElement):
-            return NotImplemented
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         a = self.pres.normal_form(self)
         b = self.pres.normal_form(other)
         return a.level == b.level and a.c2 == b.c2 and a.atoms == b.atoms and a.e == b.e
@@ -320,6 +331,7 @@ class Presentation:
         self._jclass = _exponent_classes(self.q)
         self._class_table = {}               # {class key: True | (rule index, ...)}
         self._class_rules = []               # the rules the table was built from
+        self._rule_pairs = []                # each rule's (coeff, delta) pairs, or None
         self._sample_pool = None             # filled by _sample_monomials on first use
         self.warnings = cfg.get("warnings", [])
         self.gen_info = cfg.get("gen_info", {})
@@ -379,7 +391,8 @@ class Presentation:
 
     def _class_key(self, m):
         """The threshold class of a monomial: s, t, d, w0, w1 clamped to
-        -1..2, and i, j by ``_exponent_classes``."""
+        -1..2, and i, j by ``_exponent_classes``.  ``normal_form`` computes
+        the same key inline."""
         s, t, i, j, d, w0, w1 = m
         return (
             s if -1 <= s <= 2 else (2 if s > 0 else -1),
@@ -408,9 +421,11 @@ class Presentation:
 
     def _rule_table(self):
         """The class table, emptied first if ``rules`` changed since it was
-        filled (a rule may be replaced in place)."""
+        filled (a rule may be replaced in place).  A rebuild also reads each
+        rule's ``pairs`` into ``_rule_pairs`` (None for a rhs without them)."""
         if self._class_rules != self.rules:
             self._class_table = {}
+            self._rule_pairs = [getattr(rhs, "pairs", None) for _, _, rhs in self.rules]
             self._class_rules = list(self.rules)
         return self._class_table
 
@@ -428,7 +443,12 @@ class Presentation:
 
         Each non-canonical monomial is rewritten by the first rule, in
         ``rules`` order or in ``rule_order`` (a permutation of the rule
-        indices), whose guard holds on it.  Both orders read the per-class
+        indices), whose guard holds on it.  A rule whose rhs carries
+        ``pairs`` is applied as data: coeff * c goes to mono * delta for each
+        (c, delta) pair, straight into the work set.  Any other rhs is
+        called with the monomial, and coeff times the raw element it
+        returns is added in.  The work set is reduced first in, first out.
+        Both orders read the per-class
         table of ``rule_class``, which is exact only while every guard and
         the canonical test compare exponents with the class thresholds
         alone.  ``_fallbacks`` holds the monomials whose
@@ -447,7 +467,8 @@ class Presentation:
         rules = self.rules
         rank = None if rule_order is None else {k: n for n, k in enumerate(rule_order)}
         table = self._rule_table()
-        class_key = self._class_key
+        rule_pairs = self._rule_pairs
+        iclass, jclass = self._iclass.get, self._jclass.get
         free_orbit, max_steps = self.free_orbit, self.max_steps
         work = {}
         for m, v in x.c2.items():
@@ -458,15 +479,29 @@ class Presentation:
         atoms = {k: v for k, v in x.atoms.items() if v}
         done = {}
         steps = 0
+        # first in, first out through a snapshot of work's keys, skipping a
+        # key that a cancellation removed (one that comes back before its
+        # turn keeps its old place); next(iter(work)) would rescan the
+        # deleted slots at the front of the dict on every pop
+        keys, pos = (), 0
 
         while work:
+            if pos == len(keys):
+                keys, pos = list(work), 0
+            mono = keys[pos]
+            pos += 1
+            coeff = work.pop(mono, None)
+            if coeff is None:
+                continue
             steps += 1
             if steps > max_steps:
+                try:
+                    what = str(x)
+                except ValueError:  # the int-to-str digit limit
+                    what = "an element with coefficients too large to print"
                 raise NonTerminatingError(
-                    "step budget exceeded in %s while reducing %s" % (self.name, x)
+                    "step budget exceeded in %s while reducing %s" % (self.name, what)
                 )
-            mono = next(iter(work))
-            coeff = work.pop(mono)
             if free_orbit and mono[4] == 0:
                 # everything is a multiple of the unit tau(y):
                 # M*c = M*c*tau(y) = tau(rho(M*c)*y)
@@ -474,7 +509,18 @@ class Presentation:
                 w = self.levele.mul(w, {(0, 0, 0, 1): 1})
                 _add_elt(work, atoms, self.tau_of_levele(w, _fallbacks))
                 continue
-            cls = class_key(mono)
+            # the threshold class, as _class_key computes it (inlined: one
+            # call per step is a measurable share of products)
+            s, t, i, j, d, w0, w1 = mono
+            cls = (
+                s if -1 <= s <= 2 else (2 if s > 0 else -1),
+                t if -1 <= t <= 2 else (2 if t > 0 else -1),
+                iclass(i, _BIG if i > 0 else -1),
+                jclass(j, _BIG if j > 0 else -1),
+                d if -1 <= d <= 2 else (2 if d > 0 else -1),
+                w0 if -1 <= w0 <= 2 else (2 if w0 > 0 else -1),
+                w1 if -1 <= w1 <= 2 else (2 if w1 > 0 else -1),
+            )
             entry = table.get(cls)
             if entry is None:
                 entry = self._classify(mono, cls)
@@ -501,6 +547,21 @@ class Presentation:
             first = entry[0] if rank is None else min(entry, key=rank.__getitem__)
             if _seen is not None and len(entry) > 1:
                 _seen.add(entry)
+            pairs = rule_pairs[first]
+            if pairs is not None:
+                # a linear rule as data: coeff * c at mono * delta, added
+                # as _add_term does, without a call per pair
+                for c, (s2, t2, i2, j2, d2, w02, w12) in pairs:
+                    m2 = (s + s2, t + t2, i + i2, j + j2, d + d2, w0 + w02, w1 + w12)
+                    v = coeff * c
+                    w = work.get(m2)
+                    if w is not None:
+                        v = w + v
+                    if v.c:
+                        work[m2] = v
+                    elif w is not None:
+                        del work[m2]
+                continue
             val = rules[first][2](mono)
             for m2, v2 in val.c2.items():
                 _add_term(work, m2, coeff * v2)

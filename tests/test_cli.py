@@ -186,3 +186,19 @@ def test_golden_outputs(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_step_budget_is_one_line(capsys):
+    code, out, err = run(capsys, "reduce", "quadric:3,3", "cw^300000")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("rule set at fault: step budget exceeded in quadric:3,3")
+
+
+@pytest.mark.parametrize("expr", ["cw^", "cw*", "(cw", "2*(cw+", "t("])
+def test_end_of_input_is_one_line(capsys, expr):
+    code, out, err = run(capsys, "reduce", "quadric:3,3", expr)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("parse error: unexpected end of input")

@@ -17,8 +17,11 @@ from c2quadrics.catalog import (
 )
 from c2quadrics.coefficients import (
     E_PT,
+    G,
+    KAPPA_A,
     KAPPA_PT,
     ONE,
+    BurnsideElt,
     PointElt,
     pos,
     trans,
@@ -133,11 +136,43 @@ def test_point_coefficient_on_either_side():
         E_PT * "cw"
 
 
+def test_burnside_and_foreign_operands_on_either_side():
+    # a Burnside element acts on a ring element as its image under
+    # from_burnside, on either side; any other type is a TypeError
+    Q = make_space("quadric:3,3")
+    mixed = Q.gen("cw") * KAPPA_PT + Q.gen("x") * 3 + Q.gen("divw")
+    for b in (G, KAPPA_A, BurnsideElt(-1, 2), BurnsideElt(0, 0)):
+        bp = PointElt.from_burnside(b)
+        for x in (Q.gen("cw"), Q.gen("x"), mixed):
+            assert x * b == x * bp and b * x == bp * x
+            assert x + b == x + bp and b + x == bp + x
+            assert x - b == x - bp and b - x == bp - x
+            assert x + b - b == x
+    assert 1 - G == BurnsideElt(1, -1) and 3 - KAPPA_A == BurnsideElt(1, 1)
+    x = Q.gen("cw")
+    for op in (
+        lambda: x * 1.5, lambda: 1.5 * x, lambda: x + "a", lambda: "a" + x,
+        lambda: x - "a", lambda: "a" - x, lambda: x * [1], lambda: "a" - G,
+    ):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_step_budget():
     B = make_bu1()
     B.max_steps = 1
     with pytest.raises(NonTerminatingError):
         B.normal_form(RingElement(B, "top", c2={(1, 1, 1, 1, 0, 0, 0): ONE}))
+
+
+def test_step_budget_message_past_the_digit_limit():
+    # the message names the input even when its coefficients cannot be
+    # printed under the int-to-str digit limit
+    B = make_bu1()
+    B.max_steps = 1
+    huge = RingElement(B, "top", c2={(1, 1, 1, 1, 0, 0, 0): 7 ** 20000})
+    with pytest.raises(NonTerminatingError, match="step budget exceeded in bu1"):
+        B.normal_form(huge)
 
 
 def test_not_a_class():
@@ -250,19 +285,24 @@ def _canonical_text(x):
     return repr((x.level, c2, sorted(x.atoms.items()), sorted(x.e.items())))
 
 
-def _golden_digest(space, products=60):
+def _golden_digest(space, products=60, prepare=None, out=None):
     """Hash the rule names and normal forms of seeded products: pairs from
     _sample_monomials with a POINT_COEFFS coefficient, every product of at
     most two generators, and (where there is an x) each sample times divw
-    and times divx."""
+    and times divx.  ``prepare`` is applied to the presentation first, and
+    a list passed as ``out`` receives every normal form."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RestrictedGradingWarning)
         pres = make_space(space)
+    if prepare is not None:
+        prepare(pres)
     rng = random.Random(space)
     h = hashlib.sha256(repr([name for name, _, _ in pres.rules]).encode())
 
     def add(x):
         h.update(_canonical_text(x).encode())
+        if out is not None:
+            out.append(x)
 
     def reduce_raw(mono):
         return pres.normal_form(RingElement(pres, "top", c2={mono: rng.choice(POINT_COEFFS)}))
@@ -287,6 +327,30 @@ def _golden_digest(space, products=60):
 @pytest.mark.parametrize("space", sorted(GOLDEN))
 def test_golden_normal_forms(space):
     assert _golden_digest(space) == GOLDEN[space]
+
+
+def _exact(x):
+    """The terms of x in dict order, atoms included."""
+    return (x.level, list(x.c2.items()), list(x.atoms.items()), list(x.e.items()))
+
+
+@pytest.mark.parametrize("space", sorted(GOLDEN))
+def test_callable_rules_match_linear_rules_as_data(space):
+    # behind a transparent wrapper every rule takes normal_form's callable
+    # path; the golden normal forms come out the same, term for term and
+    # in the same order, as with the linear rules applied as data
+    data, called, fired, linear = [], [], [], []
+
+    def wrap(pres):
+        linear.extend(rhs for _, _, rhs in pres.rules if hasattr(rhs, "pairs"))
+        for k, (name, guard, rhs) in enumerate(pres.rules):
+            pres.rules[k] = (name, guard, lambda m, _r=rhs: fired.append(m) or _r(m))
+
+    assert _golden_digest(space, out=data) == GOLDEN[space]
+    assert _golden_digest(space, prepare=wrap, out=called) == GOLDEN[space]
+    # the free-orbit deck and the point have no linear rules
+    assert fired or not linear
+    assert [_exact(x) for x in called] == [_exact(x) for x in data]
 
 
 # sha256 per space of the exact normal forms of every product of two
@@ -456,6 +520,36 @@ def test_warm_table_follows_rules_replaced_in_place():
     for m in pool:
         assert pres.rule_class(m) == _direct_class(pres, m)
     assert not audit_full(pres, seed=4, samples=60, probe_samples=60)["ok"]
+
+
+def test_linear_rule_replaced_in_place_is_the_one_applied():
+    from c2quadrics.catalog import _Linear
+
+    pres = make_space("quadric:3,3")
+    rng = random.Random(21)
+    pool = _sample_monomials(pres)
+    raws = [
+        RingElement(pres, "top", c2={_mono_product(rng.sample(pool, 3)): rng.choice(POINT_COEFFS)})
+        for _ in range(150)
+    ]
+    before = [_outcome(pres, x) for x in raws]
+    k = [r[0] for r in pres.rules].index("w0_expand")
+    name, guard, rhs = pres.rules[k]
+    assert isinstance(rhs, _Linear) and pres._rule_pairs[k] == rhs.pairs
+    # a transparent wrapper is called, and changes nothing
+    fired = []
+    pres.rules[k] = (name, guard, lambda m: fired.append(m) or rhs(m))
+    assert [_outcome(pres, x) for x in raws] == before
+    assert fired and pres._rule_pairs[k] is None
+    # a negated rule, as a callable and as data, against a cold presentation
+    cold = make_space("quadric:3,3")
+    cold.rules[k] = (name, guard, lambda m, _r=cold.rules[k][2]: -(_r(m)))
+    expect = [_outcome(cold, RingElement(cold, "top", c2=x.c2)) for x in raws]
+    assert sum(a != b for a, b in zip(before, expect)) >= 5
+    pres.rules[k] = (name, guard, _Linear(pres, [(-c, delta) for c, delta in rhs.pairs]))
+    assert [_outcome(pres, x) for x in raws] == expect
+    pres.rules[k] = (name, guard, lambda m: -rhs(m))
+    assert [_outcome(pres, x) for x in raws] == expect
 
 
 def test_rule_order_fires_first_matching_rule():
