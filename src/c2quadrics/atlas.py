@@ -123,17 +123,11 @@ def _hom_tables(pres):
         tables["rho"] = {g: levele_str(pres.rho(pres.gen(g)).e) for g in gens}
     except Exception:
         return tables
-    data = pres.eta_data or {}
-    if data.get("eta0_cw") is None:
-        return tables
-    R0, R1 = data["R0"], data["R1"]
-    eta0, eta1 = {}, {}
-    for g in gens:
-        e0, e1 = pres.eta(pres.gen(g))
-        eta0[g] = R0.str_elt(e0)
-        eta1[g] = R1.str_elt(e1)
-    tables["eta0"] = eta0
-    tables["eta1"] = eta1
+    if all(S.R.empty for S in pres.eta_sides):
+        return tables  # no fixed points (the free orbit): no eta table
+    images = [pres.eta(pres.gen(g)) for g in gens]
+    for S in pres.eta_sides:
+        tables["eta%d" % S.side] = {g: S.R.str_elt(img[S.side]) for g, img in zip(gens, images)}
     return tables
 
 

@@ -178,7 +178,8 @@ _DIV_S = [(XI, _mono(s=-1, t=-1))]
 # generic quadric-family presentation builder
 
 # deck: dict with p, q, has_x, has_atoms, z0_inv, z1_inv, corrw, corrx,
-# xsq_terms, top_terms, divdiv_terms, rho_x, levele, x_grading
+# xsq_terms, top_terms, divdiv_terms, rho_x, levele, x_grading, raw_lhs,
+# and for eta (_build_eta) components, eta_x, eta_y
 
 
 def _build_rules(pres):
@@ -509,11 +510,56 @@ def _make_canonical(deck):
 
 # ---------------------------------------------------------------------------
 # eta machinery
+#
+# eta restricts to the two fixed-set components.  Both restrictions are one
+# construction with the roles of (zeta0, cw, divw) and (zeta1, cx, divx)
+# exchanged: over component 0 zeta1 is invertible and zeta0 maps to
+# xi * zeta1^-1, over component 1 the other way round.  An EtaSide holds
+# what one component reads; eta_of_element runs the same code on each.
+
+# monomial slots per side: (invertible zeta, non-invertible zeta, own c,
+# own divided flag, other divided flag)
+_SIDE_SLOTS = ((1, 0, 2, 5, 6), (0, 1, 3, 6, 5))
+# zeta = rho(z1) restricts to iota^a zc^b: zc over component 0, and
+# iota^2 zc^-1 (from rho(z0) = iota^2 zeta^-1) over component 1
+_ZETA_IMAGE = ((0, 1), (2, -1))
 
 
-def _eta_base(pres, side, i, j, d, w):
-    """eta_side(cw^i cx^j x^d div^w), div the other side's divided class
-    (divx for side 0, divw for side 1), computed once per presentation.
+class EtaSide:
+    """The restriction eta to one fixed component (``side`` 0 or 1).
+
+    ``R`` is the component ring; ``inv``, ``non``, ``c``, ``own_w`` and
+    ``other_w`` are the monomial slots of the invertible zeta, the
+    non-invertible zeta, this side's c (cw on side 0, cx on side 1) and the
+    two divided flags; ``size`` is p on side 0 and q on side 1 (None for
+    BU(1)).  ``cw``, ``cx``, ``x`` and ``div_other`` are the images of the
+    generators and of the other side's divided class; ``w_div`` and
+    ``w_xcore`` are level-e witnesses of the own divided class and of the
+    x-core c^size x as transfers; ``y`` is the level-e image of y.  Images
+    that a space does not have are zero.
+    """
+
+    __slots__ = (
+        "side", "R", "inv", "non", "c", "own_w", "other_w", "zeta", "size",
+        "cw", "cx", "x", "div_other", "w_div", "w_xcore", "y",
+    )
+
+    def __init__(self, side, component, size):
+        self.side = side
+        self.R = R = ComponentRing(*component, ("z1", "z0")[side])
+        self.inv, self.non, self.c, self.own_w, self.other_w = _SIDE_SLOTS[side]
+        self.zeta = _ZETA_IMAGE[side]
+        self.size = size
+        # the own c restricts to zc*c, the other one to (e^2 + xi c) * zc^-1
+        own = R.monomial(1, 1, 0)
+        other = R.add(R.monomial(-1, 0, 0, E2), R.monomial(-1, 1, 0, XI))
+        self.cw, self.cx = (own, other) if side == 0 else (other, own)
+        self.x, self.div_other, self.w_div, self.w_xcore, self.y = {}, {}, {}, {}, {}
+
+
+def _eta_base(pres, S, i, j, d, w):
+    """eta_S(cw^i cx^j x^d div^w), div the other side's divided class,
+    computed once per presentation.
 
     ``pres.eta_images`` holds these products keyed (side, i, j, d, w).  On
     spaces with finite p, q the arguments come from canonical monomials
@@ -521,17 +567,12 @@ def _eta_base(pres, side, i, j, d, w):
     never exceeds 2*(p+1)*(q+1)*2*2 entries and lives as long as the
     presentation.  BU(1) has no such bound, so its products are not kept.
     """
-    key = (side, i, j, d, w)
+    key = (S.side, i, j, d, w)
     img = pres.eta_images.get(key)
     if img is None:
-        data = pres.eta_data
-        R = data["R0"] if side == 0 else data["R1"]
-        if side == 0:
-            gens = (data["eta0_cw"], data["eta0_cx"], data.get("eta0_x"), data.get("eta0_divx"))
-        else:
-            gens = (data["eta1_cw"], data["eta1_cx"], data.get("eta1_x"), data.get("eta1_divw"))
+        R = S.R
         img = R.one()
-        for gen, e in zip(gens, (i, j, d, w)):
+        for gen, e in zip((S.cw, S.cx, S.x, S.div_other), (i, j, d, w)):
             if e:
                 img = R.mul(img, R.power(gen, e))
         if pres.p is not None:
@@ -539,25 +580,20 @@ def _eta_base(pres, side, i, j, d, w):
     return img
 
 
-def _eta_direct_mono(pres, side, mono, coeff):
-    """Image of coeff*mono under eta_side, valid when the non-invertible
-    zeta exponent is >= 0 and the div flag for this side is absent."""
-    R = pres.eta_data["R0"] if side == 0 else pres.eta_data["R1"]
-    if R.empty:
+def _eta_direct_mono(pres, S, mono, coeff):
+    """Image of coeff*mono under eta_S, valid when the non-invertible
+    zeta exponent is >= 0 and the own divided flag is absent."""
+    if S.R.empty:
         return {}
-    s, t, i, j, d, w0, w1 = mono
-    if side == 0:
-        inv_exp, non_exp, own_w, other_w = t, s, w0, w1
-    else:
-        inv_exp, non_exp, own_w, other_w = s, t, w1, w0
-    assert non_exp >= 0 and own_w == 0
+    non_exp = mono[S.non]
+    assert non_exp >= 0 and mono[S.own_w] == 0
     # the non-invertible zeta maps to xi * zc^-1, so the rest of the
     # monomial maps to the single term coeff*xi^non_exp * zc^shift at
     # c^0 y^0, which commutes with the quotient: apply it termwise
     scale = coeff * _xi_pow(non_exp) if non_exp else coeff
-    shift = inv_exp - non_exp
+    shift = mono[S.inv] - non_exp
     out = {}
-    for (u, d2, eps), v in _eta_base(pres, side, i, j, d, other_w).items():
+    for (u, d2, eps), v in _eta_base(pres, S, mono[2], mono[3], mono[4], mono[S.other_w]).items():
         v = v * scale
         if v.c:
             out[(u + shift, d2, eps)] = v
@@ -566,150 +602,103 @@ def _eta_direct_mono(pres, side, mono, coeff):
 
 def eta_of_element(pres, x):
     """Restriction of a normal-form element to the two fixed components."""
-    data = pres.eta_data
     outs = []
-    for side in (0, 1):
-        R = data["R0"] if side == 0 else data["R1"]
-        acc = R.zero()
+    for S in pres.eta_sides:
+        R = S.R
+        acc = {}
+        outs.append(acc)
         if R.empty:
-            outs.append(acc)
             continue
         for mono, coeff in x.c2.items():
-            s, t, i, j, d, w0, w1 = mono
-            neg = s if side == 0 else t
-            own_w = w0 if side == 0 else w1
-            if neg >= 0 and own_w == 0:
-                for k, v in _eta_direct_mono(pres, side, mono, coeff).items():
-                    _add_term(acc, k, v)
+            k = -mono[S.non]
+            if k <= 0 and not mono[S.own_w]:
+                for key, v in _eta_direct_mono(pres, S, mono, coeff).items():
+                    _add_term(acc, key, v)
                 continue
             # divided class: tau(shift of a witness) times the direct rest
             rest = list(mono)
-            rest[0 if side == 0 else 1] = 0
-            k = -neg
-            if own_w:
-                core_w = data["w_div0"] if side == 0 else data["w_div1"]
-                rest[5 if side == 0 else 6] = 0
+            rest[S.non] = 0
+            if mono[S.own_w]:
+                core_w = S.w_div
+                rest[S.own_w] = 0
             else:
-                core_w = data["w_xcore0"] if side == 0 else data["w_xcore1"]
-                if side == 0:
-                    rest[2] -= pres.p
-                else:
-                    rest[3] -= pres.q
+                core_w = S.w_xcore
+                rest[S.c] -= S.size
                 if pres.has_x:
                     rest[4] -= 1
-            rest_img = _eta_direct_mono(pres, side, tuple(rest), coeff)
-            w = dict(core_w)
-            if k:
-                w = R.shift_noninvertible(w, k)
+            rest_img = _eta_direct_mono(pres, S, tuple(rest), coeff)
+            w = R.shift_noninvertible(core_w, k) if k else core_w
             for term, val in R.tau(R.model.mul(w, R.rho(rest_img))).items():
                 _add_term(acc, term, val)
+        ia, zb = S.zeta
         for (a, b), v in x.atoms.items():
-            ye = data["eta0e_y"] if side == 0 else data["eta1e_y"]
-            if side == 0:
-                key = (a, b, 0, 0)
-            else:
-                # zeta = rho(z1) restricts over component 1 to iota^2/zeta
-                key = (a + 2 * b, -b, 0, 0)
-            for term, val in R.tau(R.model.mul({key: v}, ye)).items():
+            for term, val in R.tau(R.model.mul({(a + ia * b, zb * b, 0, 0): v}, S.y)).items():
                 _add_term(acc, term, val)
-        outs.append(acc)
     return tuple(outs)
+
+
+def _divided_image(pres, S, T):
+    """eta_S of the divided class of side T: c^size minus its correction
+    (divw = cw^p - corrw for side 0, divx = cx^q - corrx for side 1)."""
+    mono = [0] * 7
+    mono[T.c] = T.size
+    img = _eta_direct_mono(pres, S, tuple(mono), ONE)
+    for coeff, delta in (pres.corrw, pres.corrx)[T.side]:
+        img = S.R.add(img, _eta_direct_mono(pres, S, delta, coeff * -1))
+    return img
+
+
+def _witness(pres, S, img, what):
+    w = S.R.transfer_witness(img)
+    assert w is not None, "%s image is not a transfer in %s" % (what, pres.name)
+    return w
+
+
+def _build_eta(pres, deck):
+    """The two EtaSide records of a deck (``Presentation.eta_sides``).
+
+    The deck gives each component's ring kind and size, and optionally the
+    images x -> (e^2 + xi c)^a zc^u y and y -> c^d y per side.  On spaces
+    with finite p, q each side also gets the image of the other side's
+    divided class and the witnesses of its own divided class and x-core.
+    """
+    sizes = (pres.p, pres.q)
+    sides = tuple(
+        EtaSide(side, comp, sizes[side]) for side, comp in enumerate(deck["components"])
+    )
+    for S, (a, u) in zip(sides, deck.get("eta_x", ())):
+        R = S.R
+        E = R.add(R.monomial(0, 0, 0, E2), R.monomial(0, 1, 0, XI))
+        S.x = R.mul(R.power(E, a), R.monomial(u, 0, 1))
+    for S, d in zip(sides, deck.get("eta_y", ())):
+        S.y = {(0, 0, d, 1): 1}
+    if pres.p is None:
+        return sides  # BU(1) has no divided classes
+    for S in sides:
+        S.div_other = _divided_image(pres, S, sides[1 - S.side])
+        S.w_div = _witness(pres, S, _divided_image(pres, S, S), "divided class")
+        # witnesses for divided x-monomials (and bare divided cores in the
+        # projective/binate rings)
+        core = [0] * 7
+        core[S.c], core[4] = S.size, int(pres.has_x)
+        S.w_xcore = _witness(pres, S, _eta_direct_mono(pres, S, tuple(core), ONE), "x-core")
+    return sides
 
 
 # ---------------------------------------------------------------------------
 # deck constructors
 
 
-def _finish(name, space, deck, identities=()):
+def _finish(name, space, deck, identities):
+    """The presentation of a deck; ``identities`` maps it to its relation
+    deck [(name, lhs, rhs)]."""
     cfg = dict(deck)
     cfg["canonical"] = _make_canonical(deck)
-    cfg["identities"] = list(identities)
+    cfg["identities"] = identities
     pres = Presentation(name, space, cfg)
     pres.rules = _build_rules(pres)
-    pres.eta_data = _build_eta(pres, deck)
+    pres.eta_sides = _build_eta(pres, deck)
     return pres
-
-
-def _build_eta(pres, deck):
-    spec = deck.get("components")
-    if spec is None:
-        return None
-    (k0, n0), (k1, n1) = spec
-    R0 = ComponentRing(k0, n0, "z1")
-    R1 = ComponentRing(k1, n1, "z0")
-    data = {"R0": R0, "R1": R1}
-    # generator images: zc is invertible, the other Euler class maps to
-    # xi * zc^{-1}; cw and cx restrict to zc*c over their own component and
-    # to (e^2 + xi c) * zc^{-1} over the other one
-    data["eta0_cw"] = R0.monomial(1, 1, 0)
-    data["eta0_cx"] = R0.add(R0.monomial(-1, 0, 0, E2), R0.monomial(-1, 1, 0, XI))
-    data["eta1_cx"] = R1.monomial(1, 1, 0)
-    data["eta1_cw"] = R1.add(R1.monomial(-1, 0, 0, E2), R1.monomial(-1, 1, 0, XI))
-    if deck.get("eta_x") is not None:
-        (a0, u0), (a1, u1) = deck["eta_x"]
-        E0 = R0.add(R0.monomial(0, 0, 0, E2), R0.monomial(0, 1, 0, XI))
-        E1 = R1.add(R1.monomial(0, 0, 0, E2), R1.monomial(0, 1, 0, XI))
-        data["eta0_x"] = R0.mul(R0.power(E0, a0), R0.monomial(u0, 0, 1))
-        data["eta1_x"] = R1.mul(R1.power(E1, a1), R1.monomial(u1, 0, 1))
-    if deck.get("eta_y") is not None:
-        d0, d1 = deck["eta_y"]
-        data["eta0e_y"] = {(0, 0, d0, 1): 1}
-        data["eta1e_y"] = {(0, 0, d1, 1): 1}
-    pres.eta_data = data
-    p, q = deck["p"], deck["q"]
-    has_x = deck["has_x"]
-    # images of the corrected divisible classes and their witnesses
-    if p is not None:
-        corrw, corrx = deck.get("corrw", []), deck.get("corrx", [])
-        if not R1.empty:
-            img = _eta_direct_mono(pres, 1, (0, 0, 0, q, 0, 0, 0), ONE)
-            for coeff, delta in corrx:
-                img = R1.add(img, _eta_direct_mono(pres, 1, delta, coeff * -1))
-            data["eta1_divx"] = img
-            w = R1.transfer_witness(img)
-            assert w is not None, "div_chi image is not a transfer in %s" % pres.name
-            data["w_div1"] = w
-        else:
-            data["eta1_divx"] = R1.zero()
-            data["w_div1"] = {}
-        if not R0.empty:
-            img = _eta_direct_mono(pres, 0, (0, 0, p, 0, 0, 0, 0), ONE)
-            for coeff, delta in corrw:
-                img = R0.add(img, _eta_direct_mono(pres, 0, delta, coeff * -1))
-            data["eta0_divw"] = img
-            w = R0.transfer_witness(img)
-            assert w is not None, "div_w image is not a transfer in %s" % pres.name
-            data["w_div0"] = w
-        else:
-            data["eta0_divw"] = R0.zero()
-            data["w_div0"] = {}
-        # eta0_divx is the direct image of divx (divisible side is z1,
-        # invertible in R0), and mirror for eta1_divw
-        if not R0.empty:
-            img = _eta_direct_mono(pres, 0, (0, 0, 0, q, 0, 0, 0), ONE)
-            for coeff, delta in corrx:
-                img = R0.add(img, _eta_direct_mono(pres, 0, delta, coeff * -1))
-            data["eta0_divx"] = img
-        if not R1.empty:
-            img = _eta_direct_mono(pres, 1, (0, 0, p, 0, 0, 0, 0), ONE)
-            for coeff, delta in corrw:
-                img = R1.add(img, _eta_direct_mono(pres, 1, delta, coeff * -1))
-            data["eta1_divw"] = img
-        # witnesses for divided x-monomials (and bare divided cores in the
-        # projective/binate rings)
-        core0 = (0, 0, p, 0, 1 if has_x else 0, 0, 0)
-        core1 = (0, 0, 0, q, 1 if has_x else 0, 0, 0)
-        if not R0.empty and not deck.get("z0_inv"):
-            img = _eta_direct_mono(pres, 0, core0, ONE)
-            w = R0.transfer_witness(img)
-            assert w is not None, "x-core image not a transfer in %s" % pres.name
-            data["w_xcore0"] = w
-        if not R1.empty and not deck.get("z1_inv"):
-            img = _eta_direct_mono(pres, 1, core1, ONE)
-            w = R1.transfer_witness(img)
-            assert w is not None, "x-core image not a transfer in %s" % pres.name
-            data["w_xcore1"] = w
-    return data
 
 
 def make_point():
@@ -722,18 +711,8 @@ def make_point():
     }
     cfg = dict(deck)
     cfg["canonical"] = lambda m: m == MONO_ONE
-    cfg["identities"] = []
     pres = Presentation("point", ("point",), cfg)
-    pres.eta_data = {
-        "R0": ComponentRing("free", 0, "z1"),
-        "R1": ComponentRing("zero", 0, "z0"),
-        "eta0_cw": None,
-        "eta0_cx": None,
-        "eta1_cw": None,
-        "eta1_cx": None,
-        "eta0e_y": {},
-        "eta1e_y": {},
-    }
+    pres.eta_sides = (EtaSide(0, ("free", 0), 0), EtaSide(1, ("zero", 0), 0))
     return pres
 
 
@@ -744,7 +723,6 @@ def make_bu1():
         "has_x": False,
         "levele": LevelEModel("free"),
         "components": (("free", 0), ("free", 0)),
-        "eta_x": None,
         "raw_lhs": {
             "zeta0*zeta1 = xi": (ONE, _mono(s=1, t=1)),
             "e^2 = z0*cw - (1-k)*z1*cx": (E2, MONO_ONE),
@@ -752,24 +730,16 @@ def make_bu1():
         },
     }
 
-    def identities(label):
-        def bu1_idents(P):
-            z0, z1, cw, cx = P.gen("z0"), P.gen("z1"), P.gen("cw"), P.gen("cx")
-            if label == "zeta":
-                return (z0 * z1, P.scalar(1) * XI)
-            if label == "esq":
-                return (P.scalar(1) * E2, z0 * cw - (z1 * cx) * ONE_MINUS_K)
+    def identities(P):
+        z0, z1, cw, cx = P.gen("z0"), P.gen("z1"), P.gen("cw"), P.gen("cx")
+        return [
+            ("zeta0*zeta1 = xi", z0 * z1, P.scalar(1) * XI),
+            ("e^2 = z0*cw - (1-k)*z1*cx", P.scalar(1) * E2, z0 * cw - (z1 * cx) * ONE_MINUS_K),
             # consequence: t(iota^-2) z0 cw = t(iota^-2) z1 cx
-            return ((z0 * cw) * TRANS_M1, (z1 * cx) * TRANS_M1)
+            ("t(iota^-2)*z0*cw = t(iota^-2)*z1*cx", (z0 * cw) * TRANS_M1, (z1 * cx) * TRANS_M1),
+        ]
 
-        return bu1_idents
-
-    idents = [
-        ("zeta0*zeta1 = xi", identities("zeta")),
-        ("e^2 = z0*cw - (1-k)*z1*cx", identities("esq")),
-        ("t(iota^-2)*z0*cw = t(iota^-2)*z1*cx", identities("trans")),
-    ]
-    return _finish("bu1", ("bu1",), deck, idents)
+    return _finish("bu1", ("bu1",), deck, identities)
 
 
 def make_projective(p, q):
@@ -787,14 +757,13 @@ def make_projective(p, q):
             ("proj", p) if p else ("zero", 0),
             ("proj", q) if q else ("zero", 0),
         ),
-        "eta_x": None,
         "raw_lhs": {"cw^p*cx^q = 0": (ONE, _mono(i=p, j=q))},
     }
 
-    def top_ident(P):
-        return ((P.gen("cw") ** p) * (P.gen("cx") ** q), P.zero())
+    def identities(P):
+        return [("cw^p*cx^q = 0", (P.gen("cw") ** p) * (P.gen("cx") ** q), P.zero())]
 
-    return _finish("proj:%d,%d" % (p, q), ("proj", p, q), deck, [("cw^p*cx^q = 0", top_ident)])
+    return _finish("proj:%d,%d" % (p, q), ("proj", p, q), deck, identities)
 
 
 def make_binate(p, q):
@@ -815,21 +784,14 @@ def make_binate(p, q):
             ("proj", p) if p else ("zero", 0),
             ("proj", q) if q else ("zero", 0),
         ),
-        "eta_x": None,
-        "eta_y": None,
         "raw_lhs": {"cw^p*cx^q = z0^q*z1^p*t(y)": (ONE, _mono(i=p, j=q))},
     }
 
-    def top_ident(P):
+    def identities(P):
         lhs = (P.gen("cw") ** p) * (P.gen("cx") ** q)
-        return (lhs, P.tau_atom(2 * q, p - q))
+        return [("cw^p*cx^q = z0^q*z1^p*t(y)", lhs, P.tau_atom(2 * q, p - q))]
 
-    pres = _finish("binate:%d,%d" % (p, q), ("binate", p, q), deck, [
-        ("cw^p*cx^q = z0^q*z1^p*t(y)", top_ident)
-    ])
-    pres.eta_data["eta0e_y"] = {}
-    pres.eta_data["eta1e_y"] = {}
-    return pres
+    return _finish("binate:%d,%d" % (p, q), ("binate", p, q), deck, identities)
 
 
 def _make_free_orbit(name, space):
@@ -844,25 +806,18 @@ def _make_free_orbit(name, space):
         "x_grading": W + XW - Grading(2),
         "xsq_terms": [],
         "components": (("zero", 0), ("zero", 0)),
-        "eta_x": None,
-        "eta_y": None,
     }
     cfg = dict(deck)
     cfg["canonical"] = lambda m: False
-    cfg["identities"] = [
-        ("x = 0", lambda P: (P.gen("x"), P.zero())),
-        ("1 = t(y)", lambda P: (P.scalar(1), P.tau_atom(0, 0))),
+    cfg["identities"] = lambda P: [
+        ("x = 0", P.gen("x"), P.zero()),
+        ("1 = t(y)", P.scalar(1), P.tau_atom(0, 0)),
     ]
     # x is killed by its only rule, so rho(x) = 0: the deck has no rho_x
     cfg["raw_lhs"] = {"x = 0": (ONE, _mono(d=1)), "1 = t(y)": (ONE, MONO_ONE)}
     pres = Presentation(name, space, cfg)
     pres.rules = [("x_zero", lambda m: m[4] >= 1, lambda m: pres.zero())]
-    pres.eta_data = {
-        "R0": ComponentRing("zero", 0, "z1"),
-        "R1": ComponentRing("zero", 0, "z0"),
-        "eta0e_y": {},
-        "eta1e_y": {},
-    }
+    pres.eta_sides = _build_eta(pres, deck)
     return pres
 
 
@@ -878,40 +833,38 @@ def _div_elements(P):
     return divw, divx
 
 
-def _quad_identities(kind):
-    def idents(P):
-        out = []
-        p, q = P.p, P.q
-        x = P.gen("x")
-        cw, cx = P.gen("cw"), P.gen("cx")
-        divw, divx = _div_elements(P)
-        xsq_rhs = P.zero()
-        for coeff, delta in P.xsq_terms:
-            xsq_rhs = xsq_rhs + P.monomial_elt(delta, coeff)
-        out.append(("x^2", x * x, xsq_rhs))
-        divdiv_rhs = _terms_elt(P, P.divdiv_terms)
-        out.append(("divw*divx", P.mul(divw, divx), P.normal_form(divdiv_rhs)))
-        top_rhs = _terms_elt(P, P.top_terms)
-        out.append(("cw^p*cx^q", (cw ** p) * (cx ** q), P.normal_form(top_rhs)))
-        A, B, C = P.rho_x
-        out.append(("rho(x)", P.rho(x), P.levele_elt({(A, B, C, 1): 1})))
-        # nonequivariant relations of the underlying quadric, level e
-        model = P.levele
-        if model.kind == "B":
-            out.append((
-                "c^%d = 2y" % model.size,
-                P.levele_elt({(0, 0, model.size, 0): 1}),
-                P.levele_elt({(0, 0, 0, 1): 2}),
-            ))
-        elif model.kind == "D" and model.size > 1:
-            out.append((
-                "c^%d = 2cy" % model.size,
-                P.levele_elt({(0, 0, model.size, 0): 1}),
-                P.levele_elt({(0, 0, 1, 1): 2}),
-            ))
-        return out
-
-    return idents
+def _quad_identities(P):
+    """The relation deck of a quadric."""
+    out = []
+    p, q = P.p, P.q
+    x = P.gen("x")
+    cw, cx = P.gen("cw"), P.gen("cx")
+    divw, divx = _div_elements(P)
+    xsq_rhs = P.zero()
+    for coeff, delta in P.xsq_terms:
+        xsq_rhs = xsq_rhs + P.monomial_elt(delta, coeff)
+    out.append(("x^2", x * x, xsq_rhs))
+    divdiv_rhs = _terms_elt(P, P.divdiv_terms)
+    out.append(("divw*divx", P.mul(divw, divx), P.normal_form(divdiv_rhs)))
+    top_rhs = _terms_elt(P, P.top_terms)
+    out.append(("cw^p*cx^q", (cw ** p) * (cx ** q), P.normal_form(top_rhs)))
+    A, B, C = P.rho_x
+    out.append(("rho(x)", P.rho(x), P.levele_elt({(A, B, C, 1): 1})))
+    # nonequivariant relations of the underlying quadric, level e
+    model = P.levele
+    if model.kind == "B":
+        out.append((
+            "c^%d = 2y" % model.size,
+            P.levele_elt({(0, 0, model.size, 0): 1}),
+            P.levele_elt({(0, 0, 0, 1): 2}),
+        ))
+    elif model.kind == "D" and model.size > 1:
+        out.append((
+            "c^%d = 2cy" % model.size,
+            P.levele_elt({(0, 0, model.size, 0): 1}),
+            P.levele_elt({(0, 0, 1, 1): 2}),
+        ))
+    return out
 
 
 def _make_quad_deck(name, space, deck, warn=None):
@@ -921,9 +874,7 @@ def _make_quad_deck(name, space, deck, warn=None):
         "divw*divx": (ONE, _mono(w0=1, w1=1)),
         "cw^p*cx^q": (ONE, _mono(i=deck["p"], j=deck["q"])),
     }
-    pres = _finish(name, space, deck, [])
-    builder = _quad_identities(deck["kind"])
-    pres.identities = lambda: builder(pres)
+    pres = _finish(name, space, deck, _quad_identities)
     if warn:
         pres.warnings.append(warn)
         warnings.warn(warn, RestrictedGradingWarning, stacklevel=3)
@@ -934,7 +885,6 @@ def _bb(p, q):
     if p == 0 and q == 0:
         return _make_free_orbit("quadric:1,1", ("quadric", 1, 1))
     deck = {
-        "kind": "BB",
         "p": p,
         "q": q,
         "z0_inv": p == 0,
@@ -961,7 +911,6 @@ def _bb(p, q):
 
 def _db(p, q):
     deck = {
-        "kind": "DB",
         "p": p,
         "q": q,
         "z0_inv": p == 0,
@@ -991,7 +940,6 @@ def _db(p, q):
 
 def _bd(p, q):
     deck = {
-        "kind": "BD",
         "p": p,
         "q": q,
         "z0_inv": p == 0,
@@ -1029,7 +977,6 @@ def _dd(p, q):
     else:
         xsq = [(ONE, (0, 1, p - 1, q, 1, 0, 0))]
     deck = {
-        "kind": "DD",
         "p": p,
         "q": q,
         "z0_inv": p == 0,

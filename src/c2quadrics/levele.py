@@ -107,6 +107,16 @@ class LevelEModel:
             out[(d, eps)] = out.get((d, eps), 0) + v
         return {k: v for k, v in out.items() if v}
 
+    def quotient_mul(self, x, y):
+        """Product of two {(d, eps): int} elements in the quotient, for the
+        models whose y-type products the quotient reduces (not binate)."""
+        out = {}
+        for (d1, e1), v1 in x.items():
+            for (d2, e2), v2 in y.items():
+                k = (d1 + d2, e1 + e2)
+                out[k] = out.get(k, 0) + v1 * v2
+        return self.quotient(out)
+
     def reduce(self, elt):
         """Reduce {(a, b, d, eps): int}: the quotient, one (a, b) at a time."""
         groups = {}

@@ -23,7 +23,7 @@ relations are not repeated here: ``reduce`` is ``LevelEModel.quotient``
 
 from __future__ import annotations
 
-from .levele import LevelEModel
+from .levele import LevelEModel, add_elts
 
 
 class InvalidSizeError(ValueError):
@@ -79,21 +79,13 @@ class NoneqQuadricRing:
         return self.model.quotient(elt)
 
     def add(self, x, y):
-        out = dict(x)
-        for k, v in y.items():
-            out[k] = out.get(k, 0) + v
-        return {k: v for k, v in out.items() if v}
+        return add_elts(x, y)
 
     def scale(self, x, n):
         return {k: n * v for k, v in x.items() if n * v}
 
     def mul(self, x, y):
-        out = {}
-        for (d1, e1), v1 in x.items():
-            for (d2, e2), v2 in y.items():
-                k = (d1 + d2, e1 + e2)
-                out[k] = out.get(k, 0) + v1 * v2
-        return self.reduce(out)
+        return self.model.quotient_mul(x, y)
 
     def t_act(self, x):
         """The C2-action on the underlying cohomology (swaps rulings)."""

@@ -316,9 +316,9 @@ class Presentation:
         self.corrx = cfg.get("corrx", [])
         self.top_terms = cfg.get("top_terms")    # cw^p cx^q as [(coeff|"atom", mono|(a,b))]
         self.divdiv_terms = cfg.get("divdiv_terms")
-        self.eta_data = cfg.get("eta_data")  # filled by catalog (component rings etc.)
+        self.eta_sides = ()                  # one catalog.EtaSide per fixed component
         self.eta_images = {}                 # filled by catalog._eta_base on first use
-        self.identity_specs = cfg.get("identities", [])
+        self.identity_fn = cfg.get("identities", lambda P: [])  # P -> [(name, lhs, rhs)]
         self.max_steps = cfg.get("max_steps", 200000)
         self.rules = []                      # [(name, guard, rhs)], set by the catalog
         self.canonical_fn = cfg["canonical"]
@@ -724,19 +724,13 @@ class Presentation:
 
     def phi(self, x):
         """Fixed-point map: collapse eta through the point ring."""
-        e0, e1 = self.eta(x)
-        r0, r1 = self.eta_data["R0"], self.eta_data["R1"]
-        return (r0.phi(e0), r1.phi(e1))
+        return tuple(S.R.phi(img) for S, img in zip(self.eta_sides, self.eta(x)))
 
     # -- misc ------------------------------------------------------------------
 
     def identities(self):
         """The shipped relation deck: list of (name, lhs, rhs)."""
-        out = []
-        for name, build in self.identity_specs:
-            lhs, rhs = build(self)
-            out.append((name, lhs, rhs))
-        return out
+        return self.identity_fn(self)
 
     def __repr__(self):
         return "Presentation(%s)" % self.name

@@ -121,35 +121,30 @@ def solve_integer_system(rows, rhs):
 # flattening images to integer coordinates
 
 
-def _flatten_levele(elt):
-    return {("e",) + k: v for k, v in elt.e.items()}
-
-
-def _flatten_component(R, elt, side):
+def _coords(rho=None, phi=None, eta=None):
+    """Integer coordinates of rho, phi and eta images; a part that is None
+    adds none.  rho is a level-e element, phi and eta are pairs over the
+    two fixed components."""
     out = {}
-    for key, coeff in elt.items():
-        for mono, v in coeff.c.items():
-            out[("c%d" % side, key, mono)] = v
+    if rho is not None:
+        for k, v in rho.e.items():
+            out[("e",) + k] = v
+    for side, img in enumerate(phi or ()):
+        for k, v in img.items():
+            out[("n%d" % side, k)] = v
+    for side, img in enumerate(eta or ()):
+        for key, coeff in img.items():
+            for mono, v in coeff.c.items():
+                out[("c%d" % side, key, mono)] = v
     return out
-
-
-def _flatten_noneq(elt, side):
-    return {("n%d" % side, k): v for k, v in elt.items()}
 
 
 def _image_coords(pres, x, constraints):
-    out = {}
-    if constraints.get("rho") is not None:
-        out.update(_flatten_levele(pres.rho(x)))
-    if constraints.get("phi") is not None:
-        p0, p1 = pres.phi(x)
-        out.update(_flatten_noneq(p0, 0))
-        out.update(_flatten_noneq(p1, 1))
-    if constraints.get("eta") is not None:
-        e0, e1 = pres.eta(x)
-        out.update(_flatten_component(pres.eta_data["R0"], e0, 0))
-        out.update(_flatten_component(pres.eta_data["R1"], e1, 1))
-    return out
+    return _coords(
+        pres.rho(x) if constraints.get("rho") is not None else None,
+        pres.phi(x) if constraints.get("phi") is not None else None,
+        pres.eta(x) if constraints.get("eta") is not None else None,
+    )
 
 
 def _g_coords(pres, x, coords, constraints, g_pt):
@@ -158,27 +153,12 @@ def _g_coords(pres, x, coords, constraints, g_pt):
     eta(g*x) = g*eta(x) coefficientwise."""
     out = {k: 2 * v for k, v in coords.items() if k[0] == "e"}
     if constraints.get("eta") is not None:
-        e0, e1 = pres.eta(x)
-        R0, R1 = pres.eta_data["R0"], pres.eta_data["R1"]
-        out.update(_flatten_component(R0, R0.scale(e0, g_pt), 0))
-        out.update(_flatten_component(R1, R1.scale(e1, g_pt), 1))
+        out.update(_coords(eta=[S.R.scale(img, g_pt) for S, img in zip(pres.eta_sides, pres.eta(x))]))
     return out
 
 
-def _target_coords(pres, constraints):
-    out = {}
-    rho_t = constraints.get("rho")
-    if rho_t is not None:
-        out.update(_flatten_levele(rho_t))
-    phi_t = constraints.get("phi")
-    if phi_t is not None:
-        out.update(_flatten_noneq(phi_t[0], 0))
-        out.update(_flatten_noneq(phi_t[1], 1))
-    eta_t = constraints.get("eta")
-    if eta_t is not None:
-        out.update(_flatten_component(pres.eta_data["R0"], eta_t[0], 0))
-        out.update(_flatten_component(pres.eta_data["R1"], eta_t[1], 1))
-    return out
+def _target_coords(constraints):
+    return _coords(constraints.get("rho"), constraints.get("phi"), constraints.get("eta"))
 
 
 def solve_undetermined(pres, grading, candidates, constraints):
@@ -202,7 +182,7 @@ def solve_undetermined(pres, grading, candidates, constraints):
         coords = _image_coords(pres, cand, constraints)
         cols.append(coords)
         cols.append(_g_coords(pres, cand, coords, constraints, g_pt))
-    target = _target_coords(pres, constraints)
+    target = _target_coords(constraints)
     keys = sorted(set().union(target, *cols), key=repr)
     rows = [[col.get(k, 0) for col in cols] for k in keys]
     rhs = [target.get(k, 0) for k in keys]
@@ -240,14 +220,14 @@ def divisibility_witness(pres, x, side):
     Succeeds iff the restriction of x to the matching fixed-set component
     is a transfer; returns {"divisible": bool, "witness": levele-dict}.
     """
-    e0, e1 = pres.eta(x)
+    images = pres.eta(x)
     if side in ("z0", 0):
-        R, img = pres.eta_data["R0"], e0
+        k = 0
     elif side in ("z1", 1):
-        R, img = pres.eta_data["R1"], e1
+        k = 1
     else:
         raise ValueError("side must be z0 or z1")
-    w = R.transfer_witness(img)
+    w = pres.eta_sides[k].R.transfer_witness(images[k])
     if w is None:
         return {"divisible": False, "witness": None}
     return {"divisible": True, "witness": w}
@@ -260,8 +240,6 @@ def divisibility_witness(pres, x, side):
 def verify_relations(pres, check_homs=True):
     """Check every shipped identity: zero normal form and matching images."""
     report = {"space": pres.name, "identities": [], "ok": True}
-    R0 = pres.eta_data["R0"] if pres.eta_data else None
-    R1 = pres.eta_data["R1"] if pres.eta_data else None
     for name, lhs, rhs in pres.identities():
         row = {"identity": name}
         diff = lhs - rhs
@@ -270,9 +248,9 @@ def verify_relations(pres, check_homs=True):
         row["rhs_nf"] = str(pres.normal_form(rhs))
         if check_homs and lhs.level == "top":
             row["rho"] = (pres.rho(lhs) - pres.rho(rhs)).is_zero()
-            e0l, e1l = pres.eta(lhs)
-            e0r, e1r = pres.eta(rhs)
-            row["eta"] = R0.eq(e0l, e0r) and R1.eq(e1l, e1r)
+            row["eta"] = all(
+                S.R.eq(l, r) for S, l, r in zip(pres.eta_sides, pres.eta(lhs), pres.eta(rhs))
+            )
             p0l, p1l = pres.phi(lhs)
             p0r, p1r = pres.phi(rhs)
             row["phi"] = p0l == p0r and p1l == p1r
@@ -442,20 +420,14 @@ def audit_full(pres, seed=0, samples=120, probe_samples=200):
             if not (pres.rho(xy) - pres.mul(rx, pres.rho(y))).is_zero():
                 hom_ok, detail = False, ("rho mult", m1, m2)
                 break
-            if pres.eta_data and "eta0_cw" in pres.eta_data and pres.eta_data["eta0_cw"] is not None:
-                R0, R1 = pres.eta_data["R0"], pres.eta_data["R1"]
-                e0x, e1x = pres.eta(x)
-                e0y, e1y = pres.eta(y)
-                e0xy, e1xy = pres.eta(xy)
-                if not (R0.eq(e0xy, R0.mul(e0x, e0y)) and R1.eq(e1xy, R1.mul(e1x, e1y))):
-                    hom_ok, detail = False, ("eta mult", m1, m2)
-                    break
-                p0x, p1x = pres.phi(x)
-                p0y, p1y = pres.phi(y)
-                p0xy, p1xy = pres.phi(xy)
-                if _noneq_mul(R0, p0x, p0y) != p0xy or _noneq_mul(R1, p1x, p1y) != p1xy:
-                    hom_ok, detail = False, ("phi mult", m1, m2)
-                    break
+            sides = list(zip(pres.eta_sides, pres.eta(x), pres.eta(y), pres.eta(xy)))
+            if not all(S.R.eq(exy, S.R.mul(ex, ey)) for S, ex, ey, exy in sides):
+                hom_ok, detail = False, ("eta mult", m1, m2)
+                break
+            sides = list(zip(pres.eta_sides, pres.phi(x), pres.phi(y), pres.phi(xy)))
+            if not all(S.R.model.quotient_mul(px, py) == pxy for S, px, py, pxy in sides):
+                hom_ok, detail = False, ("phi mult", m1, m2)
+                break
         except Exception as exc:
             mack_ok, detail = False, ("exception", str(exc)[:200])
             break
@@ -473,13 +445,3 @@ def audit_full(pres, seed=0, samples=120, probe_samples=200):
         record("rank_law", False, "exception: %s" % str(exc)[:200])
 
     return report
-
-
-def _noneq_mul(R, x, y):
-    """Product in the nonequivariant ring of the component ring R."""
-    out = {}
-    for (d1, e1), v1 in x.items():
-        for (d2, e2), v2 in y.items():
-            k = (d1 + d2, e1 + e2)
-            out[k] = out.get(k, 0) + v1 * v2
-    return R.model.quotient(out)

@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 from c2quadrics import catalog
-from c2quadrics.catalog import RestrictedGradingWarning, make_space
+from c2quadrics.catalog import RestrictedGradingWarning, make_space, swap_element, swap_involution
 from c2quadrics.coefficients import PointElt, pos
 from c2quadrics.rewrite import NotAClassError, RingElement, _sample_monomials
 from c2quadrics.solver import POINT_COEFFS, divisibility_witness
@@ -35,32 +35,21 @@ def _reference_power(R, x, n):
     return out
 
 
-def _reference_direct_mono(pres, side, mono, coeff):
-    """The uncached image of coeff*mono: every factor multiplied out anew."""
-    R = pres.eta_data["R0"] if side == 0 else pres.eta_data["R1"]
+def _reference_direct_mono(pres, S, mono, coeff):
+    """The uncached image of coeff*mono: every factor multiplied out anew
+    from the generator images of the side record S."""
+    R = S.R
     if R.empty:
         return {}
-    data = pres.eta_data
-    s, t, i, j, d, w0, w1 = mono
-    if side == 0:
-        inv_exp, non_exp = t, s
-        own_w, other_w = w0, w1
-        div_other = data.get("eta0_divx")
-        imgs = (data["eta0_cw"], data["eta0_cx"], data.get("eta0_x"))
-    else:
-        inv_exp, non_exp = s, t
-        own_w, other_w = w1, w0
-        div_other = data.get("eta1_divw")
-        imgs = (data["eta1_cw"], data["eta1_cx"], data.get("eta1_x"))
-    assert non_exp >= 0 and own_w == 0
-    out = R.monomial(inv_exp, 0, 0, coeff)
+    non_exp = mono[S.non]
+    assert non_exp >= 0 and mono[S.own_w] == 0
+    out = R.monomial(mono[S.inv], 0, 0, coeff)
     if non_exp:
         out = R.mul(out, _reference_power(R, R.monomial(-1, 0, 0, XI), non_exp))
-    for img, e in zip(imgs, (i, j, d)):
+    exps = (mono[2], mono[3], mono[4], mono[S.other_w])
+    for img, e in zip((S.cw, S.cx, S.x, S.div_other), exps):
         if e:
             out = R.mul(out, _reference_power(R, img, e))
-    if other_w:
-        out = R.mul(out, _reference_power(R, div_other, other_w))
     return out
 
 
@@ -69,7 +58,7 @@ def _reference_images(monkeypatch, pres, x):
     with monkeypatch.context() as mp:
         mp.setattr(catalog, "_eta_direct_mono", _reference_direct_mono)
         e0, e1 = catalog.eta_of_element(pres, pres.normal_form(x))
-    R0, R1 = pres.eta_data["R0"], pres.eta_data["R1"]
+    R0, R1 = (S.R for S in pres.eta_sides)
     return (e0, e1), (R0.phi(e0), R1.phi(e1))
 
 
@@ -139,7 +128,7 @@ def _assert_bounded(pres):
 @pytest.mark.parametrize("sid", SPACES)
 def test_eta_is_multiplicative(sid):
     pres = _space(sid)
-    R0, R1 = pres.eta_data["R0"], pres.eta_data["R1"]
+    R0, R1 = (S.R for S in pres.eta_sides)
     rng = random.Random("mult " + sid)
     elts = _elements(pres, rng)
     for _ in range(30):
@@ -179,7 +168,7 @@ def _fresh(x):
 def _fresh_images(pres, x):
     """(eta, phi) of x computed anew."""
     e0, e1 = catalog.eta_of_element(pres, pres.normal_form(_fresh(x)))
-    R0, R1 = pres.eta_data["R0"], pres.eta_data["R1"]
+    R0, R1 = (S.R for S in pres.eta_sides)
     return (e0, e1), (R0.phi(e0), R1.phi(e1))
 
 
@@ -221,3 +210,27 @@ def test_image_is_kept_for_its_own_presentation():
     assert Q1.eta(x) != expect2
     assert Q2.eta(x) == expect2
     assert Q1.eta(x) == _fresh_images(Q1, x)[0]
+
+
+# the four quadric parities, m or n = 2, binate, proj and bu1
+SWAP_SPACES = [
+    "quadric:5,3", "quadric:4,3", "quadric:3,4", "quadric:4,4", "quadric:2,3",
+    "quadric:4,2", "binate:2,1", "binate:1,3", "proj:2,1", "bu1",
+]
+
+
+@pytest.mark.parametrize("sid", SWAP_SPACES)
+def test_eta_swaps_with_the_components(sid):
+    # the swap Q^{m,n} -> Q^{n,m} exchanges the fixed components, so eta
+    # of a swapped element is eta of the element with its sides reversed
+    pres = _space(sid)
+    target = swap_involution(pres)
+    elts = [
+        pres.monomial_elt(m, c)
+        for m in _sample_monomials(pres) for c in POINT_COEFFS + TORSION
+    ]
+    if pres.has_atoms:
+        elts += [pres.tau_atom(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+    for x in elts:
+        e0, e1 = target.eta(swap_element(pres, target, x))
+        assert pres.eta(x) == (e1, e0), (sid, str(x))
