@@ -206,6 +206,7 @@ ONE_MONO = pos(0, 0)
 E = pos(1, 0)
 XI = pos(0, 1)
 KAPPA = negkappa(0)
+ONE_PAIRS = ((ONE_MONO, 1),)   # 1 as the pairs of a raw coefficient
 
 
 def monomial_grading(mono):
@@ -225,48 +226,81 @@ def _mixed(m):
     return m[0] == "p" and m[1] >= 1 and m[2] >= 1
 
 
-def _mono_mul(m1, m2):
-    """Product of two canonical monomials, as a dict {monomial: int}."""
-    t1, t2 = m1[0], m2[0]
-    if t1 > t2:  # orders "k" < "p" < "t"
-        m1, m2 = m2, m1
-        t1, t2 = t2, t1
-    if t1 == "p" and t2 == "p":
-        return {pos(m1[1] + m2[1], m1[2] + m2[2]): 1}
-    if t1 == "k" and t2 == "p":
-        n, i, j = m1[1], m2[1], m2[2]
-        if j > 0:
-            return {}                       # e^{-n} k * xi = 0
-        if i <= n:
-            return {negkappa(n - i): 1}
-        return {pos(i - n, 0): 2}           # k e^m = 2 e^m for m > 0
-    if t1 == "k" and t2 == "k":
-        return {negkappa(m1[1] + m2[1]): 2}
-    if t1 == "k" and t2 == "t":
-        return {}                           # k * transfer = 0
-    if t1 == "p" and t2 == "t":
-        i, j, n = m1[1], m1[2], m2[1]
-        if i > 0:
-            return {}                       # e * t(...) = t(rho(e) ...) = 0
-        return _normalize_trans(n + j, 1)
-    # transfer * transfer
-    return _normalize_trans(m1[1] + m2[1], 2)
+def _mul_into(out, a, b):
+    """out += a*b in place: the one multiplication of the point ring.
 
-
-def _normalize_trans(n, coeff):
-    """t(iota^{2n}) for any n, as a canonical dict."""
-    if n <= -1:
-        return {trans(n): coeff}
-    if n == 0:
-        return {pos(0, 0): 2 * coeff, negkappa(0): -coeff}
-    return {pos(0, n): 2 * coeff}
+    ``a`` and ``b`` are point-ring coefficients as iterables of
+    (monomial, int) pairs, ``out`` a raw {monomial: int} dict.  The kernel
+    covers every pair of tags (orders "k" < "p" < "t"), reduces the mixed
+    e^i xi^j sums mod 2 and removes a key whose sum is zero; neither ``a``
+    nor ``b`` may be ``out``.  With ``b`` = ``ONE_PAIRS`` it adds ``a``
+    into ``out``.
+    """
+    for m1, v1 in a:
+        t1 = m1[0]
+        for m2, v2 in b:
+            v = v1 * v2
+            t2 = m2[0]
+            if t1 == "p" and t2 == "p":
+                m = ("p", m1[1] + m2[1], m1[2] + m2[2])
+            else:
+                x, y = (m2, m1) if t1 > t2 else (m1, m2)
+                tx, ty = x[0], y[0]
+                if tx == "k":
+                    if ty == "p":
+                        n, i = x[1], y[1]
+                        if y[2]:
+                            continue                # e^{-n} k * xi = 0
+                        if i <= n:
+                            m = ("k", n - i)
+                        else:
+                            m = ("p", i - n, 0)     # k e^m = 2 e^m for m > 0
+                            v *= 2
+                    elif ty == "k":
+                        m = ("k", x[1] + y[1])
+                        v *= 2
+                    else:
+                        continue                    # k * transfer = 0
+                else:
+                    if tx == "p":
+                        if x[1]:
+                            continue                # e * t(...) = t(rho(e) ...) = 0
+                        n = x[2] + y[1]
+                    else:                           # transfer * transfer
+                        n = x[1] + y[1]
+                        v *= 2
+                    # t(iota^{2n}) in canonical form
+                    if n <= -1:
+                        m = ("t", n)
+                    elif n:
+                        m = ("p", 0, n)             # t(iota^{2n}) = 2 xi^n
+                        v *= 2
+                    else:
+                        # g = t(1) = 2 - k: add the 2, leave the -k below
+                        w = out.get(ONE_MONO, 0) + 2 * v
+                        if w:
+                            out[ONE_MONO] = w
+                        elif ONE_MONO in out:
+                            del out[ONE_MONO]
+                        m, v = KAPPA, -v
+            v += out.get(m, 0)
+            if m[0] == "p" and m[1] and m[2]:
+                v %= 2                              # mixed e^i xi^j: 2-torsion
+            if v:
+                out[m] = v
+            elif m in out:
+                del out[m]
 
 
 class PointElt:
     """Homogeneous element of the point subring: {monomial: int}.
 
     A value: sums and products may share their ``c`` with an operand, so
-    ``c`` is never changed in place.
+    ``c`` is never changed in place.  Products go through ``_mul_into``.
+    The rewrite engine works on raw ``{monomial: int}`` dicts that it owns
+    and wraps one in a ``PointElt`` only where a coefficient leaves it (a
+    normal form's terms, a transfer witness, rho); it copies a ``PointElt``
+    operand's ``c`` before changing anything.
     """
 
     __slots__ = ("c",)
@@ -344,45 +378,17 @@ class PointElt:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, PointElt):
-            if isinstance(other, int):
-                if len(self.c) == 1:
-                    # single term times an integer: one coefficient
-                    ((m, v),) = self.c.items()
-                    v *= other
-                    if _mixed(m):
-                        v %= 2
-                    return _point({m: v} if v else {})
-                return PointElt({m: other * v for m, v in self.c.items()})
-            if not isinstance(other, BurnsideElt):
-                return NotImplemented
-            other = PointElt.from_burnside(other)
-        if len(self.c) == 1 and len(other.c) == 1:
-            # single term times single term: the monomials of _mono_mul are
-            # distinct, so nothing accumulates
-            ((m1, v1),) = self.c.items()
-            ((m2, v2),) = other.c.items()
-            v1 *= v2
-            if m1[0] == "p" and m2[0] == "p":
-                # e^i xi^j times e^k xi^l, mod 2 once both exponents are >= 1
-                i, j = m1[1] + m2[1], m1[2] + m2[2]
-                if i and j:
-                    v1 %= 2
-                return _point({("p", i, j): v1} if v1 else {})
-            out = {}
-            for m, w in _mono_mul(m1, m2).items():
-                w *= v1
-                if _mixed(m):
-                    w %= 2
-                if w:
-                    out[m] = w
-            return _point(out)
+        if isinstance(other, PointElt):
+            b = other.c.items()
+        elif isinstance(other, int):
+            b = ((ONE_MONO, other),)
+        elif isinstance(other, BurnsideElt):
+            b = PointElt.from_burnside(other).c.items()
+        else:
+            return NotImplemented
         out = {}
-        for m1, v1 in self.c.items():
-            for m2, v2 in other.c.items():
-                for m, w in _mono_mul(m1, m2).items():
-                    out[m] = out.get(m, 0) + v1 * v2 * w
-        return PointElt(out)
+        _mul_into(out, self.c.items(), b)
+        return _point(out)
 
     __rmul__ = __mul__
 
@@ -511,11 +517,11 @@ def point_phi(x):
 
 def point_tau(w):
     """Transfer of a level-e coefficient: t(iota^n) vanishes for odd n."""
-    out = PointElt()
+    out = {}
     for n, v in w.c.items():
         if n % 2 == 0:
-            out = out + PointElt(_normalize_trans(n // 2, 1)) * v
-    return out
+            _mul_into(out, ((ONE_MONO, v),), ((trans(n // 2), 1),))
+    return _point(out)
 
 
 def transfer_witness(x):

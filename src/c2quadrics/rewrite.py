@@ -35,13 +35,18 @@ import itertools
 import random
 
 from .coefficients import (
+    ONE_MONO,
+    ONE_PAIRS,
     BurnsideElt,
     InhomogeneousError,
     LevelECoeff,
     PointElt,
     _add_term,
+    _mul_into,
+    _point,
     point_rho,
     point_tau,
+    transfer_witness,
 )
 from .grading import Grading, IOTA_DEG, OMEGA0, OMEGA1, W, XW
 
@@ -65,8 +70,19 @@ def mono_mul(m1, m2):
 
 
 # In-place accumulators under the ring operations, next to
-# coefficients._add_term.  Results may share PointElt coefficients with
-# their operands, never the dicts.
+# coefficients._add_term and coefficients._mul_into.  Results may share
+# PointElt coefficients with their operands, never the dicts.
+
+
+def _mul_term(d, m, a, b):
+    """d[m] += a*b for a raw {point monomial: int} coefficient d[m] and
+    (monomial, int) pairs a, b; a zero sum removes m."""
+    w = d.get(m)
+    if w is None:
+        w = d[m] = {}
+    _mul_into(w, a, b)
+    if not w:
+        del d[m]
 
 
 def _add_count(d, k, v):
@@ -84,6 +100,22 @@ def _add_elt(c2, atoms, x):
         _add_term(c2, m, v)
     for k, v in x.atoms.items():
         _add_count(atoms, k, v)
+
+
+def _add_raw(c2, atoms, x):
+    """``_add_elt`` into a c2 dict of raw coefficients."""
+    for m, v in x.c2.items():
+        _mul_term(c2, m, v.c.items(), ONE_PAIRS)
+    for k, v in x.atoms.items():
+        _add_count(atoms, k, v)
+
+
+def _raw_pairs(pairs):
+    """A linear rule's (PointElt, delta) pairs as (coefficient pairs, delta),
+    the form ``normal_form`` multiplies by; None stays None."""
+    if pairs is None:
+        return None
+    return tuple((tuple(c.c.items()), delta) for c, delta in pairs)
 
 
 # the class of the exponents above every threshold
@@ -422,10 +454,11 @@ class Presentation:
     def _rule_table(self):
         """The class table, emptied first if ``rules`` changed since it was
         filled (a rule may be replaced in place).  A rebuild also reads each
-        rule's ``pairs`` into ``_rule_pairs`` (None for a rhs without them)."""
+        rule's ``pairs`` into ``_rule_pairs`` (None for a rhs without them),
+        with every coefficient as its raw (point monomial, int) pairs."""
         if self._class_rules != self.rules:
             self._class_table = {}
-            self._rule_pairs = [getattr(rhs, "pairs", None) for _, _, rhs in self.rules]
+            self._rule_pairs = [_raw_pairs(getattr(rhs, "pairs", None)) for _, _, rhs in self.rules]
             self._class_rules = list(self.rules)
         return self._class_table
 
@@ -455,6 +488,16 @@ class Presentation:
         transfer-witness fallback is under way in an enclosing call; meeting
         one again would recurse without end, so it is not a class.
 
+        The work set holds every coefficient as a raw {point monomial: int}
+        dict that the loop owns and changes in place through
+        ``coefficients._mul_into``.  Each ``PointElt`` of x is copied on the
+        way in; a plain dict among x's coefficients is a raw one that
+        ``mul`` hands over, and is taken as it is.  A coefficient is wrapped
+        in a ``PointElt`` only where it leaves the work set: into ``done``
+        (the result), and on the way to ``transfer_witness``, ``point_rho``
+        and ``_rho_mono_times``; a callable rule's terms are read from their
+        ``PointElt`` dicts without a copy.
+
         A set passed as ``_seen`` receives every table entry with two or
         more rules that this loop fires, so with the default order it lists
         the only steps at which another order could choose differently.
@@ -472,9 +515,11 @@ class Presentation:
         free_orbit, max_steps = self.free_orbit, self.max_steps
         work = {}
         for m, v in x.c2.items():
-            if isinstance(v, int):
-                v = PointElt.from_int(v)
-            if v.c:
+            if isinstance(v, PointElt):
+                v = dict(v.c)
+            elif isinstance(v, int):
+                v = {ONE_MONO: v} if v else None
+            if v:
                 work[m] = v
         atoms = {k: v for k, v in x.atoms.items() if v}
         done = {}
@@ -505,9 +550,9 @@ class Presentation:
             if free_orbit and mono[4] == 0:
                 # everything is a multiple of the unit tau(y):
                 # M*c = M*c*tau(y) = tau(rho(M*c)*y)
-                w = self._rho_mono_times(mono, coeff)
+                w = self._rho_mono_times(mono, _point(coeff))
                 w = self.levele.mul(w, {(0, 0, 0, 1): 1})
-                _add_elt(work, atoms, self.tau_of_levele(w, _fallbacks))
+                _add_raw(work, atoms, self.tau_of_levele(w, _fallbacks))
                 continue
             # the threshold class, as _class_key computes it (inlined: one
             # call per step is a measurable share of products)
@@ -525,51 +570,48 @@ class Presentation:
             if entry is None:
                 entry = self._classify(mono, cls)
             if entry is True:
-                _add_term(done, mono, coeff)
+                _add_term(done, mono, _point(coeff))
                 continue
             if not entry:
                 # products of divided classes from opposite sides carry
                 # transfer (or kappa-killed) coefficients; absorb them by
                 # Frobenius reciprocity, which inverts the zeta powers at
                 # level e
-                from .coefficients import transfer_witness
-
-                wit = None if mono in _fallbacks else transfer_witness(coeff)
+                wit = None if mono in _fallbacks else transfer_witness(_point(coeff))
                 if wit is not None:
                     w = {}
                     for n, v in wit.c.items():
                         for k2, v2 in self._rho_mono(mono).items():
                             key = (k2[0] + n, k2[1], k2[2], k2[3])
                             w[key] = w.get(key, 0) + v * v2
-                    _add_elt(work, atoms, self.tau_of_levele(w, _fallbacks + (mono,)))
+                    _add_raw(work, atoms, self.tau_of_levele(w, _fallbacks + (mono,)))
                     continue
                 raise NotAClassError("no rule rewrites %s in %s" % (mono_str(mono), self.name))
             first = entry[0] if rank is None else min(entry, key=rank.__getitem__)
             if _seen is not None and len(entry) > 1:
                 _seen.add(entry)
             pairs = rule_pairs[first]
+            items = coeff.items()
             if pairs is not None:
                 # a linear rule as data: coeff * c at mono * delta, added
-                # as _add_term does, without a call per pair
+                # as _mul_term does, without a call per pair
                 for c, (s2, t2, i2, j2, d2, w02, w12) in pairs:
                     m2 = (s + s2, t + t2, i + i2, j + j2, d + d2, w0 + w02, w1 + w12)
-                    v = coeff * c
                     w = work.get(m2)
-                    if w is not None:
-                        v = w + v
-                    if v.c:
-                        work[m2] = v
-                    elif w is not None:
+                    if w is None:
+                        w = work[m2] = {}
+                    _mul_into(w, items, c)
+                    if not w:
                         del work[m2]
                 continue
             val = rules[first][2](mono)
             for m2, v2 in val.c2.items():
-                _add_term(work, m2, coeff * v2)
+                _mul_term(work, m2, items, v2.c.items())
             if val.atoms:
-                rc = point_rho(coeff)
+                rc = point_rho(_point(coeff))
                 for (a, b), v2 in val.atoms.items():
                     w = self.levele.reduce({(a + k, b, 0, 1): v2 * n for k, n in rc.c.items()})
-                    _add_elt(work, atoms, self.tau_of_levele(w, _fallbacks))
+                    _add_raw(work, atoms, self.tau_of_levele(w, _fallbacks))
         out = RingElement(self, "top")
         out.c2 = done
         out.atoms = atoms
@@ -587,25 +629,28 @@ class Presentation:
         if y.level == "e":
             # top * level-e acts through rho
             return self.levele_elt(self.levele.mul(self.rho(x).e, y.e))
+        # the cross terms, as raw coefficients inside the element that
+        # normal_form takes over (see its docstring)
         terms = RingElement(self, "top")
         c2, atoms = terms.c2, terms.atoms
         for m1, v1 in x.c2.items():
+            a1 = v1.c.items()
             for m2, v2 in y.c2.items():
-                _add_term(c2, mono_mul(m1, m2), v1 * v2)
+                _mul_term(c2, mono_mul(m1, m2), a1, v2.c.items())
             for (a, b), v2 in y.atoms.items():
                 w = self._rho_mono_times(m1, v1 * v2)
                 shifted = self.levele.mul(w, {(a, b, 0, 1): 1})
-                _add_elt(c2, atoms, self.tau_of_levele(shifted))
+                _add_raw(c2, atoms, self.tau_of_levele(shifted))
         for (a, b), v1 in x.atoms.items():
             for m2, v2 in y.c2.items():
                 w = self._rho_mono_times(m2, v2 * v1)
                 shifted = self.levele.mul(w, {(a, b, 0, 1): 1})
-                _add_elt(c2, atoms, self.tau_of_levele(shifted))
+                _add_raw(c2, atoms, self.tau_of_levele(shifted))
             for (a2, b2), v2 in y.atoms.items():
                 # tau(w) tau(w') = tau(w * (1+t) w')
                 w2 = self.levele.one_plus_t({(a2, b2, 0, 1): v2})
                 prod = self.levele.mul({(a, b, 0, 1): v1}, w2)
-                _add_elt(c2, atoms, self.tau_of_levele(prod))
+                _add_raw(c2, atoms, self.tau_of_levele(prod))
         return self.normal_form(terms)
 
     # -- Mackey structure -------------------------------------------------------

@@ -18,7 +18,8 @@ from c2quadrics.coefficients import (
     InhomogeneousError,
     LevelECoeff,
     PointElt,
-    _mono_mul,
+    ONE_PAIRS,
+    _mul_into,
     monomial_grading,
     negkappa,
     point_mul,
@@ -178,7 +179,46 @@ def test_point_json_round_trip():
 
 
 # reference copy of the dict-rebuild arithmetic: every result goes through
-# the validating constructor
+# the validating constructor.  _mono_mul and _normalize_trans are verbatim
+# copies of the monomial product that the package replaced by the kernel
+# _mul_into.
+
+
+def _mono_mul(m1, m2):
+    """Product of two canonical monomials, as a dict {monomial: int}."""
+    t1, t2 = m1[0], m2[0]
+    if t1 > t2:  # orders "k" < "p" < "t"
+        m1, m2 = m2, m1
+        t1, t2 = t2, t1
+    if t1 == "p" and t2 == "p":
+        return {pos(m1[1] + m2[1], m1[2] + m2[2]): 1}
+    if t1 == "k" and t2 == "p":
+        n, i, j = m1[1], m2[1], m2[2]
+        if j > 0:
+            return {}                       # e^{-n} k * xi = 0
+        if i <= n:
+            return {negkappa(n - i): 1}
+        return {pos(i - n, 0): 2}           # k e^m = 2 e^m for m > 0
+    if t1 == "k" and t2 == "k":
+        return {negkappa(m1[1] + m2[1]): 2}
+    if t1 == "k" and t2 == "t":
+        return {}                           # k * transfer = 0
+    if t1 == "p" and t2 == "t":
+        i, j, n = m1[1], m1[2], m2[1]
+        if i > 0:
+            return {}                       # e * t(...) = t(rho(e) ...) = 0
+        return _normalize_trans(n + j, 1)
+    # transfer * transfer
+    return _normalize_trans(m1[1] + m2[1], 2)
+
+
+def _normalize_trans(n, coeff):
+    """t(iota^{2n}) for any n, as a canonical dict."""
+    if n <= -1:
+        return {trans(n): coeff}
+    if n == 0:
+        return {pos(0, 0): 2 * coeff, negkappa(0): -coeff}
+    return {pos(0, n): 2 * coeff}
 
 
 def ref_add(a, b):
@@ -261,6 +301,55 @@ def test_kernels_match_reference_arithmetic():
             _is_reduced(prod)
         assert dict(a.c) == before, a
     assert zeros and tags == 3 * len(singles)
+    _check_mul_into(pool, singles)
+
+
+def _check_mul_into(pool, singles):
+    """The kernel _mul_into against ref_mul/ref_add: into a fresh dict, into
+    a dict that already holds terms, and into one that the product cancels
+    to zero, with its inputs left as they were."""
+    tag_pairs = set()
+    cancelled = mixed_sums = 0
+    for a, b in itertools.product(singles, repeat=2):
+        tag_pairs.add((next(iter(a.c))[0], next(iter(b.c))[0]))
+    assert tag_pairs == set(itertools.product("kpt", repeat=2))
+    for a, b in itertools.product(pool, repeat=2):
+        before = (dict(a.c), dict(b.c))
+        prod = ref_mul(a, b)
+        out = {}
+        _mul_into(out, a.c.items(), b.c.items())
+        assert out == prod.c, (a, b)
+        # into a dict that holds a*b already: the sum is 2ab, and every
+        # mixed term of ab sums to 0 mod 2 and is deleted
+        twice = dict(prod.c)
+        _mul_into(twice, a.c.items(), b.c.items())
+        assert twice == ref_add(prod, prod).c, (a, b)
+        mixed_sums += any(m[0] == "p" and m[1] and m[2] for m in prod.c)
+        # into a dict that holds a*b, times -b: every key cancels and goes
+        neg = dict(prod.c)
+        _mul_into(neg, a.c.items(), ref_sub(PointElt(), b).c.items())
+        assert neg == {}, (a, b, neg)
+        cancelled += bool(prod.c)
+        assert (dict(a.c), dict(b.c)) == before, (a, b)
+    assert cancelled and mixed_sums
+    # accumulation onto unrelated terms, and the add of ONE_PAIRS
+    rng = random.Random(5)
+    for _ in range(2000):
+        a, b, x = rng.choice(pool), rng.choice(pool), rng.choice(pool)
+        out = dict(x.c)
+        _mul_into(out, a.c.items(), b.c.items())
+        assert out == ref_add(x, ref_mul(a, b)).c, (x, a, b)
+        out = dict(x.c)
+        _mul_into(out, a.c.items(), ONE_PAIRS)
+        assert out == ref_add(x, a).c, (x, a)
+    # mixed e^i xi^j sums mod 2: 1 + 1 = 0 deletes the key, 1 + 2 = 1 keeps it
+    exi = pos(1, 1)
+    out = {exi: 1}
+    _mul_into(out, ((pos(1, 0), 1),), ((pos(0, 1), 3),))
+    assert out == {}
+    out = {exi: 1}
+    _mul_into(out, ((pos(1, 0), 1),), ((pos(0, 1), 2),))
+    assert out == {exi: 1}
 
 
 def test_burnside_operands_on_either_side():

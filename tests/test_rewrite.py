@@ -535,7 +535,9 @@ def test_linear_rule_replaced_in_place_is_the_one_applied():
     before = [_outcome(pres, x) for x in raws]
     k = [r[0] for r in pres.rules].index("w0_expand")
     name, guard, rhs = pres.rules[k]
-    assert isinstance(rhs, _Linear) and pres._rule_pairs[k] == rhs.pairs
+    # the table holds the pairs with each coefficient as raw (monomial, int) pairs
+    raw = tuple((tuple(c.c.items()), delta) for c, delta in rhs.pairs)
+    assert isinstance(rhs, _Linear) and pres._rule_pairs[k] == raw
     # a transparent wrapper is called, and changes nothing
     fired = []
     pres.rules[k] = (name, guard, lambda m: fired.append(m) or rhs(m))
@@ -699,3 +701,48 @@ def test_free_orbit_rho_of_x_is_zero(sid):
     assert P._rho_mono((0, 0, 0, 0, 2, 0, 0)) == {}
     rows = {row["identity"]: row for row in verify_relations(P)["identities"]}
     assert rows["x = 0"]["rho_raw"] and rows["x = 0"]["status"] == "pass"
+
+
+def _mixed_coeffs():
+    """POINT_COEFFS with the 2-torsion e^i xi^j classes and a few sums."""
+    mixed = [PointElt.monomial(pos(i, j)) for i, j in ((1, 1), (2, 1), (1, 2))]
+    return list(POINT_COEFFS) + mixed + [ONE - KAPPA_PT + mixed[0], 3 * E_PT + mixed[1]]
+
+
+@pytest.mark.parametrize("sid", ["quadric:3,3", "quadric:4,3", "binate:2,1", "proj:2,1", "quadric:1,1"])
+def test_results_never_share_coefficient_dicts_with_operands(sid):
+    # normal_form and mul change raw coefficient dicts in place; no result
+    # coefficient may be an operand's dict, and the operands, the rule
+    # constants and the cached normal forms stay as they were
+    pres = make_space(sid)
+    rng = random.Random(13)
+    pool = _sample_monomials(pres) or (MONO_ONE, (0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0))
+    coeffs = _mixed_coeffs()
+    constants = [(k, [dict(c.c) for c, _ in rhs.pairs]) for k, (_, _, rhs) in enumerate(pres.rules) if hasattr(rhs, "pairs")]
+
+    def draw(raw):
+        c2 = {}
+        for _ in range(4):
+            m = _mono_product(rng.sample(pool, 2)) if raw else rng.choice(pool)
+            c2[m] = rng.choice(coeffs)
+        atoms = {(rng.randrange(-2, 3), rng.randrange(-2, 3)): rng.choice((1, -2))} if pres.has_atoms else None
+        return RingElement(pres, "top", c2=c2, atoms=atoms)
+
+    checked = 0
+    for _ in range(25):
+        x, y, raw = draw(False), draw(False), draw(True)
+        operands = (x, y, raw)
+        snap = [(dict(e.atoms), [(m, dict(v.c)) for m, v in e.c2.items()]) for e in operands]
+        dicts = {id(v.c) for e in operands for v in e.c2.values()}
+        results = [pres.mul(x, y), pres.mul(x, x), pres.normal_form(x)]
+        try:
+            results.append(pres.normal_form(raw))
+        except NotAClassError:
+            pass
+        for out in results:
+            assert not {id(v.c) for v in out.c2.values()} & dicts
+            checked += len(out.c2)
+        assert [(dict(e.atoms), [(m, dict(v.c)) for m, v in e.c2.items()]) for e in operands] == snap
+    # on the free orbit every result is a sum of transfer atoms
+    assert checked or pres.free_orbit
+    assert [(k, [dict(c.c) for c, _ in pres.rules[k][2].pairs]) for k, _ in constants] == constants
