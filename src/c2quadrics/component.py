@@ -10,10 +10,11 @@ where zc is whichever of the two Euler-type classes is invertible over
 that component (zeta1 over component 0, zeta0 over component 1) and H*
 is one of: Z[c] (free), Z[c]/c^P (projective space), or a quadric ring
 of type B or D (the zero ring for an empty component).  Elements are
-{(u, d, eps): PointElt} with u the zc-exponent.  H* is the quotient
-``LevelEModel.quotient`` (levele.py) of the component's model: ``reduce``
-and ``phi`` apply it to the (d, eps) part of each term, ``reduce`` through
-a per-ring table of the quotients of single monomials c^d y^eps.
+{(u, d, eps): PointElt} with u the zc-exponent.  H* is the quotient of
+the component's level-e model (levele.py): ``reduce`` reads the model's
+table of single-monomial quotients (``LevelEModel.quotients``) for the
+(d, eps) part of each term, and ``phi`` goes through
+``LevelEModel.quotient``.  The ring keeps no table of its own.
 
 Because the action is trivial, restriction and transfer factor through
 the point ring coefficientwise, which makes the divisibility check
@@ -37,8 +38,6 @@ class ComponentRing:
         self.zeta_name = zeta_name
         self.empty = model_kind == "zero"
         self.zeta_grading = OMEGA1 if zeta_name == "z1" else OMEGA0
-        # {(d, eps): ((d', eps', n), ...)}: c^d y^eps = sum n c^d' y^eps'
-        self._quotients = {}
 
     def y_degree(self):
         return self.model.y_degree()
@@ -65,23 +64,21 @@ class ComponentRing:
             coeff = PointElt.from_int(coeff)
         return self.reduce({(u, d, eps): coeff})
 
-    def _quotient(self, d, eps):
-        terms = self._quotients.get((d, eps))
-        if terms is None:
-            terms = tuple((d2, e2, n) for (d2, e2), n in self.model.quotient({(d, eps): 1}).items())
-            self._quotients[(d, eps)] = terms
-        return terms
-
     def reduce(self, elt):
         if self.empty:
             return {}
+        model = self.model
+        table = model.quotients
         out = {}
         for (u, d, eps), v in elt.items():
             if isinstance(v, int):
                 v = PointElt.from_int(v)
             if not v.c:
                 continue
-            for d2, e2, n in self._quotient(d, eps):
+            terms = table.get((d, eps))
+            if terms is None:
+                terms = model.monomial_quotient(d, eps)
+            for d2, e2, n in terms:
                 _add_term(out, (u, d2, e2), v if n == 1 else v * n)
         return out
 
@@ -116,7 +113,8 @@ class ComponentRing:
         return out
 
     def eq(self, x, y):
-        return self.add(x, self.scale(y, -1)) == {}
+        """Equality of two reduced elements."""
+        return x == y
 
     # -- Mackey structure -------------------------------------------------
 

@@ -21,10 +21,16 @@ Models:
                    products vanish
     ("zero",)      the zero ring (empty space)
 
-``LevelEModel.quotient`` writes these relations once, on {(d, eps): int}.
-``reduce`` lifts it to level-e elements one (iota, zeta)-exponent at a
-time; the component rings (``component.py``) and the nonequivariant
-quadric rings (``noneq.py``) reduce through it as well.
+A stack interpreter (``LevelEModel.monomial_quotient``) writes these
+relations once, for one monomial c^d y^eps.  Each model keeps its results in one
+table, ``quotients``: {(d, eps): ((d', eps', n), ...)}, filled on first
+use, one per model instance and so one per presentation.  ``quotient``
+(on {(d, eps): int}), ``reduce`` (on level-e elements, at each term's own
+(iota, zeta)-exponent), ``mul``, ``t_act`` and ``quotient_mul`` read the
+table; so do the component rings (``component.py``) and the
+nonequivariant quadric rings (``noneq.py``).  A monomial outside the
+model (y in free/proj, a y exponent of 3 or more in binate) raises
+``ValueError`` and is never stored.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ class LevelEModel:
         # the underlying C2-action fixes the ruling classes when the
         # negated coordinate count is even (and on trivial-action spaces)
         self.t_fixes_y = t_fixes_y
+        # {(d, eps): ((d', eps', n), ...)}: c^d y^eps = sum n c^d' y^eps'
+        self.quotients = {}
 
     def y_degree(self):
         if self.kind == "B":
@@ -56,18 +64,17 @@ class LevelEModel:
             g = g + Grading(self.y_degree())
         return g
 
-    def quotient(self, elt):
-        """Reduce {(d, eps): int} modulo the nonequivariant relations of
-        this model: the one implementation of the quotients of Z[c, y]."""
+    def monomial_quotient(self, d, eps):
+        """The quotient of c^d y^eps as ((d', eps', n), ...), by a stack
+        interpreter of the nonequivariant relations of this model (the one
+        place they are written), stored in ``quotients``.  A monomial
+        outside the model raises ``ValueError`` and is not stored."""
+        key = (d, eps)
         kind, P = self.kind, self.size
         out = {}
-        if kind == "zero":
-            return out
-        stack = list(elt.items())
+        stack = [] if kind == "zero" else [(key, 1)]
         while stack:
             (d, eps), v = stack.pop()
-            if v == 0:
-                continue
             if kind in ("free", "proj"):
                 if eps:
                     raise ValueError("no y classes in this model")
@@ -105,6 +112,25 @@ class LevelEModel:
                 continue
             # c^d y^eps is a basis monomial
             out[(d, eps)] = out.get((d, eps), 0) + v
+        # the relations only copy or double a coefficient, so none sums to 0
+        terms = tuple((d2, e2, n) for (d2, e2), n in out.items())
+        self.quotients[key] = terms
+        return terms
+
+    def quotient(self, elt):
+        """Reduce {(d, eps): int} modulo the nonequivariant relations of
+        this model, one monomial at a time through ``quotients``."""
+        table = self.quotients
+        out = {}
+        for k, v in elt.items():
+            if not v:
+                continue
+            terms = table.get(k)
+            if terms is None:
+                terms = self.monomial_quotient(*k)
+            for d2, e2, n in terms:
+                k2 = (d2, e2)
+                out[k2] = out.get(k2, 0) + n * v
         return {k: v for k, v in out.items() if v}
 
     def quotient_mul(self, x, y):
@@ -118,18 +144,20 @@ class LevelEModel:
         return self.quotient(out)
 
     def reduce(self, elt):
-        """Reduce {(a, b, d, eps): int}: the quotient, one (a, b) at a time."""
-        groups = {}
-        for (a, b, d, eps), v in elt.items():
-            g = groups.get((a, b))
-            if g is None:
-                g = groups[(a, b)] = {}
-            g[(d, eps)] = v
+        """Reduce {(a, b, d, eps): int}: each term's c^d y^eps is replaced
+        by its quotient from ``quotients``, at the same (a, b)."""
+        table = self.quotients
         out = {}
-        for (a, b), g in groups.items():
-            for (d, eps), v in self.quotient(g).items():
-                out[(a, b, d, eps)] = v
-        return out
+        for (a, b, d, eps), v in elt.items():
+            if not v:
+                continue
+            terms = table.get((d, eps))
+            if terms is None:
+                terms = self.monomial_quotient(d, eps)
+            for d2, e2, n in terms:
+                k = (a, b, d2, e2)
+                out[k] = out.get(k, 0) + n * v
+        return {k: v for k, v in out.items() if v}
 
     def mul(self, x, y):
         out = {}

@@ -18,7 +18,8 @@ with c = 0.
 
 Elements are sparse dicts {(d, eps): coeff} with eps in {0, 1}.  The
 relations are not repeated here: ``reduce`` is ``LevelEModel.quotient``
-(levele.py) of the model of kind B or D (the zero model for n <= 1).
+(levele.py) of the model of kind B or D (the zero model for n <= 1), and
+``t_act`` is the model's ``t_act`` at iota^0 zeta^0.
 """
 
 from __future__ import annotations
@@ -88,16 +89,11 @@ class NoneqQuadricRing:
         return self.model.quotient_mul(x, y)
 
     def t_act(self, x):
-        """The C2-action on the underlying cohomology (swaps rulings)."""
-        out = {}
-        for (d, eps), v in x.items():
-            if eps == 0 or self.kind == "B":
-                out[(d, eps)] = out.get((d, eps), 0) + v
-            else:
-                # type D: t(y) = c^{p-1} - y
-                out[(d + self.p - 1, 0)] = out.get((d + self.p - 1, 0), 0) + v
-                out[(d, 1)] = out.get((d, 1), 0) - v
-        return self.reduce(out)
+        """The C2-action on the underlying cohomology (swaps rulings): the
+        model's ``t_act`` at iota^0 zeta^0, which fixes y in type B and
+        sends y to c^{p-1} - y in type D."""
+        w = self.model.t_act({(0, 0, d, eps): v for (d, eps), v in x.items()})
+        return {(d, eps): v for (_, _, d, eps), v in w.items()}
 
     def basis(self):
         """Canonical basis keys with degrees, sorted by degree."""

@@ -151,18 +151,24 @@ class RingElement:
     """An element of a presentation, at level C2/C2 or C2/e.
 
     An element is a value: once built, its terms never change, and every
-    operation returns a new element.  ``_eta`` holds the pair of
-    fixed-component images that ``Presentation.eta`` computed for it, or
-    None before the first call; being a value, the element cannot make it
-    stale.
+    operation returns a new element.  That is what makes the two caches on
+    it sound.  ``_eta`` holds the pair of fixed-component images that
+    ``Presentation.eta`` computed for it, or None before the first call.
+    ``_nf`` marks an element that is its own normal form in ``pres``: it
+    is set on the results of ``Presentation.normal_form`` (both levels),
+    kept by ``+``, ``-``, negation and scaling when every operand carries
+    it, and never set by a constructor or ``levele_elt``.  ``rho``,
+    ``eta``, ``is_zero`` and ``==`` skip ``normal_form`` on a marked
+    element of their own presentation.
     """
 
-    __slots__ = ("pres", "level", "c2", "atoms", "e", "_eta")
+    __slots__ = ("pres", "level", "c2", "atoms", "e", "_eta", "_nf")
 
     def __init__(self, pres, level="top", c2=None, atoms=None, e=None):
         self.pres = pres
         self.level = level
         self._eta = None
+        self._nf = False
         self.c2 = {}   # {monomial: PointElt}
         self.atoms = {}  # {(a, b): int} for tau(iota^a zeta^b y)
         self.e = {}    # {(a, b, d, eps): int}
@@ -204,6 +210,7 @@ class RingElement:
         out.e = dict(self.e)
         for k, v in other.e.items():
             _add_count(out.e, k, v)
+        out._nf = self._nf and other._nf and other.pres is self.pres
         return out
 
     __radd__ = __add__
@@ -213,6 +220,7 @@ class RingElement:
         out.c2 = {m: -v for m, v in self.c2.items()}
         out.atoms = {k: -v for k, v in self.atoms.items()}
         out.e = {k: -v for k, v in self.e.items()}
+        out._nf = self._nf
         return out
 
     def __sub__(self, other):
@@ -226,15 +234,27 @@ class RingElement:
         return (-self).__add__(other)
 
     def scale(self, coeff):
-        """Multiply by a point-ring coefficient (or int)."""
+        """Multiply by a point-ring coefficient (or int).  A marked top-level
+        element without atoms, outside a free-orbit deck, is scaled
+        termwise: its canonical monomials stay canonical under any
+        coefficient."""
         if isinstance(coeff, int):
-            return RingElement(
+            out = RingElement(
                 self.pres,
                 self.level,
                 c2={m: v * coeff for m, v in self.c2.items()},
                 atoms={k: v * coeff for k, v in self.atoms.items()},
                 e={k: v * coeff for k, v in self.e.items()},
             )
+            out._nf = self._nf
+            return out
+        if (
+            self._nf and self.level == "top" and not self.atoms
+            and isinstance(coeff, PointElt) and not self.pres.free_orbit
+        ):
+            out = RingElement(self.pres, "top", c2={m: v * coeff for m, v in self.c2.items()})
+            out._nf = True
+            return out
         return self.pres.mul(self.pres.coeff_elt(coeff), self)
 
     def __mul__(self, other):
@@ -263,15 +283,16 @@ class RingElement:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        a = self.pres.normal_form(self)
-        b = self.pres.normal_form(other)
+        pres = self.pres
+        a = self if self._nf else pres.normal_form(self)
+        b = other if other._nf and other.pres is pres else pres.normal_form(other)
         return a.level == b.level and a.c2 == b.c2 and a.atoms == b.atoms and a.e == b.e
 
     def __hash__(self):
         raise TypeError("ring elements are unhashable; compare normal forms")
 
     def is_zero(self):
-        nf = self.pres.normal_form(self)
+        nf = self if self._nf else self.pres.normal_form(self)
         return not nf.c2 and not nf.atoms and not nf.e
 
     def grading(self):
@@ -506,6 +527,7 @@ class Presentation:
         if x.level == "e":
             out = RingElement(self, "e")
             out.e = self.levele.reduce(x.e)
+            out._nf = True
             return out
         rules = self.rules
         rank = None if rule_order is None else {k: n for n, k in enumerate(rule_order)}
@@ -615,20 +637,17 @@ class Presentation:
         out = RingElement(self, "top")
         out.c2 = done
         out.atoms = atoms
+        out._nf = True
         return out
 
     # -- multiplication -------------------------------------------------------
 
     def mul(self, x, y):
-        if x.level == "e" and y.level == "e":
-            out = RingElement(self, "e")
-            out.e = self.levele.mul(x.e, y.e)
-            return out
-        if x.level == "e":
-            x, y = y, x
-        if y.level == "e":
+        if x.level == "e" or y.level == "e":
             # top * level-e acts through rho
-            return self.levele_elt(self.levele.mul(self.rho(x).e, y.e))
+            ex = x.e if x.level == "e" else self.rho(x).e
+            ey = y.e if y.level == "e" else self.rho(y).e
+            return self.normal_form(RingElement(self, "e", e=self.levele.mul(ex, ey)))
         # the cross terms, as raw coefficients inside the element that
         # normal_form takes over (see its docstring)
         terms = RingElement(self, "top")
@@ -689,7 +708,8 @@ class Presentation:
         return self.levele.reduce(out)
 
     def rho(self, x):
-        x = self.normal_form(x)
+        if not (x._nf and x.pres is self):
+            x = self.normal_form(x)
         if x.level == "e":
             return x
         out = {}
@@ -762,7 +782,7 @@ class Presentation:
         if img is None:
             from .catalog import eta_of_element
 
-            img = eta_of_element(self, self.normal_form(x))
+            img = eta_of_element(self, x if x._nf and x.pres is self else self.normal_form(x))
             if x.pres is self:
                 x._eta = img
         return dict(img[0]), dict(img[1])

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from c2quadrics.catalog import make_space
-from c2quadrics.coefficients import PointElt, pos
+from c2quadrics.coefficients import G, PointElt, pos
 from c2quadrics.rewrite import RingElement, _mono_product, _sample_monomials
 from c2quadrics.solver import POINT_COEFFS
 
@@ -121,3 +121,115 @@ def test_normal_form_idempotent(sid, data):
 def test_rho_multiplicative(sid, data):
     pres, x, y, _ = data.draw(triples(sid))
     assert pres.rho(pres.mul(x, y)).e == pres.mul(pres.rho(x), pres.rho(y)).e
+
+
+def _structure(x):
+    """An element's terms as plain data, without normalising it."""
+    return x.level, {m: v.c for m, v in x.c2.items()}, x.atoms, x.e
+
+
+@pytest.mark.parametrize("sid", SPACES)
+@seed(SEED)
+@LAWS
+@given(data=st.data())
+def test_normal_form_mark(sid, data):
+    pres, x, y, _ = data.draw(triples(sid))
+    _, raw = data.draw(raw_elements(sid))
+    c = data.draw(st.sampled_from(COEFFS))
+    n = data.draw(st.integers(-3, 3))
+    mono = data.draw(st.sampled_from(_sample_monomials(pres)))
+    assert not raw._nf
+    ex, ey = pres.normal_form(pres.rho(x)), pres.normal_form(pres.rho(y))
+    marked = [pres.normal_form(raw), x, y, ex, pres.mul(x, y), pres.mul(ex, ey), pres.mul(x, ey),
+              pres.monomial_elt(mono, c), pres.monomial_elt(mono)]
+    assert all(z._nf for z in marked)
+    assert not (x + raw)._nf and not (raw - y)._nf and not (-raw)._nf and not raw.scale(n)._nf
+    derived = [x + y, x - y, -x, x.scale(n), x.scale(c), c * x, n * y,
+               ex + ey, ex - ey, -ex, ex.scale(n)]
+    for z in derived:
+        assert z._nf
+        assert _structure(z) == _structure(pres.normal_form(z))
+    # the termwise scaling is the product with the coefficient's element
+    for z in (x, y):
+        assert _structure(z.scale(c)) == _structure(pres.mul(pres.coeff_elt(c), z))
+
+
+_OTHER = {}
+
+
+@pytest.mark.parametrize("sid", SPACES)
+@seed(SEED)
+@LAWS
+@given(data=st.data())
+def test_mark_is_trusted_only_in_its_presentation(sid, data):
+    pres, x, y, _ = data.draw(triples(sid))
+    if sid not in _OTHER:
+        _OTHER[sid] = make_space(sid)
+    other = _OTHER[sid]
+    z = other.monomial_elt(data.draw(st.sampled_from(_sample_monomials(other))))
+    assert x._nf and z._nf
+    assert not (x + z)._nf and not (z - y)._nf
+    seen = []
+    reduce = other.normal_form
+    other.normal_form = lambda w, *a, **k: seen.append(w) or reduce(w, *a, **k)
+    try:
+        other.rho(x)
+        other.eta(x)
+        assert (z == x) == (_structure(other.normal_form(x)) == _structure(z))
+    finally:
+        del other.normal_form
+    # rho, eta, == and the check itself each reduce x again
+    assert sum(w is x for w in seen) == 4
+
+
+@pytest.mark.parametrize("sid", SPACES)
+@seed(SEED)
+@LAWS
+@given(data=st.data())
+def test_eta_and_phi_multiplicative(sid, data):
+    pres, x, y, _ = data.draw(triples(sid))
+    xy = pres.mul(x, y)
+    for S, ex, ey, exy in zip(pres.eta_sides, pres.eta(x), pres.eta(y), pres.eta(xy)):
+        assert S.R.eq(exy, S.R.mul(ex, ey))
+    for S, px, py, pxy in zip(pres.eta_sides, pres.phi(x), pres.phi(y), pres.phi(xy)):
+        assert S.R.model.quotient_mul(px, py) == pxy
+
+
+@pytest.mark.parametrize("sid", SPACES)
+@seed(SEED)
+@LAWS
+@given(data=st.data())
+def test_normal_form_preserves_grading(sid, data):
+    pres, raw = data.draw(raw_elements(sid))
+    # split the raw element by the grading of each point-ring term
+    parts = {}
+    for m, v in raw.c2.items():
+        for pm, k in v.c.items():
+            coeff = PointElt({pm: k})
+            c2, _ = parts.setdefault(pres.mono_grading(m) + coeff.grading(), ({}, {}))
+            c2[m] = c2[m] + coeff if m in c2 else coeff
+    for (a, b), k in raw.atoms.items():
+        parts.setdefault(pres.atom_grading(a, b), ({}, {}))[1][(a, b)] = k
+    total = pres.zero()
+    for g, (c2, atoms) in parts.items():
+        nf = pres.normal_form(RingElement(pres, "top", c2=c2, atoms=atoms))
+        assert nf.grading() in (None, g)
+        total = total + nf
+    assert _terms(total) == _terms(pres.normal_form(raw))
+
+
+@pytest.mark.parametrize("sid", SPACES)
+@seed(SEED)
+@LAWS
+@given(data=st.data())
+def test_mackey_axioms(sid, data):
+    pres, x, y, _ = data.draw(triples(sid))
+    # tau rho = g., on a top-level element
+    assert pres.tau_of_levele(pres.rho(x)) == x.scale(PointElt.from_burnside(G))
+    # rho tau = 1 + t, on a level-e element: drawn terms plus rho(y) times them
+    eps = {"free": (0,), "proj": (0,), "binate": (0, 1, 2)}.get(pres.levele.kind, (0, 1))
+    key = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 2), st.sampled_from(eps))
+    terms = data.draw(st.dictionaries(key, st.integers(-3, 3), min_size=1, max_size=3))
+    w = pres.levele_elt(terms)
+    w = w + pres.mul(pres.rho(y), w)
+    assert pres.rho(pres.tau_of_levele(w)) == w + pres.t_act(w)
