@@ -16,6 +16,12 @@ table of single-monomial quotients (``LevelEModel.quotients``) for the
 (d, eps) part of each term, and ``phi`` goes through
 ``LevelEModel.quotient``.  The ring keeps no table of its own.
 
+Every value that an operation here returns is reduced, as every value of
+a ``LevelEModel`` operation is.  Only ``reduce`` and the operations whose
+terms can leave the basis of H* (``monomial``, ``scale``, ``mul``) reduce;
+``rho``, ``tau`` and ``transfer_witness`` map reduced input to reduced
+output term by term, and ``tau`` takes the output of ``LevelEModel.mul``.
+
 Because the action is trivial, restriction and transfer factor through
 the point ring coefficientwise, which makes the divisibility check
 ("is this element a transfer?") elementwise as well.
@@ -24,7 +30,6 @@ the point ring coefficientwise, which makes the divisibility check
 from __future__ import annotations
 
 from .coefficients import LevelECoeff, PointElt, _add_term, point_phi, point_rho, point_tau, transfer_witness
-from .grading import Grading, OMEGA0, OMEGA1
 from .levele import LevelEModel
 
 
@@ -34,25 +39,10 @@ class ComponentRing:
         component 0, 'z0' for component 1."""
         self.model = LevelEModel(model_kind, model_size, t_fixes_y=True)
         self.kind = model_kind
-        self.P = model_size
         self.zeta_name = zeta_name
         self.empty = model_kind == "zero"
-        self.zeta_grading = OMEGA1 if zeta_name == "z1" else OMEGA0
-
-    def y_degree(self):
-        return self.model.y_degree()
-
-    def key_grading(self, key):
-        u, d, eps = key
-        g = u * self.zeta_grading + Grading(2 * d)
-        if eps:
-            g = g + Grading(self.y_degree())
-        return g
 
     # -- elements: {(u, d, eps): PointElt} -------------------------------
-
-    def zero(self):
-        return {}
 
     def one(self):
         return self.monomial(0, 0, 0)
@@ -60,8 +50,6 @@ class ComponentRing:
     def monomial(self, u, d, eps, coeff=None):
         if coeff is None:
             coeff = PointElt.from_int(1)
-        elif isinstance(coeff, int):
-            coeff = PointElt.from_int(coeff)
         return self.reduce({(u, d, eps): coeff})
 
     def reduce(self, elt):
@@ -71,8 +59,6 @@ class ComponentRing:
         table = model.quotients
         out = {}
         for (u, d, eps), v in elt.items():
-            if isinstance(v, int):
-                v = PointElt.from_int(v)
             if not v.c:
                 continue
             terms = table.get((d, eps))
@@ -90,8 +76,6 @@ class ComponentRing:
         return out
 
     def scale(self, x, coeff):
-        if isinstance(coeff, int):
-            coeff = PointElt.from_int(coeff)
         return self.reduce({k: v * coeff for k, v in x.items()})
 
     def mul(self, x, y):
@@ -112,27 +96,19 @@ class ComponentRing:
                 x = self.mul(x, x)
         return out
 
-    def eq(self, x, y):
-        """Equality of two reduced elements."""
-        return x == y
-
     # -- Mackey structure -------------------------------------------------
 
     def rho(self, x):
         """Level-e image: {(a, b, d, eps): int} with b the zc-exponent."""
-        out = {}
-        for (u, d, eps), v in x.items():
-            for a, n in point_rho(v).c.items():
-                k = (a, u, d, eps)
-                out[k] = out.get(k, 0) + n
-        return self.model.reduce(out)
+        return {(a, u, d, eps): n for (u, d, eps), v in x.items() for a, n in point_rho(v).c.items()}
 
     def tau(self, w):
-        """Transfer of a level-e element; everything here is liftable."""
+        """Transfer of a reduced level-e element; everything here is
+        liftable."""
         out = {}
-        for (a, b, d, eps), n in self.model.reduce(dict(w)).items():
+        for (a, b, d, eps), n in w.items():
             _add_term(out, (b, d, eps), point_tau(LevelECoeff.iota(a)) * n)
-        return self.reduce(out)
+        return out
 
     def phi(self, x):
         """Collapse to the nonequivariant ring of the component:
@@ -154,9 +130,8 @@ class ComponentRing:
             if wit is None:
                 return None
             for a, n in wit.c.items():
-                key = (a, u, d, eps)
-                w[key] = w.get(key, 0) + n
-        return self.model.reduce(w)
+                w[(a, u, d, eps)] = n
+        return w
 
     def shift_noninvertible(self, w, k):
         """Divide a level-e element by the k-th power of the other Euler

@@ -99,7 +99,6 @@ def canonicalize(g):
     return Grading(g.a, g.b, g.m)
 
 
-ZERO = Grading()
 SIGMA = Grading(0, 1, 0)
 W = Grading(0, 0, 1)          # omega
 XW = Grading(0, 0, 0, 1)      # chi-omega, canonicalized to (2, 2, -1)

@@ -31,6 +31,17 @@ table; so do the component rings (``component.py``) and the
 nonequivariant quadric rings (``noneq.py``).  A monomial outside the
 model (y in free/proj, a y exponent of 3 or more in binate) raises
 ``ValueError`` and is never stored.
+
+Every value that a model operation returns is reduced: a combination of
+basis monomials with no zero coefficient.  ``mul`` and ``t_act`` reduce
+because their terms can leave the basis; ``one_plus_t`` adds two reduced
+values.  Callers build on this: a sum of reduced values is reduced once
+its zero terms are gone, so ``Presentation.rho``, ``mul`` and ``t_act``
+mark such values as normal forms without a second pass, and the
+component rings map them term by term.  Only the entry points that take
+raw input reduce again: ``quotient`` and ``reduce`` here, and
+``Presentation.levele_elt``, ``tau_of_levele`` and the level-e branch of
+``Presentation.normal_form``.
 """
 
 from __future__ import annotations

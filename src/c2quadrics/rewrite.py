@@ -35,7 +35,6 @@ import itertools
 import random
 
 from .coefficients import (
-    ONE_MONO,
     ONE_PAIRS,
     BurnsideElt,
     InhomogeneousError,
@@ -155,11 +154,11 @@ class RingElement:
     it sound.  ``_eta`` holds the pair of fixed-component images that
     ``Presentation.eta`` computed for it, or None before the first call.
     ``_nf`` marks an element that is its own normal form in ``pres``: it
-    is set on the results of ``Presentation.normal_form`` (both levels),
-    kept by ``+``, ``-``, negation and scaling when every operand carries
-    it, and never set by a constructor or ``levele_elt``.  ``rho``,
-    ``eta``, ``is_zero`` and ``==`` skip ``normal_form`` on a marked
-    element of their own presentation.
+    is set on the results of ``Presentation.normal_form`` (both levels)
+    and on the level-e results of ``rho``, ``t_act`` and ``mul``, kept by
+    ``+``, ``-``, negation and scaling when every operand carries it, and
+    never set by a constructor or ``levele_elt``.  ``normal_form`` returns
+    a marked element of its own presentation as it is.
     """
 
     __slots__ = ("pres", "level", "c2", "atoms", "e", "_eta", "_nf")
@@ -284,15 +283,14 @@ class RingElement:
             if other is None:
                 return NotImplemented
         pres = self.pres
-        a = self if self._nf else pres.normal_form(self)
-        b = other if other._nf and other.pres is pres else pres.normal_form(other)
+        a, b = pres.normal_form(self), pres.normal_form(other)
         return a.level == b.level and a.c2 == b.c2 and a.atoms == b.atoms and a.e == b.e
 
     def __hash__(self):
         raise TypeError("ring elements are unhashable; compare normal forms")
 
     def is_zero(self):
-        nf = self if self._nf else self.pres.normal_form(self)
+        nf = self.pres.normal_form(self)
         return not nf.c2 and not nf.atoms and not nf.e
 
     def grading(self):
@@ -372,7 +370,7 @@ class Presentation:
         self.eta_sides = ()                  # one catalog.EtaSide per fixed component
         self.eta_images = {}                 # filled by catalog._eta_base on first use
         self.identity_fn = cfg.get("identities", lambda P: [])  # P -> [(name, lhs, rhs)]
-        self.max_steps = cfg.get("max_steps", 200000)
+        self.max_steps = 200000
         self.rules = []                      # [(name, guard, rhs)], set by the catalog
         self.canonical_fn = cfg["canonical"]
         # the left side of a top-level identity as one unreduced term:
@@ -386,8 +384,7 @@ class Presentation:
         self._class_rules = []               # the rules the table was built from
         self._rule_pairs = []                # each rule's (coeff, delta) pairs, or None
         self._sample_pool = None             # filled by _sample_monomials on first use
-        self.warnings = cfg.get("warnings", [])
-        self.gen_info = cfg.get("gen_info", {})
+        self.warnings = []
 
     # -- element constructors ---------------------------------------------
 
@@ -419,6 +416,14 @@ class Presentation:
     def levele_elt(self, e):
         out = RingElement(self, "e")
         out.e = self.levele.reduce(dict(e))
+        return out
+
+    def _levele_nf(self, e):
+        """The marked level-e element of a dict that a ``LevelEModel``
+        operation has already reduced."""
+        out = RingElement(self, "e")
+        out.e = e
+        out._nf = True
         return out
 
     # -- gradings -----------------------------------------------------------
@@ -493,7 +498,8 @@ class Presentation:
         return entry
 
     def normal_form(self, x, rule_order=None, _fallbacks=(), _seen=None):
-        """The canonical form of x.
+        """The canonical form of x; a marked x of this presentation is
+        returned as it is.
 
         Each non-canonical monomial is rewritten by the first rule, in
         ``rules`` order or in ``rule_order`` (a permutation of the rule
@@ -524,11 +530,10 @@ class Presentation:
         the only steps at which another order could choose differently.
         Nested reductions (through ``tau_of_levele``) always take the
         default order and are not recorded."""
+        if x._nf and x.pres is self:
+            return x
         if x.level == "e":
-            out = RingElement(self, "e")
-            out.e = self.levele.reduce(x.e)
-            out._nf = True
-            return out
+            return self._levele_nf(self.levele.reduce(x.e))
         rules = self.rules
         rank = None if rule_order is None else {k: n for n, k in enumerate(rule_order)}
         table = self._rule_table()
@@ -539,8 +544,6 @@ class Presentation:
         for m, v in x.c2.items():
             if isinstance(v, PointElt):
                 v = dict(v.c)
-            elif isinstance(v, int):
-                v = {ONE_MONO: v} if v else None
             if v:
                 work[m] = v
         atoms = {k: v for k, v in x.atoms.items() if v}
@@ -632,7 +635,8 @@ class Presentation:
             if val.atoms:
                 rc = point_rho(_point(coeff))
                 for (a, b), v2 in val.atoms.items():
-                    w = self.levele.reduce({(a + k, b, 0, 1): v2 * n for k, n in rc.c.items()})
+                    # c^0 y is a basis monomial of every model with atoms
+                    w = {(a + k, b, 0, 1): v2 * n for k, n in rc.c.items()}
                     _add_raw(work, atoms, self.tau_of_levele(w, _fallbacks))
         out = RingElement(self, "top")
         out.c2 = done
@@ -647,7 +651,7 @@ class Presentation:
             # top * level-e acts through rho
             ex = x.e if x.level == "e" else self.rho(x).e
             ey = y.e if y.level == "e" else self.rho(y).e
-            return self.normal_form(RingElement(self, "e", e=self.levele.mul(ex, ey)))
+            return self._levele_nf(self.levele.mul(ex, ey))
         # the cross terms, as raw coefficients inside the element that
         # normal_form takes over (see its docstring)
         terms = RingElement(self, "top")
@@ -699,6 +703,7 @@ class Presentation:
         return out
 
     def _rho_mono_times(self, m, coeff):
+        # rho of a monomial without x is c^(i+j), which can leave the basis
         base = self._rho_mono(m)
         out = {}
         for n, v in point_rho(coeff).c.items():
@@ -708,10 +713,10 @@ class Presentation:
         return self.levele.reduce(out)
 
     def rho(self, x):
-        if not (x._nf and x.pres is self):
-            x = self.normal_form(x)
+        x = self.normal_form(x)
         if x.level == "e":
             return x
+        # a sum of reduced images is reduced once its zero terms are gone
         out = {}
         for m, v in x.c2.items():
             for k, n in self._rho_mono_times(m, v).items():
@@ -720,12 +725,12 @@ class Presentation:
             w = self.levele.one_plus_t({(a, b, 0, 1): v})
             for k, n in w.items():
                 out[k] = out.get(k, 0) + n
-        return self.levele_elt(out)
+        return self._levele_nf({k: n for k, n in out.items() if n})
 
     def t_act(self, x):
         if x.level != "e":
             raise ValueError("t acts on level-e elements")
-        return self.levele_elt(self.levele.t_act(x.e))
+        return self._levele_nf(self.levele.t_act(x.e))
 
     def tau_of_levele(self, w, _fallbacks=()):
         """Transfer: level-e element (raw dict or RingElement) to level top.
@@ -782,7 +787,7 @@ class Presentation:
         if img is None:
             from .catalog import eta_of_element
 
-            img = eta_of_element(self, x if x._nf and x.pres is self else self.normal_form(x))
+            img = eta_of_element(self, self.normal_form(x))
             if x.pres is self:
                 x._eta = img
         return dict(img[0]), dict(img[1])

@@ -31,6 +31,22 @@ def test_reduce_trivial(capsys):
     assert out.splitlines()[0] == "1"
 
 
+@pytest.mark.parametrize(
+    "space, expr, lines",
+    [
+        # a free-orbit transfer at eps = 0: tau(iota^a) = (1 + (-1)^a) tau(iota^a y)
+        ("quadric:1,1", "t(iota^2)", ["2*t(iota^2*y)"]),
+        ("quadric:1,1", "t(iota)", ["0"]),
+        ("quadric:3,3", "c^3", ["2*c*y", "# grading: 6  (level e)"]),
+        ("quadric:3,3", "iota^2*c*y", ["iota^2*c*y", "# grading: 4 + 2s  (level e)"]),
+    ],
+)
+def test_reduce_pinned_outputs(capsys, space, expr, lines):
+    code, out, _ = run(capsys, "reduce", space, expr)
+    assert code == 0
+    assert out.splitlines()[: len(lines)] == lines
+
+
 def test_reduce_parse_error(capsys):
     code, out, err = run(capsys, "reduce", "bu1", "wibble")
     assert code == 2

@@ -111,7 +111,7 @@ def test_distributivity(sid, data):
 def test_normal_form_idempotent(sid, data):
     pres, raw = data.draw(raw_elements(sid))
     nf = pres.normal_form(raw)
-    assert _terms(pres.normal_form(nf)) == _terms(nf)
+    assert _terms(pres.normal_form(_unmarked(nf))) == _terms(nf)
 
 
 @pytest.mark.parametrize("sid", SPACES)
@@ -128,6 +128,19 @@ def _structure(x):
     return x.level, {m: v.c for m, v in x.c2.items()}, x.atoms, x.e
 
 
+def _unmarked(x):
+    """A copy of x without the normal-form mark, which normal_form reduces
+    in full."""
+    return RingElement(x.pres, x.level, c2=x.c2, atoms=x.atoms, e=x.e)
+
+
+def _levele_terms(draw, pres):
+    """A level-e element of one to three drawn terms, reduced."""
+    eps = {"free": (0,), "proj": (0,), "binate": (0, 1, 2)}.get(pres.levele.kind, (0, 1))
+    key = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 2), st.sampled_from(eps))
+    return pres.levele_elt(draw(st.dictionaries(key, st.integers(-3, 3), min_size=1, max_size=3)))
+
+
 @pytest.mark.parametrize("sid", SPACES)
 @seed(SEED)
 @LAWS
@@ -138,17 +151,19 @@ def test_normal_form_mark(sid, data):
     c = data.draw(st.sampled_from(COEFFS))
     n = data.draw(st.integers(-3, 3))
     mono = data.draw(st.sampled_from(_sample_monomials(pres)))
-    assert not raw._nf
-    ex, ey = pres.normal_form(pres.rho(x)), pres.normal_form(pres.rho(y))
+    w = _levele_terms(data.draw, pres)
+    assert not raw._nf and not w._nf
+    ex, ey = pres.rho(x), pres.rho(y)
     marked = [pres.normal_form(raw), x, y, ex, pres.mul(x, y), pres.mul(ex, ey), pres.mul(x, ey),
+              pres.mul(x, w), pres.t_act(ex), pres.t_act(w), pres.normal_form(w),
               pres.monomial_elt(mono, c), pres.monomial_elt(mono)]
-    assert all(z._nf for z in marked)
     assert not (x + raw)._nf and not (raw - y)._nf and not (-raw)._nf and not raw.scale(n)._nf
     derived = [x + y, x - y, -x, x.scale(n), x.scale(c), c * x, n * y,
                ex + ey, ex - ey, -ex, ex.scale(n)]
-    for z in derived:
-        assert z._nf
-        assert _structure(z) == _structure(pres.normal_form(z))
+    # a marked element is its own normal form, which normal_form returns as it is
+    for z in marked + derived:
+        assert z._nf and pres.normal_form(z) is z
+        assert _structure(z) == _structure(pres.normal_form(_unmarked(z)))
     # the termwise scaling is the product with the coefficient's element
     for z in (x, y):
         assert _structure(z.scale(c)) == _structure(pres.mul(pres.coeff_elt(c), z))
@@ -157,15 +172,20 @@ def test_normal_form_mark(sid, data):
 _OTHER = {}
 
 
+def _other(sid):
+    """A second presentation of the same space."""
+    if sid not in _OTHER:
+        _OTHER[sid] = make_space(sid)
+    return _OTHER[sid]
+
+
 @pytest.mark.parametrize("sid", SPACES)
 @seed(SEED)
 @LAWS
 @given(data=st.data())
 def test_mark_is_trusted_only_in_its_presentation(sid, data):
     pres, x, y, _ = data.draw(triples(sid))
-    if sid not in _OTHER:
-        _OTHER[sid] = make_space(sid)
-    other = _OTHER[sid]
+    other = _other(sid)
     z = other.monomial_elt(data.draw(st.sampled_from(_sample_monomials(other))))
     assert x._nf and z._nf
     assert not (x + z)._nf and not (z - y)._nf
@@ -175,11 +195,37 @@ def test_mark_is_trusted_only_in_its_presentation(sid, data):
     try:
         other.rho(x)
         other.eta(x)
-        assert (z == x) == (_structure(other.normal_form(x)) == _structure(z))
+        nf = other.normal_form(x)
+        assert (z == x) == (_structure(nf) == _structure(z))
     finally:
         del other.normal_form
-    # rho, eta, == and the check itself each reduce x again
+    # rho, eta, == and the check itself each reduce x again, into other
     assert sum(w is x for w in seen) == 4
+    assert nf is not x and nf.pres is other and nf._nf and _structure(nf) == _structure(x)
+
+
+@pytest.mark.parametrize("sid", SPACES)
+@seed(SEED)
+@LAWS
+@given(data=st.data())
+def test_level_e_results_are_reduced(sid, data):
+    pres, x, y, _ = data.draw(triples(sid))
+    w = _levele_terms(data.draw, pres)
+    model = pres.levele
+    ex, ey = pres.rho(x), pres.rho(y)
+    for z in (ex, pres.mul(ex, ey), pres.mul(y, w), pres.mul(w, w), pres.t_act(ex), pres.t_act(w)):
+        assert model.reduce(z.e) == z.e
+    g_pt = PointElt.from_burnside(G)
+    for S, img_x, img_y in zip(pres.eta_sides, pres.eta(x), pres.eta(y)):
+        R = S.R
+        rx, ry = R.rho(img_x), R.rho(img_y)
+        assert R.model.reduce(rx) == rx and R.model.reduce(ry) == ry
+        t = R.tau(R.model.mul(rx, ry))
+        assert R.reduce(t) == t
+        assert t == R.mul(R.scale(img_x, g_pt), img_y)  # tau rho = g.
+        for z in (t, R.scale(img_x, g_pt)):
+            wit = R.transfer_witness(z)
+            assert wit is not None and R.model.reduce(wit) == wit
 
 
 @pytest.mark.parametrize("sid", SPACES)
@@ -190,7 +236,7 @@ def test_eta_and_phi_multiplicative(sid, data):
     pres, x, y, _ = data.draw(triples(sid))
     xy = pres.mul(x, y)
     for S, ex, ey, exy in zip(pres.eta_sides, pres.eta(x), pres.eta(y), pres.eta(xy)):
-        assert S.R.eq(exy, S.R.mul(ex, ey))
+        assert exy == S.R.mul(ex, ey)
     for S, px, py, pxy in zip(pres.eta_sides, pres.phi(x), pres.phi(y), pres.phi(xy)):
         assert S.R.model.quotient_mul(px, py) == pxy
 
@@ -227,9 +273,6 @@ def test_mackey_axioms(sid, data):
     # tau rho = g., on a top-level element
     assert pres.tau_of_levele(pres.rho(x)) == x.scale(PointElt.from_burnside(G))
     # rho tau = 1 + t, on a level-e element: drawn terms plus rho(y) times them
-    eps = {"free": (0,), "proj": (0,), "binate": (0, 1, 2)}.get(pres.levele.kind, (0, 1))
-    key = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 2), st.sampled_from(eps))
-    terms = data.draw(st.dictionaries(key, st.integers(-3, 3), min_size=1, max_size=3))
-    w = pres.levele_elt(terms)
+    w = _levele_terms(data.draw, pres)
     w = w + pres.mul(pres.rho(y), w)
     assert pres.rho(pres.tau_of_levele(w)) == w + pres.t_act(w)

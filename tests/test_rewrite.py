@@ -746,3 +746,12 @@ def test_results_never_share_coefficient_dicts_with_operands(sid):
     # on the free orbit every result is a sum of transfer atoms
     assert checked or pres.free_orbit
     assert [(k, [dict(c.c) for c, _ in pres.rules[k][2].pairs]) for k, _ in constants] == constants
+
+
+def test_rho_of_level_e_element_is_its_normal_form():
+    Q = make_space("quadric:3,3")
+    raw = RingElement(Q, "e", e={(0, 0, 3, 0): 1})  # c^3 = 2*c*y
+    r = Q.rho(raw)
+    assert r.level == "e" and r._nf and r.e == {(0, 0, 1, 1): 2}
+    assert r.e == Q.normal_form(raw).e
+    assert Q.rho(r) is r
