@@ -11,7 +11,8 @@ import json
 
 from .coefficients import PointElt
 from .grading import Grading
-from .rewrite import RingElement
+from .noneq import NoneqQuadricRing
+from .rewrite import NotAClassError, RingElement
 
 SCHEMA = "c2quadrics.atlas/1"
 
@@ -121,8 +122,8 @@ def _hom_tables(pres):
     gens = ["z0", "z1", "cw", "cx"] + (["x"] if pres.has_x else [])
     try:
         tables["rho"] = {g: levele_str(pres.rho(pres.gen(g)).e) for g in gens}
-    except Exception:
-        return tables
+    except NotAClassError:
+        return tables  # the point ring: its generators are not classes
     if all(S.R.empty for S in pres.eta_sides):
         return tables  # no fixed points (the free orbit): no eta table
     images = [pres.eta(pres.gen(g)) for g in gens]
@@ -138,7 +139,7 @@ def atlas_document(space_ids, coset=0, window=((-16, 16), (-16, 16)), seed=0, au
     spaces = []
     for sid in sorted(space_ids):
         pres = make_space(sid)
-        if hasattr(pres, "reduce"):  # nonequivariant quadric ring
+        if isinstance(pres, NoneqQuadricRing):
             spaces.append({"space": sid, "kind": "nonequivariant", "basis": [
                 {"key": list(k), "degree": d} for k, d in pres.basis()
             ]})

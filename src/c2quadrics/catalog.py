@@ -177,9 +177,11 @@ _DIV_S = [(XI, _mono(s=-1, t=-1))]
 # ---------------------------------------------------------------------------
 # generic quadric-family presentation builder
 
-# deck: dict with p, q, has_x, has_atoms, z0_inv, z1_inv, corrw, corrx,
-# xsq_terms, top_terms, divdiv_terms, rho_x, levele, x_grading, raw_lhs,
-# and for eta (_build_eta) components, eta_x, eta_y
+# deck: dict with p, q, has_x, has_atoms, corrw, corrx, xsq_terms,
+# top_terms, divdiv_terms, rho_x, levele, x_grading, raw_lhs, and for eta
+# (_build_eta) components, eta_x, eta_y; _finish adds z0_inv and z1_inv.
+# A quadric's type deck gives rho_x, corrw, corrx, xsq_terms, divdiv_terms,
+# top_terms, eta_x and eta_y; _quadric derives the rest from (m, n)
 
 
 def _build_rules(pres):
@@ -450,9 +452,7 @@ def _build_rules(pres):
 
 def _make_canonical(deck):
     p, q = deck["p"], deck["q"]
-    has_x = deck["has_x"]
-    z0_inv = deck.get("z0_inv", False)
-    z1_inv = deck.get("z1_inv", False)
+    has_x, z0_inv, z1_inv = deck["has_x"], deck["z0_inv"], deck["z1_inv"]
     infinite = p is None
 
     # Every branch below accepts only s == 0 or t == 0; the basis
@@ -691,9 +691,10 @@ def _build_eta(pres, deck):
 
 def _finish(name, space, deck, identities):
     """The presentation of a deck; ``identities`` maps it to its relation
-    deck [(name, lhs, rhs)]."""
-    cfg = dict(deck)
-    cfg["canonical"] = _make_canonical(deck)
+    deck [(name, lhs, rhs)].  A zeta is invertible exactly when its side
+    has size 0 (never on BU(1), whose p is None)."""
+    cfg = dict(deck, z0_inv=deck["p"] == 0, z1_inv=deck["q"] == 0)
+    cfg["canonical"] = _make_canonical(cfg)
     cfg["identities"] = identities
     pres = Presentation(name, space, cfg)
     pres.rules = _build_rules(pres)
@@ -749,14 +750,9 @@ def make_projective(p, q):
         "p": p,
         "q": q,
         "has_x": False,
-        "z0_inv": p == 0,
-        "z1_inv": q == 0,
         "levele": LevelEModel("proj", p + q),
         "top_terms": [],
-        "components": (
-            ("proj", p) if p else ("zero", 0),
-            ("proj", q) if q else ("zero", 0),
-        ),
+        "components": tuple(("proj", k) if k else ("zero", 0) for k in (p, q)),
         "raw_lhs": {"cw^p*cx^q = 0": (ONE, _mono(i=p, j=q))},
     }
 
@@ -776,14 +772,9 @@ def make_binate(p, q):
         "q": q,
         "has_x": False,
         "has_atoms": True,
-        "z0_inv": p == 0,
-        "z1_inv": q == 0,
         "levele": LevelEModel("binate", p + q),
         "top_terms": [("atom", 1, (2 * q, p - q))],
-        "components": (
-            ("proj", p) if p else ("zero", 0),
-            ("proj", q) if q else ("zero", 0),
-        ),
+        "components": tuple(("proj", k) if k else ("zero", 0) for k in (p, q)),
         "raw_lhs": {"cw^p*cx^q = z0^q*z1^p*t(y)": (ONE, _mono(i=p, j=q))},
     }
 
@@ -867,57 +858,61 @@ def _quad_identities(P):
     return out
 
 
-def _make_quad_deck(name, space, deck, warn=None):
-    deck.setdefault("has_x", True)
-    deck["raw_lhs"] = {
-        "x^2": (ONE, _mono(d=2)),
-        "divw*divx": (ONE, _mono(w0=1, w1=1)),
-        "cw^p*cx^q": (ONE, _mono(i=deck["p"], j=deck["q"])),
-    }
-    pres = _finish(name, space, deck, _quad_identities)
-    if warn:
+def _quadric(m, n, deck):
+    """The presentation of Q^{m,n} from its type's ``deck``.
+
+    (m, n) alone decides p = m // 2 and q = n // 2, the x grading
+    ceil(m/2) w + ceil(n/2) xw - 2, the level-e model (the nonequivariant
+    quadric in C^{m+n}: B when m + n is odd, D otherwise; t fixes y when m
+    and n are even), the two fixed components (the quadrics in C^m and C^n,
+    empty when m or n <= 1, where zeta0 or zeta1 is invertible),
+    whether there is a free-orbit summand (m and n both odd), and the
+    restricted-grading warning (m or n = 2).  Each type's deck (``_bb``,
+    ``_db``, ``_bd``, ``_dd``) gives only its own presentation data: rho(x),
+    the corrections of divw and divx, x^2, divw*divx, cw^p*cx^q and eta(x),
+    eta(y).
+    """
+    p, q = m // 2, n // 2
+    deck.update(
+        p=p,
+        q=q,
+        has_x=True,
+        has_atoms=m % 2 == 1 and n % 2 == 1,
+        x_grading=(m + 1) // 2 * W + (n + 1) // 2 * XW - Grading(2),
+        levele=LevelEModel(
+            "B" if (m + n) % 2 else "D", (m + n) // 2, t_fixes_y=m % 2 == 0 and n % 2 == 0
+        ),
+        components=tuple(("B" if k % 2 else "D", k // 2) if k > 1 else ("zero", 0) for k in (m, n)),
+        raw_lhs={
+            "x^2": (ONE, _mono(d=2)),
+            "divw*divx": (ONE, _mono(w0=1, w1=1)),
+            "cw^p*cx^q": (ONE, _mono(i=p, j=q)),
+        },
+    )
+    pres = _finish("quadric:%d,%d" % (m, n), ("quadric", m, n), deck, _quad_identities)
+    if m == 2 or n == 2:
+        warn = "grading restricted: RO(Pi Q^{%d,%d}) is larger than RO(Pi BU(1))" % (m, n)
         pres.warnings.append(warn)
-        warnings.warn(warn, RestrictedGradingWarning, stacklevel=3)
+        warnings.warn(warn, RestrictedGradingWarning, stacklevel=2)
     return pres
 
 
 def _bb(p, q):
-    if p == 0 and q == 0:
-        return _make_free_orbit("quadric:1,1", ("quadric", 1, 1))
-    deck = {
-        "p": p,
-        "q": q,
-        "z0_inv": p == 0,
-        "z1_inv": q == 0,
-        "has_atoms": True,
-        "x_grading": (p + 1) * W + (q + 1) * XW - Grading(2),
+    return {
         "rho_x": (2 * (q + 1), p - q, 1),
-        "levele": LevelEModel("D", p + q + 1),
         "corrw": [(nk(2 * (q + 1)), (0, q, 0, 0, 1, 0, 0))],
         "corrx": [(nk(2 * (p + 1)), (p, 0, 0, 0, 1, 0, 0))],
         "xsq_terms": [],
         "divdiv_terms": [("atom", 1, (2 * q, p - q))],
         "top_terms": [("atom", 1, (2 * q, p - q)), ("mono", nk(2), (0, 0, 0, 0, 1, 0, 0))],
-        "components": (("B", p) if p else ("zero", 0), ("B", q) if q else ("zero", 0)),
         "eta_x": ((q + 1, p - q), (p + 1, q - p)),
         "eta_y": (q, p),
     }
-    return _make_quad_deck(
-        "quadric:%d,%d" % (2 * p + 1, 2 * q + 1),
-        ("quadric", 2 * p + 1, 2 * q + 1),
-        deck,
-    )
 
 
 def _db(p, q):
-    deck = {
-        "p": p,
-        "q": q,
-        "z0_inv": p == 0,
-        "z1_inv": q == 0,
-        "x_grading": p * W + (q + 1) * XW - Grading(2),
+    return {
         "rho_x": (2 * (q + 1), p - q - 1, 0),
-        "levele": LevelEModel("B", p + q),
         "corrw": [] if p <= 1 else [(nk(2 * (q + 1)), (0, q, 1, 0, 1, 0, 0))],
         "corrx": [(nk(2 * p), (p - 1, 0, 0, 0, 1, 0, 0))],
         "xsq_terms": [] if p % 2 == 0 else [(E2, (0, 0, p - 1, q, 1, 0, 0))],
@@ -926,27 +921,14 @@ def _db(p, q):
             ("mono", TRANS_M1, (0, 1, 0, 0, 1, 0, 0)),
             ("mono", nk(2), (0, 0, 1, 0, 1, 0, 0)),
         ],
-        "components": (("D", p) if p else ("zero", 0), ("B", q) if q else ("zero", 0)),
         "eta_x": ((q + 1, p - q - 1), (p, q + 1 - p)),
         "eta_y": (q + 1, p),
     }
-    warn = None
-    if 2 * p == 2:
-        warn = "grading restricted: RO(Pi Q^{2,%d}) is larger than RO(Pi BU(1))" % (2 * q + 1)
-    return _make_quad_deck(
-        "quadric:%d,%d" % (2 * p, 2 * q + 1), ("quadric", 2 * p, 2 * q + 1), deck, warn
-    )
 
 
 def _bd(p, q):
-    deck = {
-        "p": p,
-        "q": q,
-        "z0_inv": p == 0,
-        "z1_inv": q == 0,
-        "x_grading": (p + 1) * W + q * XW - Grading(2),
+    return {
         "rho_x": (2 * q, p + 1 - q, 0),
-        "levele": LevelEModel("B", p + q),
         "corrw": [(nk(2 * q), (0, q - 1, 0, 0, 1, 0, 0))],
         "corrx": [] if q <= 1 else [(nk(2 * (p + 1)), (p, 0, 0, 1, 1, 0, 0))],
         "xsq_terms": [] if q % 2 == 0 else [(E2, (0, 0, p, q - 1, 1, 0, 0))],
@@ -955,16 +937,9 @@ def _bd(p, q):
             ("mono", TRANS_M1, (1, 0, 0, 0, 1, 0, 0)),
             ("mono", nk(2), (0, 0, 0, 1, 1, 0, 0)),
         ],
-        "components": (("B", p) if p else ("zero", 0), ("D", q) if q else ("zero", 0)),
         "eta_x": ((q, p + 1 - q), (p + 1, q - p - 1)),
         "eta_y": (q, p + 1),
     }
-    warn = None
-    if 2 * q == 2:
-        warn = "grading restricted: RO(Pi Q^{%d,2}) is larger than RO(Pi BU(1))" % (2 * p + 1)
-    return _make_quad_deck(
-        "quadric:%d,%d" % (2 * p + 1, 2 * q), ("quadric", 2 * p + 1, 2 * q), deck, warn
-    )
 
 
 def _dd(p, q):
@@ -976,14 +951,8 @@ def _dd(p, q):
         xsq = [(ONE, (1, 0, p, q - 1, 1, 0, 0))]
     else:
         xsq = [(ONE, (0, 1, p - 1, q, 1, 0, 0))]
-    deck = {
-        "p": p,
-        "q": q,
-        "z0_inv": p == 0,
-        "z1_inv": q == 0,
-        "x_grading": p * W + q * XW - Grading(2),
+    return {
         "rho_x": (2 * q, p - q, 0),
-        "levele": LevelEModel("D", p + q, t_fixes_y=True),
         "corrw": [] if p <= 1 else [(nk(2 * q), (0, q - 1, 1, 0, 1, 0, 0))],
         "corrx": [] if q <= 1 else [(nk(2 * p), (p - 1, 0, 0, 1, 1, 0, 0))],
         "xsq_terms": xsq,
@@ -992,28 +961,21 @@ def _dd(p, q):
             ("mono", TRANS_M1, (1, 0, 1, 0, 1, 0, 0)),
             ("mono", nk(2), (0, 0, 1, 1, 1, 0, 0)),
         ],
-        "components": (("D", p) if p else ("zero", 0), ("D", q) if q else ("zero", 0)),
         "eta_x": ((q, p - q), (p, q - p)),
         "eta_y": (q, p),
     }
-    warn = None
-    if 2 * p == 2 or 2 * q == 2:
-        warn = "grading restricted: RO(Pi Q^{%d,%d}) is larger than RO(Pi BU(1))" % (2 * p, 2 * q)
-    return _make_quad_deck(
-        "quadric:%d,%d" % (2 * p, 2 * q), ("quadric", 2 * p, 2 * q), deck, warn
-    )
+
+
+# the type of Q^{m,n} by (m % 2, n % 2)
+_QUADRIC_TYPES = {(1, 1): _bb, (0, 1): _db, (1, 0): _bd, (0, 0): _dd}
 
 
 def make_quadric(m, n):
     if m < 0 or n < 0 or m + n < 2:
         raise InvalidSizeError("quadric needs m, n >= 0 with m + n >= 2")
-    if m % 2 == 1 and n % 2 == 1:
-        return _bb((m - 1) // 2, (n - 1) // 2)
-    if m % 2 == 0 and n % 2 == 1:
-        return _db(m // 2, (n - 1) // 2)
-    if m % 2 == 1 and n % 2 == 0:
-        return _bd((m - 1) // 2, n // 2)
-    return _dd(m // 2, n // 2)
+    if m == 1 and n == 1:
+        return _make_free_orbit("quadric:1,1", ("quadric", 1, 1))
+    return _quadric(m, n, _QUADRIC_TYPES[m % 2, n % 2](m // 2, n // 2))
 
 
 def make_nonequiv_quadric(n, kind=None):

@@ -56,15 +56,6 @@ class _Term:
         self.levele = [0, 0, 0, 0]
         self.factors = []  # RingElements multiplied in at the end
 
-    def copy(self):
-        t = _Term()
-        t.coeff = self.coeff
-        t.gens = list(self.gens)
-        t.e_exp, t.xi_exp, t.kappa = self.e_exp, self.xi_exp, self.kappa
-        t.levele = list(self.levele)
-        t.factors = list(self.factors)
-        return t
-
     def mul_symbol(self, name, power):
         if name in GENS:
             if power < 0 and name not in ("z0", "z1"):

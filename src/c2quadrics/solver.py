@@ -350,6 +350,31 @@ POINT_COEFFS = [
 ]
 
 
+def _mackey_failure(pres, x, rx, g_pt):
+    """The first Mackey axiom that fails on x, whose rho is rx, or None."""
+    if not (pres.t_act(rx) - rx).is_zero():
+        return "t rho"
+    trx = pres.tau_of_levele(rx.e)
+    if not (trx - x.scale(g_pt)).is_zero():
+        return "tau rho"
+    if not (pres.rho(trx) - rx.scale(2)).is_zero():
+        return "rho tau"
+    return None
+
+
+def _hom_failure(pres, x, y, xy, rx):
+    """The first of rho, eta, phi that is not multiplicative on x, y, or None."""
+    if not (pres.rho(xy) - pres.mul(rx, pres.rho(y))).is_zero():
+        return "rho mult"
+    sides = zip(pres.eta_sides, pres.eta(x), pres.eta(y), pres.eta(xy))
+    if not all(exy == S.R.mul(ex, ey) for S, ex, ey, exy in sides):
+        return "eta mult"
+    sides = zip(pres.eta_sides, pres.phi(x), pres.phi(y), pres.phi(xy))
+    if not all(S.R.model.quotient_mul(px, py) == pxy for S, px, py, pxy in sides):
+        return "phi mult"
+    return None
+
+
 def audit_full(pres, seed=0, samples=120, probe_samples=200):
     """Run every structural check; deterministic given the seed."""
     rng = random.Random(seed)
@@ -388,13 +413,12 @@ def audit_full(pres, seed=0, samples=120, probe_samples=200):
             break
     record("homogeneity", homog_ok)
 
-    # Mackey axioms and homomorphism multiplicativity on random samples
+    # Mackey axioms and homomorphism multiplicativity on random samples,
+    # each check with its own first failure
     g_pt = PointElt.from_burnside(G)
-    mack_ok = True
-    hom_ok = True
-    detail = None
-    for k in range(samples):
-        if not pool:
+    mackey = hom = None
+    for _ in range(samples):
+        if not pool or (mackey and hom):
             break
         m1, m2 = rng.choice(pool), rng.choice(pool)
         try:
@@ -402,32 +426,15 @@ def audit_full(pres, seed=0, samples=120, probe_samples=200):
             y = pres.monomial_elt(m2)
             xy = pres.mul(x, y)
             rx = pres.rho(x)
-            if not (pres.t_act(rx) - rx).is_zero():
-                mack_ok, detail = False, ("t rho", m1)
-                break
-            trx = pres.tau_of_levele(rx.e)
-            if not (trx - x.scale(g_pt)).is_zero():
-                mack_ok, detail = False, ("tau rho", m1)
-                break
-            if not (pres.rho(trx) - rx.scale(2)).is_zero():
-                mack_ok, detail = False, ("rho tau", m1)
-                break
-            if not (pres.rho(xy) - pres.mul(rx, pres.rho(y))).is_zero():
-                hom_ok, detail = False, ("rho mult", m1, m2)
-                break
-            sides = list(zip(pres.eta_sides, pres.eta(x), pres.eta(y), pres.eta(xy)))
-            if not all(exy == S.R.mul(ex, ey) for S, ex, ey, exy in sides):
-                hom_ok, detail = False, ("eta mult", m1, m2)
-                break
-            sides = list(zip(pres.eta_sides, pres.phi(x), pres.phi(y), pres.phi(xy)))
-            if not all(S.R.model.quotient_mul(px, py) == pxy for S, px, py, pxy in sides):
-                hom_ok, detail = False, ("phi mult", m1, m2)
-                break
+            if mackey is None and (fault := _mackey_failure(pres, x, rx, g_pt)):
+                mackey = (fault, m1)
+            if hom is None and (fault := _hom_failure(pres, x, y, xy, rx)):
+                hom = (fault, m1, m2)
         except Exception as exc:
-            mack_ok, detail = False, ("exception", str(exc)[:200])
+            mackey = mackey or ("exception", str(exc)[:200])
             break
-    record("mackey_axioms", mack_ok, detail)
-    record("hom_multiplicative", hom_ok, detail)
+    record("mackey_axioms", mackey is None, mackey)
+    record("hom_multiplicative", hom is None, hom)
 
     # confluence probe
     probe = confluence_probe(pres, samples=probe_samples, seed=seed + 1)

@@ -6,13 +6,15 @@ import pytest
 from c2quadrics.atlas import (
     SCHEMA,
     SchemaError,
+    _hom_tables,
     atlas_document,
     dump_atlas,
     element_from_doc,
     element_to_doc,
     load_atlas,
 )
-from c2quadrics.catalog import RestrictedGradingWarning, _div_elements, make_quadric
+from c2quadrics.catalog import RestrictedGradingWarning, _div_elements, make_quadric, make_space
+from c2quadrics.rewrite import NonTerminatingError
 
 warnings.simplefilter("ignore", RestrictedGradingWarning)
 
@@ -63,3 +65,13 @@ def test_presentation_doc_contents():
     ]["n"] == 0
     names = [r["name"] for r in doc["presentation"]["relations"]]
     assert "x^2" in names and "divw*divx" in names
+
+
+def test_hom_tables_skip_only_the_point_ring():
+    # the point ring's generators are not classes: no tables
+    assert _hom_tables(make_space("point")) == {}
+    # a rule-set fault is not swallowed
+    Q = make_quadric(3, 3)
+    Q.max_steps = 0
+    with pytest.raises(NonTerminatingError):
+        _hom_tables(Q)

@@ -10,6 +10,7 @@ from c2quadrics.catalog import (
     _div_elements,
     basis_slice,
     make_binate,
+    make_nonequiv_quadric,
     make_quadric,
     make_space,
     parse_space,
@@ -63,6 +64,30 @@ def test_restricted_grading_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         make_quadric(3, 5)  # no warning for m, n != 2
+
+
+def _model(model):
+    return model.kind, model.size
+
+
+def test_shared_fields_follow_from_m_and_n():
+    for m in range(16):
+        for n in range(16):
+            if m + n < 2 or (m, n) == (1, 1):
+                continue
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                Q = make_quadric(m, n)
+            # level e: the quadric in C^{m+n}; the fixed components: those in C^m and C^n
+            assert _model(Q.levele) == _model(make_nonequiv_quadric(m + n).model)
+            for S, k in zip(Q.eta_sides, (m, n)):
+                assert _model(S.R.model) == (_model(make_nonequiv_quadric(k).model) if k >= 2 else ("zero", 0))
+            assert Q.levele.key_grading(Q.rho_x + (1,)) == Q.x_grading
+            assert Q.has_atoms == (m % 2 == 1 and n % 2 == 1)
+            assert (Q.z0_inv, Q.z1_inv) == (m <= 1, n <= 1)
+            restricted = m == 2 or n == 2
+            assert [w.category for w in caught] == [RestrictedGradingWarning] * restricted
+            assert len(Q.warnings) == restricted
 
 
 def test_invalid_sizes():

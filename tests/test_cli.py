@@ -39,6 +39,14 @@ def test_reduce_trivial(capsys):
         ("quadric:1,1", "t(iota)", ["0"]),
         ("quadric:3,3", "c^3", ["2*c*y", "# grading: 6  (level e)"]),
         ("quadric:3,3", "iota^2*c*y", ["iota^2*c*y", "# grading: 4 + 2s  (level e)"]),
+        # the coefficient symbols: xi, positive powers of e, k and g
+        ("quadric:3,3", "xi*cw", ["xi*cw", "# grading: -2 + 2s + w  (level top)"]),
+        ("quadric:3,3", "e^2*k", ["2*e^2"]),
+        ("quadric:3,3", "k^2", ["2*k"]),
+        ("quadric:3,3", "g*cw", ["(-k + 2)*cw"]),
+        ("quadric:3,3", "e^-1*k^2", ["2*e^-1*k"]),
+        ("quadric:3,3", "2*e*xi", ["0"]),
+        ("quadric:3,3", "t(iota^2)*xi", ["2*xi^2"]),
     ],
 )
 def test_reduce_pinned_outputs(capsys, space, expr, lines):
@@ -51,6 +59,16 @@ def test_reduce_parse_error(capsys):
     code, out, err = run(capsys, "reduce", "bu1", "wibble")
     assert code == 2
     assert "parse error" in err
+
+
+@pytest.mark.parametrize("expr, symbol", [
+    ("xi^-1", "xi"), ("k^-1", "k"), ("g^-1", "g"), ("c^-1*y", "c"),
+])
+def test_non_invertible_symbol_is_one_line(capsys, expr, symbol):
+    code, out, err = run(capsys, "reduce", "quadric:3,3", expr)
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: %s is not invertible\n" % symbol
 
 
 def test_basis_counts(capsys):

@@ -6,11 +6,14 @@ the spaces that have them.  The profile is derandomized with a fixed seed,
 so every run draws the same examples.
 """
 
+import json
+
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from c2quadrics.catalog import make_space
+from c2quadrics.atlas import element_from_doc, element_to_doc
+from c2quadrics.catalog import make_space, swap_element, swap_involution
 from c2quadrics.coefficients import G, PointElt, pos
 from c2quadrics.rewrite import RingElement, _mono_product, _sample_monomials
 from c2quadrics.solver import POINT_COEFFS
@@ -276,3 +279,37 @@ def test_mackey_axioms(sid, data):
     w = _levele_terms(data.draw, pres)
     w = w + pres.mul(pres.rho(y), w)
     assert pres.rho(pres.tau_of_levele(w)) == w + pres.t_act(w)
+
+
+_SWAPPED = {}
+
+
+def _swapped(sid):
+    """The presentation of the swapped space."""
+    if sid not in _SWAPPED:
+        _SWAPPED[sid] = swap_involution(_space(sid))
+    return _SWAPPED[sid]
+
+
+@pytest.mark.parametrize("sid", SPACES)
+@seed(SEED)
+@LAWS
+@given(data=st.data())
+def test_swap_laws(sid, data):
+    pres, x, y, _ = data.draw(triples(sid))
+    T = _swapped(sid)
+    sx, sy = swap_element(pres, T, x), swap_element(pres, T, y)
+    # multiplicative, commutes with rho, and an involution
+    assert swap_element(pres, T, pres.mul(x, y)) == T.mul(sx, sy)
+    assert swap_element(pres, T, pres.rho(x)) == T.rho(sx)
+    assert swap_element(T, pres, sx) == x
+
+
+@pytest.mark.parametrize("sid", SPACES)
+@seed(SEED)
+@LAWS
+@given(data=st.data())
+def test_atlas_element_round_trip(sid, data):
+    pres, x, _, _ = data.draw(triples(sid))
+    for z in (x, pres.rho(x)):
+        assert element_from_doc(pres, json.loads(json.dumps(element_to_doc(z)))) == z

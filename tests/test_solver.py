@@ -221,6 +221,22 @@ def test_audit_detects_seeded_fault():
     assert not rep["ok"]
 
 
+def test_audit_checks_keep_their_own_failure():
+    # phi no longer multiplicative: only hom_multiplicative fails
+    Q = make_quadric(3, 3)
+    Q.phi = lambda x, _phi=Q.phi: tuple({k: 3 * v for k, v in img.items()} for img in _phi(x))
+    checks = audit_full(Q, seed=2, samples=60, probe_samples=20)["checks"]
+    assert checks["mackey_axioms"] == {"ok": True}
+    assert not checks["hom_multiplicative"]["ok"]
+    assert checks["hom_multiplicative"]["detail"][0] == "phi mult"
+    # t no longer fixes rho: only mackey_axioms fails
+    Q = make_quadric(3, 3)
+    Q.t_act = lambda w: w.scale(2)
+    checks = audit_full(Q, seed=2, samples=60, probe_samples=20)["checks"]
+    assert checks["hom_multiplicative"] == {"ok": True}
+    assert checks["mackey_axioms"]["detail"][0] == "t rho"
+
+
 # -- the g*x columns, derived from the images of x ----------------------------
 
 G_PT = PointElt.from_burnside(G)
