@@ -131,6 +131,18 @@ def _mono(s=0, t=0, i=0, j=0, d=0, w0=0, w1=0):
     return (s, t, i, j, d, w0, w1)
 
 
+def _swap_mono(m):
+    """The swap Q^{m,n} -> Q^{n,m} on a monomial: (z0, cw, divw) <-> (z1, cx, divx)."""
+    s, t, i, j, d, w0, w1 = m
+    return (t, s, j, i, d, w1, w0)
+
+
+def _swap_key(a, b):
+    """The swap on a level-e key iota^a zeta^b: zeta = rho(z1) goes to
+    rho(z0) = iota^2 zeta^-1."""
+    return (a + 2 * b, -b)
+
+
 def _linear(pres, m, pairs):
     """sum of coeff * (m * delta) over the (coeff, delta) pairs, as a raw element."""
     c2 = {}
@@ -181,7 +193,8 @@ _DIV_S = [(XI, _mono(s=-1, t=-1))]
 # top_terms, divdiv_terms, rho_x, levele, x_grading, raw_lhs, and for eta
 # (_build_eta) components, eta_x, eta_y; _finish adds z0_inv and z1_inv.
 # A quadric's type deck gives rho_x, corrw, corrx, xsq_terms, divdiv_terms,
-# top_terms, eta_x and eta_y; _quadric derives the rest from (m, n)
+# top_terms, eta_x and eta_y; _quadric derives the rest from (m, n).  The
+# odd-even deck BD is not written out: it is the swap of DB (_swap_deck)
 
 
 def _build_rules(pres):
@@ -260,7 +273,9 @@ def _build_rules(pres):
         rules.append(("w0_square", lambda m: m[5] >= 2, linear(divw)))
         rules.append(("w1_square", lambda m: m[6] >= 2, linear(divx)))
 
-        def g_w0exp(m):
+        # the divx guards are the divw guards on the swapped monomial, with
+        # the sizes p and q exchanged (``other`` is the size of the other side)
+        def g_wexp(m, other):
             s, t, i, j, d, w0, w1 = m
             if w0 != 1 or w1 != 0:
                 return False
@@ -270,23 +285,10 @@ def _build_rules(pres):
                 return True
             if t != 0 or i != 0:
                 return False
-            return s >= 1 or (s == 0 and j <= q - 1)
+            return s >= 1 or (s == 0 and j <= other - 1)
 
-        rules.append(("w0_expand", g_w0exp, linear(divw)))
-
-        def g_w1exp(m):
-            s, t, i, j, d, w0, w1 = m
-            if w1 != 1 or w0 != 0:
-                return False
-            if z1_inv or z0_inv:
-                return True
-            if d >= 1:
-                return True
-            if s != 0 or j != 0:
-                return False
-            return t >= 1 or (t == 0 and i <= p - 1)
-
-        rules.append(("w1_expand", g_w1exp, linear(divx)))
+        rules.append(("w0_expand", lambda m: g_wexp(m, q), linear(divw)))
+        rules.append(("w1_expand", lambda m: g_wexp(_swap_mono(m), p), linear(divx)))
 
         def g_w0cw(m):
             s, t, i, j, d, w0, w1 = m
@@ -296,15 +298,7 @@ def _build_rules(pres):
             )
 
         rules.append(("w0_cw", g_w0cw, linear(_W0_CW)))
-
-        def g_w1cx(m):
-            s, t, i, j, d, w0, w1 = m
-            return (
-                not (z0_inv or z1_inv)
-                and w1 == 1 and w0 == 0 and d == 0 and j >= 1 and s == 0
-            )
-
-        rules.append(("w1_cx", g_w1cx, linear(_W1_CX)))
+        rules.append(("w1_cx", lambda m: g_w0cw(_swap_mono(m)), linear(_W1_CX)))
 
         def g_w0cx(m):
             s, t, i, j, d, w0, w1 = m
@@ -870,7 +864,8 @@ def _quadric(m, n, deck):
     restricted-grading warning (m or n = 2).  Each type's deck (``_bb``,
     ``_db``, ``_bd``, ``_dd``) gives only its own presentation data: rho(x),
     the corrections of divw and divx, x^2, divw*divx, cw^p*cx^q and eta(x),
-    eta(y).
+    eta(y).  ``_bd(p, q)`` is ``_db(q, p)`` through the swap Q^{m,n} ->
+    Q^{n,m} (``_swap_deck``), which exchanges C and C_sigma.
     """
     p, q = m // 2, n // 2
     deck.update(
@@ -927,18 +922,30 @@ def _db(p, q):
 
 
 def _bd(p, q):
+    return _swap_deck(_db(q, p))
+
+
+def _swap_deck(deck):
+    """The type deck of Q^{n,m} from that of Q^{m,n}: corrw and corrx trade
+    places, so do the two fixed components, and every monomial and level-e
+    key goes through the swap."""
+
+    def pairs(key):
+        return [(c, _swap_mono(delta)) for c, delta in deck[key]]
+
+    def terms(key):
+        return [(k, c, _swap_mono(x) if k == "mono" else _swap_key(*x)) for k, c, x in deck[key]]
+
+    A, B, C = deck["rho_x"]
     return {
-        "rho_x": (2 * q, p + 1 - q, 0),
-        "corrw": [(nk(2 * q), (0, q - 1, 0, 0, 1, 0, 0))],
-        "corrx": [] if q <= 1 else [(nk(2 * (p + 1)), (p, 0, 0, 1, 1, 0, 0))],
-        "xsq_terms": [] if q % 2 == 0 else [(E2, (0, 0, p, q - 1, 1, 0, 0))],
-        "divdiv_terms": [("mono", TRANS_M1, (1, 0, 0, 0, 1, 0, 0))],
-        "top_terms": [
-            ("mono", TRANS_M1, (1, 0, 0, 0, 1, 0, 0)),
-            ("mono", nk(2), (0, 0, 0, 1, 1, 0, 0)),
-        ],
-        "eta_x": ((q, p + 1 - q), (p + 1, q - p - 1)),
-        "eta_y": (q, p + 1),
+        "rho_x": _swap_key(A, B) + (C,),
+        "corrw": pairs("corrx"),
+        "corrx": pairs("corrw"),
+        "xsq_terms": pairs("xsq_terms"),
+        "divdiv_terms": terms("divdiv_terms"),
+        "top_terms": terms("top_terms"),
+        "eta_x": deck["eta_x"][::-1],
+        "eta_y": deck["eta_y"][::-1],
     }
 
 
@@ -1007,14 +1014,11 @@ def swap_involution(pres):
 def swap_element(pres, target, x):
     """Push an element through the swap homeomorphism."""
     x = pres.normal_form(x)
+    # the swap maps are bijections, so no two terms meet
     out = RingElement(target, x.level)
-    for (s, t, i, j, d, w0, w1), v in x.c2.items():
-        out = out + RingElement(target, "top", c2={(t, s, j, i, d, w1, w0): v})
-    for (a, b), v in x.atoms.items():
-        # zeta = rho(z1) maps to rho(z0) = iota^2 zeta^{-1}
-        out = out + RingElement(target, "top", atoms={(a + 2 * b, -b): v})
-    for (a, b, dd, eps), v in x.e.items():
-        out = out + target.levele_elt({(a + 2 * b, -b, dd, eps): v})
+    out.c2 = {_swap_mono(m): v for m, v in x.c2.items()}
+    out.atoms = {_swap_key(*k): v for k, v in x.atoms.items()}
+    out.e = {_swap_key(a, b) + (dd, eps): v for (a, b, dd, eps), v in x.e.items()}
     return target.normal_form(out)
 
 

@@ -163,12 +163,9 @@ def cmd_verify(args):
         warnings.simplefilter("ignore", RestrictedGradingWarning)
         if args.all:
             bound = args.max
+            # every quadric:m,n with m, n >= 1 and p = m // 2, q = n // 2 <= bound
             for m in range(1, 2 * bound + 2):
                 for n in range(1, 2 * bound + 2):
-                    pm = (m - 1) // 2 if m % 2 else m // 2
-                    pn = (n - 1) // 2 if n % 2 else n // 2
-                    if pm > bound or pn > bound or m + n < 2:
-                        continue
                     ok = _verify_one("quadric:%d,%d" % (m, n), args.seed, args.full) and ok
         elif args.spaces:
             for space_id in args.spaces:

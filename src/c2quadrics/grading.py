@@ -65,9 +65,6 @@ class Grading:
             return NotImplemented
         return Grading(k * self.a, k * self.b, k * self.m)
 
-    def is_zero(self):
-        return self.a == 0 and self.b == 0 and self.m == 0
-
     def __repr__(self):
         return "Grading(%d, %d, %d)" % (self.a, self.b, self.m)
 

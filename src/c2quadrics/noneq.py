@@ -51,9 +51,6 @@ class NoneqQuadricRing:
 
     # -- element constructors ------------------------------------------
 
-    def zero(self):
-        return {}
-
     def one(self):
         return self.reduce({(0, 0): 1})
 

@@ -12,6 +12,7 @@ relation deck.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from .catalog import basis_slice, _enumerate_coset_monomials
 from .coefficients import BurnsideElt, G, PointElt, pos, negkappa, trans
@@ -166,7 +167,7 @@ def solve_undetermined(pres, grading, candidates, constraints):
 
     constraints: {"rho": level-e RingElement or None,
                   "phi": (dict, dict) or None, "eta": (elt, elt) or None}.
-    Returns {"solution": [BurnsideElt], "unique_z": bool,
+    Returns {"solution": [BurnsideElt], "unique": bool,
              "kernel": [[BurnsideElt]]}; coefficients u + v*g enter through
     the two columns x and g*x per candidate.  The g*x column is derived
     from the images of x (``_g_coords``) rather than computed from the
@@ -295,6 +296,15 @@ def rank_table(pres, coset, window):
     return table
 
 
+def _grading_counts(pres, coset, window, shift=None):
+    """How many canonical monomials of one coset sit in each absolute
+    grading (a, b, m), every grading moved by ``shift`` when it is given."""
+    gradings = (pres.mono_grading(m) for m in _enumerate_coset_monomials(pres, coset, window))
+    if shift is not None:
+        gradings = (g + shift for g in gradings)
+    return Counter((g.a, g.b, g.m) for g in gradings)
+
+
 def rank_law_check(pres):
     """The split short exact sequence, additively: per coset and grading the
     C2/C2 counts of the quadric must equal the projective-space counts plus
@@ -311,24 +321,16 @@ def rank_law_check(pres):
     pad = 2 * abs(nu.a) + 2 * abs(nu.b) + 8
     window = ((-radius - pad, radius + pad), (-radius - pad, radius + pad))
     for coset in (0, 1, -1):
-        q_counts = {}
-        for m in _enumerate_coset_monomials(pres, coset, window):
-            g = pres.mono_grading(m)
-            q_counts[(g.a, g.b, g.m)] = q_counts.get((g.a, g.b, g.m), 0) + 1
-        p_counts = {}
-        for m in _enumerate_coset_monomials(proj, coset, window):
-            g = proj.mono_grading(m)
-            p_counts[(g.a, g.b, g.m)] = p_counts.get((g.a, g.b, g.m), 0) + 1
-        for m in _enumerate_coset_monomials(proj, coset - coset_index(nu), window):
-            g = proj.mono_grading(m) + nu
-            p_counts[(g.a, g.b, g.m)] = p_counts.get((g.a, g.b, g.m), 0) + 1
+        q_counts = _grading_counts(pres, coset, window)
+        p_counts = _grading_counts(proj, coset, window)
+        p_counts += _grading_counts(proj, coset - coset_index(nu), window, nu)
         keys = [
             k
             for k in set(q_counts) | set(p_counts)
             if abs(k[0]) <= radius and abs(k[1]) <= radius
         ]
         for k in keys:
-            if p_counts.get(k, 0) != q_counts.get(k, 0):
+            if p_counts[k] != q_counts[k]:
                 return False
     return True
 

@@ -7,7 +7,13 @@ import pytest
 
 from c2quadrics.catalog import (
     RestrictedGradingWarning,
+    _bb,
+    _bd,
+    _db,
+    _dd,
     _div_elements,
+    _swap_deck,
+    _terms_elt,
     basis_slice,
     make_binate,
     make_nonequiv_quadric,
@@ -21,6 +27,7 @@ from c2quadrics.catalog import (
 from c2quadrics.coefficients import PointElt, negkappa, pos, trans
 from c2quadrics.grading import Grading, OMEGA0, OMEGA1, W, XW
 from c2quadrics.noneq import InvalidSizeError
+from c2quadrics.solver import _grading_counts
 
 
 def nk(n):
@@ -28,12 +35,9 @@ def nk(n):
 
 
 def quads(bound):
+    """Every quadric:m,n with m, n >= 1 and m // 2, n // 2 <= bound."""
     for m in range(1, 2 * bound + 2):
         for n in range(1, 2 * bound + 2):
-            pm = (m - 1) // 2 if m % 2 else m // 2
-            pn = (n - 1) // 2 if n % 2 else n // 2
-            if pm > bound or pn > bound or m + n < 2:
-                continue
             yield m, n
 
 
@@ -228,6 +232,80 @@ def test_swap_element_respects_relations():
     z = Q.monomial_elt((0, 1, 1, 0, 1, 0, 0))
     back = swap_element(S, Q, swap_element(Q, S, z))
     assert back == z
+
+
+SIZES = [(p, q) for p in range(9) for q in range(9)]
+
+
+def test_swap_deck_is_an_involution():
+    for p, q in SIZES:
+        for deck in (_bb, _db, _bd, _dd):
+            d = deck(p, q)
+            assert _swap_deck(_swap_deck(d)) == d, (deck.__name__, p, q)
+
+
+def test_bd_is_the_swap_of_db():
+    # the odd-even deck as the paper writes it, against the derived one
+    E2, TRANS_M1 = PointElt.monomial(pos(2, 0)), PointElt.monomial(trans(-1))
+    for p, q in SIZES:
+        assert _bd(p, q) == {
+            "rho_x": (2 * q, p + 1 - q, 0),
+            "corrw": [(nk(2 * q), (0, q - 1, 0, 0, 1, 0, 0))],
+            "corrx": [] if q <= 1 else [(nk(2 * (p + 1)), (p, 0, 0, 1, 1, 0, 0))],
+            "xsq_terms": [] if q % 2 == 0 else [(E2, (0, 0, p, q - 1, 1, 0, 0))],
+            "divdiv_terms": [("mono", TRANS_M1, (1, 0, 0, 0, 1, 0, 0))],
+            "top_terms": [
+                ("mono", TRANS_M1, (1, 0, 0, 0, 1, 0, 0)),
+                ("mono", nk(2), (0, 0, 0, 1, 1, 0, 0)),
+            ],
+            "eta_x": ((q, p + 1 - q), (p + 1, q - p - 1)),
+            "eta_y": (q, p + 1),
+        }, (p, q)
+
+
+def test_bb_is_its_own_swap():
+    for p, q in SIZES:
+        assert _bb(p, q) == _swap_deck(_bb(q, p)), (p, q)
+
+
+def test_dd_is_its_own_swap_up_to_normal_form():
+    # _dd writes trans(-1)*z0*cw*x in divdiv_terms and top_terms, where the
+    # swap gives trans(-1)*z1*cx*x: different monomials, equal classes
+    for p, q in SIZES[1:]:
+        d, s = _dd(p, q), _swap_deck(_dd(q, p))
+        for key in d:
+            if key not in ("divdiv_terms", "top_terms"):
+                assert d[key] == s[key], (p, q, key)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RestrictedGradingWarning)
+            Q = make_quadric(2 * p, 2 * q)
+        for key in ("divdiv_terms", "top_terms"):
+            assert d[key] != s[key]
+            lhs, rhs = Q.normal_form(_terms_elt(Q, d[key])), Q.normal_form(_terms_elt(Q, s[key]))
+            assert (lhs - rhs).is_zero(), (p, q, key)
+
+
+def test_swapped_quadrics_have_swapped_ranks():
+    # the rules favour one side (e2, div_s, t2, jhigh, ihigh), so Q^{m,n}
+    # and Q^{n,m} reach their bases by different rewrite systems; the swap
+    # must still carry the class counts of coset c onto those of coset -c
+    window = ((-10, 10), (-10, 10))
+    classes = 0
+    for m in range(12):
+        for n in range(m, 12):
+            if m + n < 2 or (m, n) == (1, 1):
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RestrictedGradingWarning)
+                Q, S = make_quadric(m, n), make_quadric(n, m)
+            for coset in range(-3, 4):
+                swapped = {}
+                for (a, b, k), v in _grading_counts(Q, coset, window).items():
+                    g = swap_grading(Grading(a, b, k))
+                    swapped[g.a, g.b, g.m] = swapped.get((g.a, g.b, g.m), 0) + v
+                assert swapped == _grading_counts(S, -coset, window), (m, n, coset)
+                classes += sum(swapped.values())
+    assert classes == 5460
 
 
 def test_figure_one_slice():
