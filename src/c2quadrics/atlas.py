@@ -10,9 +10,8 @@ from __future__ import annotations
 import json
 
 from .coefficients import PointElt
-from .grading import Grading
 from .noneq import NoneqQuadricRing
-from .rewrite import NotAClassError, RingElement
+from .rewrite import GENERATORS, NotAClassError, RingElement, gen_mono
 
 SCHEMA = "c2quadrics.atlas/1"
 
@@ -52,45 +51,25 @@ def element_from_doc(pres, doc):
     return pres.normal_form(x)
 
 
-def generator_table(pres):
-    from .grading import OMEGA0, OMEGA1, W, XW
+# the divided classes and the zeta that divides them
+_DIVISIBILITY = {"divw": "z0", "divx": "z1"}
 
+
+def generator_table(pres):
     gens = [
-        {"name": "z0", "grading": OMEGA0.to_json(), "level": "C2/C2", "divisibility": None},
-        {"name": "z1", "grading": OMEGA1.to_json(), "level": "C2/C2", "divisibility": None},
-        {"name": "cw", "grading": W.to_json(), "level": "C2/C2", "divisibility": None},
-        {"name": "cx", "grading": XW.to_json(), "level": "C2/C2", "divisibility": None},
+        {
+            "name": name,
+            "grading": pres.mono_grading(gen_mono(name)).to_json(),
+            "level": "C2/C2",
+            "divisibility": _DIVISIBILITY.get(name),
+        }
+        for name in (GENERATORS if pres.has_x else GENERATORS[:4])
     ]
-    if pres.has_x:
-        gens.append(
-            {
-                "name": "x",
-                "grading": pres.x_grading.to_json(),
-                "level": "C2/C2",
-                "divisibility": None,
-            }
-        )
-        gens.append(
-            {
-                "name": "divw",
-                "grading": (pres.p * Grading(0, 0, 1)).to_json(),
-                "level": "C2/C2",
-                "divisibility": "z0",
-            }
-        )
-        gens.append(
-            {
-                "name": "divx",
-                "grading": (pres.q * Grading(0, 0, 0, 1)).to_json(),
-                "level": "C2/C2",
-                "divisibility": "z1",
-            }
-        )
     if pres.has_atoms:
         gens.append(
             {
                 "name": "y",
-                "grading": Grading(pres.levele.y_degree()).to_json(),
+                "grading": pres.atom_grading(0, 0).to_json(),
                 "level": "C2/e",
                 "divisibility": "z0",
             }
@@ -119,7 +98,7 @@ def _hom_tables(pres):
     from .levele import levele_str
 
     tables = {}
-    gens = ["z0", "z1", "cw", "cx"] + (["x"] if pres.has_x else [])
+    gens = GENERATORS[:5] if pres.has_x else GENERATORS[:4]  # x, not the divided classes
     try:
         tables["rho"] = {g: levele_str(pres.rho(pres.gen(g)).e) for g in gens}
     except NotAClassError:
@@ -170,9 +149,23 @@ def dump_atlas(doc):
 
 
 def load_atlas(text):
-    doc = json.loads(text)
+    """The atlas document in ``text`` (str or bytes).  ``SchemaError`` for
+    text that is not JSON, a document that is not an object, a schema other
+    than ``SCHEMA``, or ``spaces`` that is not a list of objects that each
+    name their space."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSON, encoding, digits, nesting
+        raise SchemaError("not JSON: %s" % exc) from None
+    if not isinstance(doc, dict):
+        raise SchemaError("not a JSON object")
     if doc.get("schema") != SCHEMA:
         raise SchemaError(
             "schema mismatch: expected %r, found %r" % (SCHEMA, doc.get("schema"))
         )
+    spaces = doc.get("spaces")
+    if not isinstance(spaces, list) or not all(
+        isinstance(s, dict) and isinstance(s.get("space"), str) for s in spaces
+    ):
+        raise SchemaError("'spaces' is not a list of objects with a 'space' id")
     return doc

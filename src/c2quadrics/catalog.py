@@ -27,6 +27,7 @@ import warnings
 from .coefficients import (
     KAPPA_PT,
     ONE,
+    LevelECoeff,
     PointElt,
     _add_term,
     negkappa,
@@ -52,6 +53,7 @@ E2 = PointElt.monomial(pos(2, 0))
 XI = PointElt.monomial(pos(0, 1))
 ONE_MINUS_K = ONE - KAPPA_PT
 TRANS_M1 = PointElt.monomial(trans(-1))
+RHO_ONE = LevelECoeff.one()
 
 
 def nk(n):
@@ -122,8 +124,7 @@ def _terms_elt(pres, terms, rest=MONO_ONE):
             _add_term(out.c2, mono_mul(payload, rest), c)
         else:
             a, b = payload
-            w = pres.levele.mul(pres._rho_mono(rest), {(a, b, 0, 1): c})
-            _add_elt(out.c2, out.atoms, pres.tau_of_levele(w))
+            _add_elt(out.c2, out.atoms, pres._frobenius(rest, RHO_ONE, {(a, b, 0, 1): c}))
     return out
 
 
@@ -141,6 +142,13 @@ def _swap_key(a, b):
     """The swap on a level-e key iota^a zeta^b: zeta = rho(z1) goes to
     rho(z0) = iota^2 zeta^-1."""
     return (a + 2 * b, -b)
+
+
+def _divided(pres, side):
+    """The divided class of a side as (coefficient, monomial) pairs:
+    divw = cw^p - corrw on side 0, divx = cx^q - corrx on side 1."""
+    top = (_mono(i=pres.p), _mono(j=pres.q))[side]
+    return [(ONE, top)] + [(-c, delta) for c, delta in (pres.corrw, pres.corrx)[side]]
 
 
 def _linear(pres, m, pairs):
@@ -257,11 +265,9 @@ def _build_rules(pres):
         rules.append(("top", g_top, terms_at(pres.top_terms, _mono(i=-p, j=-q))))
 
     if has_x:
-        # divw = cw^p - corrw and divx = cx^q - corrx
-        divw = [(ONE, _mono(i=p, w0=-1))]
-        divw += [(-c, mono_mul(delta, _mono(w0=-1))) for c, delta in pres.corrw]
-        divx = [(ONE, _mono(j=q, w1=-1))]
-        divx += [(-c, mono_mul(delta, _mono(w1=-1))) for c, delta in pres.corrx]
+        # divw and divx written out (_divided), times divw^-1 and divx^-1
+        divw = [(c, mono_mul(delta, _mono(w0=-1))) for c, delta in _divided(pres, 0)]
+        divx = [(c, mono_mul(delta, _mono(w1=-1))) for c, delta in _divided(pres, 1)]
         corrw_low = [(c, mono_mul(delta, _mono(i=-p))) for c, delta in pres.corrw]
         corrx_low = [(c, mono_mul(delta, _mono(j=-q))) for c, delta in pres.corrx]
 
@@ -632,13 +638,10 @@ def eta_of_element(pres, x):
 
 
 def _divided_image(pres, S, T):
-    """eta_S of the divided class of side T: c^size minus its correction
-    (divw = cw^p - corrw for side 0, divx = cx^q - corrx for side 1)."""
-    mono = [0] * 7
-    mono[T.c] = T.size
-    img = _eta_direct_mono(pres, S, tuple(mono), ONE)
-    for coeff, delta in (pres.corrw, pres.corrx)[T.side]:
-        img = S.R.add(img, _eta_direct_mono(pres, S, delta, coeff * -1))
+    """eta_S of the divided class of side T (``_divided``)."""
+    img = {}
+    for coeff, mono in _divided(pres, T.side):
+        img = S.R.add(img, _eta_direct_mono(pres, S, mono, coeff))
     return img
 
 
@@ -808,14 +811,7 @@ def _make_free_orbit(name, space):
 
 def _div_elements(P):
     """divw and divx assembled from their defining expressions."""
-    p, q = P.p, P.q
-    divw = P.monomial_elt((0, 0, p, 0, 0, 0, 0))
-    for coeff, delta in P.corrw:
-        divw = divw - P.monomial_elt(delta, coeff)
-    divx = P.monomial_elt((0, 0, 0, q, 0, 0, 0))
-    for coeff, delta in P.corrx:
-        divx = divx - P.monomial_elt(delta, coeff)
-    return divw, divx
+    return tuple(P.normal_form(_linear(P, MONO_ONE, _divided(P, side))) for side in (0, 1))
 
 
 def _quad_identities(P):

@@ -13,6 +13,7 @@ Space ids: point, bu1, proj:p,q, binate:p,q, quadric:m,n, neq:n,B|D.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import warnings
 
@@ -29,6 +30,10 @@ from .expressions import ExprError, parse_expression
 from .noneq import InvalidSizeError, NoneqQuadricRing
 from .rewrite import NonTerminatingError, NotAClassError
 from .solver import audit_full, verify_relations
+
+
+# what argparse reads as a negative number, not as an option
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def _window(text):
@@ -200,9 +205,9 @@ def cmd_atlas(args):
         print("give the atlas file to load", file=sys.stderr)
         return 2
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             doc = load_atlas(fh.read())
-    except SchemaError as exc:
+    except (OSError, SchemaError) as exc:
         print("atlas rejected: %s" % exc, file=sys.stderr)
         return 1
     print("atlas with %d spaces: %s" % (
@@ -215,7 +220,26 @@ def _one_line_warning(message, category, filename, lineno, file=None, line=None)
     print("warning: %s" % message, file=sys.stderr)
 
 
+def _dash_expression(argv):
+    """True if argparse would read the expression of a ``reduce`` call as
+    an option: an argument before any ``--`` that starts with '-' and is
+    neither ``-h``/``--help`` nor, like '-1' or '-x y', taken as a value."""
+    if argv[:1] != ["reduce"]:
+        return False
+    head = argv[1:argv.index("--")] if "--" in argv else argv[1:]
+    return any(
+        len(a) > 1 and a[0] == "-" and a not in ("-h", "--help")
+        and " " not in a and not _NEGATIVE_NUMBER.match(a)
+        for a in head
+    )
+
+
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if _dash_expression(argv):
+        print("an expression that starts with '-' needs '--' before it: "
+              "c2quadrics reduce SPACE -- EXPR", file=sys.stderr)
+        return 2
     args = build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings():

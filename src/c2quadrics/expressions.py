@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from .coefficients import PointElt, negkappa, pos
-from .rewrite import RingElement
+from .rewrite import GENERATORS, RingElement
 
 
 class ExprError(ValueError):
@@ -28,7 +28,6 @@ class ExprError(ValueError):
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z][A-Za-z0-9]*|\^|\*|\+|\-|\(|\)|,)")
 
-GENS = {"z0": 0, "z1": 1, "cw": 2, "cx": 3, "x": 4, "divw": 5, "divx": 6}
 LEVELE = {"iota": 0, "zeta": 1, "c": 2, "y": 3}
 
 
@@ -57,10 +56,10 @@ class _Term:
         self.factors = []  # RingElements multiplied in at the end
 
     def mul_symbol(self, name, power):
-        if name in GENS:
+        if name in GENERATORS:
             if power < 0 and name not in ("z0", "z1"):
                 raise ExprError("negative powers of %s are not classes" % name)
-            self.gens[GENS[name]] += power
+            self.gens[GENERATORS.index(name)] += power
         elif name == "e":
             self.e_exp += power
         elif name == "xi":

@@ -30,7 +30,7 @@ use, one per model instance and so one per presentation.  ``quotient``
 table; so do the component rings (``component.py``) and the
 nonequivariant quadric rings (``noneq.py``).  A monomial outside the
 model (y in free/proj, a y exponent of 3 or more in binate) raises
-``ValueError`` and is never stored.
+``NotAClassError`` and is never stored.
 
 Every value that a model operation returns is reduced: a combination of
 basis monomials with no zero coefficient.  ``mul`` and ``t_act`` reduce
@@ -47,6 +47,7 @@ raw input reduce again: ``quotient`` and ``reduce`` here, and
 from __future__ import annotations
 
 from .grading import Grading, IOTA_DEG, OMEGA1
+from .rewrite import NotAClassError
 
 
 class LevelEModel:
@@ -79,7 +80,7 @@ class LevelEModel:
         """The quotient of c^d y^eps as ((d', eps', n), ...), by a stack
         interpreter of the nonequivariant relations of this model (the one
         place they are written), stored in ``quotients``.  A monomial
-        outside the model raises ``ValueError`` and is not stored."""
+        outside the model raises ``NotAClassError`` and is not stored."""
         key = (d, eps)
         kind, P = self.kind, self.size
         out = {}
@@ -88,14 +89,14 @@ class LevelEModel:
             (d, eps), v = stack.pop()
             if kind in ("free", "proj"):
                 if eps:
-                    raise ValueError("no y classes in this model")
+                    raise NotAClassError("no y classes in this model")
                 if kind == "proj" and d >= P:
                     continue
             elif kind == "binate":
                 if eps >= 1 and d >= 1:
                     continue  # c * y = c * ty = 0
                 if eps >= 3 or eps < 0:
-                    raise ValueError("bad y exponent")
+                    raise NotAClassError("bad y exponent")
                 if eps == 0 and d >= P:
                     if d == P:
                         stack.append(((0, 1), v))

@@ -56,10 +56,21 @@ class NonTerminatingError(RuntimeError):
 
 class NotAClassError(ValueError):
     """Well-formed input outside the ring: a non-canonical monomial that no
-    rule rewrites and no transfer witness absorbs."""
+    rule rewrites and no transfer witness absorbs, a sum of a level-top and
+    a level-e element, or a level-e monomial outside the model (a y class
+    where the model has none, a y exponent the model does not allow)."""
 
+
+# the generators, in the order of their slots in a monomial
+GENERATORS = ("z0", "z1", "cw", "cx", "x", "divw", "divx")
 
 MONO_ONE = (0, 0, 0, 0, 0, 0, 0)
+
+
+def gen_mono(name):
+    """The monomial of the generator ``name``: exponent 1 in its slot."""
+    k = GENERATORS.index(name)
+    return MONO_ONE[:k] + (1,) + MONO_ONE[k + 1:]
 
 
 def mono_mul(m1, m2):
@@ -135,10 +146,8 @@ def _exponent_classes(n):
 
 
 def mono_str(m):
-    s, t, i, j, d, w0, w1 = m
-    names = [("z0", s), ("z1", t), ("cw", i), ("cx", j), ("x", d), ("divw", w0), ("divx", w1)]
     parts = []
-    for name, e in names:
+    for name, e in zip(GENERATORS, m):
         if e == 1:
             parts.append(name)
         elif e:
@@ -201,7 +210,9 @@ class RingElement:
             if other is None:
                 return NotImplemented
         if self.level != other.level:
-            raise ValueError("cannot add level-%s and level-%s elements" % (self.level, other.level))
+            raise NotAClassError(
+                "cannot add level-%s and level-%s elements" % (self.level, other.level)
+            )
         out = RingElement(self.pres, self.level)
         out.c2 = dict(self.c2)
         out.atoms = dict(self.atoms)
@@ -404,9 +415,7 @@ class Presentation:
         return self.normal_form(RingElement(self, "top", c2={mono: coeff}))
 
     def gen(self, name):
-        idx = {"z0": 0, "z1": 1, "cw": 2, "cx": 3, "x": 4, "divw": 5, "divx": 6}[name]
-        mono = tuple(1 if k == idx else 0 for k in range(7))
-        return self.monomial_elt(mono)
+        return self.monomial_elt(gen_mono(name))
 
     def tau_atom(self, a, b, coeff=1):
         if not self.has_atoms:
@@ -522,7 +531,7 @@ class Presentation:
         ``mul`` hands over, and is taken as it is.  A coefficient is wrapped
         in a ``PointElt`` only where it leaves the work set: into ``done``
         (the result), and on the way to ``transfer_witness``, ``point_rho``
-        and ``_rho_mono_times``; a callable rule's terms are read from their
+        and ``_frobenius``; a callable rule's terms are read from their
         ``PointElt`` dicts without a copy.
 
         A set passed as ``_seen`` receives every table entry with two or
@@ -575,9 +584,8 @@ class Presentation:
             if free_orbit and mono[4] == 0:
                 # everything is a multiple of the unit tau(y):
                 # M*c = M*c*tau(y) = tau(rho(M*c)*y)
-                w = self._rho_mono_times(mono, _point(coeff))
-                w = self.levele.mul(w, {(0, 0, 0, 1): 1})
-                _add_raw(work, atoms, self.tau_of_levele(w, _fallbacks))
+                rc = point_rho(_point(coeff))
+                _add_raw(work, atoms, self._frobenius(mono, rc, {(0, 0, 0, 1): 1}, _fallbacks))
                 continue
             # the threshold class, as _class_key computes it (inlined: one
             # call per step is a measurable share of products)
@@ -600,16 +608,12 @@ class Presentation:
             if not entry:
                 # products of divided classes from opposite sides carry
                 # transfer (or kappa-killed) coefficients; absorb them by
-                # Frobenius reciprocity, which inverts the zeta powers at
-                # level e
+                # Frobenius reciprocity, M*tau(w) = tau(rho(M)*w), which
+                # inverts the zeta powers at level e
                 wit = None if mono in _fallbacks else transfer_witness(_point(coeff))
                 if wit is not None:
-                    w = {}
-                    for n, v in wit.c.items():
-                        for k2, v2 in self._rho_mono(mono).items():
-                            key = (k2[0] + n, k2[1], k2[2], k2[3])
-                            w[key] = w.get(key, 0) + v * v2
-                    _add_raw(work, atoms, self.tau_of_levele(w, _fallbacks + (mono,)))
+                    w = self._frobenius(mono, wit, {(0, 0, 0, 0): 1}, _fallbacks + (mono,))
+                    _add_raw(work, atoms, w)
                     continue
                 raise NotAClassError("no rule rewrites %s in %s" % (mono_str(mono), self.name))
             first = entry[0] if rank is None else min(entry, key=rank.__getitem__)
@@ -635,9 +639,8 @@ class Presentation:
             if val.atoms:
                 rc = point_rho(_point(coeff))
                 for (a, b), v2 in val.atoms.items():
-                    # c^0 y is a basis monomial of every model with atoms
-                    w = {(a + k, b, 0, 1): v2 * n for k, n in rc.c.items()}
-                    _add_raw(work, atoms, self.tau_of_levele(w, _fallbacks))
+                    w = self._frobenius(MONO_ONE, rc, {(a, b, 0, 1): v2}, _fallbacks)
+                    _add_raw(work, atoms, w)
         out = RingElement(self, "top")
         out.c2 = done
         out.atoms = atoms
@@ -661,14 +664,10 @@ class Presentation:
             for m2, v2 in y.c2.items():
                 _mul_term(c2, mono_mul(m1, m2), a1, v2.c.items())
             for (a, b), v2 in y.atoms.items():
-                w = self._rho_mono_times(m1, v1 * v2)
-                shifted = self.levele.mul(w, {(a, b, 0, 1): 1})
-                _add_raw(c2, atoms, self.tau_of_levele(shifted))
+                _add_raw(c2, atoms, self._frobenius(m1, point_rho(v1 * v2), {(a, b, 0, 1): 1}))
         for (a, b), v1 in x.atoms.items():
             for m2, v2 in y.c2.items():
-                w = self._rho_mono_times(m2, v2 * v1)
-                shifted = self.levele.mul(w, {(a, b, 0, 1): 1})
-                _add_raw(c2, atoms, self.tau_of_levele(shifted))
+                _add_raw(c2, atoms, self._frobenius(m2, point_rho(v2 * v1), {(a, b, 0, 1): 1}))
             for (a2, b2), v2 in y.atoms.items():
                 # tau(w) tau(w') = tau(w * (1+t) w')
                 w2 = self.levele.one_plus_t({(a2, b2, 0, 1): v2})
@@ -702,11 +701,12 @@ class Presentation:
                 out = self.levele.mul(out, {(A, B, C, 1): 1})
         return out
 
-    def _rho_mono_times(self, m, coeff):
-        # rho of a monomial without x is c^(i+j), which can leave the basis
+    def _rho_mono_times(self, m, rc):
+        """rho(m) times the iota-polynomial rc, reduced: rho of a monomial
+        without x is c^(i+j), which can leave the basis."""
         base = self._rho_mono(m)
         out = {}
-        for n, v in point_rho(coeff).c.items():
+        for n, v in rc.c.items():
             for (a, b, dd, eps), v2 in base.items():
                 k = (a + n, b, dd, eps)
                 out[k] = out.get(k, 0) + v * v2
@@ -719,13 +719,19 @@ class Presentation:
         # a sum of reduced images is reduced once its zero terms are gone
         out = {}
         for m, v in x.c2.items():
-            for k, n in self._rho_mono_times(m, v).items():
+            for k, n in self._rho_mono_times(m, point_rho(v)).items():
                 out[k] = out.get(k, 0) + n
         for (a, b), v in x.atoms.items():
             w = self.levele.one_plus_t({(a, b, 0, 1): v})
             for k, n in w.items():
                 out[k] = out.get(k, 0) + n
         return self._levele_nf({k: n for k, n in out.items() if n})
+
+    def _frobenius(self, mono, rc, w, fallbacks=()):
+        """M*c*tau(w) = tau(rho(M)*rho(c)*w), Frobenius reciprocity, for a
+        monomial M, the iota-polynomial rc = rho(c) and a level-e dict w.
+        ``fallbacks`` is passed on to ``tau_of_levele``."""
+        return self.tau_of_levele(self.levele.mul(self._rho_mono_times(mono, rc), w), fallbacks)
 
     def t_act(self, x):
         if x.level != "e":

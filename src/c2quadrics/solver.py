@@ -15,7 +15,7 @@ import random
 from collections import Counter
 
 from .catalog import basis_slice, _enumerate_coset_monomials
-from .coefficients import BurnsideElt, G, PointElt, pos, negkappa, trans
+from .coefficients import BurnsideElt, G, PointElt, pos, negkappa, point_rho, trans
 from .grading import coset_index
 from .rewrite import RingElement, _sample_monomials, confluence_probe
 
@@ -258,7 +258,7 @@ def verify_relations(pres):
             # wrong on both sides alike still shows here
             if name in pres.raw_lhs:
                 coeff, mono = pres.raw_lhs[name]
-                row["rho_raw"] = pres._rho_mono_times(mono, coeff) == pres.rho(rhs).e
+                row["rho_raw"] = pres._rho_mono_times(mono, point_rho(coeff)) == pres.rho(rhs).e
             row["status"] = (
                 "pass"
                 if row["nf_zero"] and row["rho"] and row.get("rho_raw", True)

@@ -12,6 +12,7 @@ from c2quadrics.catalog import (
     _db,
     _dd,
     _div_elements,
+    _divided_image,
     _swap_deck,
     _terms_elt,
     basis_slice,
@@ -25,8 +26,10 @@ from c2quadrics.catalog import (
     swap_involution,
 )
 from c2quadrics.coefficients import PointElt, negkappa, pos, trans
+from c2quadrics.expressions import parse_expression
 from c2quadrics.grading import Grading, OMEGA0, OMEGA1, W, XW
 from c2quadrics.noneq import InvalidSizeError
+from c2quadrics.rewrite import GENERATORS
 from c2quadrics.solver import _grading_counts
 
 
@@ -442,3 +445,28 @@ def test_enumeration_matches_scan():
                 got = _enumerate_coset_monomials(pres, coset, window)
                 want = _scan_coset_monomials(pres, coset, window)
                 assert sorted(got) == sorted(want), (sid, coset, window)
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_generators_and_divided_classes(m):
+    """For every quadric:m,n with m, n <= 8: the generators divw and divx
+    are their defining expressions, their eta images are the divided images
+    the eta sides are built from, and every generator name parses to the
+    generator."""
+    for n in range(9):
+        if m + n < 2:
+            continue
+        P = make_space("quadric:%d,%d" % (m, n))
+        divided = _div_elements(P)
+        for side, name in enumerate(("divw", "divx")):
+            g = P.gen(name)
+            assert g == divided[side]
+            for S, img in zip(P.eta_sides, P.eta(g)):
+                assert img == _divided_image(P, S, P.eta_sides[side]), (P.name, name, S.side)
+        for name in GENERATORS:
+            assert parse_expression(P, name) == P.gen(name)
+
+
+def test_unknown_generator_raises():
+    with pytest.raises(ValueError):
+        make_space("quadric:3,3").gen("cz")

@@ -183,6 +183,10 @@ def test_restricted_grading_warning_is_one_line(capsys):
     ("point", "t(zeta)"),
     ("point", "t(zeta)*cw"),
     ("point", "t(zeta)*z0"),
+    # a sum across levels, and level-e monomials outside the model
+    ("quadric:3,3", "x+iota"),
+    ("point", "t(zeta^-1*y)"),
+    ("binate:2,1", "y^5"),
 ])
 def test_input_outside_the_ring_is_one_line(capsys, space, expr):
     code, out, err = run(capsys, "reduce", space, expr)
@@ -236,3 +240,47 @@ def test_end_of_input_is_one_line(capsys, expr):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("parse error: unexpected end of input")
+
+
+def test_leading_minus_asks_for_double_dash(capsys):
+    code, out, err = run(capsys, "reduce", "bu1", "-1*zeta")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "'--'" in err
+    code, out, _ = run(capsys, "reduce", "bu1", "--", "-1*zeta")
+    assert code == 0
+    assert (code, out) == run(capsys, "reduce", "bu1", "(-1)*zeta")[:2]
+    # argparse reads a negative integer as the expression, as before
+    code, out, _ = run(capsys, "reduce", "bu1", "-1")
+    assert code == 0
+    assert out.splitlines()[0] == "-1"
+
+
+@pytest.mark.parametrize("text", [
+    None,  # no file
+    "",
+    "not json",
+    '{"schema": "c2quadrics.atlas/1"}',
+    '[]',
+    '{"schema": "c2quadrics.atlas/1", "spaces": 3}',
+    '{"schema": "c2quadrics.atlas/1", "spaces": [{}]}',
+    '{"schema": "c2quadrics.atlas/1", "spaces": [{"space": 3}]}',
+])
+def test_malformed_atlas_is_one_line(tmp_path, capsys, text):
+    path = tmp_path / "atlas.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, "atlas", "load", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("atlas rejected: ")
+
+
+def test_every_emitted_atlas_loads(tmp_path, capsys):
+    path = tmp_path / "atlas.json"
+    spaces = ("point", "bu1", "proj:2,1", "binate:2,1", "quadric:1,1", "quadric:4,3", "neq:5,B", "neq:4,D")
+    code, _, _ = run(capsys, "atlas", "emit", *spaces, "-o", str(path))
+    assert code == 0
+    code, out, err = run(capsys, "atlas", "load", str(path))
+    assert code == 0 and err == ""
+    assert out == "atlas with 8 spaces: %s\n" % ", ".join(sorted(spaces))

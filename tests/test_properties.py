@@ -6,16 +6,22 @@ the spaces that have them.  The profile is derandomized with a fixed seed,
 so every run draws the same examples.
 """
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from c2quadrics.atlas import element_from_doc, element_to_doc
+from c2quadrics.atlas import SCHEMA, element_from_doc, element_to_doc
 from c2quadrics.catalog import make_space, swap_element, swap_involution
+from c2quadrics.cli import main
 from c2quadrics.coefficients import G, PointElt, pos
-from c2quadrics.rewrite import RingElement, _mono_product, _sample_monomials
+from c2quadrics.expressions import LEVELE
+from c2quadrics.rewrite import GENERATORS, RingElement, _mono_product, _sample_monomials
 from c2quadrics.solver import POINT_COEFFS
 
 SPACES = ("quadric:3,3", "quadric:4,3", "quadric:5,3", "quadric:4,4", "binate:2,1", "proj:2,1")
@@ -313,3 +319,86 @@ def test_atlas_element_round_trip(sid, data):
     pres, x, _, _ = data.draw(triples(sid))
     for z in (x, pres.rho(x)):
         assert element_from_doc(pres, json.loads(json.dumps(element_to_doc(z)))) == z
+
+
+# -- the command line: an answer or one line, never a traceback ---------------
+
+CLI_SPACES = (
+    "point", "bu1", "proj:2,1", "proj:0,3", "binate:2,1", "binate:0,0", "quadric:1,1",
+    "quadric:2,2", "quadric:3,3", "quadric:4,3", "quadric:3,4", "quadric:2,3",
+    "quadric:0,3", "quadric:5,2", "neq:5,B",
+)
+SYMBOLS = GENERATORS + ("e", "xi", "k", "g") + tuple(LEVELE)
+POWERS = ("", "", "", "^-2", "^-1", "^0", "^2", "^3")
+
+
+@st.composite
+def _expressions(draw, depth=0):
+    """A grammar-shaped expression: one to three signed terms of one to
+    three factors, each a symbol, an integer, t(...) or (...) (nested at
+    most twice), with an optional power; it may start with '-'."""
+    out = draw(st.sampled_from(("", "", "-")))
+    for n in range(draw(st.integers(1, 3))):
+        if n:
+            out += draw(st.sampled_from("+-"))
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.integers(0, 9 if depth < 2 else 7))
+            if kind <= 5:
+                f = draw(st.sampled_from(SYMBOLS))
+            elif kind <= 7:
+                f = str(draw(st.integers(0, 4)))
+            else:
+                f = ("t(%s)", "(%s)")[kind - 8] % draw(_expressions(depth + 1))
+            factors.append(f + draw(st.sampled_from(POWERS)))
+        out += "*".join(factors)
+    return out
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_ATLAS_TEXTS = st.one_of(
+    _JSON.map(json.dumps),
+    st.fixed_dictionaries(
+        {"schema": st.sampled_from((SCHEMA, "other/1")), "spaces": _JSON | st.lists(
+            st.dictionaries(st.sampled_from(("space", "kind", "basis")), _JSON, max_size=2),
+            max_size=2,
+        )},
+    ).map(json.dumps),
+    st.text(max_size=12),
+).map(str.encode) | st.binary(max_size=12)
+
+
+def _cli(argv):
+    """main(argv) in-process: its exit status and its stderr lines other than
+    warnings; an exception escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, [line for line in err.getvalue().splitlines() if not line.startswith("warning:")]
+
+
+@seed(SEED)
+@settings(LAWS, max_examples=300)
+@given(st.sampled_from(CLI_SPACES), _expressions(), st.booleans())
+def test_reduce_answers_or_prints_one_line(sid, expr, dashes):
+    code, err = _cli(["reduce", sid] + ["--"] * dashes + [expr])
+    assert code in (0, 1, 2)
+    assert len(err) <= 1, err
+
+
+@seed(SEED)
+@settings(LAWS, max_examples=100)
+@given(_ATLAS_TEXTS, st.booleans())
+def test_atlas_load_answers_or_prints_one_line(text, missing):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "atlas.json")
+        if not missing:
+            with open(path, "wb") as fh:
+                fh.write(text)
+        code, err = _cli(["atlas", "load", path])
+    assert code in (0, 1, 2)
+    assert len(err) <= 1, err
