@@ -27,7 +27,6 @@ import warnings
 from .coefficients import (
     KAPPA_PT,
     ONE,
-    LevelECoeff,
     PointElt,
     _add_term,
     negkappa,
@@ -38,7 +37,7 @@ from .component import ComponentRing
 from .grading import Grading, OMEGA1, W, XW, coset_index
 from .levele import LevelEModel
 from .noneq import InvalidSizeError, NoneqQuadricRing
-from .rewrite import MONO_ONE, Presentation, RingElement, _add_elt, mono_mul
+from .rewrite import MONO_ONE, RHO_ONE, Presentation, RingElement, _add_elt, mono_mul
 
 
 class RestrictedGradingWarning(UserWarning):
@@ -53,7 +52,6 @@ E2 = PointElt.monomial(pos(2, 0))
 XI = PointElt.monomial(pos(0, 1))
 ONE_MINUS_K = ONE - KAPPA_PT
 TRANS_M1 = PointElt.monomial(trans(-1))
-RHO_ONE = LevelECoeff.one()
 
 
 def nk(n):
@@ -151,35 +149,20 @@ def _divided(pres, side):
     return [(ONE, top)] + [(-c, delta) for c, delta in (pres.corrw, pres.corrx)[side]]
 
 
-def _linear(pres, m, pairs):
-    """sum of coeff * (m * delta) over the (coeff, delta) pairs, as a raw element."""
-    c2 = {}
-    for coeff, delta in pairs:
-        _add_term(c2, mono_mul(m, delta), coeff)
-    out = RingElement(pres, "top")
-    out.c2 = c2
-    return out
+def _rhs(pairs=(), terms=(), delta=MONO_ONE):
+    """A right-hand side as data, ``(pairs, atoms)`` (see rewrite.py): the
+    mono entries of the deck ``terms`` shifted by ``delta``, then the
+    (coeff, delta) ``pairs``, each coefficient as its raw (point monomial,
+    int) pairs; the atom entries of ``terms`` as transfer terms at ``delta``."""
+    mono = [(c, mono_mul(x, delta)) for kind, c, x in terms if kind == "mono"]
+    atoms = tuple((x, c, delta) for kind, c, x in terms if kind == "atom")
+    return tuple((tuple(c.c.items()), d) for c, d in mono + list(pairs)), atoms
 
 
-class _Linear:
-    """The fixed right-hand side m -> sum of coeff * (m * delta) over the
-    (coeff, delta) ``pairs``.  ``normal_form`` reads ``pairs`` and adds the
-    terms straight into its work set; calling the object builds the raw
-    element, as any other right-hand side does."""
-
-    __slots__ = ("pres", "pairs")
-
-    def __init__(self, pres, pairs):
-        self.pres = pres
-        self.pairs = tuple(pairs)
-
-    def __call__(self, m):
-        return _linear(self.pres, m, self.pairs)
-
-
-def _xi_shift(pres, m, n):
-    """xi^n * m / (z0*z1)^n, from zeta0*zeta1 = xi."""
-    return _linear(pres, m, [(_xi_pow(n), _mono(s=-n, t=-n))])
+def _xi_shift(n):
+    """xi^n / (z0*z1)^n, from zeta0*zeta1 = xi, with xi^n written as its
+    raw pairs: it is built at every firing."""
+    return ((((pos(0, n), 1),), _mono(s=-n, t=-n)),), ()
 
 
 # fixed right-hand sides as (coeff, delta) lists, named after a rule
@@ -215,10 +198,9 @@ def _build_rules(pres):
     ``normal_form`` keeps one answer per class; a guard that compares with
     anything else breaks it, and the exhaustive class-table test fails.
 
-    A fixed right-hand side sum(coeff * (m * delta)) is a ``_Linear``: it
-    carries its (coeff, delta) ``pairs``, which ``normal_form`` applies as
-    data; every other right-hand side is a plain callable of the monomial,
-    and ``normal_form`` calls it.
+    Every right-hand side is data, ``(pairs, atoms)`` from ``_rhs``; a rule
+    whose right-hand side depends on the monomial holds a plain function of
+    the monomial that returns it.
     """
     p, q = pres.p, pres.q
     has_x, z0_inv, z1_inv = pres.has_x, pres.z0_inv, pres.z1_inv
@@ -230,25 +212,19 @@ def _build_rules(pres):
     def ge_q(j):
         return False if infinite else j >= q
 
-    def linear(pairs):
-        return _Linear(pres, pairs)
-
-    def terms_at(terms, delta):
-        return lambda m: _terms_elt(pres, terms, mono_mul(m, delta))
-
     rules = []
 
     # ---- x powers and div flags -----------------------------------------
 
     if has_x:
         xsq = [(c, mono_mul(delta, _mono(d=-2))) for c, delta in pres.xsq_terms]
-        rules.append(("x_power", lambda m: m[4] >= 2, linear(xsq)))
+        rules.append(("x_power", lambda m: m[4] >= 2, _rhs(xsq)))
 
         def g_topx(m):
             s, t, i, j, d, w0, w1 = m
             return d >= 1 and w0 == 0 and w1 == 0 and ge_p(i) and ge_q(j)
 
-        rules.append(("top_x", g_topx, linear([])))
+        rules.append(("top_x", g_topx, _rhs()))
 
     def g_top(m):
         s, t, i, j, d, w0, w1 = m
@@ -262,7 +238,7 @@ def _build_rules(pres):
         return d == 0 and w0 == 0 and w1 == 0 and ge_p(i) and ge_q(j)
 
     if not infinite:
-        rules.append(("top", g_top, terms_at(pres.top_terms, _mono(i=-p, j=-q))))
+        rules.append(("top", g_top, _rhs((), pres.top_terms, _mono(i=-p, j=-q))))
 
     if has_x:
         # divw and divx written out (_divided), times divw^-1 and divx^-1
@@ -274,10 +250,10 @@ def _build_rules(pres):
         rules.append((
             "divdiv",
             lambda m: m[5] >= 1 and m[6] >= 1,
-            terms_at(pres.divdiv_terms, _mono(w0=-1, w1=-1)),
+            _rhs((), pres.divdiv_terms, _mono(w0=-1, w1=-1)),
         ))
-        rules.append(("w0_square", lambda m: m[5] >= 2, linear(divw)))
-        rules.append(("w1_square", lambda m: m[6] >= 2, linear(divx)))
+        rules.append(("w0_square", lambda m: m[5] >= 2, _rhs(divw)))
+        rules.append(("w1_square", lambda m: m[6] >= 2, _rhs(divx)))
 
         # the divx guards are the divw guards on the swapped monomial, with
         # the sizes p and q exchanged (``other`` is the size of the other side)
@@ -293,8 +269,8 @@ def _build_rules(pres):
                 return False
             return s >= 1 or (s == 0 and j <= other - 1)
 
-        rules.append(("w0_expand", lambda m: g_wexp(m, q), linear(divw)))
-        rules.append(("w1_expand", lambda m: g_wexp(_swap_mono(m), p), linear(divx)))
+        rules.append(("w0_expand", lambda m: g_wexp(m, q), _rhs(divw)))
+        rules.append(("w1_expand", lambda m: g_wexp(_swap_mono(m), p), _rhs(divx)))
 
         def g_w0cw(m):
             s, t, i, j, d, w0, w1 = m
@@ -303,8 +279,8 @@ def _build_rules(pres):
                 and w0 == 1 and w1 == 0 and d == 0 and i >= 1 and t == 0
             )
 
-        rules.append(("w0_cw", g_w0cw, linear(_W0_CW)))
-        rules.append(("w1_cx", lambda m: g_w0cw(_swap_mono(m)), linear(_W1_CX)))
+        rules.append(("w0_cw", g_w0cw, _rhs(_W0_CW)))
+        rules.append(("w1_cx", lambda m: g_w0cw(_swap_mono(m)), _rhs(_W1_CX)))
 
         def g_w0cx(m):
             s, t, i, j, d, w0, w1 = m
@@ -314,8 +290,7 @@ def _build_rules(pres):
                 and s <= 0 and t == 0
             )
 
-        divdiv_w0 = terms_at(pres.divdiv_terms, _mono(j=-q, w0=-1))
-        rules.append(("w0_cx", g_w0cx, lambda m: divdiv_w0(m) + _linear(pres, m, corrx_low)))
+        rules.append(("w0_cx", g_w0cx, _rhs(corrx_low, pres.divdiv_terms, _mono(j=-q, w0=-1))))
 
         def g_w1cw(m):
             s, t, i, j, d, w0, w1 = m
@@ -325,8 +300,7 @@ def _build_rules(pres):
                 and s == 0
             )
 
-        divdiv_w1 = terms_at(pres.divdiv_terms, _mono(i=-p, w1=-1))
-        rules.append(("w1_cw", g_w1cw, lambda m: divdiv_w1(m) + _linear(pres, m, corrw_low)))
+        rules.append(("w1_cw", g_w1cw, _rhs(corrw_low, pres.divdiv_terms, _mono(i=-p, w1=-1))))
 
     # ---- zeta bookkeeping -------------------------------------------------
 
@@ -334,14 +308,14 @@ def _build_rules(pres):
         def g_z1pos(m):
             return m[1] >= 1 and m[5] == 0 and m[6] == 0
 
-        rules.append(("z1_pos", g_z1pos, lambda m: _xi_shift(pres, m, m[1])))
-        rules.append(("cw_elim", lambda m: m[2] >= 1, linear(_E2)))
+        rules.append(("z1_pos", g_z1pos, lambda m: _xi_shift(m[1])))
+        rules.append(("cw_elim", lambda m: m[2] >= 1, _rhs(_E2)))
     elif z1_inv:
         def g_z0pos(m):
             return m[0] >= 1 and m[5] == 0 and m[6] == 0
 
-        rules.append(("z0_pos", g_z0pos, lambda m: _xi_shift(pres, m, m[0])))
-        rules.append(("cx_elim", lambda m: m[3] >= 1, linear(_CX_ELIM)))
+        rules.append(("z0_pos", g_z0pos, lambda m: _xi_shift(m[0])))
+        rules.append(("cx_elim", lambda m: m[3] >= 1, _rhs(_CX_ELIM)))
     else:
         def g_ximix(m):
             s, t, i, j, d, w0, w1 = m
@@ -354,8 +328,8 @@ def _build_rules(pres):
         def r_ximix(m):
             s, t = m[0], m[1]
             if s > 0:
-                return _xi_shift(pres, m, min(s, t) if t > 0 else s)
-            return _xi_shift(pres, m, t)
+                return _xi_shift(min(s, t) if t > 0 else s)
+            return _xi_shift(t)
 
         rules.append(("xi_mix", g_ximix, r_ximix))
 
@@ -363,7 +337,7 @@ def _build_rules(pres):
             s, t, i, j, d, w0, w1 = m
             return s >= 1 and i >= 1 and t == 0 and w0 == 0 and w1 == 0
 
-        rules.append(("e2", g_e2, linear(_E2)))
+        rules.append(("e2", g_e2, _rhs(_E2)))
 
         def g_divs(m):
             s, t, i, j, d, w0, w1 = m
@@ -372,13 +346,13 @@ def _build_rules(pres):
                 and (not has_x or d >= 1)
             )
 
-        rules.append(("div_s", g_divs, linear(_DIV_S)))
+        rules.append(("div_s", g_divs, _rhs(_DIV_S)))
 
         def g_t2(m):
             s, t, i, j, d, w0, w1 = m
             return t >= 2 and j >= 1 and w0 == 0 and w1 == 0
 
-        rules.append(("t2", g_t2, linear(_T2)))
+        rules.append(("t2", g_t2, _rhs(_T2)))
 
         if not infinite:
             def g_jhigh(m):
@@ -392,16 +366,17 @@ def _build_rules(pres):
                     return False
                 return True
 
+            t2, tail = _rhs(_T2), _rhs([_CX_TAIL])
+            # z0 cw X contains the top monomial cw^p cx^q: the tail plus
+            # (1-k) times top at z0*cw*m/(z1*cx), where rho(1-k) = 1 leaves
+            # the transfer terms as they are
+            head = [(k, c * ONE_MINUS_K if k == "mono" else c, x) for k, c, x in pres.top_terms]
+            top_tail = _rhs([_CX_TAIL], head, _mono(s=1, t=-1, i=1 - p, j=-1 - q))
+
             def r_jhigh(m):
                 if m[2] + 1 < p:
-                    return _linear(pres, m, _T2)
-                tail = _linear(pres, m, [_CX_TAIL])
-                # z0 cw X contains the top monomial cw^p cx^q
-                lead = mono_mul(m, _mono(s=1, t=-1, i=1, j=-1))
-                if lead[4] >= 1:
-                    return tail  # top times x vanishes
-                head = _terms_elt(pres, pres.top_terms, mono_mul(lead, _mono(i=-p, j=-q)))
-                return head.scale(ONE_MINUS_K) + tail
+                    return t2
+                return tail if m[4] >= 1 else top_tail  # top times x vanishes
 
             rules.append(("jhigh", g_jhigh, r_jhigh))
 
@@ -411,7 +386,7 @@ def _build_rules(pres):
                     return False
                 return s <= 0 and t == 0 and i >= p + 1 and j <= q - 1 and w0 == 0 and w1 == 0
 
-            rules.append(("ihigh", g_ihigh, linear(_W0_CW)))
+            rules.append(("ihigh", g_ihigh, _rhs(_W0_CW)))
 
             def g_tpos_ihigh(m):
                 s, t, i, j, d, w0, w1 = m
@@ -420,7 +395,7 @@ def _build_rules(pres):
                     and (not has_x or d >= 1)
                 )
 
-            rules.append(("tpos_ihigh", g_tpos_ihigh, linear(_DIV_S)))
+            rules.append(("tpos_ihigh", g_tpos_ihigh, _rhs(_DIV_S)))
 
     # ---- conversion of bare divided d0-monomials in quadrics --------------
 
@@ -435,7 +410,7 @@ def _build_rules(pres):
                 return True
             return s == 0 and t == 0 and i >= p + 1 and j < q
 
-        rules.append(("repl0", g_repl0, linear([(ONE, _mono(i=-p, w0=1))] + corrw_low)))
+        rules.append(("repl0", g_repl0, _rhs([(ONE, _mono(i=-p, w0=1))] + corrw_low)))
 
         def g_repl1(m):
             s, t, i, j, d, w0, w1 = m
@@ -445,7 +420,7 @@ def _build_rules(pres):
                 return True
             return i < p and (s >= 1 or (t in (0, 1) and s == 0 and j >= q + 1))
 
-        rules.append(("repl1", g_repl1, linear([(ONE, _mono(j=-q, w1=1))] + corrx_low)))
+        rules.append(("repl1", g_repl1, _rhs([(ONE, _mono(j=-q, w1=1))] + corrx_low)))
 
     return rules
 
@@ -804,14 +779,16 @@ def _make_free_orbit(name, space):
     # x is killed by its only rule, so rho(x) = 0: the deck has no rho_x
     cfg["raw_lhs"] = {"x = 0": (ONE, _mono(d=1)), "1 = t(y)": (ONE, MONO_ONE)}
     pres = Presentation(name, space, cfg)
-    pres.rules = [("x_zero", lambda m: m[4] >= 1, lambda m: pres.zero())]
+    pres.rules = [("x_zero", lambda m: m[4] >= 1, _rhs())]
     pres.eta_sides = _build_eta(pres, deck)
     return pres
 
 
 def _div_elements(P):
     """divw and divx assembled from their defining expressions."""
-    return tuple(P.normal_form(_linear(P, MONO_ONE, _divided(P, side))) for side in (0, 1))
+    return tuple(
+        P.normal_form(_terms_elt(P, [("mono", c, m) for c, m in _divided(P, side)])) for side in (0, 1)
+    )
 
 
 def _quad_identities(P):

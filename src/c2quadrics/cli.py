@@ -46,8 +46,17 @@ def _window(text):
         raise argparse.ArgumentTypeError("window must look like a0:a1,b0:b1")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose ``error`` raises, for ``main`` to print one
+    line, instead of printing the usage block and exiting.  The subcommand
+    parsers are of this class too."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="c2quadrics",
         description="Equivariant cohomology rings of symmetric complex quadrics",
     )
@@ -240,7 +249,14 @@ def main(argv=None):
         print("an expression that starts with '-' needs '--' before it: "
               "c2quadrics reduce SPACE -- EXPR", file=sys.stderr)
         return 2
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        # an argument with a line break in it stays on the one line
+        print("usage error: %s (see c2quadrics -h)" % " ".join(str(exc).splitlines()), file=sys.stderr)
+        return 2
+    except SystemExit as exc:  # -h or --help, after printing the help
+        return exc.code
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _one_line_warning

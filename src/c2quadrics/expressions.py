@@ -123,11 +123,17 @@ class _Term:
         return out
 
 
+# the deepest nesting of (...) and t(...) that parses: at four frames of
+# the recursive descent per level, clear of Python's recursion limit
+_MAX_DEPTH = 200
+
+
 class Parser:
     def __init__(self, pres, text):
         self.pres = pres
         self.toks = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -196,24 +202,26 @@ class Parser:
 
     def atom_term(self):
         tok = self.peek()
-        if tok == "(":
-            self.take()
-            inner = self.expr()
-            self.take(")")
-            return ("elt", inner)
         if tok is None:
             raise ExprError("unexpected end of input")
         self.take()
         if tok.isdigit():
             return ("int", int(tok))
+        if tok not in ("(", "t"):
+            return ("sym", tok)
         if tok == "t":
             self.take("(")
-            inner = self.expr()
-            self.take(")")
-            if inner.level != "e":
-                raise ExprError("t(...) needs a level-e argument")
-            return ("elt", self.pres.tau_of_levele(inner))
-        return ("sym", tok)
+        if self.depth == _MAX_DEPTH:
+            raise ExprError("parentheses nested deeper than %d levels" % _MAX_DEPTH)
+        self.depth += 1
+        inner = self.expr()
+        self.depth -= 1
+        self.take(")")
+        if tok == "(":
+            return ("elt", inner)
+        if inner.level != "e":
+            raise ExprError("t(...) needs a level-e argument")
+        return ("elt", self.pres.tau_of_levele(inner))
 
 
 def parse_expression(pres, text):

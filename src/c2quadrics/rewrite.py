@@ -20,13 +20,18 @@ tau(iota^a zeta^b y) for presentations with a free-orbit summand;
 an element at level C2/e is an integer combination of monomials
 iota^a zeta^b c^d y^eps (see levele.py).
 
-Rewrite rules are (name, guard, rhs) triples; rhs values are true ring
-identities, so reduction along any rule order computes the same class.
-The catalog builds them from the finished presentation (``pres.rules``),
-so each guard and rhs closes over its presentation.  A non-canonical
-monomial that no rule rewrites raises ``NotAClassError``; exceeding the
-step budget raises ``NonTerminatingError``.  ``confluence_probe`` checks
-confluence empirically on random products.
+Rewrite rules are (name, guard, rhs) triples; each rhs is a true ring
+identity, so reduction along any rule order computes the same class.
+An rhs is data, ``(pairs, atoms)``: the monomial m equals the sum of
+c * (m * delta) over the ``pairs`` (c, delta), each c as the raw
+(point monomial, int) pairs of its coefficient, plus the sum of
+n * (m * delta) * tau(iota^a zeta^b y) over the ``atoms`` ((a, b), n, delta).
+A rule whose rhs depends on the monomial holds a function of the monomial
+that returns that pair instead.  The catalog builds the rules from the
+finished presentation (``pres.rules``).  A non-canonical monomial that no
+rule rewrites raises ``NotAClassError``; exceeding the step budget raises
+``NonTerminatingError``.  ``confluence_probe`` checks confluence
+empirically on random products.
 """
 
 from __future__ import annotations
@@ -65,6 +70,8 @@ class NotAClassError(ValueError):
 GENERATORS = ("z0", "z1", "cw", "cx", "x", "divw", "divx")
 
 MONO_ONE = (0, 0, 0, 0, 0, 0, 0)
+
+RHO_ONE = LevelECoeff.one()   # rho(1), the iota-polynomial 1
 
 
 def gen_mono(name):
@@ -118,14 +125,6 @@ def _add_raw(c2, atoms, x):
         _mul_term(c2, m, v.c.items(), ONE_PAIRS)
     for k, v in x.atoms.items():
         _add_count(atoms, k, v)
-
-
-def _raw_pairs(pairs):
-    """A linear rule's (PointElt, delta) pairs as (coefficient pairs, delta),
-    the form ``normal_form`` multiplies by; None stays None."""
-    if pairs is None:
-        return None
-    return tuple((tuple(c.c.items()), delta) for c, delta in pairs)
 
 
 # the class of the exponents above every threshold
@@ -245,9 +244,9 @@ class RingElement:
 
     def scale(self, coeff):
         """Multiply by a point-ring coefficient (or int).  A marked top-level
-        element without atoms, outside a free-orbit deck, is scaled
-        termwise: its canonical monomials stay canonical under any
-        coefficient."""
+        element without atoms is scaled termwise: its canonical monomials
+        stay canonical under any coefficient (on the free orbit, where no
+        monomial is canonical, it is 0)."""
         if isinstance(coeff, int):
             out = RingElement(
                 self.pres,
@@ -258,10 +257,7 @@ class RingElement:
             )
             out._nf = self._nf
             return out
-        if (
-            self._nf and self.level == "top" and not self.atoms
-            and isinstance(coeff, PointElt) and not self.pres.free_orbit
-        ):
+        if self._nf and self.level == "top" and not self.atoms and isinstance(coeff, PointElt):
             out = RingElement(self.pres, "top", c2={m: v * coeff for m, v in self.c2.items()})
             out._nf = True
             return out
@@ -393,7 +389,6 @@ class Presentation:
         self._jclass = _exponent_classes(self.q)
         self._class_table = {}               # {class key: True | (rule index, ...)}
         self._class_rules = []               # the rules the table was built from
-        self._rule_pairs = []                # each rule's (coeff, delta) pairs, or None
         self._sample_pool = None             # filled by _sample_monomials on first use
         self.warnings = []
 
@@ -488,12 +483,9 @@ class Presentation:
 
     def _rule_table(self):
         """The class table, emptied first if ``rules`` changed since it was
-        filled (a rule may be replaced in place).  A rebuild also reads each
-        rule's ``pairs`` into ``_rule_pairs`` (None for a rhs without them),
-        with every coefficient as its raw (point monomial, int) pairs."""
+        filled (a rule may be replaced in place)."""
         if self._class_rules != self.rules:
             self._class_table = {}
-            self._rule_pairs = [_raw_pairs(getattr(rhs, "pairs", None)) for _, _, rhs in self.rules]
             self._class_rules = list(self.rules)
         return self._class_table
 
@@ -512,12 +504,14 @@ class Presentation:
 
         Each non-canonical monomial is rewritten by the first rule, in
         ``rules`` order or in ``rule_order`` (a permutation of the rule
-        indices), whose guard holds on it.  A rule whose rhs carries
-        ``pairs`` is applied as data: coeff * c goes to mono * delta for each
-        (c, delta) pair, straight into the work set.  Any other rhs is
-        called with the monomial, and coeff times the raw element it
-        returns is added in.  The work set is reduced first in, first out.
-        Both orders read the per-class
+        indices), whose guard holds on it.  The rule's rhs data (see the
+        module docstring; a function of the monomial is called first) is
+        applied in one way.  Its transfer terms come first: mono * delta *
+        n * tau(w) is reduced by ``_frobenius``, and coeff times that
+        element goes into the work set, its transfer atoms through
+        ``_frobenius`` with rho(coeff).  Then coeff * c goes to mono * delta
+        for each pair (c, delta), straight into the work set.  The work set
+        is reduced first in, first out.  Both orders read the per-class
         table of ``rule_class``, which is exact only while every guard and
         the canonical test compare exponents with the class thresholds
         alone.  ``_fallbacks`` holds the monomials whose
@@ -531,8 +525,7 @@ class Presentation:
         ``mul`` hands over, and is taken as it is.  A coefficient is wrapped
         in a ``PointElt`` only where it leaves the work set: into ``done``
         (the result), and on the way to ``transfer_witness``, ``point_rho``
-        and ``_frobenius``; a callable rule's terms are read from their
-        ``PointElt`` dicts without a copy.
+        and ``_frobenius``.
 
         A set passed as ``_seen`` receives every table entry with two or
         more rules that this loop fires, so with the default order it lists
@@ -546,7 +539,6 @@ class Presentation:
         rules = self.rules
         rank = None if rule_order is None else {k: n for n, k in enumerate(rule_order)}
         table = self._rule_table()
-        rule_pairs = self._rule_pairs
         iclass, jclass = self._iclass.get, self._jclass.get
         free_orbit, max_steps = self.free_orbit, self.max_steps
         work = {}
@@ -619,28 +611,32 @@ class Presentation:
             first = entry[0] if rank is None else min(entry, key=rank.__getitem__)
             if _seen is not None and len(entry) > 1:
                 _seen.add(entry)
-            pairs = rule_pairs[first]
+            rhs = rules[first][2]
+            pairs, transfers = rhs(mono) if callable(rhs) else rhs
             items = coeff.items()
-            if pairs is not None:
-                # a linear rule as data: coeff * c at mono * delta, added
-                # as _mul_term does, without a call per pair
-                for c, (s2, t2, i2, j2, d2, w02, w12) in pairs:
-                    m2 = (s + s2, t + t2, i + i2, j + j2, d + d2, w0 + w02, w1 + w12)
-                    w = work.get(m2)
-                    if w is None:
-                        w = work[m2] = {}
-                    _mul_into(w, items, c)
-                    if not w:
-                        del work[m2]
-                continue
-            val = rules[first][2](mono)
-            for m2, v2 in val.c2.items():
-                _mul_term(work, m2, items, v2.c.items())
-            if val.atoms:
-                rc = point_rho(_point(coeff))
-                for (a, b), v2 in val.atoms.items():
-                    w = self._frobenius(MONO_ONE, rc, {(a, b, 0, 1): v2}, _fallbacks)
-                    _add_raw(work, atoms, w)
+            if transfers:
+                # the sum of mono * delta * n * tau(w), then times coeff
+                c2, tr = {}, {}
+                for (a, b), n, delta in transfers:
+                    w = self._frobenius(mono_mul(mono, delta), RHO_ONE, {(a, b, 0, 1): n})
+                    _add_elt(c2, tr, w)
+                for m2, v2 in c2.items():
+                    _mul_term(work, m2, items, v2.c.items())
+                if tr:
+                    rc = point_rho(_point(coeff))
+                    for (a, b), v2 in tr.items():
+                        w = self._frobenius(MONO_ONE, rc, {(a, b, 0, 1): v2}, _fallbacks)
+                        _add_raw(work, atoms, w)
+            # coeff * c at mono * delta, added as _mul_term does, without a
+            # call per pair
+            for c, (s2, t2, i2, j2, d2, w02, w12) in pairs:
+                m2 = (s + s2, t + t2, i + i2, j + j2, d + d2, w0 + w02, w1 + w12)
+                w = work.get(m2)
+                if w is None:
+                    w = work[m2] = {}
+                _mul_into(w, items, c)
+                if not w:
+                    del work[m2]
         out = RingElement(self, "top")
         out.c2 = done
         out.atoms = atoms
@@ -884,7 +880,5 @@ def _sample_monomials(pres):
             range(-2, 3), range(-2, 3), range(p + 2), range(q + 2),
             range(2 if pres.has_x else 1), (0, 1), (0, 1),
         )
-        pres._sample_pool = () if pres.free_orbit else tuple(
-            m for m in box if pres.canonical(m) and m != MONO_ONE
-        )
+        pres._sample_pool = tuple(m for m in box if pres.canonical(m) and m != MONO_ONE)
     return pres._sample_pool

@@ -1,0 +1,25 @@
+"""Helpers shared by the tests that replace a rewrite rule in place.
+
+A rule's right-hand side is data, ``(pairs, atoms)``, or a function of the
+monomial that returns it (see ``c2quadrics.rewrite``).
+"""
+
+from c2quadrics.coefficients import PointElt
+
+
+def rhs_at(rhs, m):
+    """The data of the right-hand side ``rhs`` at the monomial ``m``."""
+    return rhs(m) if callable(rhs) else rhs
+
+
+def negated_rhs(rhs):
+    """The right-hand side -rhs: the data of a fixed rhs with every
+    coefficient negated, or a function that negates the result of a
+    function rhs."""
+    if callable(rhs):
+        return lambda m: negated_rhs(rhs(m))
+    pairs, atoms = rhs
+    return (
+        tuple((tuple((-PointElt(dict(c))).c.items()), delta) for c, delta in pairs),
+        tuple((ab, -n, delta) for ab, n, delta in atoms),
+    )

@@ -39,6 +39,7 @@ from c2quadrics.solver import (
     solve_undetermined,
     verify_relations,
 )
+from conftest import negated_rhs
 
 warnings.simplefilter("ignore", RestrictedGradingWarning)
 
@@ -364,7 +365,7 @@ def test_criterion_10_probe_and_faults():
             pres = make_quadric(3, 3)
             name, guard, rhs = pres.rules[idx]
             if fault == "flip":
-                pres.rules[idx] = (name, guard, lambda m, _r=rhs: -(_r(m)))
+                pres.rules[idx] = (name, guard, negated_rhs(rhs))
             else:
                 pres.rules[idx] = (name, lambda m: False, rhs)
             rep = audit_full(pres, seed=4, samples=120, probe_samples=120)

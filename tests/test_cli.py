@@ -284,3 +284,40 @@ def test_every_emitted_atlas_loads(tmp_path, capsys):
     code, out, err = run(capsys, "atlas", "load", str(path))
     assert code == 0 and err == ""
     assert out == "atlas with 8 spaces: %s\n" % ", ".join(sorted(spaces))
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("basis", "quadric:3,3", "--window", "1:2"), "argument --window: window must look like"),
+    (("basis", "quadric:3,3", "--coset", "x"), "argument --coset: invalid int value"),
+    (("diagram", "quadric:3,3", "--format", "png"), "argument --format: invalid choice"),
+    (("basis", "quadric:3,3", "--no-such-option"), "unrecognized arguments: --no-such-option"),
+    (("basis", "quadric:3,3", "-x\ny"), "unrecognized arguments: -x y"),
+    (("no-such-command",), "argument command: invalid choice"),
+    ((), "the following arguments are required: command"),
+])
+def test_usage_error_is_one_line(capsys, argv, what):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("usage error: " + what)
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("basis", "--help")])
+def test_help_still_prints_and_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: c2quadrics") and err == ""
+
+
+def _nested(depth, inner="x"):
+    return "(" * depth + inner + ")" * depth
+
+
+def test_deep_nesting_is_one_line(capsys):
+    code, out, _ = run(capsys, "reduce", "quadric:3,3", _nested(200))
+    assert code == 0 and out.splitlines()[0] == "x"
+    for expr in (_nested(201), _nested(300), "t(" * 300 + "iota" + ")" * 300):
+        code, out, err = run(capsys, "reduce", "quadric:3,3", expr)
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: parentheses nested deeper than 200 levels\n"

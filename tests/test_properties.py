@@ -402,3 +402,65 @@ def test_atlas_load_answers_or_prints_one_line(text, missing):
         code, err = _cli(["atlas", "load", path])
     assert code in (0, 1, 2)
     assert len(err) <= 1, err
+
+
+# space ids, windows, cosets and formats for basis, diagram, verify and atlas
+# emit: the sizes stay at m, n <= 6 and the window reach at 6, so that each
+# example runs in milliseconds (a large space id is slow to build, not wrong)
+_SIZE = st.integers(-1, 6)
+_MALFORMED = st.sampled_from((
+    "quadric:3", "quadric:3,x", "quadric:3,3,3", "proj:1,2,3", "binate:", "neq:5", "neq:x,B",
+    "quadric", ":3,3", "", " ", "-", "-3", "--", "-x", "x\ny",
+)) | st.text(max_size=8)
+
+
+@st.composite
+def _space_ids(draw):
+    """A space id: well formed (sizes may be out of range) or malformed."""
+    kind = draw(st.sampled_from(("point", "bu1", "proj", "binate", "quadric", "quadric", "neq", "bad")))
+    if kind in ("point", "bu1"):
+        return kind
+    if kind == "neq":
+        return "neq:%d,%s" % (draw(_SIZE), draw(st.sampled_from("BDX")))
+    if kind == "bad":
+        return draw(_MALFORMED)
+    return "%s:%d,%d" % (kind, draw(_SIZE), draw(_SIZE))
+
+
+_BOUND = st.integers(-6, 6)
+_WELL_FORMED = st.builds("{}:{},{}:{}".format, _BOUND, _BOUND, _BOUND, _BOUND)
+_WINDOWS = st.one_of(_WELL_FORMED, _WELL_FORMED, _WELL_FORMED, st.sampled_from(
+    ("1:2", "a:b,c:d", "1:2,3", "1:2,3:4:5", "", ",", "1:2;3:4")
+), st.text(max_size=6))
+_COSETS = st.integers(-3, 3).map(str) | st.sampled_from(("x", "1.5", "", "--"))
+
+
+@st.composite
+def _slice_calls(draw):
+    """A basis, diagram, verify or atlas emit command line."""
+    command = draw(st.sampled_from(("basis", "diagram", "verify", "atlas")))
+    several = command in ("verify", "atlas")
+    spaces = draw(st.lists(_space_ids(), min_size=1 - several, max_size=1 + several))
+    options = []
+    if command == "verify":
+        options += draw(st.sampled_from(([], ["--full"], ["--seed", "3"])))
+    else:
+        if draw(st.booleans()):
+            options += ["--coset", draw(_COSETS)]
+        if draw(st.booleans()):
+            window = draw(_WINDOWS)
+            options += draw(st.sampled_from((["--window=" + window], ["--window", window])))
+    if command == "diagram" and draw(st.booleans()):
+        options += ["--format", draw(st.sampled_from(("ascii", "svg", "png")))]
+    argv = [command] + (["emit"] if command == "atlas" else [])
+    # '--' before the space ids, so that one that starts with '-' is read as one
+    return argv + (options + ["--"] + spaces if draw(st.booleans()) else spaces + options)
+
+
+@seed(SEED)
+@settings(LAWS, max_examples=200)
+@given(_slice_calls())
+def test_slice_commands_answer_or_print_one_line(argv):
+    code, err = _cli(argv)
+    assert code in (0, 1, 2)
+    assert len(err) <= 1, (argv, err)

@@ -28,6 +28,7 @@ from c2quadrics.coefficients import (
 )
 from c2quadrics.grading import OMEGA0, OMEGA1, W, XW, Grading
 from c2quadrics.rewrite import (
+    GENERATORS,
     MONO_ONE,
     NonTerminatingError,
     NotAClassError,
@@ -35,9 +36,11 @@ from c2quadrics.rewrite import (
     _mono_product,
     _sample_monomials,
     confluence_probe,
+    gen_mono,
     mono_mul,
 )
 from c2quadrics.solver import POINT_COEFFS
+from conftest import negated_rhs, rhs_at
 
 E2 = PointElt.monomial(pos(2, 0))
 XI = PointElt.monomial(pos(0, 1))
@@ -336,20 +339,20 @@ def _exact(x):
 
 @pytest.mark.parametrize("space", sorted(GOLDEN))
 def test_callable_rules_match_linear_rules_as_data(space):
-    # behind a transparent wrapper every rule takes normal_form's callable
-    # path; the golden normal forms come out the same, term for term and
-    # in the same order, as with the linear rules applied as data
-    data, called, fired, linear = [], [], [], []
+    # a rule given as a function that returns its own data reduces term for
+    # term, in the same order, like the fixed rule: with every rule behind
+    # such a function the golden normal forms come out the same
+    data, called, fired, fixed = [], [], [], []
 
     def wrap(pres):
-        linear.extend(rhs for _, _, rhs in pres.rules if hasattr(rhs, "pairs"))
+        fixed.extend(rhs for _, _, rhs in pres.rules if not callable(rhs))
         for k, (name, guard, rhs) in enumerate(pres.rules):
-            pres.rules[k] = (name, guard, lambda m, _r=rhs: fired.append(m) or _r(m))
+            pres.rules[k] = (name, guard, lambda m, _r=rhs: fired.append(m) or rhs_at(_r, m))
 
     assert _golden_digest(space, out=data) == GOLDEN[space]
     assert _golden_digest(space, prepare=wrap, out=called) == GOLDEN[space]
-    # the free-orbit deck and the point have no linear rules
-    assert fired or not linear
+    # the point has no rules
+    assert fired or not fixed
     assert [_exact(x) for x in called] == [_exact(x) for x in data]
 
 
@@ -403,6 +406,52 @@ def test_golden_atom_products(space):
         assert prod[i, j] == prod[j, i]
     for x, y, z in itertools.product(elts, repeat=3):
         assert pres.mul(pres.mul(x, y), z) == pres.mul(x, pres.mul(y, z))
+
+
+# sha256 per space of _exact_digest: a BB, a DB and a binate deck and the
+# free orbit.  The digests above sort the terms; these pin their order (and
+# the order of each coefficient's keys), which restrict's solver candidates
+# follow.  Pinned before every rule right-hand side became data
+EXACT_GOLDEN = {
+    "binate:2,1": "c6905b474ee7fb823cf64cbb1aad1c6924a4d06b1cbdd2742e7ee3f9adf2d7b2",
+    "quadric:1,1": "458f0df6c25cd5ac048320d17fafa1a411ca9b855712819c710d9618013ca387",
+    "quadric:4,3": "96c4766c403374ae9c96a5099f208658e0b0a870b2e379f8f69016db204bd842",
+    "quadric:5,3": "5ec71134a4feb0e884e0f0f7a61b7000c7964101e36f942630f8831dab582f36",
+}
+
+
+def _exact_digest(space, rounds=40):
+    """Hash the exact terms of seeded products of three-term elements (one
+    transfer atom added where the deck has them) and of reduced products of
+    three monomials, in the order the engine leaves them."""
+    pres = _space(space)
+    rng = random.Random("exact " + space)
+    pool = _sample_monomials(pres) or tuple(gen_mono(g) for g in GENERATORS)
+    h = hashlib.sha256()
+
+    def add(x):
+        c2 = [(m, list(v.c.items())) for m, v in x.c2.items()]
+        h.update(repr((x.level, c2, list(x.atoms.items()))).encode())
+
+    for _ in range(rounds):
+        x, y = pres.zero(), pres.zero()
+        for _ in range(3):
+            x = x + pres.monomial_elt(rng.choice(pool), rng.choice(POINT_COEFFS))
+            y = y + pres.monomial_elt(rng.choice(pool), rng.choice(POINT_COEFFS))
+        if pres.has_atoms:
+            x = x + pres.tau_atom(rng.randrange(-2, 3), rng.randrange(-2, 3), rng.choice((1, -1, 2)))
+        add(pres.mul(x, y))
+        raw = RingElement(pres, "top", c2={_mono_product(rng.sample(pool, 3)): rng.choice(POINT_COEFFS)})
+        try:
+            add(pres.normal_form(raw))
+        except NotAClassError as exc:
+            h.update(str(exc).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("space", sorted(EXACT_GOLDEN))
+def test_exact_term_order_of_products(space):
+    assert _exact_digest(space) == EXACT_GOLDEN[space]
 
 
 # -- the threshold-class table ---------------------------------------------------
@@ -491,7 +540,7 @@ def _fault(pres, flip, off):
     names = [r[0] for r in pres.rules]
     k = names.index(flip)
     name, guard, rhs = pres.rules[k]
-    pres.rules[k] = (name, guard, lambda m, _r=rhs: -(_r(m)))
+    pres.rules[k] = (name, guard, negated_rhs(rhs))
     k = names.index(off)
     name, guard, rhs = pres.rules[k]
     pres.rules[k] = (name, lambda m: False, rhs)
@@ -523,8 +572,6 @@ def test_warm_table_follows_rules_replaced_in_place():
 
 
 def test_linear_rule_replaced_in_place_is_the_one_applied():
-    from c2quadrics.catalog import _Linear
-
     pres = make_space("quadric:3,3")
     rng = random.Random(21)
     pool = _sample_monomials(pres)
@@ -535,22 +582,24 @@ def test_linear_rule_replaced_in_place_is_the_one_applied():
     before = [_outcome(pres, x) for x in raws]
     k = [r[0] for r in pres.rules].index("w0_expand")
     name, guard, rhs = pres.rules[k]
-    # the table holds the pairs with each coefficient as raw (monomial, int) pairs
-    raw = tuple((tuple(c.c.items()), delta) for c, delta in rhs.pairs)
-    assert isinstance(rhs, _Linear) and pres._rule_pairs[k] == raw
-    # a transparent wrapper is called, and changes nothing
+    # a fixed rhs is data: pairs of raw (point monomial, int) coefficient
+    # pairs and a monomial shift, and no transfer terms here
+    pairs, atoms = rhs
+    assert pairs and not atoms
+    assert all(isinstance(c, tuple) and len(delta) == 7 for c, delta in pairs)
+    # a function that returns the same data is called, and changes nothing
     fired = []
-    pres.rules[k] = (name, guard, lambda m: fired.append(m) or rhs(m))
+    pres.rules[k] = (name, guard, lambda m: fired.append(m) or rhs)
     assert [_outcome(pres, x) for x in raws] == before
-    assert fired and pres._rule_pairs[k] is None
-    # a negated rule, as a callable and as data, against a cold presentation
+    assert fired
+    # a negated rule, as data and as a function, against a cold presentation
     cold = make_space("quadric:3,3")
-    cold.rules[k] = (name, guard, lambda m, _r=cold.rules[k][2]: -(_r(m)))
+    cold.rules[k] = (name, guard, negated_rhs(cold.rules[k][2]))
     expect = [_outcome(cold, RingElement(cold, "top", c2=x.c2)) for x in raws]
     assert sum(a != b for a, b in zip(before, expect)) >= 5
-    pres.rules[k] = (name, guard, _Linear(pres, [(-c, delta) for c, delta in rhs.pairs]))
+    pres.rules[k] = (name, guard, negated_rhs(rhs))
     assert [_outcome(pres, x) for x in raws] == expect
-    pres.rules[k] = (name, guard, lambda m: -rhs(m))
+    pres.rules[k] = (name, guard, lambda m: negated_rhs(rhs))
     assert [_outcome(pres, x) for x in raws] == expect
 
 
@@ -560,7 +609,7 @@ def test_rule_order_fires_first_matching_rule():
     pres = make_space("quadric:5,3")
     fired = []
     for k, (name, guard, rhs) in enumerate(pres.rules):
-        pres.rules[k] = (name, guard, lambda m, _k=k, _r=rhs: fired.append((_k, m)) or _r(m))
+        pres.rules[k] = (name, guard, lambda m, _k=k, _r=rhs: fired.append((_k, m)) or rhs_at(_r, m))
     rng = random.Random(8)
     pool = _sample_monomials(pres)
     raws = [
@@ -632,7 +681,7 @@ def test_probe_reports_match_reducing_every_order():
             pres = make_space("quadric:3,3")
             name, guard, rhs = pres.rules[idx]
             if fault == "flip":
-                pres.rules[idx] = (name, guard, lambda m, _r=rhs: -(_r(m)))
+                pres.rules[idx] = (name, guard, negated_rhs(rhs))
             else:
                 pres.rules[idx] = (name, lambda m: False, rhs)
             rep = confluence_probe(pres, samples=120, seed=5)
@@ -712,13 +761,15 @@ def _mixed_coeffs():
 @pytest.mark.parametrize("sid", ["quadric:3,3", "quadric:4,3", "binate:2,1", "proj:2,1", "quadric:1,1"])
 def test_results_never_share_coefficient_dicts_with_operands(sid):
     # normal_form and mul change raw coefficient dicts in place; no result
-    # coefficient may be an operand's dict, and the operands, the rule
-    # constants and the cached normal forms stay as they were
+    # coefficient may be an operand's dict, and the operands and the cached
+    # normal forms stay as they were.  Every fixed rule rhs is hashable, so
+    # nothing can change it in place
     pres = make_space(sid)
     rng = random.Random(13)
     pool = _sample_monomials(pres) or (MONO_ONE, (0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0))
     coeffs = _mixed_coeffs()
-    constants = [(k, [dict(c.c) for c, _ in rhs.pairs]) for k, (_, _, rhs) in enumerate(pres.rules) if hasattr(rhs, "pairs")]
+    for _, _, rhs in pres.rules:
+        assert callable(rhs) or hash(rhs) is not None
 
     def draw(raw):
         c2 = {}
@@ -745,7 +796,6 @@ def test_results_never_share_coefficient_dicts_with_operands(sid):
         assert [(dict(e.atoms), [(m, dict(v.c)) for m, v in e.c2.items()]) for e in operands] == snap
     # on the free orbit every result is a sum of transfer atoms
     assert checked or pres.free_orbit
-    assert [(k, [dict(c.c) for c, _ in pres.rules[k][2].pairs]) for k, _ in constants] == constants
 
 
 def test_rho_of_level_e_element_is_its_normal_form():

@@ -29,6 +29,7 @@ from c2quadrics.solver import (
     solve_undetermined,
     verify_relations,
 )
+from conftest import negated_rhs
 
 
 def nk(n):
@@ -215,7 +216,7 @@ def test_audit_detects_seeded_fault():
     # flip the sign of one rewrite rule: the audit must notice
     for idx, (name, guard, rhs) in enumerate(Q.rules):
         if name == "top":
-            Q.rules[idx] = (name, guard, lambda m, _r=rhs: -(_r(m)))
+            Q.rules[idx] = (name, guard, negated_rhs(rhs))
             break
     rep = audit_full(Q, seed=2, samples=60, probe_samples=40)
     assert not rep["ok"]
