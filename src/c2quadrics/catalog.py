@@ -194,7 +194,7 @@ def _build_rules(pres):
     Contract of every guard (and of ``_make_canonical``): it compares each
     exponent only with fixed thresholds, s, t, d, w0, w1 with -1..2, i with
     0, 1, p-1, p and j with 0, 1, q-1, q, so that its value depends only on
-    the threshold class of the monomial (``Presentation._class_key``).
+    the threshold class of the monomial (``rewrite._class_key``).
     ``normal_form`` keeps one answer per class; a guard that compares with
     anything else breaks it, and the exhaustive class-table test fails.
 

@@ -243,6 +243,19 @@ def _dash_expression(argv):
     )
 
 
+def _joined_window(argv):
+    """argv with ``--window VALUE`` written ``--window=VALUE`` where VALUE
+    starts with '-' and a digit, as '-2:5,0:3' does: argparse reads such a
+    value, which is not a plain negative number, as an option."""
+    out = []
+    for a in argv:
+        if out and out[-1] == "--window" and a[:1] == "-" and a[1:2].isdigit():
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     if _dash_expression(argv):
@@ -250,7 +263,7 @@ def main(argv=None):
               "c2quadrics reduce SPACE -- EXPR", file=sys.stderr)
         return 2
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_joined_window(argv))
     except argparse.ArgumentError as exc:
         # an argument with a line break in it stays on the one line
         print("usage error: %s (see c2quadrics -h)" % " ".join(str(exc).splitlines()), file=sys.stderr)

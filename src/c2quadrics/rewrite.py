@@ -127,21 +127,26 @@ def _add_raw(c2, atoms, x):
         _add_count(atoms, k, v)
 
 
-# the class of the exponents above every threshold
-_BIG = 1 << 20
-
-
-def _exponent_classes(n):
-    """Class ids of the exponents -1..n+1 compared with 0, 1, n-1 and n:
-    -1 below 0; _BIG above n; else the exponent itself at 0, 1, n-1 and n,
-    and 2 strictly between 1 and n-1.  With n = None (bu1) only 0 and 1
-    count.  Exponents outside the dict fall to -1 or _BIG."""
-    if n is None:
-        return {-1: -1, 0: 0, 1: 1, 2: _BIG}
-    return {
-        e: _BIG if e > n else (e if e in (-1, 0, 1, n - 1, n) else 2)
-        for e in range(-1, n + 2)
-    }
+def _class_key(m, p, q):
+    """The threshold class of monomial m in a presentation with exponents
+    p, q (None for bu1).  s, t, d, w0, w1 are clamped to -1..2.  i is placed
+    against 0, 1, p-1 and p: i itself at -1..1 (-1 below 0), 2 strictly
+    between 1 and p-1, 3 at p-1, 4 at p and 5 above p; with p None only 0
+    and 1 count, and every i above 1 is 2.  j is placed against q alike.
+    The key depends on p and q only through these places, so a class table
+    does not grow with them."""
+    s, t, i, j, d, w0, w1 = m
+    return (
+        s if -1 <= s <= 2 else (2 if s > 0 else -1),
+        t if -1 <= t <= 2 else (2 if t > 0 else -1),
+        i if -1 <= i <= 1 else -1 if i < 0
+        else 2 if p is None or i < p - 1 else 3 + (i >= p) + (i > p),
+        j if -1 <= j <= 1 else -1 if j < 0
+        else 2 if q is None or j < q - 1 else 3 + (j >= q) + (j > q),
+        d if -1 <= d <= 2 else (2 if d > 0 else -1),
+        w0 if -1 <= w0 <= 2 else (2 if w0 > 0 else -1),
+        w1 if -1 <= w1 <= 2 else (2 if w1 > 0 else -1),
+    )
 
 
 def mono_str(m):
@@ -383,10 +388,6 @@ class Presentation:
         # the left side of a top-level identity as one unreduced term:
         # {identity name: (coeff, mono)}, read by solver.verify_relations
         self.raw_lhs = cfg.get("raw_lhs", {})
-        # threshold classes of i and j (see _class_key); exponents outside
-        # -1..p+1 fall to the classes of -1 and p+1
-        self._iclass = _exponent_classes(self.p)
-        self._jclass = _exponent_classes(self.q)
         self._class_table = {}               # {class key: True | (rule index, ...)}
         self._class_rules = []               # the rules the table was built from
         self._sample_pool = None             # filled by _sample_monomials on first use
@@ -451,21 +452,6 @@ class Presentation:
     def canonical(self, mono):
         return self.canonical_fn(mono)
 
-    def _class_key(self, m):
-        """The threshold class of a monomial: s, t, d, w0, w1 clamped to
-        -1..2, and i, j by ``_exponent_classes``.  ``normal_form`` computes
-        the same key inline."""
-        s, t, i, j, d, w0, w1 = m
-        return (
-            s if -1 <= s <= 2 else (2 if s > 0 else -1),
-            t if -1 <= t <= 2 else (2 if t > 0 else -1),
-            self._iclass.get(i, _BIG if i > 0 else -1),
-            self._jclass.get(j, _BIG if j > 0 else -1),
-            d if -1 <= d <= 2 else (2 if d > 0 else -1),
-            w0 if -1 <= w0 <= 2 else (2 if w0 > 0 else -1),
-            w1 if -1 <= w1 <= 2 else (2 if w1 > 0 else -1),
-        )
-
     def rule_class(self, mono):
         """True if mono is canonical, else the indices into ``rules`` of the
         rules whose guards hold on mono, in rule order.
@@ -473,9 +459,9 @@ class Presentation:
         Every guard and the canonical test compare each exponent only with
         fixed thresholds (s, t, d, w0, w1 with -1..2; i with 0, 1, p-1, p;
         j with 0, 1, q-1, q), so the answer depends on the threshold class of
-        mono alone, and is kept per class.  The table is rebuilt when
-        ``rules`` changes."""
-        key = self._class_key(mono)
+        mono alone (``_class_key``), and is kept per class.  The table is
+        rebuilt when ``rules`` changes."""
+        key = _class_key(mono, self.p, self.q)
         entry = self._rule_table().get(key)
         if entry is None:
             entry = self._classify(mono, key)
@@ -512,9 +498,9 @@ class Presentation:
         ``_frobenius`` with rho(coeff).  Then coeff * c goes to mono * delta
         for each pair (c, delta), straight into the work set.  The work set
         is reduced first in, first out.  Both orders read the per-class
-        table of ``rule_class``, which is exact only while every guard and
-        the canonical test compare exponents with the class thresholds
-        alone.  ``_fallbacks`` holds the monomials whose
+        table of ``rule_class``, keyed by ``_class_key``, which is exact
+        only while every guard and the canonical test compare exponents with
+        the class thresholds alone.  ``_fallbacks`` holds the monomials whose
         transfer-witness fallback is under way in an enclosing call; meeting
         one again would recurse without end, so it is not a class.
 
@@ -539,7 +525,7 @@ class Presentation:
         rules = self.rules
         rank = None if rule_order is None else {k: n for n, k in enumerate(rule_order)}
         table = self._rule_table()
-        iclass, jclass = self._iclass.get, self._jclass.get
+        p, q = self.p, self.q
         free_orbit, max_steps = self.free_orbit, self.max_steps
         work = {}
         for m, v in x.c2.items():
@@ -579,18 +565,7 @@ class Presentation:
                 rc = point_rho(_point(coeff))
                 _add_raw(work, atoms, self._frobenius(mono, rc, {(0, 0, 0, 1): 1}, _fallbacks))
                 continue
-            # the threshold class, as _class_key computes it (inlined: one
-            # call per step is a measurable share of products)
-            s, t, i, j, d, w0, w1 = mono
-            cls = (
-                s if -1 <= s <= 2 else (2 if s > 0 else -1),
-                t if -1 <= t <= 2 else (2 if t > 0 else -1),
-                iclass(i, _BIG if i > 0 else -1),
-                jclass(j, _BIG if j > 0 else -1),
-                d if -1 <= d <= 2 else (2 if d > 0 else -1),
-                w0 if -1 <= w0 <= 2 else (2 if w0 > 0 else -1),
-                w1 if -1 <= w1 <= 2 else (2 if w1 > 0 else -1),
-            )
+            cls = _class_key(mono, p, q)
             entry = table.get(cls)
             if entry is None:
                 entry = self._classify(mono, cls)
@@ -629,6 +604,7 @@ class Presentation:
                         _add_raw(work, atoms, w)
             # coeff * c at mono * delta, added as _mul_term does, without a
             # call per pair
+            s, t, i, j, d, w0, w1 = mono
             for c, (s2, t2, i2, j2, d2, w02, w12) in pairs:
                 m2 = (s + s2, t + t2, i + i2, j + j2, d + d2, w0 + w02, w1 + w12)
                 w = work.get(m2)

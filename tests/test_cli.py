@@ -98,6 +98,14 @@ def test_diagram_matches_basis(capsys):
     assert "stroke-dasharray" in svg
 
 
+@pytest.mark.parametrize("command", ["basis", "diagram"])
+def test_negative_window_as_a_separate_argument(capsys, command):
+    joined = run(capsys, command, "quadric:3,3", "--window=-2:5,0:3")
+    apart = run(capsys, command, "quadric:3,3", "--window", "-2:5,0:3")
+    assert joined[0] == 0 and joined[1]
+    assert apart == joined
+
+
 def test_diagram_empty_window(capsys):
     code, out, _ = run(capsys, "diagram", "quadric:3,3", "--window", "30:34,30:34")
     assert code == 0

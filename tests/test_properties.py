@@ -326,7 +326,7 @@ def test_atlas_element_round_trip(sid, data):
 CLI_SPACES = (
     "point", "bu1", "proj:2,1", "proj:0,3", "binate:2,1", "binate:0,0", "quadric:1,1",
     "quadric:2,2", "quadric:3,3", "quadric:4,3", "quadric:3,4", "quadric:2,3",
-    "quadric:0,3", "quadric:5,2", "neq:5,B",
+    "quadric:0,3", "quadric:5,2", "neq:5,B", "quadric:100000000000,3",
 )
 SYMBOLS = GENERATORS + ("e", "xi", "k", "g") + tuple(LEVELE)
 POWERS = ("", "", "", "^-2", "^-1", "^0", "^2", "^3")
@@ -406,7 +406,8 @@ def test_atlas_load_answers_or_prints_one_line(text, missing):
 
 # space ids, windows, cosets and formats for basis, diagram, verify and atlas
 # emit: the sizes stay at m, n <= 6 and the window reach at 6, so that each
-# example runs in milliseconds (a large space id is slow to build, not wrong)
+# example runs in milliseconds (a large space id builds at once, but a basis
+# slice costs O(p*q) and verify takes cw^p, so these grow with it)
 _SIZE = st.integers(-1, 6)
 _MALFORMED = st.sampled_from((
     "quadric:3", "quadric:3,x", "quadric:3,3,3", "proj:1,2,3", "binate:", "neq:5", "neq:x,B",

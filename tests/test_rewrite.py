@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import random
+import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -26,6 +28,7 @@ from c2quadrics.coefficients import (
     pos,
     trans,
 )
+from c2quadrics.expressions import parse_expression
 from c2quadrics.grading import OMEGA0, OMEGA1, W, XW, Grading
 from c2quadrics.rewrite import (
     GENERATORS,
@@ -33,6 +36,7 @@ from c2quadrics.rewrite import (
     NonTerminatingError,
     NotAClassError,
     RingElement,
+    _class_key,
     _mono_product,
     _sample_monomials,
     confluence_probe,
@@ -507,25 +511,60 @@ def test_class_table_matches_direct_scan(space):
     assert len(pres._class_table) <= 4 * 4 * 7 * 7 * 4 * 4 * 4
 
 
-def test_exponent_classes_cover_every_threshold():
-    from c2quadrics.rewrite import _BIG, _exponent_classes
-
-    for n in range(0, 6):
-        cls = _exponent_classes(n)
+def test_class_key_places_exponents_against_their_thresholds():
+    for n in (None,) + tuple(range(8)):
+        # every exponent below 0 has one place: the guards compare with
+        # n - 1 only as e <= n - 1, which for n = 0 is e < 0
+        marks = (0, 1) if n is None else tuple(c for c in (0, 1, n - 1, n) if c >= 0)
 
         def signs(e):
-            # e against 0, 1 and n (e <= n - 1 is e < n); for n = 0 the
-            # guards compare with 1 only as e >= 1, which is e > 0
-            return tuple((e > c) - (e < c) for c in ((0, 1, n) if n else (0,)))
+            return tuple((e > c) - (e < c) for c in marks)
 
-        for a in range(-3, n + 4):
-            for b in range(-3, n + 4):
-                ca = cls.get(a, _BIG if a > 0 else -1)
-                cb = cls.get(b, _BIG if b > 0 else -1)
-                if ca == cb:
-                    assert signs(a) == signs(b), (n, a, b)
-        # seven classes at most: -1, 0, 1, between, n - 1, n, above n
-        assert len(set(cls.values())) <= 7
+        places = {}
+        for e in range(-3, (1 if n is None else n) + 5):
+            place = _class_key((0, 0, e, 0, 0, 0, 0), n, None)[2]
+            # j is placed against q as i is against p
+            assert _class_key((0, 0, 0, e, 0, 0, 0), None, n)[3] == place
+            places.setdefault(place, set()).add(signs(e))
+        # equal places compare alike with every threshold
+        assert all(len(v) == 1 for v in places.values()), (n, places)
+        # seven places at most: -1, 0, 1, between, n - 1, n, above n
+        assert len(places) <= 7
+
+
+# one pair of decks per parity kind, each with p, q >= 4
+PARITY_PAIRS = [
+    ("quadric:9,9", "quadric:11,13"), ("quadric:8,9", "quadric:10,13"),
+    ("quadric:9,8", "quadric:13,10"), ("quadric:8,8", "quadric:10,12"),
+]
+
+
+@pytest.mark.parametrize("small, large", PARITY_PAIRS)
+def test_class_table_does_not_depend_on_p_and_q(small, large):
+    tables = []
+    for space in (small, large):
+        pres = make_space(space)
+        st, dw = range(-1, 2), range(-1, 3)
+        for m in itertools.product(st, st, range(-1, pres.p + 3), range(-1, pres.q + 3), dw, dw, dw):
+            pres.rule_class(m)
+        tables.append(([r[0] for r in pres.rules], pres._class_table))
+    assert tables[0] == tables[1]
+
+
+def test_huge_space_builds_and_reduces_at_once():
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        pres = make_space("quadric:100000000000,3")
+        for text in ("z0*cw*x", "cw^5*cx^3", "divw*cw", "z1*divx*cx", "cx^4"):
+            parse_expression(pres, text)
+        took = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert took < 1.0
+    assert peak < 1 << 20
+    assert 0 < len(pres._class_table) <= 4 * 4 * 7 * 7 * 4 * 4 * 4
 
 
 def _outcome(pres, x):
