@@ -37,7 +37,7 @@ from .component import ComponentRing
 from .grading import Grading, OMEGA1, W, XW, coset_index
 from .levele import LevelEModel
 from .noneq import InvalidSizeError, NoneqQuadricRing
-from .rewrite import MONO_ONE, RHO_ONE, Presentation, RingElement, _add_elt, mono_mul
+from .rewrite import MONO_ONE, RHO_ONE, Presentation, RingElement, _add_elt, _places, mono_mul
 
 
 class RestrictedGradingWarning(UserWarning):
@@ -430,8 +430,9 @@ def _make_canonical(deck):
     has_x, z0_inv, z1_inv = deck["has_x"], deck["z0_inv"], deck["z1_inv"]
     infinite = p is None
 
-    # Every branch below accepts only s == 0 or t == 0; the basis
-    # enumeration (_enumerate_coset_monomials) depends on this.
+    # Every branch below accepts only s == 0 or t == 0, and compares each
+    # exponent only with the thresholds of rewrite._class_key; the basis
+    # enumeration (_enumerate_coset_monomials) depends on both.
     def canonical(m):
         s, t, i, j, d, w0, w1 = m
         if i < 0 or j < 0 or d < 0 or w0 < 0 or w1 < 0:
@@ -1036,30 +1037,65 @@ def basis_slice(pres, coset, window):
     return out
 
 
+def _pieces(n, top):
+    """Split the exponents 0..top into runs on which ``_class_key`` places
+    an i exponent the same way for p = n (a j exponent for q = n): each of
+    ``_places(n)`` alone, and the runs between them and above the last."""
+    out, lo = [], 0
+    for c in sorted({c for c in _places(n) if 0 <= c <= top}):
+        if lo < c:
+            out.append((lo, c - 1))
+        out.append((c, c))
+        lo = c + 1
+    if lo <= top:
+        out.append((lo, top))
+    return out
+
+
 def _enumerate_coset_monomials(pres, coset, window):
     """Canonical monomials of one coset whose gradings can meet the window.
 
     Every canonical monomial has s == 0 or t == 0 (see _make_canonical), and
-    inside one coset t = t0 + s with t0 fixed by (i, j, d, w0, w1).  So each
-    such cell holds at most the two candidates (0, t0) and (-t0, 0), and the
-    cost is O(p*q) per coset whatever the window's reach (for bu1 the
-    stand-ins for p and q grow with the reach).
+    inside one coset t = t0 + s with t0 = shift - i + j fixed by the cell
+    (d, w0, w1) and (i, j).  So each (i, j) holds at most the two candidates
+    (0, t0) and (-t0, 0).  ``canonical`` depends on a monomial only through
+    ``_class_key``, so it is tested once per box (an i piece times a j
+    piece, see ``_pieces``), band of t0 and candidate, on one member, and a
+    canonical box and band is emitted whole.  The bands are t0 <= -2, -1,
+    0, 1 and >= 2: the s and t clamps of the key, seen from both candidates
+    (in band 0 the two are one).  That is a fixed number of tests per coset,
+    and the rest of the cost is O(p + q) (for bu1 the stand-ins for p and q
+    grow with the window's reach).
     """
     (a0, a1), (b0, b1) = window
     span = max(abs(a0), abs(a1), abs(b0), abs(b1)) + abs(coset)
     p = pres.p if pres.p is not None else span + 2
     q = pres.q if pres.q is not None else span + 2
+    ipieces, jpieces = _pieces(pres.p, p + 1), _pieces(pres.q, q + 1)
     cells = [(0, 0, 0)]
     if pres.has_x:
         cells += [(0, 1, 0), (0, 0, 1), (1, 0, 0)]
     out = []
     for d, w0, w1 in cells:
         shift = coset - (coset_index(pres.x_grading) if d else 0) - w0 * p + w1 * q
-        for i in range(0, p + 2):
-            for j in range(0, q + 2):
-                t0 = shift - i + j
-                for s in sorted({0, -t0}):
-                    m = (s, t0 + s, i, j, d, w0, w1)
-                    if pres.canonical(m):
-                        out.append(m)
+        for ilo, ihi in ipieces:
+            for jlo, jhi in jpieces:
+                # t0 runs over tlo..thi in the box; its band k is t0 clamped
+                # to -2..2, so bands -1, 0 and 1 hold one value each
+                tlo, thi = shift - ihi + jlo, shift - ilo + jhi
+                klo, khi = min(max(tlo, -2), 2), min(max(thi, -2), 2)
+                for k in range(klo, khi + 1):
+                    lo = tlo if k == klo else k
+                    hi = thi if k == khi else k
+                    # the member (i, j) of the box with t0 == lo stands for the band
+                    ri = max(ilo, jlo - lo + shift)
+                    rj = ri + lo - shift
+                    # (fs, ft) puts t0 into s = fs * t0, t = ft * t0
+                    for fs, ft in ((0, 1),) if k == 0 else ((0, 1), (-1, 0)):
+                        if pres.canonical((fs * lo, ft * lo, ri, rj, d, w0, w1)):
+                            out.extend(
+                                (fs * (shift - i + j), ft * (shift - i + j), i, j, d, w0, w1)
+                                for i in range(ilo, ihi + 1)
+                                for j in range(max(jlo, lo - shift + i), min(jhi, hi - shift + i) + 1)
+                            )
     return out

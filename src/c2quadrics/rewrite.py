@@ -127,14 +127,23 @@ def _add_raw(c2, atoms, x):
         _add_count(atoms, k, v)
 
 
+def _places(n):
+    """The exponents that ``_class_key`` compares i with when p = n, and j
+    with when q = n (n is None for bu1).  Between two adjacent places the
+    key of an exponent stays the same."""
+    return (0, 1) if n is None else (0, 1, n - 1, n)
+
+
 def _class_key(m, p, q):
     """The threshold class of monomial m in a presentation with exponents
     p, q (None for bu1).  s, t, d, w0, w1 are clamped to -1..2.  i is placed
-    against 0, 1, p-1 and p: i itself at -1..1 (-1 below 0), 2 strictly
-    between 1 and p-1, 3 at p-1, 4 at p and 5 above p; with p None only 0
-    and 1 count, and every i above 1 is 2.  j is placed against q alike.
-    The key depends on p and q only through these places, so a class table
-    does not grow with them."""
+    against ``_places(p)``, that is 0, 1, p-1 and p: i itself at -1..1 (-1
+    below 0), 2 strictly between 1 and p-1, 3 at p-1, 4 at p and 5 above p;
+    with p None only 0 and 1 count, and every i above 1 is 2.  j is placed
+    against ``_places(q)`` alike.  The key depends on p and q only through
+    these places, so a class table does not grow with them.  The comparisons
+    are written out here, not read from ``_places``, because every rewrite
+    step computes a key."""
     s, t, i, j, d, w0, w1 = m
     return (
         s if -1 <= s <= 2 else (2 if s > 0 else -1),

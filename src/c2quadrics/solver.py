@@ -396,24 +396,24 @@ def audit_full(pres, seed=0, samples=120, probe_samples=200):
     except Exception as exc:
         record("relations", False, "exception: %s" % str(exc)[:200])
 
-    # homogeneity: normal forms preserve the grading of homogeneous inputs
+    # homogeneity: normal forms preserve the grading of homogeneous inputs;
+    # the detail is the first failing pair, with both gradings
     pool = _sample_monomials(pres)
-    homog_ok = True
+    homog = None
     for _ in range(min(samples, 60)):
         if not pool:
             break
         m1, m2 = rng.choice(pool), rng.choice(pool)
         expect = pres.mono_grading(m1) + pres.mono_grading(m2)
         try:
-            prod = pres.mul(pres.monomial_elt(m1), pres.monomial_elt(m2))
-            got = prod.grading()
-        except Exception:
-            homog_ok = False
+            got = pres.mul(pres.monomial_elt(m1), pres.monomial_elt(m2)).grading()
+        except Exception as exc:
+            homog = (m1, m2, "exception: %s" % str(exc)[:200])
             break
         if got is not None and got != expect:
-            homog_ok = False
+            homog = (m1, m2, str(expect), str(got))
             break
-    record("homogeneity", homog_ok)
+    record("homogeneity", homog is None, homog)
 
     # Mackey axioms and homomorphism multiplicativity on random samples,
     # each check with its own first failure

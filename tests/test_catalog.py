@@ -447,6 +447,124 @@ def test_enumeration_matches_scan():
                 assert sorted(got) == sorted(want), (sid, coset, window)
 
 
+def _walk_coset_monomials(pres, coset, window):
+    """Reference: test both candidates (0, t0) and (-t0, 0) in every (i, j)
+    cell, i in 0..p+1 and j in 0..q+1, one canonical test each."""
+    from c2quadrics.grading import coset_index
+
+    (a0, a1), (b0, b1) = window
+    span = max(abs(a0), abs(a1), abs(b0), abs(b1)) + abs(coset)
+    p = pres.p if pres.p is not None else span + 2
+    q = pres.q if pres.q is not None else span + 2
+    cells = [(0, 0, 0)]
+    if pres.has_x:
+        cells += [(0, 1, 0), (0, 0, 1), (1, 0, 0)]
+    out = []
+    for d, w0, w1 in cells:
+        shift = coset - (coset_index(pres.x_grading) if d else 0) - w0 * p + w1 * q
+        for i in range(0, p + 2):
+            for j in range(0, q + 2):
+                t0 = shift - i + j
+                for s in sorted({0, -t0}):
+                    m = (s, t0 + s, i, j, d, w0, w1)
+                    if pres.canonical(m):
+                        out.append(m)
+    return out
+
+
+WALK_SPACES = (
+    ["point", "bu1", "quadric:200,7", "quadric:7,200"]
+    + ["proj:%d,%d" % (a, b) for a in range(9) for b in range(9) if a + b]
+    + ["binate:%d,%d" % (a, b) for a in range(9) for b in range(9)]
+)
+
+
+@pytest.mark.parametrize("m", range(1, 16))
+def test_enumeration_matches_the_cell_walk(m):
+    """The threshold-class boxes give every monomial of the cell walk, once:
+    quadric:m,n for n in 1..15 covers the four parity kinds and every
+    merge of the places 0, 1, p-1, p; m == 1 adds the other decks."""
+    from c2quadrics.catalog import _enumerate_coset_monomials
+
+    windows = [((-3, 6), (-2, 5)), ((-40, 40), (-40, 40))]
+    sids = ["quadric:%d,%d" % (m, n) for n in range(1, 16)]
+    for sid in sids + (WALK_SPACES if m == 1 else []):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RestrictedGradingWarning)
+            pres = make_space(sid)
+        for coset in range(-5, 6):
+            for window in windows:
+                got = _enumerate_coset_monomials(pres, coset, window)
+                assert len(set(got)) == len(got), (sid, coset, window)
+                assert sorted(got) == sorted(_walk_coset_monomials(pres, coset, window)), (sid, coset, window)
+
+
+def test_enumeration_is_exact_for_any_class_function():
+    """The boxes rely only on canonical being a function of the class key
+    that accepts s == 0 or t == 0: with an arbitrary such function in its
+    place they still give the cell walk.  The decks' own test happens not
+    to tell s = 1 from s >= 2, so only this one pins every band edge."""
+    import random
+
+    from c2quadrics.catalog import _enumerate_coset_monomials
+    from c2quadrics.rewrite import _class_key
+
+    window = ((-8, 8), (-8, 8))
+    for sid in ["bu1", "proj:6,5", "quadric:9,9", "quadric:8,9", "quadric:9,8", "quadric:8,8", "quadric:5,4"]:
+        pres = make_space(sid)
+        for salt in range(6):
+            picks = {}
+
+            def canonical(m, pres=pres, picks=picks, salt=salt):
+                key = _class_key(m, pres.p, pres.q)
+                if key not in picks:
+                    picks[key] = random.Random(repr((salt, key))).random() < 0.5
+                return (m[0] == 0 or m[1] == 0) and picks[key]
+
+            pres.canonical_fn = canonical
+            for coset in range(-3, 4):
+                got = _enumerate_coset_monomials(pres, coset, window)
+                assert sorted(got) == sorted(_walk_coset_monomials(pres, coset, window)), (sid, salt, coset)
+
+
+@pytest.mark.parametrize("n", [None, *range(9), 50])
+def test_pieces_are_the_class_key_runs(n):
+    """_class_key places an exponent the same way on each piece, and
+    differently on adjacent pieces, for i against p = n and j against q = n."""
+    from c2quadrics.catalog import _pieces
+    from c2quadrics.rewrite import _class_key
+
+    for top in ((5, 40) if n is None else (n + 1, n + 4)):
+        pieces = _pieces(n, top)
+        assert pieces[0][0] == 0 and pieces[-1][1] == top
+        assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(pieces, pieces[1:]))
+        for slot, key in ((2, lambda e: _class_key((0, 0, e, 0, 0, 0, 0), n, None)),
+                          (3, lambda e: _class_key((0, 0, 0, e, 0, 0, 0), None, n))):
+            places = [{key(e)[slot] for e in range(lo, hi + 1)} for lo, hi in pieces]
+            assert all(len(p) == 1 for p in places), (n, top, slot, pieces)
+            assert all(a != b for a, b in zip(places, places[1:])), (n, top, slot, pieces)
+
+
+def test_enumeration_tests_do_not_grow_with_p(monkeypatch):
+    """The canonical tests of one enumeration are a fixed number per coset:
+    the same count at p, q = 20 as at 2000, for each parity kind."""
+    from c2quadrics.catalog import _enumerate_coset_monomials
+    from c2quadrics.rewrite import Presentation
+
+    calls = []
+    canonical = Presentation.canonical
+    monkeypatch.setattr(Presentation, "canonical", lambda pres, mono: calls.append(mono) or canonical(pres, mono))
+
+    def count(m, n):
+        pres = make_space("quadric:%d,%d" % (m, n))
+        calls.clear()
+        _enumerate_coset_monomials(pres, 1, ((-30, 30), (-30, 30)))
+        return len(calls)
+
+    for m, n in [(41, 41), (40, 41), (41, 40), (40, 40)]:
+        assert 0 < count(m, n) == count(m + 3960, n + 3960) <= 400, (m, n)
+
+
 @pytest.mark.parametrize("m", range(9))
 def test_generators_and_divided_classes(m):
     """For every quadric:m,n with m, n <= 8: the generators divw and divx

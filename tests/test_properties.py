@@ -405,10 +405,13 @@ def test_atlas_load_answers_or_prints_one_line(text, missing):
 
 
 # space ids, windows, cosets and formats for basis, diagram, verify and atlas
-# emit: the sizes stay at m, n <= 6 and the window reach at 6, so that each
-# example runs in milliseconds (a large space id builds at once, but a basis
-# slice costs O(p*q) and verify takes cw^p, so these grow with it)
+# emit, each example in milliseconds: a space id builds at once and a basis
+# slice makes a fixed number of canonical tests per coset, with the rest of
+# its cost O(p + q), so basis and diagram also draw sizes up to 300; verify
+# and atlas stay at m, n <= 6, because they take cw^p and run the audit.
+# The window reach stays at 6.
 _SIZE = st.integers(-1, 6)
+_LARGE_SIZE = _SIZE | st.integers(7, 300)
 _MALFORMED = st.sampled_from((
     "quadric:3", "quadric:3,x", "quadric:3,3,3", "proj:1,2,3", "binate:", "neq:5", "neq:x,B",
     "quadric", ":3,3", "", " ", "-", "-3", "--", "-x", "x\ny",
@@ -416,16 +419,17 @@ _MALFORMED = st.sampled_from((
 
 
 @st.composite
-def _space_ids(draw):
-    """A space id: well formed (sizes may be out of range) or malformed."""
+def _space_ids(draw, size=_SIZE):
+    """A space id: well formed (sizes from ``size``, maybe out of range) or
+    malformed."""
     kind = draw(st.sampled_from(("point", "bu1", "proj", "binate", "quadric", "quadric", "neq", "bad")))
     if kind in ("point", "bu1"):
         return kind
     if kind == "neq":
-        return "neq:%d,%s" % (draw(_SIZE), draw(st.sampled_from("BDX")))
+        return "neq:%d,%s" % (draw(size), draw(st.sampled_from("BDX")))
     if kind == "bad":
         return draw(_MALFORMED)
-    return "%s:%d,%d" % (kind, draw(_SIZE), draw(_SIZE))
+    return "%s:%d,%d" % (kind, draw(size), draw(size))
 
 
 _BOUND = st.integers(-6, 6)
@@ -441,7 +445,8 @@ def _slice_calls(draw):
     """A basis, diagram, verify or atlas emit command line."""
     command = draw(st.sampled_from(("basis", "diagram", "verify", "atlas")))
     several = command in ("verify", "atlas")
-    spaces = draw(st.lists(_space_ids(), min_size=1 - several, max_size=1 + several))
+    ids = _space_ids() if several else _space_ids(_LARGE_SIZE)
+    spaces = draw(st.lists(ids, min_size=1 - several, max_size=1 + several))
     options = []
     if command == "verify":
         options += draw(st.sampled_from(([], ["--full"], ["--seed", "3"])))

@@ -238,6 +238,30 @@ def test_audit_checks_keep_their_own_failure():
     assert checks["mackey_axioms"]["detail"][0] == "t rho"
 
 
+def test_homogeneity_check_names_its_first_failure():
+    # repl0's rhs gains a factor e: the first failing pair, with both gradings
+    Q = make_quadric(3, 3)
+    k = [rule[0] for rule in Q.rules].index("repl0")
+    name, guard, (((c, delta), *rest), atoms) = Q.rules[k]
+    c = tuple((pos(1, 0) if pm == pos(0, 0) else pm, v) for pm, v in c)
+    Q.rules[k] = (name, guard, (((c, delta), *rest), atoms))
+    homog = audit_full(Q, seed=2, samples=60, probe_samples=20)["checks"]["homogeneity"]
+    m1, m2, expect, got = homog["detail"]
+    assert not homog["ok"]
+    assert expect == str(Q.mono_grading(m1) + Q.mono_grading(m2)) != got
+    # a product that raises: the pair and the exception
+    Q = make_quadric(3, 3)
+
+    def mul(x, y):
+        raise ArithmeticError("planted")
+
+    Q.mul = mul
+    homog = audit_full(Q, seed=2, samples=60, probe_samples=20)["checks"]["homogeneity"]
+    assert not homog["ok"]
+    assert homog["detail"][2] == "exception: planted"
+    assert len(homog["detail"][0]) == len(homog["detail"][1]) == 7
+
+
 # -- the g*x columns, derived from the images of x ----------------------------
 
 G_PT = PointElt.from_burnside(G)
