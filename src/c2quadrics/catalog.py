@@ -37,7 +37,7 @@ from .component import ComponentRing
 from .grading import Grading, OMEGA1, W, XW, coset_index
 from .levele import LevelEModel
 from .noneq import InvalidSizeError, NoneqQuadricRing
-from .rewrite import MONO_ONE, RHO_ONE, Presentation, RingElement, _add_elt, _places, mono_mul
+from .rewrite import MONO_ONE, Presentation, RingElement, _add_count, _places, mono_mul
 
 
 class RestrictedGradingWarning(UserWarning):
@@ -110,19 +110,18 @@ def make_space(space_id):
 # rule helpers
 
 
-def _terms_elt(pres, terms, rest=MONO_ONE):
-    """Assemble sum(entry * rest) as a raw RingElement.
+def _terms_elt(pres, terms):
+    """Assemble the sum of terms as a raw RingElement.
 
-    terms entries are ("mono", point_coeff, mono) or ("atom", int, (a, b));
-    atom entries are multiplied by the rest monomial through Frobenius.
+    terms entries are ("mono", point_coeff, mono) or ("atom", int, (a, b)),
+    the latter n * tau(iota^a zeta^b y).
     """
     out = RingElement(pres, "top")
     for kind, c, payload in terms:
         if kind == "mono":
-            _add_term(out.c2, mono_mul(payload, rest), c)
+            _add_term(out.c2, payload, c)
         else:
-            a, b = payload
-            _add_elt(out.c2, out.atoms, pres._frobenius(rest, RHO_ONE, {(a, b, 0, 1): c}))
+            _add_count(out.atoms, payload, c)
     return out
 
 

@@ -73,9 +73,9 @@ class Grading:
         if self.a:
             parts.append(str(self.a))
         if self.b:
-            parts.append("%ds" % self.b if self.b != 1 else "s")
+            parts.append({1: "s", -1: "-s"}.get(self.b, "%ds" % self.b))
         if self.m:
-            parts.append("%dw" % self.m if self.m != 1 else "w")
+            parts.append({1: "w", -1: "-w"}.get(self.m, "%dw" % self.m))
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
     def to_json(self):

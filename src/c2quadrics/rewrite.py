@@ -71,8 +71,6 @@ GENERATORS = ("z0", "z1", "cw", "cx", "x", "divw", "divx")
 
 MONO_ONE = (0, 0, 0, 0, 0, 0, 0)
 
-RHO_ONE = LevelECoeff.one()   # rho(1), the iota-polynomial 1
-
 
 def gen_mono(name):
     """The monomial of the generator ``name``: exponent 1 in its slot."""
@@ -501,12 +499,12 @@ class Presentation:
         ``rules`` order or in ``rule_order`` (a permutation of the rule
         indices), whose guard holds on it.  The rule's rhs data (see the
         module docstring; a function of the monomial is called first) is
-        applied in one way.  Its transfer terms come first: mono * delta *
-        n * tau(w) is reduced by ``_frobenius``, and coeff times that
-        element goes into the work set, its transfer atoms through
-        ``_frobenius`` with rho(coeff).  Then coeff * c goes to mono * delta
-        for each pair (c, delta), straight into the work set.  The work set
-        is reduced first in, first out.  Both orders read the per-class
+        applied in one way.  Its transfer terms come first, each in one
+        Frobenius step as in ``mul``: coeff * mono * delta * n * tau(w) =
+        tau(rho(coeff) * rho(mono * delta) * n * w) by ``_frobenius``, into
+        the work set.  Then coeff * c goes to mono * delta for each pair
+        (c, delta), straight into the work set.  The work set is reduced
+        first in, first out.  Both orders read the per-class
         table of ``rule_class``, keyed by ``_class_key``, which is exact
         only while every guard and the canonical test compare exponents with
         the class thresholds alone.  ``_fallbacks`` holds the monomials whose
@@ -599,18 +597,11 @@ class Presentation:
             pairs, transfers = rhs(mono) if callable(rhs) else rhs
             items = coeff.items()
             if transfers:
-                # the sum of mono * delta * n * tau(w), then times coeff
-                c2, tr = {}, {}
+                # coeff * mono * delta * n * tau(w) = tau(rho(coeff * mono * delta) * n * w)
+                rc = point_rho(_point(coeff))
                 for (a, b), n, delta in transfers:
-                    w = self._frobenius(mono_mul(mono, delta), RHO_ONE, {(a, b, 0, 1): n})
-                    _add_elt(c2, tr, w)
-                for m2, v2 in c2.items():
-                    _mul_term(work, m2, items, v2.c.items())
-                if tr:
-                    rc = point_rho(_point(coeff))
-                    for (a, b), v2 in tr.items():
-                        w = self._frobenius(MONO_ONE, rc, {(a, b, 0, 1): v2}, _fallbacks)
-                        _add_raw(work, atoms, w)
+                    w = self._frobenius(mono_mul(mono, delta), rc, {(a, b, 0, 1): n}, _fallbacks)
+                    _add_raw(work, atoms, w)
             # coeff * c at mono * delta, added as _mul_term does, without a
             # call per pair
             s, t, i, j, d, w0, w1 = mono
@@ -720,22 +711,16 @@ class Presentation:
         return self._levele_nf(self.levele.t_act(x.e))
 
     def tau_of_levele(self, w, _fallbacks=()):
-        """Transfer: level-e element (raw dict or RingElement) to level top.
-        ``_fallbacks`` is passed on to ``normal_form``."""
+        """Transfer: level-e element (raw dict or RingElement) to level top,
+        y and t(y) terms as atoms where the deck has them, the rest lifted
+        through ``_tau_lift`` and ``normal_form`` (whose free-orbit unit
+        tau(y) makes atoms of them there).  ``_fallbacks`` is passed on."""
         if isinstance(w, RingElement):
             w = w.e
         w = self.levele.reduce(w)
         out = RingElement(self, "top")
         c2, atoms = out.c2, out.atoms
         for (a, b, d, eps), v in w.items():
-            if self.free_orbit:
-                # two-point underlying space: 1 = y + ty, so
-                # tau(iota^a zeta^b) = (1 + (-1)^a) tau(iota^a zeta^b y)
-                if eps == 1:
-                    _add_count(atoms, (a, b), v)
-                elif a % 2 == 0:
-                    _add_count(atoms, (a, b), 2 * v)
-                continue
             if eps == 0:
                 _add_elt(c2, atoms, self._tau_lift(a, b, d, 0, v, _fallbacks))
             elif eps == 2:

@@ -98,3 +98,18 @@ def test_json_round_trip():
     g = grading(3, -2, 5, 1)
     assert Grading.from_json(g.to_json()) == g
     assert g.to_json()["n"] == 0
+
+
+@pytest.mark.parametrize(
+    "g, text",
+    [
+        (Grading(2, -1, 5), "2 - s + 5w"),
+        (Grading(0, -1, 0), "-s"),
+        (Grading(0, 0, -1), "-w"),
+        (Grading(0, 1, 1), "s + w"),
+        (Grading(-3, -2, -1), "-3 - 2s - w"),
+        (Grading(), "0"),
+    ],
+)
+def test_str_prints_unit_coefficients_bare(g, text):
+    assert str(g) == text

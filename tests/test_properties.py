@@ -287,6 +287,19 @@ def test_mackey_axioms(sid, data):
     assert pres.rho(pres.tau_of_levele(w)) == w + pres.t_act(w)
 
 
+@pytest.mark.parametrize("sid", SPACES)
+@seed(SEED)
+@LAWS
+@given(data=st.data())
+def test_frobenius_reciprocity(sid, data):
+    # x * tau(w) = tau(rho(x) * w), the step that normal_form takes for
+    # every transfer term of a rule
+    pres, x, y, _ = data.draw(triples(sid))
+    w = _levele_terms(data.draw, pres)
+    w = w + pres.mul(pres.rho(y), w)
+    assert pres.mul(x, pres.tau_of_levele(w)) == pres.tau_of_levele(pres.mul(pres.rho(x), w))
+
+
 _SWAPPED = {}
 
 

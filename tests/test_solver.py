@@ -238,6 +238,19 @@ def test_audit_checks_keep_their_own_failure():
     assert checks["mackey_axioms"]["detail"][0] == "t rho"
 
 
+def test_audit_records_an_exception_from_the_confluence_probe():
+    # a planted first rule whose rhs raises: the probe's reductions raise too
+    Q = make_space("quadric:3,3")
+    Q.rules.insert(0, ("planted", lambda m: True, lambda m: 1 // 0))
+    rep = audit_full(Q, seed=2, samples=20, probe_samples=20)
+    checks = rep["checks"]
+    assert not rep["ok"]
+    assert not checks["confluence"]["ok"]
+    assert checks["confluence"]["detail"].startswith("exception:")
+    assert set(checks) == {"relations", "homogeneity", "mackey_axioms", "hom_multiplicative",
+                           "confluence", "rank_law"}
+
+
 def test_homogeneity_check_names_its_first_failure():
     # repl0's rhs gains a factor e: the first failing pair, with both gradings
     Q = make_quadric(3, 3)
