@@ -36,7 +36,6 @@ from .catalog import (
 from .expressions import ExprError, parse_expression
 from .grading import (
     Grading,
-    canonicalize,
     coset_index,
     fixed_degrees,
     grading,

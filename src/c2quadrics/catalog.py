@@ -181,9 +181,9 @@ _DIV_S = [(XI, _mono(s=-1, t=-1))]
 
 # deck: dict with p, q, has_x, has_atoms, corrw, corrx, xsq_terms,
 # top_terms, divdiv_terms, rho_x, levele, x_grading, raw_lhs, and for eta
-# (_build_eta) components, eta_x, eta_y; _finish adds z0_inv and z1_inv.
-# A quadric's type deck gives rho_x, corrw, corrx, xsq_terms, divdiv_terms,
-# top_terms, eta_x and eta_y; _quadric derives the rest from (m, n).  The
+# (_build_eta) components; _finish adds z0_inv and z1_inv.  A quadric's
+# type deck gives rho_x, corrw, corrx, xsq_terms, divdiv_terms and
+# top_terms; _quadric derives the rest from (m, n).  The
 # odd-even deck BD is not written out: it is the swap of DB (_swap_deck)
 
 
@@ -629,21 +629,25 @@ def _witness(pres, S, img, what):
 def _build_eta(pres, deck):
     """The two EtaSide records of a deck (``Presentation.eta_sides``).
 
-    The deck gives each component's ring kind and size, and optionally the
-    images x -> (e^2 + xi c)^a zc^u y and y -> c^d y per side.  On spaces
-    with finite p, q each side also gets the image of the other side's
-    divided class and the witnesses of its own divided class and x-core.
+    The deck gives each component's ring kind and size.  Where rho(x) =
+    iota^A zeta^B y^C (the quadrics), x -> (e^2 + xi c)^a zc^u y with
+    (a, u) = (A/2, B) on side 0 and, through the swap (``_swap_key``),
+    (A/2 + B, -B) on side 1; y -> c^d y, d half the y degree of the
+    level-e model less that of the side's model.  On spaces with finite
+    p, q each side also gets the image of the other side's divided class
+    and the witnesses of its own divided class and x-core.
     """
     sizes = (pres.p, pres.q)
     sides = tuple(
         EtaSide(side, comp, sizes[side]) for side, comp in enumerate(deck["components"])
     )
-    for S, (a, u) in zip(sides, deck.get("eta_x", ())):
-        R = S.R
-        E = R.add(R.monomial(0, 0, 0, E2), R.monomial(0, 1, 0, XI))
-        S.x = R.mul(R.power(E, a), R.monomial(u, 0, 1))
-    for S, d in zip(sides, deck.get("eta_y", ())):
-        S.y = {(0, 0, d, 1): 1}
+    if pres.rho_x is not None:
+        A, B, _ = pres.rho_x
+        for S, (a, u) in zip(sides, ((A // 2, B), (A // 2 + B, -B))):
+            R = S.R
+            E = R.add(R.monomial(0, 0, 0, E2), R.monomial(0, 1, 0, XI))
+            S.x = R.mul(R.power(E, a), R.monomial(u, 0, 1))
+            S.y = {(0, 0, (pres.levele.y_degree() - R.model.y_degree()) // 2, 1): 1}
     if pres.p is None:
         return sides  # BU(1) has no divided classes
     for S in sides:
@@ -836,8 +840,9 @@ def _quadric(m, n, deck):
     whether there is a free-orbit summand (m and n both odd), and the
     restricted-grading warning (m or n = 2).  Each type's deck (``_bb``,
     ``_db``, ``_bd``, ``_dd``) gives only its own presentation data: rho(x),
-    the corrections of divw and divx, x^2, divw*divx, cw^p*cx^q and eta(x),
-    eta(y).  ``_bd(p, q)`` is ``_db(q, p)`` through the swap Q^{m,n} ->
+    the corrections of divw and divx, x^2, divw*divx and cw^p*cx^q; eta(x)
+    and eta(y) follow from rho(x) and the models (``_build_eta``).
+    ``_bd(p, q)`` is ``_db(q, p)`` through the swap Q^{m,n} ->
     Q^{n,m} (``_swap_deck``), which exchanges C and C_sigma.
     """
     p, q = m // 2, n // 2
@@ -873,8 +878,6 @@ def _bb(p, q):
         "xsq_terms": [],
         "divdiv_terms": [("atom", 1, (2 * q, p - q))],
         "top_terms": [("atom", 1, (2 * q, p - q)), ("mono", nk(2), (0, 0, 0, 0, 1, 0, 0))],
-        "eta_x": ((q + 1, p - q), (p + 1, q - p)),
-        "eta_y": (q, p),
     }
 
 
@@ -889,8 +892,6 @@ def _db(p, q):
             ("mono", TRANS_M1, (0, 1, 0, 0, 1, 0, 0)),
             ("mono", nk(2), (0, 0, 1, 0, 1, 0, 0)),
         ],
-        "eta_x": ((q + 1, p - q - 1), (p, q + 1 - p)),
-        "eta_y": (q + 1, p),
     }
 
 
@@ -917,8 +918,6 @@ def _swap_deck(deck):
         "xsq_terms": pairs("xsq_terms"),
         "divdiv_terms": terms("divdiv_terms"),
         "top_terms": terms("top_terms"),
-        "eta_x": deck["eta_x"][::-1],
-        "eta_y": deck["eta_y"][::-1],
     }
 
 
@@ -941,8 +940,6 @@ def _dd(p, q):
             ("mono", TRANS_M1, (1, 0, 1, 0, 1, 0, 0)),
             ("mono", nk(2), (0, 0, 1, 1, 1, 0, 0)),
         ],
-        "eta_x": ((q, p - q), (p, q - p)),
-        "eta_y": (q, p),
     }
 
 

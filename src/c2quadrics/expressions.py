@@ -106,7 +106,14 @@ class _Term:
         out = None
         if has_e:
             a, b, d, eps = self.levele
-            out = pres.levele_elt({(a, b, d, eps): 1})
+            # a level-e key holds y at most once: in the binate model
+            # (a, b, d, 2) is the key of t(y), so the model multiplies in
+            # the further y factors, up to a fixed point such as 0
+            out = pres.levele_elt({(a, b, d, min(eps, 1)): 1})
+            for _ in range(eps - 1):
+                out, last = pres.mul(out, pres.levele_elt({(0, 0, 0, 1): 1})), out
+                if out == last:
+                    break
         if has_gens or out is None:
             mono = tuple(self.gens)
             top = pres.normal_form(RingElement(pres, "top", c2={mono: coeff}))

@@ -91,11 +91,6 @@ def grading(a=0, b=0, m=0, n=0):
     return Grading(a, b, m, n)
 
 
-def canonicalize(g):
-    """Identity on Grading (construction already canonicalizes 4-tuples)."""
-    return Grading(g.a, g.b, g.m)
-
-
 SIGMA = Grading(0, 1, 0)
 W = Grading(0, 0, 1)          # omega
 XW = Grading(0, 0, 0, 1)      # chi-omega, canonicalized to (2, 2, -1)

@@ -25,7 +25,7 @@ class InconsistentError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# exact integer linear algebra (column Hermite reduction)
+# exact integer linear algebra (column Hermite reduction on stacked columns)
 
 
 def solve_integer_system(rows, rhs):
@@ -33,89 +33,51 @@ def solve_integer_system(rows, rhs):
 
     Returns (particular_solution, kernel_basis) with kernel vectors spanning
     the integer null space, or raises InconsistentError.
+
+    Each of the n columns is stacked: its column of A (the first m entries)
+    over its column of U, the record of the unimodular column operations
+    (A_orig * U = A), so a swap, a negation or an elimination step is one
+    list operation on both halves.  Pivot col sits in the first row with a
+    nonzero entry from column col on, and that row is cleared beyond col;
+    once no such row is left, every column past the pivots is zero in A,
+    and their U halves are the kernel; x = U * y for the substituted y.
     """
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    A = [list(r) for r in rows]
-    # U tracks the unimodular column operations: A_orig * U = A
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_op_swap(j, k):
-        for r in A:
-            r[j], r[k] = r[k], r[j]
-        for r in U:
-            r[j], r[k] = r[k], r[j]
-
-    def col_op_add(j, k, c):
-        # col_j += c * col_k
-        for r in A:
-            r[j] += c * r[k]
-        for r in U:
-            r[j] += c * r[k]
-
-    def col_op_neg(j):
-        for r in A:
-            r[j] = -r[j]
-        for r in U:
-            r[j] = -r[j]
-
-    row = 0
-    pivots = []
+    m, n = len(rows), len(rows[0]) if rows else 0
+    cols = [[r[j] for r in rows] + [1 if i == j else 0 for i in range(n)] for j in range(n)]
+    pivot_rows = []
     for col in range(n):
-        # find a row at or below `row` with a nonzero entry in columns >= col
-        pr = None
-        for r in range(row, m):
-            if any(A[r][c] for c in range(col, n)):
-                pr = r
-                break
+        live = cols[col:]
+        pr = next((r for r in range(m) for v in live if v[r]), None)
         if pr is None:
             break
-        # gcd-reduce columns col..n-1 against row pr
-        while True:
-            nz = [c for c in range(col, n) if A[pr][c]]
-            if not nz:
-                break
-            cmin = min(nz, key=lambda c: abs(A[pr][c]))
-            if cmin != col:
-                col_op_swap(col, cmin)
-            if A[pr][col] < 0:
-                col_op_neg(col)
-            done = True
+        # gcd-reduce columns col..n-1 against row pr: the least nonzero entry
+        # becomes the pivot, and floor division leaves remainders below it
+        rest = [c for c in range(col, n) if cols[c][pr]]
+        while rest:
+            k = min(rest, key=lambda c: abs(cols[c][pr]))
+            cols[col], cols[k] = cols[k], cols[col]
+            if cols[col][pr] < 0:
+                cols[col] = [-v for v in cols[col]]
+            piv = cols[col]
             for c in range(col + 1, n):
-                if A[pr][c]:
-                    col_op_add(c, col, -(A[pr][c] // A[pr][col]))
-                    if A[pr][c]:
-                        done = False
-            if done:
-                break
-        if A[pr][col]:
-            pivots.append((pr, col))
-            row = pr + 1
+                f = cols[c][pr] // piv[pr]
+                if f:
+                    cols[c] = [a - f * b for a, b in zip(cols[c], piv)]
+            rest = [c for c in range(col + 1, n) if cols[c][pr]]
+        pivot_rows.append(pr)
     # forward-substitute: A (triangular in the pivot pattern) y = rhs
     y = [0] * n
-    used_rows = set()
-    for (pr, col) in pivots:
-        acc = rhs[pr]
-        for c in range(col):
-            acc -= A[pr][c] * y[c]
-        if acc % A[pr][col]:
+    for col, pr in enumerate(pivot_rows):
+        acc = rhs[pr] - sum(cols[c][pr] * y[c] for c in range(col))
+        if acc % cols[col][pr]:
             raise InconsistentError("no integer solution")
-        y[col] = acc // A[pr][col]
-        used_rows.add(pr)
-    # verify the remaining equations
+        y[col] = acc // cols[col][pr]
+    # verify every equation
     for r in range(m):
-        acc = sum(A[r][c] * y[c] for c in range(n))
-        if acc != rhs[r]:
+        if sum(cols[c][r] * y[c] for c in range(n)) != rhs[r]:
             raise InconsistentError("no integer solution")
-    x = [sum(U[i][c] * y[c] for c in range(n)) for i in range(n)]
-    ncols_used = len(pivots)
-    kernel = []
-    for c in range(ncols_used, n):
-        vec = [U[i][c] for i in range(n)]
-        if any(A[r][c] for r in range(m)):
-            continue
-        kernel.append(vec)
-    return x, kernel
+    x = [sum(cols[c][m + i] * y[c] for c in range(n)) for i in range(n)]
+    return x, [v[m:] for v in cols[len(pivot_rows):]]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import warnings
 import pytest
 
 from c2quadrics.catalog import (
+    E2,
     RestrictedGradingWarning,
+    XI,
     _bb,
     _bd,
     _db,
@@ -261,9 +263,39 @@ def test_bd_is_the_swap_of_db():
                 ("mono", TRANS_M1, (1, 0, 0, 0, 1, 0, 0)),
                 ("mono", nk(2), (0, 0, 0, 1, 1, 0, 0)),
             ],
-            "eta_x": ((q, p + 1 - q), (p + 1, q - p - 1)),
-            "eta_y": (q, p + 1),
         }, (p, q)
+
+
+# reference for _build_eta, which derives eta(x) and eta(y) from rho(x) and
+# the models: the per-type tables written out, ((a, u) per side, d per side)
+# by (m % 2, n % 2), for x -> (e^2 + xi c)^a zc^u y and y -> c^d y
+_ETA_TABLES = {
+    (1, 1): lambda p, q: (((q + 1, p - q), (p + 1, q - p)), (q, p)),
+    (0, 1): lambda p, q: (((q + 1, p - q - 1), (p, q + 1 - p)), (q + 1, p)),
+    (1, 0): lambda p, q: (((q, p + 1 - q), (p + 1, q - p - 1)), (q, p + 1)),
+    (0, 0): lambda p, q: (((q, p - q), (p, q - p)), (q, p)),
+}
+
+
+def test_eta_of_x_and_y_match_the_hand_tables():
+    checked = 0
+    for m in range(14):
+        for n in range(14):
+            if m + n < 2 or (m, n) == (1, 1):
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RestrictedGradingWarning)
+                Q = make_quadric(m, n)
+            eta_x, eta_y = _ETA_TABLES[m % 2, n % 2](m // 2, n // 2)
+            for S, (a, u), d in zip(Q.eta_sides, eta_x, eta_y):
+                if S.R.empty:
+                    continue  # the zero ring: every image is 0
+                R = S.R
+                E = R.add(R.monomial(0, 0, 0, E2), R.monomial(0, 1, 0, XI))
+                assert S.x == R.mul(R.power(E, a), R.monomial(u, 0, 1)), (m, n, S.side)
+                assert S.y == {(0, 0, d, 1): 1}, (m, n, S.side)
+                checked += 1
+    assert checked == 2 * 192 - 48  # 192 decks; m or n <= 1 leaves one side empty
 
 
 def test_bb_is_its_own_swap():

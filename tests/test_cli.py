@@ -47,6 +47,17 @@ def test_reduce_trivial(capsys):
         ("quadric:3,3", "e^-1*k^2", ["2*e^-1*k"]),
         ("quadric:3,3", "2*e*xi", ["0"]),
         ("quadric:3,3", "t(iota^2)*xi", ["2*xi^2"]),
+        # y^2 = 0 in the binate model, whose key (0, 0, 0, 2) is t(y)
+        ("binate:2,1", "y*y", ["0"]),
+        ("binate:2,1", "y^2", ["0"]),
+        ("binate:2,1", "t(y^2)", ["0"]),
+        ("binate:2,1", "y^3", ["0"]),
+        ("binate:2,1", "y^5", ["0"]),
+        ("binate:2,1", "iota*y^2", ["0"]),
+        ("binate:2,1", "t(y)", ["t(y)", "# grading: 6  (level top)"]),
+        # the other models multiply y into a key as before
+        ("quadric:3,3", "iota*y^2", ["iota^1*c^2*y", "# grading: 7 + s  (level e)"]),
+        ("quadric:1,1", "y^1000000", ["y"]),
     ],
 )
 def test_reduce_pinned_outputs(capsys, space, expr, lines):
@@ -194,7 +205,7 @@ def test_restricted_grading_warning_is_one_line(capsys):
     # a sum across levels, and level-e monomials outside the model
     ("quadric:3,3", "x+iota"),
     ("point", "t(zeta^-1*y)"),
-    ("binate:2,1", "y^5"),
+    ("proj:2,1", "y"),
 ])
 def test_input_outside_the_ring_is_one_line(capsys, space, expr):
     code, out, err = run(capsys, "reduce", space, expr)

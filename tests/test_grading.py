@@ -9,7 +9,6 @@ from c2quadrics.grading import (
     W,
     XI_DEG,
     XW,
-    canonicalize,
     coset_index,
     fixed_degrees,
     grading,
@@ -25,19 +24,6 @@ def x_grading(p, q):
 def test_lattice_relation():
     assert W + XW == grading(2) + 2 * SIGMA
     assert grading(0, 0, 1, 1) == grading(2, 2, 0, 0)
-
-
-def test_canonicalize_identity_and_idempotence():
-    g = grading(-2, 4, 4, 4)
-    assert canonicalize(g) == g
-    assert grading(0, 0, 0, 0) == Grading()
-
-
-def test_canonicalize_is_additive():
-    g1 = grading(1, 2, 3, 4)
-    g2 = grading(-5, 0, 2, 7)
-    assert canonicalize(g1) + canonicalize(g2) == canonicalize(g1 + g2)
-    assert -canonicalize(g1) == canonicalize(-g1)
 
 
 def test_figure_dot_grading():
@@ -82,8 +68,11 @@ def test_coset_index():
 
 
 def test_degree_maps_factor_through_canonicalize():
-    g_raw = grading(1, 1, 2, 3)
-    g_can = canonicalize(g_raw)
+    # the 4-argument constructor canonicalizes: (a, b, m, n) is
+    # (a + 2n, b + 2n, m - n, 0)
+    g_raw = Grading(1, 1, 2, 3)
+    g_can = Grading(7, 7, -1)
+    assert g_raw == g_can and (g_raw.a, g_raw.b, g_raw.m) == (7, 7, -1)
     assert underlying_degree(g_raw) == underlying_degree(g_can)
     assert fixed_degrees(g_raw) == fixed_degrees(g_can)
     assert coset_index(g_raw) == coset_index(g_can)

@@ -2,8 +2,11 @@
 
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c2quadrics.catalog import (
     RestrictedGradingWarning,
@@ -53,6 +56,192 @@ def test_integer_solver_rectangular():
     x, kernel = solve_integer_system(rows, [3, 2, 5])
     for r, b in zip(rows, [3, 2, 5]):
         assert sum(c * v for c, v in zip(r, x)) == b
+
+
+def _reference_solve_integer_system(rows, rhs):
+    """Reference: the solver with A and U as two row-major matrices, every
+    column operation applied to the rows of each in turn.  The stacked-column
+    solver must return the same (x, kernel) and raise on the same systems."""
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    A = [list(r) for r in rows]
+    # U tracks the unimodular column operations: A_orig * U = A
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def col_op_swap(j, k):
+        for r in A:
+            r[j], r[k] = r[k], r[j]
+        for r in U:
+            r[j], r[k] = r[k], r[j]
+
+    def col_op_add(j, k, c):
+        # col_j += c * col_k
+        for r in A:
+            r[j] += c * r[k]
+        for r in U:
+            r[j] += c * r[k]
+
+    def col_op_neg(j):
+        for r in A:
+            r[j] = -r[j]
+        for r in U:
+            r[j] = -r[j]
+
+    row = 0
+    pivots = []
+    for col in range(n):
+        # find a row at or below `row` with a nonzero entry in columns >= col
+        pr = None
+        for r in range(row, m):
+            if any(A[r][c] for c in range(col, n)):
+                pr = r
+                break
+        if pr is None:
+            break
+        # gcd-reduce columns col..n-1 against row pr
+        while True:
+            nz = [c for c in range(col, n) if A[pr][c]]
+            if not nz:
+                break
+            cmin = min(nz, key=lambda c: abs(A[pr][c]))
+            if cmin != col:
+                col_op_swap(col, cmin)
+            if A[pr][col] < 0:
+                col_op_neg(col)
+            done = True
+            for c in range(col + 1, n):
+                if A[pr][c]:
+                    col_op_add(c, col, -(A[pr][c] // A[pr][col]))
+                    if A[pr][c]:
+                        done = False
+            if done:
+                break
+        if A[pr][col]:
+            pivots.append((pr, col))
+            row = pr + 1
+    # forward-substitute: A (triangular in the pivot pattern) y = rhs
+    y = [0] * n
+    used_rows = set()
+    for (pr, col) in pivots:
+        acc = rhs[pr]
+        for c in range(col):
+            acc -= A[pr][c] * y[c]
+        if acc % A[pr][col]:
+            raise InconsistentError("no integer solution")
+        y[col] = acc // A[pr][col]
+        used_rows.add(pr)
+    # verify the remaining equations
+    for r in range(m):
+        acc = sum(A[r][c] * y[c] for c in range(n))
+        if acc != rhs[r]:
+            raise InconsistentError("no integer solution")
+    x = [sum(U[i][c] * y[c] for c in range(n)) for i in range(n)]
+    ncols_used = len(pivots)
+    kernel = []
+    for c in range(ncols_used, n):
+        vec = [U[i][c] for i in range(n)]
+        if any(A[r][c] for r in range(m)):
+            continue
+        kernel.append(vec)
+    return x, kernel
+
+
+# entry pools: units and twos, a small set with zeros, and -12..12
+_POOLS = ((-2, -1, 1, 2), (-6, -3, -2, -1, 0, 1, 2, 4, 6), tuple(range(-12, 13)))
+
+
+def _random_system(rng):
+    """A system of 0-7 rows and 0-7 columns; half the right-hand sides are
+    A*x0 for a random x0, so consistent."""
+    m, n = rng.randint(0, 7), rng.randint(0, 7)
+    pool = rng.choice(_POOLS)
+    rows = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.5:
+        x0 = [rng.randint(-5, 5) for _ in range(n)]
+        return rows, [sum(a * b for a, b in zip(r, x0)) for r in rows]
+    return rows, [rng.choice(pool) for _ in range(m)]
+
+
+def _solve_or_none(solve, rows, rhs):
+    try:
+        return solve(rows, rhs)
+    except InconsistentError:
+        return None
+
+
+@st.composite
+def _systems(draw):
+    """_random_system's distribution, drawn through Hypothesis so that a
+    failure shrinks to a small system."""
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = st.sampled_from(draw(st.sampled_from(_POOLS)))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        x0 = [draw(st.integers(-5, 5)) for _ in range(n)]
+        return rows, [sum(a * b for a, b in zip(r, x0)) for r in rows]
+    return rows, [draw(entry) for _ in range(m)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(_systems())
+def test_integer_solver_matches_reference(system):
+    rows, rhs = system
+    assert _solve_or_none(solve_integer_system, rows, rhs) == _solve_or_none(
+        _reference_solve_integer_system, rows, rhs
+    )
+
+
+def test_integer_solver_matches_reference_on_10000_systems():
+    rng = random.Random(2)
+    for _ in range(10000):
+        rows, rhs = _random_system(rng)
+        assert _solve_or_none(solve_integer_system, rows, rhs) == _solve_or_none(
+            _reference_solve_integer_system, rows, rhs
+        ), (rows, rhs)
+
+
+def _rank(rows):
+    """The rank of an integer matrix, by elimination over the rationals."""
+    M = [[Fraction(v) for v in r] for r in rows]
+    rank = 0
+    for c in range(len(M[0]) if M else 0):
+        piv = next((r for r in range(rank, len(M)) if M[r][c]), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        for r in range(rank + 1, len(M)):
+            f = M[r][c] / M[rank][c]
+            M[r] = [a - f * b for a, b in zip(M[r], M[rank])]
+        rank += 1
+    return rank
+
+
+def _check_laws(rows, rhs):
+    n = len(rows[0]) if rows else 0
+    x, kernel = solve_integer_system(rows, rhs)
+    assert [sum(a * b for a, b in zip(r, x)) for r in rows] == rhs
+    for v in kernel:
+        assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
+    assert len(kernel) == n - _rank(rows)
+
+
+@pytest.mark.parametrize("rows", [[[4, 6]], [[6, 10, 15]], [[4, 6], [6, 9]]])
+def test_integer_solver_laws_over_several_gcd_passes(rows):
+    # each first row needs a second gcd pass: 6 - 4 = 2 is left below 4, and
+    # 10 - 6, 15 - 2*6 leave 4 and 3 below 6
+    _check_laws(rows, [2 * sum(r) for r in rows])
+    _check_laws(rows, [0] * len(rows))
+
+
+def test_integer_solver_laws_on_random_systems():
+    rng = random.Random(7)
+    solved = 0
+    for _ in range(2000):
+        rows, rhs = _random_system(rng)
+        if _solve_or_none(solve_integer_system, rows, rhs) is not None:
+            _check_laws(rows, rhs)
+            solved += 1
+    assert solved > 1000
 
 
 def _divdiv_candidates(Q, kind, p, q):
