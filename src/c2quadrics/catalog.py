@@ -25,8 +25,9 @@ from __future__ import annotations
 import warnings
 
 from .coefficients import (
-    KAPPA_PT,
     ONE,
+    UNIT_1MK,
+    XI_PT,
     PointElt,
     _add_term,
     negkappa,
@@ -34,8 +35,8 @@ from .coefficients import (
     trans,
 )
 from .component import ComponentRing
-from .grading import Grading, OMEGA1, W, XW, coset_index
-from .levele import LevelEModel
+from .grading import Grading, OMEGA1, W, XW, coset_index, underlying_degree
+from .levele import LevelEModel, add_elts
 from .noneq import InvalidSizeError, NoneqQuadricRing
 from .rewrite import MONO_ONE, Presentation, RingElement, _add_count, _places, mono_mul
 
@@ -49,8 +50,6 @@ class InvalidWindowError(ValueError):
 
 
 E2 = PointElt.monomial(pos(2, 0))
-XI = PointElt.monomial(pos(0, 1))
-ONE_MINUS_K = ONE - KAPPA_PT
 TRANS_M1 = PointElt.monomial(trans(-1))
 
 
@@ -167,13 +166,13 @@ def _xi_shift(n):
 # fixed right-hand sides as (coeff, delta) lists, named after a rule
 # that uses them: the e^2-relation e^2 = z0*cw - (1-k)*z1*cx and its
 # consequences under zeta0*zeta1 = xi
-_E2 = [(E2, _mono(s=-1, i=-1)), (ONE_MINUS_K, _mono(s=-1, t=1, i=-1, j=1))]
-_W0_CW = [(E2, _mono(s=-1, i=-1)), (ONE_MINUS_K * XI, _mono(s=-2, i=-1, j=1))]
-_W1_CX = [(E2, _mono(t=-1, j=-1)), (ONE_MINUS_K * XI, _mono(t=-2, i=1, j=-1))]
-_CX_TAIL = (ONE_MINUS_K * E2 * -1, _mono(t=-1, j=-1))
-_T2 = [(ONE_MINUS_K * XI, _mono(t=-2, i=1, j=-1)), _CX_TAIL]
-_CX_ELIM = [(ONE_MINUS_K, _mono(s=1, t=-1, i=1, j=-1)), _CX_TAIL]
-_DIV_S = [(XI, _mono(s=-1, t=-1))]
+_E2 = [(E2, _mono(s=-1, i=-1)), (UNIT_1MK, _mono(s=-1, t=1, i=-1, j=1))]
+_W0_CW = [(E2, _mono(s=-1, i=-1)), (UNIT_1MK * XI_PT, _mono(s=-2, i=-1, j=1))]
+_W1_CX = [(E2, _mono(t=-1, j=-1)), (UNIT_1MK * XI_PT, _mono(t=-2, i=1, j=-1))]
+_CX_TAIL = (UNIT_1MK * E2 * -1, _mono(t=-1, j=-1))
+_T2 = [(UNIT_1MK * XI_PT, _mono(t=-2, i=1, j=-1)), _CX_TAIL]
+_CX_ELIM = [(UNIT_1MK, _mono(s=1, t=-1, i=1, j=-1)), _CX_TAIL]
+_DIV_S = [(XI_PT, _mono(s=-1, t=-1))]
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +181,8 @@ _DIV_S = [(XI, _mono(s=-1, t=-1))]
 # deck: dict with p, q, has_x, has_atoms, corrw, corrx, xsq_terms,
 # top_terms, divdiv_terms, rho_x, levele, x_grading, raw_lhs, and for eta
 # (_build_eta) components; _finish adds z0_inv and z1_inv.  A quadric's
-# type deck gives rho_x, corrw, corrx, xsq_terms, divdiv_terms and
-# top_terms; _quadric derives the rest from (m, n).  The
+# type deck gives corrw, corrx, xsq_terms, divdiv_terms and top_terms;
+# _quadric derives the rest from (m, n).  The
 # odd-even deck BD is not written out: it is the swap of DB (_swap_deck)
 
 
@@ -369,7 +368,7 @@ def _build_rules(pres):
             # z0 cw X contains the top monomial cw^p cx^q: the tail plus
             # (1-k) times top at z0*cw*m/(z1*cx), where rho(1-k) = 1 leaves
             # the transfer terms as they are
-            head = [(k, c * ONE_MINUS_K if k == "mono" else c, x) for k, c, x in pres.top_terms]
+            head = [(k, c * UNIT_1MK if k == "mono" else c, x) for k, c, x in pres.top_terms]
             top_tail = _rhs([_CX_TAIL], head, _mono(s=1, t=-1, i=1 - p, j=-1 - q))
 
             def r_jhigh(m):
@@ -527,7 +526,7 @@ class EtaSide:
         self.size = size
         # the own c restricts to zc*c, the other one to (e^2 + xi c) * zc^-1
         own = R.monomial(1, 1, 0)
-        other = R.add(R.monomial(-1, 0, 0, E2), R.monomial(-1, 1, 0, XI))
+        other = add_elts(R.monomial(-1, 0, 0, E2), R.monomial(-1, 1, 0, XI_PT))
         self.cw, self.cx = (own, other) if side == 0 else (other, own)
         self.x, self.div_other, self.w_div, self.w_xcore, self.y = {}, {}, {}, {}, {}
 
@@ -616,7 +615,7 @@ def _divided_image(pres, S, T):
     """eta_S of the divided class of side T (``_divided``)."""
     img = {}
     for coeff, mono in _divided(pres, T.side):
-        img = S.R.add(img, _eta_direct_mono(pres, S, mono, coeff))
+        img = add_elts(img, _eta_direct_mono(pres, S, mono, coeff))
     return img
 
 
@@ -645,7 +644,7 @@ def _build_eta(pres, deck):
         A, B, _ = pres.rho_x
         for S, (a, u) in zip(sides, ((A // 2, B), (A // 2 + B, -B))):
             R = S.R
-            E = R.add(R.monomial(0, 0, 0, E2), R.monomial(0, 1, 0, XI))
+            E = add_elts(R.monomial(0, 0, 0, E2), R.monomial(0, 1, 0, XI_PT))
             S.x = R.mul(R.power(E, a), R.monomial(u, 0, 1))
             S.y = {(0, 0, (pres.levele.y_degree() - R.model.y_degree()) // 2, 1): 1}
     if pres.p is None:
@@ -710,8 +709,8 @@ def make_bu1():
     def identities(P):
         z0, z1, cw, cx = P.gen("z0"), P.gen("z1"), P.gen("cw"), P.gen("cx")
         return [
-            ("zeta0*zeta1 = xi", z0 * z1, P.scalar(1) * XI),
-            ("e^2 = z0*cw - (1-k)*z1*cx", P.scalar(1) * E2, z0 * cw - (z1 * cx) * ONE_MINUS_K),
+            ("zeta0*zeta1 = xi", z0 * z1, P.scalar(1) * XI_PT),
+            ("e^2 = z0*cw - (1-k)*z1*cx", P.scalar(1) * E2, z0 * cw - (z1 * cx) * UNIT_1MK),
             # consequence: t(iota^-2) z0 cw = t(iota^-2) z1 cx
             ("t(iota^-2)*z0*cw = t(iota^-2)*z1*cx", (z0 * cw) * TRANS_M1, (z1 * cx) * TRANS_M1),
         ]
@@ -837,24 +836,27 @@ def _quadric(m, n, deck):
     quadric in C^{m+n}: B when m + n is odd, D otherwise; t fixes y when m
     and n are even), the two fixed components (the quadrics in C^m and C^n,
     empty when m or n <= 1, where zeta0 or zeta1 is invertible),
-    whether there is a free-orbit summand (m and n both odd), and the
-    restricted-grading warning (m or n = 2).  Each type's deck (``_bb``,
-    ``_db``, ``_bd``, ``_dd``) gives only its own presentation data: rho(x),
-    the corrections of divw and divx, x^2, divw*divx and cw^p*cx^q; eta(x)
-    and eta(y) follow from rho(x) and the models (``_build_eta``).
+    whether there is a free-orbit summand (m and n both odd), the
+    restricted-grading warning (m or n = 2), and rho(x) = iota^A zeta^B
+    c^C y, the only y-monomial in the grading of x (iota and zeta have
+    underlying degree 0).  Each type's deck (``_bb``, ``_db``, ``_bd``,
+    ``_dd``) gives only its own presentation data: the corrections of divw
+    and divx, x^2, divw*divx and cw^p*cx^q; eta(x) and eta(y) follow from
+    rho(x) and the models (``_build_eta``).
     ``_bd(p, q)`` is ``_db(q, p)`` through the swap Q^{m,n} ->
     Q^{n,m} (``_swap_deck``), which exchanges C and C_sigma.
     """
     p, q = m // 2, n // 2
+    g = (m + 1) // 2 * W + (n + 1) // 2 * XW - Grading(2)
+    levele = LevelEModel("B" if (m + n) % 2 else "D", (m + n) // 2, t_fixes_y=m % 2 == 0 and n % 2 == 0)
     deck.update(
         p=p,
         q=q,
         has_x=True,
         has_atoms=m % 2 == 1 and n % 2 == 1,
-        x_grading=(m + 1) // 2 * W + (n + 1) // 2 * XW - Grading(2),
-        levele=LevelEModel(
-            "B" if (m + n) % 2 else "D", (m + n) // 2, t_fixes_y=m % 2 == 0 and n % 2 == 0
-        ),
+        x_grading=g,
+        levele=levele,
+        rho_x=(g.b, coset_index(g), (underlying_degree(g) - levele.y_degree()) // 2),
         components=tuple(("B" if k % 2 else "D", k // 2) if k > 1 else ("zero", 0) for k in (m, n)),
         raw_lhs={
             "x^2": (ONE, _mono(d=2)),
@@ -872,7 +874,6 @@ def _quadric(m, n, deck):
 
 def _bb(p, q):
     return {
-        "rho_x": (2 * (q + 1), p - q, 1),
         "corrw": [(nk(2 * (q + 1)), (0, q, 0, 0, 1, 0, 0))],
         "corrx": [(nk(2 * (p + 1)), (p, 0, 0, 0, 1, 0, 0))],
         "xsq_terms": [],
@@ -883,7 +884,6 @@ def _bb(p, q):
 
 def _db(p, q):
     return {
-        "rho_x": (2 * (q + 1), p - q - 1, 0),
         "corrw": [] if p <= 1 else [(nk(2 * (q + 1)), (0, q, 1, 0, 1, 0, 0))],
         "corrx": [(nk(2 * p), (p - 1, 0, 0, 0, 1, 0, 0))],
         "xsq_terms": [] if p % 2 == 0 else [(E2, (0, 0, p - 1, q, 1, 0, 0))],
@@ -910,9 +910,7 @@ def _swap_deck(deck):
     def terms(key):
         return [(k, c, _swap_mono(x) if k == "mono" else _swap_key(*x)) for k, c, x in deck[key]]
 
-    A, B, C = deck["rho_x"]
     return {
-        "rho_x": _swap_key(A, B) + (C,),
         "corrw": pairs("corrx"),
         "corrx": pairs("corrw"),
         "xsq_terms": pairs("xsq_terms"),
@@ -931,7 +929,6 @@ def _dd(p, q):
     else:
         xsq = [(ONE, (0, 1, p - 1, q, 1, 0, 0))]
     return {
-        "rho_x": (2 * q, p - q, 0),
         "corrw": [] if p <= 1 else [(nk(2 * q), (0, q - 1, 1, 0, 1, 0, 0))],
         "corrx": [] if q <= 1 else [(nk(2 * p), (p - 1, 0, 0, 1, 1, 0, 0))],
         "xsq_terms": xsq,

@@ -330,6 +330,9 @@ class PointElt:
     def is_zero(self):
         return not self.c
 
+    def __bool__(self):
+        return bool(self.c)
+
     def __eq__(self, other):
         if isinstance(other, int):
             other = PointElt.from_int(other)

@@ -11,10 +11,9 @@ that component (zeta1 over component 0, zeta0 over component 1) and H*
 is one of: Z[c] (free), Z[c]/c^P (projective space), or a quadric ring
 of type B or D (the zero ring for an empty component).  Elements are
 {(u, d, eps): PointElt} with u the zc-exponent.  H* is the quotient of
-the component's level-e model (levele.py): ``reduce`` reads the model's
-table of single-monomial quotients (``LevelEModel.quotients``) for the
-(d, eps) part of each term, and ``phi`` goes through
-``LevelEModel.quotient``.  The ring keeps no table of its own.
+the component's level-e model (levele.py): ``reduce`` and ``mul`` are
+the model's, which keep u as the head of each key, and ``phi`` ends in the
+model's ``reduce``.  The ring keeps no table and no loop of its own.
 
 Every value that an operation here returns is reduced, as every value of
 a ``LevelEModel`` operation is.  Only ``reduce`` and the operations whose
@@ -53,37 +52,13 @@ class ComponentRing:
         return self.reduce({(u, d, eps): coeff})
 
     def reduce(self, elt):
-        if self.empty:
-            return {}
-        model = self.model
-        table = model.quotients
-        out = {}
-        for (u, d, eps), v in elt.items():
-            if not v.c:
-                continue
-            terms = table.get((d, eps))
-            if terms is None:
-                terms = model.monomial_quotient(d, eps)
-            for d2, e2, n in terms:
-                _add_term(out, (u, d2, e2), v if n == 1 else v * n)
-        return out
-
-    def add(self, x, y):
-        """Sum of two reduced elements."""
-        out = dict(x)
-        for k, v in y.items():
-            _add_term(out, k, v)
-        return out
+        return self.model.reduce(elt)
 
     def scale(self, x, coeff):
         return self.reduce({k: v * coeff for k, v in x.items()})
 
     def mul(self, x, y):
-        out = {}
-        for (u1, d1, e1), v1 in x.items():
-            for (u2, d2, e2), v2 in y.items():
-                _add_term(out, (u1 + u2, d1 + d2, e1 + e2), v1 * v2)
-        return self.reduce(out)
+        return self.model.mul(x, y)
 
     def power(self, x, n):
         """x^n by square-and-multiply."""
@@ -118,12 +93,10 @@ class ComponentRing:
             n = point_phi(v)
             if n:
                 out[(d, eps)] = out.get((d, eps), 0) + n
-        return self.model.quotient(out)
+        return self.model.reduce(out)
 
     def transfer_witness(self, x):
         """If x = tau(w), return the level-e element w, else None."""
-        if self.empty:
-            return {}
         w = {}
         for (u, d, eps), v in x.items():
             wit = transfer_witness(v)

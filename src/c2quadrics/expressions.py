@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from .coefficients import PointElt, negkappa, pos
+from .coefficients import G_PT, PointElt, negkappa, pos
 from .rewrite import GENERATORS, RingElement
 
 
@@ -74,7 +74,7 @@ class _Term:
             if power < 0:
                 raise ExprError("g is not invertible")
             for _ in range(power):
-                self.factors.append(("pt", PointElt({pos(0, 0): 2, negkappa(0): -1})))
+                self.factors.append(("pt", G_PT))
         elif name in LEVELE:
             if power < 0 and name in ("c", "y"):
                 raise ExprError("%s is not invertible" % name)

@@ -24,13 +24,14 @@ Models:
 A stack interpreter (``LevelEModel.monomial_quotient``) writes these
 relations once, for one monomial c^d y^eps.  Each model keeps its results in one
 table, ``quotients``: {(d, eps): ((d', eps', n), ...)}, filled on first
-use, one per model instance and so one per presentation.  ``quotient``
-(on {(d, eps): int}), ``reduce`` (on level-e elements, at each term's own
-(iota, zeta)-exponent), ``mul``, ``t_act`` and ``quotient_mul`` read the
-table; so do the component rings (``component.py``) and the
-nonequivariant quadric rings (``noneq.py``).  A monomial outside the
-model (y in free/proj, a y exponent of 3 or more in binate) raises
-``NotAClassError`` and is never stored.
+use, one per model instance and so one per presentation.  ``reduce`` and
+``mul`` are the one reduction and the one product of every ring over
+Z[c, y]: they take any element whose keys end in (d, eps) and whose values
+are ints or ``PointElt``s, so they serve level e ({(a, b, d, eps): int}),
+the component rings of eta ({(u, d, eps): PointElt}, ``component.py``),
+the phi images and the ``neq:`` rings ({(d, eps): int}, ``noneq.py``).
+A monomial outside the model (y in free/proj, a y exponent of 3 or more
+in binate) raises ``NotAClassError`` and is never stored.
 
 Every value that a model operation returns is reduced: a combination of
 basis monomials with no zero coefficient.  ``mul`` and ``t_act`` reduce
@@ -39,12 +40,14 @@ values.  Callers build on this: a sum of reduced values is reduced once
 its zero terms are gone, so ``Presentation.rho``, ``mul`` and ``t_act``
 mark such values as normal forms without a second pass, and the
 component rings map them term by term.  Only the entry points that take
-raw input reduce again: ``quotient`` and ``reduce`` here, and
+raw input reduce again: ``reduce`` here, and
 ``Presentation.levele_elt``, ``tau_of_levele`` and the level-e branch of
 ``Presentation.normal_form``.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .grading import Grading, IOTA_DEG, OMEGA1
 from .rewrite import NotAClassError
@@ -129,56 +132,44 @@ class LevelEModel:
         self.quotients[key] = terms
         return terms
 
-    def quotient(self, elt):
-        """Reduce {(d, eps): int} modulo the nonequivariant relations of
-        this model, one monomial at a time through ``quotients``."""
+    def reduce(self, elt):
+        """Reduce an element whose keys end in (d, eps) and whose values are
+        ints or ``PointElt``s: each term's c^d y^eps is replaced by its
+        quotient from ``quotients``, under the same head ``k[:-2]`` (empty
+        for {(d, eps): v}, the zc-exponent in a component ring, (a, b) at
+        level e)."""
         table = self.quotients
         out = {}
         for k, v in elt.items():
             if not v:
                 continue
-            terms = table.get(k)
+            q = k[-2:]
+            terms = table.get(q)
             if terms is None:
-                terms = self.monomial_quotient(*k)
+                terms = self.monomial_quotient(*q)
+            head = k[:-2]
             for d2, e2, n in terms:
-                k2 = (d2, e2)
-                out[k2] = out.get(k2, 0) + n * v
-        return {k: v for k, v in out.items() if v}
-
-    def quotient_mul(self, x, y):
-        """Product of two {(d, eps): int} elements in the quotient, for the
-        models whose y-type products the quotient reduces (not binate)."""
-        out = {}
-        for (d1, e1), v1 in x.items():
-            for (d2, e2), v2 in y.items():
-                k = (d1 + d2, e1 + e2)
-                out[k] = out.get(k, 0) + v1 * v2
-        return self.quotient(out)
-
-    def reduce(self, elt):
-        """Reduce {(a, b, d, eps): int}: each term's c^d y^eps is replaced
-        by its quotient from ``quotients``, at the same (a, b)."""
-        table = self.quotients
-        out = {}
-        for (a, b, d, eps), v in elt.items():
-            if not v:
-                continue
-            terms = table.get((d, eps))
-            if terms is None:
-                terms = self.monomial_quotient(d, eps)
-            for d2, e2, n in terms:
-                k = (a, b, d2, e2)
-                out[k] = out.get(k, 0) + n * v
-        return {k: v for k, v in out.items() if v}
+                k2 = head + (d2, e2)
+                t = v if n == 1 else v * n
+                w = out.get(k2)
+                out[k2] = t if w is None else w + t
+        # many reduced elements are empty (phi kills transfers and torsion),
+        # and the filter costs a call
+        return {k: v for k, v in out.items() if v} if out else out
 
     def mul(self, x, y):
+        """Product of two elements of the form ``reduce`` takes: keys add
+        slot by slot; in binate all products of y-type classes vanish."""
+        binate = self.kind == "binate"
         out = {}
-        for (a1, b1, d1, e1), v1 in x.items():
-            for (a2, b2, d2, e2), v2 in y.items():
-                if self.kind == "binate" and e1 >= 1 and e2 >= 1:
-                    continue  # all products of y-type classes vanish
-                k = (a1 + a2, b1 + b2, d1 + d2, e1 + e2)
-                out[k] = out.get(k, 0) + v1 * v2
+        for k1, v1 in x.items():
+            for k2, v2 in y.items():
+                if binate and k1[-1] >= 1 and k2[-1] >= 1:
+                    continue
+                k = tuple(map(add, k1, k2))
+                t = v1 * v2
+                w = out.get(k)
+                out[k] = t if w is None else w + t
         return self.reduce(out)
 
     def t_act(self, x):
@@ -205,9 +196,11 @@ class LevelEModel:
 
 
 def add_elts(x, y):
+    """Sum of two elements with int or ``PointElt`` values."""
     out = dict(x)
     for k, v in y.items():
-        out[k] = out.get(k, 0) + v
+        w = out.get(k)
+        out[k] = v if w is None else w + v
     return {k: v for k, v in out.items() if v}
 
 

@@ -17,9 +17,10 @@ c^{p-1} and y.  The case 2p = 2 is the two-point space Z[y]/(y^2 - y)
 with c = 0.
 
 Elements are sparse dicts {(d, eps): coeff} with eps in {0, 1}.  The
-relations are not repeated here: ``reduce`` is ``LevelEModel.quotient``
-(levele.py) of the model of kind B or D (the zero model for n <= 1), and
-``t_act`` is the model's ``t_act`` at iota^0 zeta^0.
+relations are not repeated here: ``reduce`` and ``mul`` are those of the
+level-e model (levele.py) of kind B or D (the zero model for n <= 1), on
+keys with an empty head, and ``t_act`` is the model's ``t_act`` at
+iota^0 zeta^0.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class NoneqQuadricRing:
         return 2 * key[0] + key[1] * self.y_degree()
 
     def reduce(self, elt):
-        return self.model.quotient(elt)
+        return self.model.reduce(elt)
 
     def add(self, x, y):
         return add_elts(x, y)
@@ -83,7 +84,7 @@ class NoneqQuadricRing:
         return {k: n * v for k, v in x.items() if n * v}
 
     def mul(self, x, y):
-        return self.model.quotient_mul(x, y)
+        return self.model.mul(x, y)
 
     def t_act(self, x):
         """The C2-action on the underlying cohomology (swaps rulings): the

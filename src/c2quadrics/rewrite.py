@@ -676,13 +676,7 @@ class Presentation:
     def _rho_mono_times(self, m, rc):
         """rho(m) times the iota-polynomial rc, reduced: rho of a monomial
         without x is c^(i+j), which can leave the basis."""
-        base = self._rho_mono(m)
-        out = {}
-        for n, v in rc.c.items():
-            for (a, b, dd, eps), v2 in base.items():
-                k = (a + n, b, dd, eps)
-                out[k] = out.get(k, 0) + v * v2
-        return self.levele.reduce(out)
+        return self.levele.mul({(n, 0, 0, 0): v for n, v in rc.c.items()}, self._rho_mono(m))
 
     def rho(self, x):
         x = self.normal_form(x)

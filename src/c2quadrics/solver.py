@@ -15,7 +15,7 @@ import random
 from collections import Counter
 
 from .catalog import basis_slice, _enumerate_coset_monomials
-from .coefficients import BurnsideElt, G, PointElt, pos, negkappa, point_rho, trans
+from .coefficients import BurnsideElt, G_PT, PointElt, pos, negkappa, point_rho, trans
 from .grading import coset_index
 from .rewrite import RingElement, _sample_monomials, confluence_probe
 
@@ -137,7 +137,6 @@ def solve_undetermined(pres, grading, candidates, constraints):
     product g*x, which would cost one multiplication and two more normal
     forms per candidate for the same exact coordinates.
     """
-    g_pt = PointElt.from_burnside(G)
     cols = []
     for cand in candidates:
         cg = cand.grading()
@@ -145,7 +144,7 @@ def solve_undetermined(pres, grading, candidates, constraints):
             raise ValueError("candidate grading %s is not %s" % (cg, grading))
         coords = _image_coords(pres, cand, constraints)
         cols.append(coords)
-        cols.append(_g_coords(pres, cand, coords, constraints, g_pt))
+        cols.append(_g_coords(pres, cand, coords, constraints, G_PT))
     target = _target_coords(constraints)
     keys = sorted(set().union(target, *cols), key=repr)
     rows = [[col.get(k, 0) for col in cols] for k in keys]
@@ -300,12 +299,12 @@ POINT_COEFFS = [
 ]
 
 
-def _mackey_failure(pres, x, rx, g_pt):
+def _mackey_failure(pres, x, rx):
     """The first Mackey axiom that fails on x, whose rho is rx, or None."""
     if not (pres.t_act(rx) - rx).is_zero():
         return "t rho"
     trx = pres.tau_of_levele(rx.e)
-    if not (trx - x.scale(g_pt)).is_zero():
+    if not (trx - x.scale(G_PT)).is_zero():
         return "tau rho"
     if not (pres.rho(trx) - rx.scale(2)).is_zero():
         return "rho tau"
@@ -320,7 +319,7 @@ def _hom_failure(pres, x, y, xy, rx):
     if not all(exy == S.R.mul(ex, ey) for S, ex, ey, exy in sides):
         return "eta mult"
     sides = zip(pres.eta_sides, pres.phi(x), pres.phi(y), pres.phi(xy))
-    if not all(S.R.model.quotient_mul(px, py) == pxy for S, px, py, pxy in sides):
+    if not all(S.R.model.mul(px, py) == pxy for S, px, py, pxy in sides):
         return "phi mult"
     return None
 
@@ -365,7 +364,6 @@ def audit_full(pres, seed=0, samples=120, probe_samples=200):
 
     # Mackey axioms and homomorphism multiplicativity on random samples,
     # each check with its own first failure
-    g_pt = PointElt.from_burnside(G)
     mackey = hom = None
     for _ in range(samples):
         if not pool or (mackey and hom):
@@ -376,7 +374,7 @@ def audit_full(pres, seed=0, samples=120, probe_samples=200):
             y = pres.monomial_elt(m2)
             xy = pres.mul(x, y)
             rx = pres.rho(x)
-            if mackey is None and (fault := _mackey_failure(pres, x, rx, g_pt)):
+            if mackey is None and (fault := _mackey_failure(pres, x, rx)):
                 mackey = (fault, m1)
             if hom is None and (fault := _hom_failure(pres, x, y, xy, rx)):
                 hom = (fault, m1, m2)

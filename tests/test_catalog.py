@@ -8,7 +8,6 @@ import pytest
 from c2quadrics.catalog import (
     E2,
     RestrictedGradingWarning,
-    XI,
     _bb,
     _bd,
     _db,
@@ -27,9 +26,10 @@ from c2quadrics.catalog import (
     swap_grading,
     swap_involution,
 )
-from c2quadrics.coefficients import PointElt, negkappa, pos, trans
+from c2quadrics.coefficients import XI_PT, PointElt, negkappa, pos, trans
 from c2quadrics.expressions import parse_expression
 from c2quadrics.grading import Grading, OMEGA0, OMEGA1, W, XW
+from c2quadrics.levele import add_elts
 from c2quadrics.noneq import InvalidSizeError
 from c2quadrics.rewrite import GENERATORS
 from c2quadrics.solver import _grading_counts
@@ -254,7 +254,6 @@ def test_bd_is_the_swap_of_db():
     E2, TRANS_M1 = PointElt.monomial(pos(2, 0)), PointElt.monomial(trans(-1))
     for p, q in SIZES:
         assert _bd(p, q) == {
-            "rho_x": (2 * q, p + 1 - q, 0),
             "corrw": [(nk(2 * q), (0, q - 1, 0, 0, 1, 0, 0))],
             "corrx": [] if q <= 1 else [(nk(2 * (p + 1)), (p, 0, 0, 1, 1, 0, 0))],
             "xsq_terms": [] if q % 2 == 0 else [(E2, (0, 0, p, q - 1, 1, 0, 0))],
@@ -264,6 +263,31 @@ def test_bd_is_the_swap_of_db():
                 ("mono", nk(2), (0, 0, 0, 1, 1, 0, 0)),
             ],
         }, (p, q)
+
+
+# reference for _quadric, which derives rho(x) = iota^A zeta^B c^C y from the
+# grading of x: the per-type tables (A, B, C) by (m % 2, n % 2), as the type
+# decks stated them
+_RHO_X_TABLES = {
+    (1, 1): lambda p, q: (2 * (q + 1), p - q, 1),
+    (0, 1): lambda p, q: (2 * (q + 1), p - q - 1, 0),
+    (1, 0): lambda p, q: (2 * q, p + 1 - q, 0),
+    (0, 0): lambda p, q: (2 * q, p - q, 0),
+}
+
+
+def test_rho_x_matches_the_type_tables():
+    checked = 0
+    for m in range(30):
+        for n in range(30):
+            if m + n < 2 or (m, n) == (1, 1):
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RestrictedGradingWarning)
+                Q = make_quadric(m, n)
+            assert Q.rho_x == _RHO_X_TABLES[m % 2, n % 2](m // 2, n // 2), (m, n)
+            checked += 1
+    assert checked == 896
 
 
 # reference for _build_eta, which derives eta(x) and eta(y) from rho(x) and
@@ -291,7 +315,7 @@ def test_eta_of_x_and_y_match_the_hand_tables():
                 if S.R.empty:
                     continue  # the zero ring: every image is 0
                 R = S.R
-                E = R.add(R.monomial(0, 0, 0, E2), R.monomial(0, 1, 0, XI))
+                E = add_elts(R.monomial(0, 0, 0, E2), R.monomial(0, 1, 0, XI_PT))
                 assert S.x == R.mul(R.power(E, a), R.monomial(u, 0, 1)), (m, n, S.side)
                 assert S.y == {(0, 0, d, 1): 1}, (m, n, S.side)
                 checked += 1

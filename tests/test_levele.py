@@ -1,10 +1,11 @@
 """The level-e quotient table against the stack interpreter it replaced.
 
-``_Reference`` keeps ``LevelEModel.quotient`` and ``LevelEModel.reduce``
-as they were before the models kept a table of single-monomial quotients
-(copied verbatim), so the inherited ``mul``, ``t_act`` and
-``quotient_mul`` run through the old path.  Both must give equal dicts on
-every model kind, and raise ``ValueError`` on the same inputs.
+``_Reference`` keeps ``LevelEModel.quotient``, ``reduce``,
+``quotient_mul`` and the level-e ``mul`` as they were before the models
+kept a table of single-monomial quotients and before ``reduce`` and
+``mul`` took {(d, eps): int} as well (copied verbatim), so the inherited
+``t_act`` runs through the old path.  Both must give equal dicts on every
+model kind, and raise ``ValueError`` on the same inputs.
 """
 
 import random
@@ -81,6 +82,26 @@ class _Reference(LevelEModel):
                 out[(a, b, d, eps)] = v
         return out
 
+    def quotient_mul(self, x, y):
+        """Product of two {(d, eps): int} elements in the quotient, for the
+        models whose y-type products the quotient reduces (not binate)."""
+        out = {}
+        for (d1, e1), v1 in x.items():
+            for (d2, e2), v2 in y.items():
+                k = (d1 + d2, e1 + e2)
+                out[k] = out.get(k, 0) + v1 * v2
+        return self.quotient(out)
+
+    def mul(self, x, y):
+        out = {}
+        for (a1, b1, d1, e1), v1 in x.items():
+            for (a2, b2, d2, e2), v2 in y.items():
+                if self.kind == "binate" and e1 >= 1 and e2 >= 1:
+                    continue  # all products of y-type classes vanish
+                k = (a1 + a2, b1 + b2, d1 + d2, e1 + e2)
+                out[k] = out.get(k, 0) + v1 * v2
+        return self.reduce(out)
+
 
 # (kind, size, t_fixes_y, legal y exponents)
 MODELS = (
@@ -133,14 +154,14 @@ def test_quotient_table_matches_interpreter(kind, size, fix, legal):
     # every single monomial of the box, one at a time
     for d, eps in monos:
         for v in (0, 1, -2):
-            assert _outcome(new.quotient, {(d, eps): v}) == _outcome(ref.quotient, {(d, eps): v})
+            assert _outcome(new.reduce, {(d, eps): v}) == _outcome(ref.quotient, {(d, eps): v})
     for k in range(60):
         pool = monos if k % 2 else legal_monos
         x = _draw(rng, pool, rng.randint(1, 6), False)
-        assert _outcome(new.quotient, x) == _outcome(ref.quotient, x)
+        assert _outcome(new.reduce, x) == _outcome(ref.quotient, x)
         y = _draw(rng, pool, rng.randint(1, 4), False)
         if kind != "binate":
-            assert _outcome(new.quotient_mul, x, y) == _outcome(ref.quotient_mul, x, y)
+            assert _outcome(new.mul, x, y) == _outcome(ref.quotient_mul, x, y)
         X = _draw(rng, pool, rng.randint(1, 6), True)
         Y = _draw(rng, pool, rng.randint(1, 4), True)
         for name, args in (("reduce", (X,)), ("mul", (X, Y)), ("t_act", (X,)), ("one_plus_t", (X,))):
@@ -155,21 +176,38 @@ def test_quotient_table_matches_interpreter(kind, size, fix, legal):
     _check_table(new)
 
 
+@pytest.mark.parametrize("size", range(1, 6))
+def test_binate_mul_on_d_eps_keys_matches_the_level_e_product(size):
+    """``mul`` on {(d, eps): int} keeps the binate rule that y-type
+    products vanish: it equals the old level-e product at iota^0 zeta^0."""
+    rng = random.Random("binate:%d" % size)
+    new, ref = LevelEModel("binate", size), _Reference("binate", size)
+    monos = _monomials("binate", size, (0, 1, 2))
+
+    def lifted(x, y):
+        xy = ref.mul({(0, 0) + k: v for k, v in x.items()}, {(0, 0) + k: v for k, v in y.items()})
+        return {k[2:]: v for k, v in xy.items()}
+
+    for k in range(60):
+        x, y = _draw(rng, monos, rng.randint(1, 6), False), _draw(rng, monos, rng.randint(1, 4), False)
+        assert _outcome(new.mul, x, y) == _outcome(lifted, x, y)
+
+
 def test_illegal_monomials_raise_and_stay_out_of_the_table():
     for kind, size in (("free", 0), ("proj", 3), ("binate", 2)):
         model = LevelEModel(kind, size)
         bad = (0, 3) if kind == "binate" else (2, 1)
-        for f, arg in ((model.quotient, {bad: 1}), (model.reduce, {(1, 0) + bad: 1})):
+        for f, arg in ((model.reduce, {bad: 1}), (model.reduce, {(1, 0) + bad: 1})):
             with pytest.raises(ValueError):
                 f(arg)
         assert bad not in model.quotients
         # a zero coefficient is skipped before the lookup and never raises
-        assert model.quotient({bad: 0, (0, 0): 0}) == {}
+        assert model.reduce({bad: 0, (0, 0): 0}) == {}
         assert model.reduce({(0, 0) + bad: 0}) == {}
         assert bad not in model.quotients
     # c^d ty^3 with d >= 1 is 0 in binate (c * y = 0), before the exponent check
     model = LevelEModel("binate", 2)
-    assert model.quotient({(1, 3): 5}) == {}
+    assert model.reduce({(1, 3): 5}) == {}
 
 
 def _old_noneq_t_act(R, x):

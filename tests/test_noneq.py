@@ -145,7 +145,7 @@ def test_quotient_matches_ideal_membership():
         ydeg = {"B": 2 * P, "D": 2 * P - 2, "proj": 0}[kind]
         if kind == "proj":
             basis = {(k, 0) for k in range(P)}
-            red = model.quotient({(d, eps): 1})
+            red = model.reduce({(d, eps): 1})
         else:
             ring = NoneqQuadricRing(2 * P + (kind == "B"), kind)
             basis = {k for k, _ in ring.basis()}

@@ -247,7 +247,7 @@ def test_eta_and_phi_multiplicative(sid, data):
     for S, ex, ey, exy in zip(pres.eta_sides, pres.eta(x), pres.eta(y), pres.eta(xy)):
         assert exy == S.R.mul(ex, ey)
     for S, px, py, pxy in zip(pres.eta_sides, pres.phi(x), pres.phi(y), pres.phi(xy)):
-        assert S.R.model.quotient_mul(px, py) == pxy
+        assert S.R.model.mul(px, py) == pxy
 
 
 @pytest.mark.parametrize("sid", SPACES)
