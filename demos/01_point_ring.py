@@ -4,11 +4,18 @@ The Burnside ring A(C2) = Z{1, g} with g^2 = 2g acts everywhere; we write
 k = 2 - g, so k^2 = 2k and (1 - k)^2 = 1.  The cohomology of a point
 contributes the Euler class e of the sign representation, the class xi
 with restriction iota^2, the infinitely divisible classes e^{-n} k, and
-the transfers t(iota^{2n}) of the invertible level-e classes.
+the transfers t(iota^{2n}) of the invertible level-e classes.  A level-e
+coefficient sum v iota^n is the level-e element {(n, 0, 0, 0): v}.
 """
 
-from c2quadrics import BurnsideElt, LevelECoeff, PointElt, point_phi, point_rho, point_tau
+from c2quadrics import BurnsideElt, PointElt, point_phi, point_rho, point_tau
 from c2quadrics.coefficients import negkappa, pos, trans
+
+
+def iota_str(w):
+    """A level-e coefficient {(n, 0, 0, 0): v} as a sum of v*iota^n."""
+    return " + ".join("%d*iota^%d" % (v, k[0]) for k, v in sorted(w.items())) or "0"
+
 
 g = BurnsideElt(0, 1)
 print("g * g      =", g * g)
@@ -28,13 +35,13 @@ print("e^-4 k * e^2      =", PointElt.monomial(negkappa(4)) * e * e)
 print("t(iota^-2) * e^2  =", PointElt.monomial(trans(-1)) * e * e)
 
 print("\nTransfers in nonnegative degrees collapse:")
-print("t(1)       =", point_tau(LevelECoeff.one()), " (= g)")
-print("t(iota^2)  =", point_tau(LevelECoeff.iota(2)), " (= 2 xi)")
-print("t(iota^3)  =", point_tau(LevelECoeff.iota(3)))
+print("t(1)       =", point_tau(0), " (= g)")
+print("t(iota^2)  =", point_tau(2), " (= 2 xi)")
+print("t(iota^3)  =", point_tau(3))
 
 print("\nRestriction and fixed points are ring maps:")
 x = kappa * 3 + one * 2
-print("x = 2 + 3k:   rho(x) =", point_rho(x), "  phi(x) =", point_phi(x))
+print("x = 2 + 3k:   rho(x) =", iota_str(point_rho(x)), "  phi(x) =", point_phi(x))
 print("phi(1 - k) =", point_phi(one - kappa))
 
 print("\nMixed classes e^i xi^j (i, j >= 1) are 2-torsion:")

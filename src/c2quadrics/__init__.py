@@ -10,7 +10,6 @@ by the Euler-type classes, and reproduces the basis dot diagrams.
 from .coefficients import (
     BurnsideElt,
     InhomogeneousError,
-    LevelECoeff,
     PointElt,
     point_mul,
     point_phi,

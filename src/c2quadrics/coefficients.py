@@ -1,12 +1,9 @@
 """Exact arithmetic in the coefficient rings.
 
-Three rings live here.
+Two rings live here.
 
 * ``BurnsideElt`` -- the Burnside ring A(C2) = Z{1, g} with g*g = 2g.
   We write k (kappa) for 2 - g; then k*k = 2k and (1-k)^2 = 1.
-
-* ``LevelECoeff`` -- the level-C2/e coefficient ring Z[iota^{+-1}], with
-  the involution t acting by t(iota^n) = (-1)^n iota^n.
 
 * ``PointElt`` -- the subring of the cohomology of a point (level C2/C2)
   generated by the classes the quadric computations use:
@@ -27,6 +24,12 @@ Three rings live here.
   t(iota^{-2})*xi^2 = Trans(1) while (t(iota^{-2})*xi)*xi = 2*xi.)
 
 Monomials are encoded as small tuples: ("p", i, j), ("k", n), ("t", n).
+
+The level-C2/e part of a point, Z[iota^{+-1}] with t(iota^n) =
+(-1)^n iota^n, is a level-e element of ``levele.py`` with b = d = eps = 0:
+sum v iota^n is {(n, 0, 0, 0): v}, multiplied and acted on by
+``LevelEModel("free")``.  ``point_rho`` and ``transfer_witness`` return
+that form, and ``point_tau`` takes one iota exponent.
 """
 
 from __future__ import annotations
@@ -110,80 +113,6 @@ class BurnsideElt:
 
 G = BurnsideElt(0, 1)
 KAPPA_A = BurnsideElt(2, -1)   # kappa = 2 - g inside A(C2)
-
-
-# ---------------------------------------------------------------------------
-# Level-e coefficients Z[iota^{+-1}]
-
-
-class LevelECoeff:
-    """Sparse Laurent polynomial in iota; keys are iota-exponents."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c=None):
-        self.c = {}
-        if c:
-            for k, v in c.items():
-                if v:
-                    self.c[k] = v
-
-    @staticmethod
-    def iota(n=1, coeff=1):
-        return LevelECoeff({n: coeff})
-
-    @staticmethod
-    def one():
-        return LevelECoeff({0: 1})
-
-    def is_zero(self):
-        return not self.c
-
-    def __eq__(self, other):
-        if not isinstance(other, LevelECoeff):
-            return NotImplemented
-        return self.c == other.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-    def __add__(self, other):
-        out = dict(self.c)
-        for k, v in other.c.items():
-            out[k] = out.get(k, 0) + v
-        return LevelECoeff(out)
-
-    def __neg__(self):
-        return LevelECoeff({k: -v for k, v in self.c.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LevelECoeff({k: other * v for k, v in self.c.items()})
-        out = {}
-        for k1, v1 in self.c.items():
-            for k2, v2 in other.c.items():
-                k = k1 + k2
-                out[k] = out.get(k, 0) + v1 * v2
-        return LevelECoeff(out)
-
-    __rmul__ = __mul__
-
-    def t_act(self):
-        """The involution t: iota -> -iota."""
-        return LevelECoeff({k: (v if k % 2 == 0 else -v) for k, v in self.c.items()})
-
-    def one_plus_t(self):
-        return self + self.t_act()
-
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        return " + ".join(
-            "%d*iota^%d" % (v, k) for k, v in sorted(self.c.items())
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -490,19 +419,20 @@ def point_mul(x, y):
 
 
 def point_rho(x):
-    """Restriction to level C2/e; ring homomorphism onto Z[iota^{+-1}]."""
+    """Restriction to level C2/e, a ring homomorphism onto Z[iota^{+-1}]:
+    the level-e element {(n, 0, 0, 0): int}.  xi^j restricts to iota^{2j}
+    and Trans(n) to 2 iota^{2n}; e and e^{-n} kappa restrict to 0.  The
+    exponents 2j (j >= 0) and 2n (n <= -1) of canonical monomials differ,
+    so no two terms meet."""
     out = {}
     for m, v in x.c.items():
         tag = m[0]
         if tag == "p":
-            i, j = m[1], m[2]
-            if i == 0:
-                out[2 * j] = out.get(2 * j, 0) + v
+            if m[1] == 0:
+                out[(2 * m[2], 0, 0, 0)] = v
         elif tag == "t":
-            n = m[1]
-            out[2 * n] = out.get(2 * n, 0) + 2 * v
-        # NegKappa restricts to 0
-    return LevelECoeff(out)
+            out[(2 * m[1], 0, 0, 0)] = 2 * v
+    return out
 
 
 def point_phi(x):
@@ -518,45 +448,37 @@ def point_phi(x):
     return out
 
 
-def point_tau(w):
-    """Transfer of a level-e coefficient: t(iota^n) vanishes for odd n."""
+def point_tau(n):
+    """t(iota^n) in canonical form; it vanishes for odd n."""
     out = {}
-    for n, v in w.c.items():
-        if n % 2 == 0:
-            _mul_into(out, ((ONE_MONO, v),), ((trans(n // 2), 1),))
+    if n % 2 == 0:
+        _mul_into(out, ONE_PAIRS, ((trans(n // 2), 1),))
     return _point(out)
 
 
 def transfer_witness(x):
-    """If x = t(w) for some level-e w, return w; otherwise None.
+    """If x = t(w) for a level-e w, return w as {(n, 0, 0, 0): int} ({} for
+    x = 0); otherwise None.
 
-    The transfer image is spanned by Trans(n) (n < 0), g = 2 - kappa, and
-    2*xi^n (n > 0); everything with an e or an e^{-n} kappa component, or
-    an odd pure part, is excluded.
+    The transfer image is spanned by Trans(n) = t(iota^{2n}) (n < 0),
+    g = 2 - kappa = t(1) and 2 xi^n = t(iota^{2n}) (n > 0).  So u + v kappa
+    is a transfer iff u = -2v (it is -v g), and everything with an e or an
+    e^{-n} kappa component, or an odd xi^n, is not.
     """
-    w = {}
-    residue = dict(x.c)
-    for m in list(residue):
-        if m[0] == "t":
-            w[2 * m[1]] = residue.pop(m)
-    # grading-0 part: u*1 + v*kappa is a transfer iff u = -2v (= lambda*g)
-    u = residue.pop(ONE_MONO, 0)
-    v = residue.pop(KAPPA, 0)
-    if u != -2 * v:
-        # try pure xi powers: coefficient must be even
-        residue[ONE_MONO] = u
-        residue[KAPPA] = v
-    else:
-        if v:
-            w[0] = w.get(0, 0) - v
-    for m in list(residue):
-        val = residue[m]
-        if val == 0:
-            del residue[m]
-            continue
-        if m[0] == "p" and m[1] == 0 and m[2] > 0 and val % 2 == 0:
-            w[2 * m[2]] = w.get(2 * m[2], 0) + val // 2
-            del residue[m]
-    if any(residue.values()):
+    c = x.c
+    if c.get(ONE_MONO, 0) != -2 * c.get(KAPPA, 0):
         return None
-    return LevelECoeff(w)
+    w = {}
+    for m, v in c.items():
+        tag = m[0]
+        if tag == "t":
+            w[(2 * m[1], 0, 0, 0)] = v
+        elif m == KAPPA:
+            w[(0, 0, 0, 0)] = -v
+        elif m == ONE_MONO:
+            continue
+        elif tag == "p" and m[1] == 0 and v % 2 == 0:
+            w[(2 * m[2], 0, 0, 0)] = v // 2
+        else:
+            return None
+    return w

@@ -28,7 +28,7 @@ the point ring coefficientwise, which makes the divisibility check
 
 from __future__ import annotations
 
-from .coefficients import LevelECoeff, PointElt, _add_term, point_phi, point_rho, point_tau, transfer_witness
+from .coefficients import PointElt, _add_term, point_phi, point_rho, point_tau, transfer_witness
 from .levele import LevelEModel
 
 
@@ -75,14 +75,14 @@ class ComponentRing:
 
     def rho(self, x):
         """Level-e image: {(a, b, d, eps): int} with b the zc-exponent."""
-        return {(a, u, d, eps): n for (u, d, eps), v in x.items() for a, n in point_rho(v).c.items()}
+        return {(k[0], u, d, eps): n for (u, d, eps), v in x.items() for k, n in point_rho(v).items()}
 
     def tau(self, w):
         """Transfer of a reduced level-e element; everything here is
         liftable."""
         out = {}
         for (a, b, d, eps), n in w.items():
-            _add_term(out, (b, d, eps), point_tau(LevelECoeff.iota(a)) * n)
+            _add_term(out, (b, d, eps), point_tau(a) * n)
         return out
 
     def phi(self, x):
@@ -102,8 +102,8 @@ class ComponentRing:
             wit = transfer_witness(v)
             if wit is None:
                 return None
-            for a, n in wit.c.items():
-                w[(a, u, d, eps)] = n
+            for k, n in wit.items():
+                w[(k[0], u, d, eps)] = n
         return w
 
     def shift_noninvertible(self, w, k):

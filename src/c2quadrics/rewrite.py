@@ -43,7 +43,6 @@ from .coefficients import (
     ONE_PAIRS,
     BurnsideElt,
     InhomogeneousError,
-    LevelECoeff,
     PointElt,
     _add_term,
     _mul_into,
@@ -674,9 +673,10 @@ class Presentation:
         return out
 
     def _rho_mono_times(self, m, rc):
-        """rho(m) times the iota-polynomial rc, reduced: rho of a monomial
-        without x is c^(i+j), which can leave the basis."""
-        return self.levele.mul({(n, 0, 0, 0): v for n, v in rc.c.items()}, self._rho_mono(m))
+        """rho(m) times rc, a level-e dict {(n, 0, 0, 0): int} such as
+        ``point_rho`` returns, reduced: rho of a monomial without x is
+        c^(i+j), which can leave the basis."""
+        return self.levele.mul(rc, self._rho_mono(m))
 
     def rho(self, x):
         x = self.normal_form(x)
@@ -694,9 +694,10 @@ class Presentation:
         return self._levele_nf({k: n for k, n in out.items() if n})
 
     def _frobenius(self, mono, rc, w, fallbacks=()):
-        """M*c*tau(w) = tau(rho(M)*rho(c)*w), Frobenius reciprocity, for a
-        monomial M, the iota-polynomial rc = rho(c) and a level-e dict w.
-        ``fallbacks`` is passed on to ``tau_of_levele``."""
+        """tau(rho(M)*rc*w) for a monomial M and level-e dicts rc and w: by
+        Frobenius reciprocity M*c*tau(w) when rc = rho(c) (``point_rho``),
+        and M*c when w = 1 and rc is a transfer witness of c.  ``fallbacks``
+        is passed on to ``tau_of_levele``."""
         return self.tau_of_levele(self.levele.mul(self._rho_mono_times(mono, rc), w), fallbacks)
 
     def t_act(self, x):
@@ -734,10 +735,10 @@ class Presentation:
         """tau(iota^a zeta^b c^d) * x^xexp via Frobenius reciprocity."""
         tb = b - d
         if tb >= 0:
-            coeff = point_tau(LevelECoeff.iota(a)) * v
+            coeff = point_tau(a) * v
             mono = (0, tb, d, 0, xexp, 0, 0)
         else:
-            coeff = point_tau(LevelECoeff.iota(a + 2 * tb)) * v
+            coeff = point_tau(a + 2 * tb) * v
             mono = (-tb, 0, d, 0, xexp, 0, 0)
         if coeff.is_zero():
             return RingElement(self, "top")

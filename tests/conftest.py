@@ -1,10 +1,20 @@
-"""Helpers shared by the tests that replace a rewrite rule in place.
+"""Helpers shared by the tests.
 
 A rule's right-hand side is data, ``(pairs, atoms)``, or a function of the
-monomial that returns it (see ``c2quadrics.rewrite``).
+monomial that returns it (see ``c2quadrics.rewrite``); ``rhs_at`` and
+``negated_rhs`` serve the tests that replace a rule in place.
+``point_transfer`` is the transfer of a point's level-e coefficient.
 """
 
-from c2quadrics.coefficients import PointElt
+from c2quadrics.coefficients import PointElt, point_tau
+
+
+def point_transfer(w):
+    """t(w) for a level-e coefficient w = {(n, 0, 0, 0): v}, term by term."""
+    out = PointElt()
+    for k, v in w.items():
+        out = out + point_tau(k[0]) * v
+    return out
 
 
 def rhs_at(rhs, m):

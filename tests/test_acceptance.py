@@ -22,7 +22,6 @@ from c2quadrics.catalog import (
 )
 from c2quadrics.coefficients import (
     G,
-    LevelECoeff,
     PointElt,
     negkappa,
     point_rho,
@@ -31,6 +30,7 @@ from c2quadrics.coefficients import (
     trans,
 )
 from c2quadrics.grading import W, XW
+from c2quadrics.levele import LevelEModel
 from c2quadrics.noneq import NoneqQuadricRing
 from c2quadrics.rewrite import RingElement, _sample_monomials, confluence_probe
 from c2quadrics.solver import (
@@ -39,7 +39,7 @@ from c2quadrics.solver import (
     solve_undetermined,
     verify_relations,
 )
-from conftest import negated_rhs
+from conftest import negated_rhs, point_transfer
 
 warnings.simplefilter("ignore", RestrictedGradingWarning)
 
@@ -237,19 +237,22 @@ POINT_POOL = (
 )
 
 
+FREE = LevelEModel("free")
+
+
 def test_criterion_7_mackey():
     # exhaustive over the point-ring monomial table
     for m1, m2 in itertools.product(POINT_POOL, repeat=2):
         x = PointElt.monomial(m1)
         y = PointElt.monomial(m2)
-        assert point_rho(x * y) == point_rho(x) * point_rho(y)
-        assert point_tau(point_rho(x)) == PointElt.from_burnside(G) * x
+        assert point_rho(x * y) == FREE.mul(point_rho(x), point_rho(y))
+        assert point_transfer(point_rho(x)) == PointElt.from_burnside(G) * x
     for k in range(-4, 3):
-        w = LevelECoeff.iota(2 * k)
-        assert point_rho(point_tau(w)) == w.one_plus_t()
+        w = {(2 * k, 0, 0, 0): 1}
+        assert point_rho(point_tau(2 * k)) == FREE.one_plus_t(w)
         for m in POINT_POOL:
             x = PointElt.monomial(m)
-            assert point_tau(w) * x == point_tau(w * point_rho(x))
+            assert point_tau(2 * k) * x == point_transfer(FREE.mul(w, point_rho(x)))
 
     g_pt = PointElt.from_burnside(G)
     rng = random.Random(2026)

@@ -1,9 +1,15 @@
-"""Point-ring rule table: exhaustive homomorphism and Frobenius audits."""
+"""Point-ring rule table: exhaustive homomorphism and Frobenius audits, and
+the Mackey laws of a point on random sums of monomials (Hypothesis).
+
+The level-e part of a point, Z[iota^{+-1}], is the level-e element
+{(n, 0, 0, 0): int} of ``LevelEModel("free")``."""
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c2quadrics.coefficients import (
     E_PT,
@@ -16,7 +22,6 @@ from c2quadrics.coefficients import (
     XI_PT,
     BurnsideElt,
     InhomogeneousError,
-    LevelECoeff,
     PointElt,
     ONE_PAIRS,
     _mul_into,
@@ -30,11 +35,20 @@ from c2quadrics.coefficients import (
     trans,
     transfer_witness,
 )
+from c2quadrics.levele import LevelEModel
 from c2quadrics.solver import POINT_COEFFS
+from conftest import point_transfer as tau
+
+FREE = LevelEModel("free")
 
 
 def mono_elt(m):
     return PointElt.monomial(m)
+
+
+def iota(n, v=1):
+    """v*iota^n at level e."""
+    return {(n, 0, 0, 0): v}
 
 
 # a finite pool covering every branch of the rule table
@@ -55,13 +69,13 @@ def test_burnside_ring():
 
 
 def test_levele_taction():
-    i3 = LevelECoeff.iota(3)
-    assert i3.t_act() == -i3
-    i2 = LevelECoeff.iota(2)
-    assert i2.one_plus_t() == 2 * i2
-    x = LevelECoeff({1: 2, -2: 5})
-    assert x.t_act().t_act() == x
-    assert (x * i3).t_act() == x.t_act() * i3.t_act()
+    i3 = iota(3)
+    assert FREE.t_act(i3) == iota(3, -1)
+    i2 = iota(2)
+    assert FREE.one_plus_t(i2) == iota(2, 2)
+    x = {(1, 0, 0, 0): 2, (-2, 0, 0, 0): 5}
+    assert FREE.t_act(FREE.t_act(x)) == x
+    assert FREE.t_act(FREE.mul(x, i3)) == FREE.mul(FREE.t_act(x), FREE.t_act(i3))
 
 
 def test_quoted_products():
@@ -78,9 +92,9 @@ def test_quoted_products():
 
 
 def test_quoted_homomorphism_values():
-    assert point_rho(E_PT * E_PT).is_zero()
-    assert point_rho(ONE) == LevelECoeff.one()
-    assert point_rho(G_PT) == LevelECoeff({0: 2})
+    assert point_rho(E_PT * E_PT) == {}
+    assert point_rho(ONE) == iota(0)
+    assert point_rho(G_PT) == iota(0, 2)
     assert point_phi(UNIT_1MK) == -1
     assert point_phi(mono_elt(trans(-2))) == 0
     assert point_phi(ONE) == 1
@@ -94,15 +108,15 @@ def test_torsion_normalization():
     assert (2 * exi).is_zero()
     assert KAPPA_PT * (E_PT * XI_PT) == (KAPPA_PT * E_PT) * XI_PT
     # transfers in nonnegative degrees collapse
-    assert point_tau(LevelECoeff.iota(2)) == 2 * XI_PT
-    assert point_tau(LevelECoeff.one()) == G_PT
-    assert point_tau(LevelECoeff.iota(3)).is_zero()
+    assert point_tau(2) == 2 * XI_PT
+    assert point_tau(0) == G_PT
+    assert point_tau(3).is_zero()
 
 
 def test_rho_is_ring_homomorphism_exhaustive():
     for m1, m2 in itertools.product(POOL, repeat=2):
         x, y = mono_elt(m1), mono_elt(m2)
-        assert point_rho(x * y) == point_rho(x) * point_rho(y), (m1, m2)
+        assert point_rho(x * y) == FREE.mul(point_rho(x), point_rho(y)), (m1, m2)
 
 
 def test_phi_is_ring_homomorphism_exhaustive():
@@ -114,11 +128,11 @@ def test_phi_is_ring_homomorphism_exhaustive():
 def test_frobenius_exhaustive():
     # t(iota^{2n}) * x = t(iota^{2n} * rho(x)) for every pool monomial
     for n in range(-4, 3):
-        tn = point_tau(LevelECoeff.iota(2 * n))
+        tn = point_tau(2 * n)
         for m in POOL:
             x = mono_elt(m)
             lhs = tn * x
-            rhs = point_tau(LevelECoeff.iota(2 * n) * point_rho(x))
+            rhs = tau(FREE.mul(iota(2 * n), point_rho(x)))
             assert lhs == rhs, (n, m)
 
 
@@ -141,12 +155,11 @@ def test_mul_grading_additive():
 
 def test_rho_tau_is_one_plus_t():
     for n in [-6, -4, -2, 0, 2, 4]:
-        w = LevelECoeff.iota(n)
-        assert point_rho(point_tau(w)) == w.one_plus_t()
+        assert point_rho(point_tau(n)) == FREE.one_plus_t(iota(n))
     # and tau(rho(x)) = g*x on the pool
     for m in POOL:
         x = mono_elt(m)
-        assert point_tau(point_rho(x)) == G_PT * x
+        assert tau(point_rho(x)) == G_PT * x
 
 
 def test_inhomogeneous_rejected():
@@ -157,11 +170,11 @@ def test_inhomogeneous_rejected():
 
 def test_transfer_witness():
     # g is t(1)
-    w = transfer_witness(G_PT)
-    assert w is not None and point_tau(w) == G_PT
+    assert transfer_witness(G_PT) == iota(0)
     # 2 xi is t(iota^2)
-    w = transfer_witness(2 * XI_PT)
-    assert w is not None and point_tau(w) == 2 * XI_PT
+    assert transfer_witness(2 * XI_PT) == iota(2)
+    # 0 is t(0)
+    assert transfer_witness(PointElt()) == {}
     # but 2 alone, xi alone, e, and e^{-n} k are not transfers
     assert transfer_witness(PointElt.from_int(2)) is None
     assert transfer_witness(XI_PT) is None
@@ -169,8 +182,65 @@ def test_transfer_witness():
     assert transfer_witness(mono_elt(negkappa(3))) is None
     # every Trans(-n) is its own transfer
     x = 5 * mono_elt(trans(-2))
-    w = transfer_witness(x)
-    assert w is not None and point_tau(w) == x
+    assert transfer_witness(x) == iota(-4, 5)
+    # and -v g + 2u xi^2 + Trans(-1) is t(-v + u iota^4 + iota^-2)
+    x = -3 * G_PT + 4 * PointElt.monomial(pos(0, 2)) + mono_elt(trans(-1))
+    assert transfer_witness(x) == {(0, 0, 0, 0): -3, (4, 0, 0, 0): 2, (-2, 0, 0, 0): 1}
+    assert tau(transfer_witness(x)) == x
+    # one odd xi^n or one e-term spoils it
+    assert transfer_witness(x + 2 * XI_PT + XI_PT) is None
+    assert transfer_witness(x + E_PT * E_PT) is None
+
+
+# -- the Mackey laws on random sums of pool monomials ---------------------------
+
+MACKEY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+# sums of pool monomials (mixed e^i xi^j, e^-n k and t(iota^2n) among them)
+# with integer coefficients; the sum may cancel to 0
+SUMS = st.lists(st.tuples(st.sampled_from(POOL), st.integers(-6, 6)), min_size=1, max_size=5).map(
+    lambda terms: sum((PointElt.monomial(m, v) for m, v in terms), PointElt())
+)
+# level-e coefficients sum v iota^n
+LEVELE = st.dictionaries(st.integers(-8, 8), st.integers(-6, 6), max_size=4).map(
+    lambda c: {(n, 0, 0, 0): v for n, v in c.items() if v}
+)
+
+
+@MACKEY
+@given(SUMS, SUMS)
+def test_rho_multiplicative_on_sums(x, y):
+    assert point_rho(x * y) == FREE.mul(point_rho(x), point_rho(y))
+
+
+@MACKEY
+@given(SUMS)
+def test_tau_rho_is_g_on_sums(x):
+    assert tau(point_rho(x)) == G_PT * x
+
+
+@MACKEY
+@given(LEVELE)
+def test_rho_tau_is_one_plus_t_on_sums(w):
+    assert point_rho(tau(w)) == FREE.one_plus_t(w)
+
+
+@MACKEY
+@given(st.integers(-5, 4), LEVELE, SUMS)
+def test_frobenius_on_sums(n, w, x):
+    # t(iota^2n) x = t(iota^2n rho(x)), and t(w) x = t(w rho(x)) for any w
+    assert point_tau(2 * n) * x == tau(FREE.mul(iota(2 * n), point_rho(x)))
+    assert tau(w) * x == tau(FREE.mul(w, point_rho(x)))
+
+
+@MACKEY
+@given(SUMS, LEVELE)
+def test_transfer_witness_on_sums(x, w):
+    # a witness, where there is one, transfers back to x
+    wit = transfer_witness(x)
+    assert wit is None or tau(wit) == x
+    # and every transfer has one
+    wit = transfer_witness(tau(w))
+    assert wit is not None and tau(wit) == tau(w)
 
 
 def test_point_json_round_trip():

@@ -9,11 +9,9 @@ import pytest
 
 from c2quadrics import catalog
 from c2quadrics.catalog import RestrictedGradingWarning, make_space, swap_element, swap_involution
-from c2quadrics.coefficients import PointElt, pos
+from c2quadrics.coefficients import XI_PT, PointElt, pos
 from c2quadrics.rewrite import NotAClassError, RingElement, _sample_monomials
 from c2quadrics.solver import POINT_COEFFS, divisibility_witness
-
-XI = PointElt.monomial(pos(0, 1))
 
 # bu1, proj, binate, quadrics of all four parities, m or n = 2, and the
 # z0/z1-invertible decks
@@ -45,7 +43,7 @@ def _reference_direct_mono(pres, S, mono, coeff):
     assert non_exp >= 0 and mono[S.own_w] == 0
     out = R.monomial(mono[S.inv], 0, 0, coeff)
     if non_exp:
-        out = R.mul(out, _reference_power(R, R.monomial(-1, 0, 0, XI), non_exp))
+        out = R.mul(out, _reference_power(R, R.monomial(-1, 0, 0, XI_PT), non_exp))
     exps = (mono[2], mono[3], mono[4], mono[S.other_w])
     for img, e in zip((S.cw, S.cx, S.x, S.div_other), exps):
         if e:

@@ -23,6 +23,7 @@ from c2quadrics.coefficients import (
     KAPPA_A,
     KAPPA_PT,
     ONE,
+    XI_PT,
     BurnsideElt,
     PointElt,
     pos,
@@ -48,13 +49,12 @@ from c2quadrics.solver import POINT_COEFFS
 from conftest import negated_rhs, rhs_at
 
 E2 = PointElt.monomial(pos(2, 0))
-XI = PointElt.monomial(pos(0, 1))
 TRANS_M1 = PointElt.monomial(trans(-1))
 
 
 def test_bu1_zeta_relation():
     B = make_bu1()
-    assert B.gen("z0") * B.gen("z1") == B.scalar(1) * XI
+    assert B.gen("z0") * B.gen("z1") == B.scalar(1) * XI_PT
 
 
 def test_bu1_euler_relation():
@@ -102,7 +102,7 @@ def test_mixed_zeta_normalization():
     P = make_projective(2, 1)
     # z1 * (z0-divided class) = xi * (one step more divided)
     lhs = P.gen("z1") * P.monomial_elt((-1, 0, 2, 0, 0, 0, 0))
-    rhs = P.monomial_elt((-2, 0, 2, 0, 0, 0, 0)) * XI
+    rhs = P.monomial_elt((-2, 0, 2, 0, 0, 0, 0)) * XI_PT
     assert lhs == rhs
 
 
@@ -194,6 +194,29 @@ def test_not_a_class():
     ]:
         with pytest.raises(NotAClassError):
             pres.monomial_elt(mono)
+
+
+# the public names of the package, submodules aside: a change to the API
+# shows up here
+PUBLIC_NAMES = [
+    "BurnsideElt", "ExprError", "Grading", "InconsistentError", "InhomogeneousError",
+    "InvalidSizeError", "NonTerminatingError", "NoneqQuadricRing", "NotAClassError", "PointElt",
+    "Presentation", "RestrictedGradingWarning", "RingElement", "audit_full", "basis_slice",
+    "confluence_probe", "coset_index", "divisibility_witness", "fixed_degrees", "grading",
+    "make_binate", "make_bu1", "make_nonequiv_quadric", "make_point", "make_projective",
+    "make_quadric", "make_space", "parse_expression", "parse_space", "point_mul", "point_phi",
+    "point_rho", "point_tau", "rank_table", "solve_undetermined", "swap_element", "swap_grading",
+    "swap_involution", "transfer_witness", "underlying_degree", "verify_relations",
+]
+
+
+def test_public_names():
+    import types
+
+    import c2quadrics
+
+    names = [n for n in c2quadrics.__all__ if not isinstance(getattr(c2quadrics, n), types.ModuleType)]
+    assert sorted(names) == PUBLIC_NAMES
 
 
 def test_transfer_fallback_reentry_is_not_a_class():
