@@ -7,6 +7,8 @@ fixed-point, and component-restriction homomorphisms, checks divisibility
 by the Euler-type classes, and reproduces the basis dot diagrams.
 """
 
+from types import ModuleType as _ModuleType
+
 from .coefficients import (
     BurnsideElt,
     InhomogeneousError,
@@ -57,5 +59,6 @@ from .solver import (
     verify_relations,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules that importing them binds
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "1.0.0"

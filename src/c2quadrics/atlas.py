@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import json
 
+from .catalog import basis_slice, make_space
 from .coefficients import PointElt
+from .levele import levele_str
 from .noneq import NoneqQuadricRing
 from .rewrite import GENERATORS, NotAClassError, RingElement, gen_mono
+from .solver import audit_full
 
 SCHEMA = "c2quadrics.atlas/1"
 
@@ -95,8 +98,6 @@ def presentation_to_doc(pres):
 
 def _hom_tables(pres):
     """Printable rho / eta images of the generators."""
-    from .levele import levele_str
-
     tables = {}
     gens = GENERATORS[:5] if pres.has_x else GENERATORS[:4]  # x, not the divided classes
     try:
@@ -112,9 +113,6 @@ def _hom_tables(pres):
 
 
 def atlas_document(space_ids, coset=0, window=((-16, 16), (-16, 16)), seed=0, audit=False):
-    from .catalog import basis_slice, make_space
-    from .solver import audit_full
-
     spaces = []
     for sid in sorted(space_ids):
         pres = make_space(sid)

@@ -6,7 +6,7 @@ Spaces and their space-id grammar:
     bu1              the classifying space BU(1)
     proj:p,q         finite projective space X^{p,q} = P(C^p + C_sigma^q)
     binate:p,q       the binate subvariety P u tP (proj basis + free-orbit line)
-    quadric:m,n      the symmetric quadric Q^{m,n}, dispatched by parity:
+    quadric:m,n      the symmetric quadric Q^{m,n}, of a type by parity:
                        (odd, odd) -> BB(p,q), (even, odd) -> DB, (odd, even) -> BD,
                        (even, even) -> DD
     neq:n,B|D        the nonequivariant ring Z[c,y]/(...) of the n-quadric
@@ -180,10 +180,9 @@ _DIV_S = [(XI_PT, _mono(s=-1, t=-1))]
 
 # deck: dict with p, q, has_x, has_atoms, corrw, corrx, xsq_terms,
 # top_terms, divdiv_terms, rho_x, levele, x_grading, raw_lhs, and for eta
-# (_build_eta) components; _finish adds z0_inv and z1_inv.  A quadric's
-# type deck gives corrw, corrx, xsq_terms, divdiv_terms and top_terms;
-# _quadric derives the rest from (m, n).  The
-# odd-even deck BD is not written out: it is the swap of DB (_swap_deck)
+# (_build_eta) components; _finish adds z0_inv and z1_inv.  _quadric
+# derives a quadric's deck from (m, n): only xsq_terms and divdiv_terms
+# depend on the type, through _xsq_terms and _divdiv_terms
 
 
 def _build_rules(pres):
@@ -828,42 +827,85 @@ def _quad_identities(P):
     return out
 
 
-def _quadric(m, n, deck):
-    """The presentation of Q^{m,n} from its type's ``deck``.
+def _xsq_terms(m, n):
+    """x^2 in Q^{m,n} as [(coeff, mono)], by the parities of m and n."""
+    p, q = m // 2, n // 2
+    if m % 2 and n % 2:  # BB: x^2 = 0
+        return []
+    if n % 2:  # DB: e^2 cw^{p-1} cx^q x when p is odd
+        return [(E2, _mono(i=p - 1, j=q, d=1))] if p % 2 else []
+    if m % 2:  # BD: the swap of DB
+        return [(E2, _mono(i=p, j=q - 1, d=1))] if q % 2 else []
+    # DD: by the parities of p and q
+    if p % 2 and q % 2:
+        return [(E2, _mono(i=p - 1, j=q - 1, d=1))]
+    if q % 2:
+        return [(ONE, _mono(s=1, i=p, j=q - 1, d=1))]
+    if p % 2:
+        return [(ONE, _mono(t=1, i=p - 1, j=q, d=1))]
+    return []
 
-    (m, n) alone decides p = m // 2 and q = n // 2, the x grading
-    ceil(m/2) w + ceil(n/2) xw - 2, the level-e model (the nonequivariant
-    quadric in C^{m+n}: B when m + n is odd, D otherwise; t fixes y when m
-    and n are even), the two fixed components (the quadrics in C^m and C^n,
-    empty when m or n <= 1, where zeta0 or zeta1 is invertible),
-    whether there is a free-orbit summand (m and n both odd), the
-    restricted-grading warning (m or n = 2), and rho(x) = iota^A zeta^B
-    c^C y, the only y-monomial in the grading of x (iota and zeta have
-    underlying degree 0).  Each type's deck (``_bb``, ``_db``, ``_bd``,
-    ``_dd``) gives only its own presentation data: the corrections of divw
-    and divx, x^2, divw*divx and cw^p*cx^q; eta(x) and eta(y) follow from
-    rho(x) and the models (``_build_eta``).
-    ``_bd(p, q)`` is ``_db(q, p)`` through the swap Q^{m,n} ->
-    Q^{n,m} (``_swap_deck``), which exchanges C and C_sigma.
+
+def _divdiv_terms(m, n):
+    """divw*divx in Q^{m,n} as deck terms, by the parities of m and n."""
+    p, q = m // 2, n // 2
+    if m % 2 and n % 2:  # BB: t(iota^2q zeta^(p-q) y)
+        return [("atom", 1, (2 * q, p - q))]
+    if n % 2:  # DB: t(iota^-2) z1 x
+        return [("mono", TRANS_M1, _mono(t=1, d=1))]
+    if m % 2:  # BD: t(iota^-2) z0 x, the swap of DB
+        return [("mono", TRANS_M1, _mono(s=1, d=1))]
+    # DD: t(iota^-2) z0 cw x, equal to t(iota^-2) z1 cx x
+    return [("mono", TRANS_M1, _mono(s=1, i=1, d=1))]
+
+
+def _quadric(m, n):
+    """The presentation of Q^{m,n}, all of it from (m, n).
+
+    p = m // 2 and q = n // 2; em = 1 when m is even and en = 1 when n is
+    even.  (m, n) decides the x grading ceil(m/2) w + ceil(n/2) xw - 2, the
+    level-e model (the nonequivariant quadric in C^{m+n}: B when m + n is
+    odd, D otherwise; t fixes y when m and n are even), the two fixed
+    components (the quadrics in C^m and C^n, empty when m or n <= 1, where
+    zeta0 or zeta1 is invertible), whether there is a free-orbit summand
+    (m and n both odd), the restricted-grading warning (m or n = 2), and
+    rho(x) = iota^A zeta^B c^C y, the only y-monomial in the grading of x
+    (iota and zeta have underlying degree 0).  The grading also fixes the
+    corrections of the divided classes, divw = cw^p - corrw and
+    divx = cx^q - corrx with
+
+        corrw = e^{-2(q+1-en)} k z1^{q-en} cw^em x   (none if em and p <= 1)
+        corrx = e^{-2(p+1-em)} k z0^{p-em} cx^en x   (none if en and q <= 1)
+
+    and cw^p cx^q = divw divx + e^-2 k cw^em cx^en x.  Only x^2 and
+    divw*divx depend on the type (``_xsq_terms``, ``_divdiv_terms``);
+    eta(x) and eta(y) follow from rho(x) and the models (``_build_eta``).
     """
     p, q = m // 2, n // 2
+    em, en = 1 - m % 2, 1 - n % 2
     g = (m + 1) // 2 * W + (n + 1) // 2 * XW - Grading(2)
-    levele = LevelEModel("B" if (m + n) % 2 else "D", (m + n) // 2, t_fixes_y=m % 2 == 0 and n % 2 == 0)
-    deck.update(
-        p=p,
-        q=q,
-        has_x=True,
-        has_atoms=m % 2 == 1 and n % 2 == 1,
-        x_grading=g,
-        levele=levele,
-        rho_x=(g.b, coset_index(g), (underlying_degree(g) - levele.y_degree()) // 2),
-        components=tuple(("B" if k % 2 else "D", k // 2) if k > 1 else ("zero", 0) for k in (m, n)),
-        raw_lhs={
+    levele = LevelEModel("B" if (m + n) % 2 else "D", (m + n) // 2, t_fixes_y=bool(em and en))
+    divdiv = _divdiv_terms(m, n)
+    deck = {
+        "p": p,
+        "q": q,
+        "has_x": True,
+        "has_atoms": not (em or en),
+        "x_grading": g,
+        "levele": levele,
+        "rho_x": (g.b, coset_index(g), (underlying_degree(g) - levele.y_degree()) // 2),
+        "components": tuple(("B" if k % 2 else "D", k // 2) if k > 1 else ("zero", 0) for k in (m, n)),
+        "corrw": [] if em and p <= 1 else [(nk(2 * (q + 1 - en)), _mono(t=q - en, i=em, d=1))],
+        "corrx": [] if en and q <= 1 else [(nk(2 * (p + 1 - em)), _mono(s=p - em, j=en, d=1))],
+        "xsq_terms": _xsq_terms(m, n),
+        "divdiv_terms": divdiv,
+        "top_terms": divdiv + [("mono", nk(2), _mono(i=em, j=en, d=1))],
+        "raw_lhs": {
             "x^2": (ONE, _mono(d=2)),
             "divw*divx": (ONE, _mono(w0=1, w1=1)),
             "cw^p*cx^q": (ONE, _mono(i=p, j=q)),
         },
-    )
+    }
     pres = _finish("quadric:%d,%d" % (m, n), ("quadric", m, n), deck, _quad_identities)
     if m == 2 or n == 2:
         warn = "grading restricted: RO(Pi Q^{%d,%d}) is larger than RO(Pi BU(1))" % (m, n)
@@ -872,84 +914,12 @@ def _quadric(m, n, deck):
     return pres
 
 
-def _bb(p, q):
-    return {
-        "corrw": [(nk(2 * (q + 1)), (0, q, 0, 0, 1, 0, 0))],
-        "corrx": [(nk(2 * (p + 1)), (p, 0, 0, 0, 1, 0, 0))],
-        "xsq_terms": [],
-        "divdiv_terms": [("atom", 1, (2 * q, p - q))],
-        "top_terms": [("atom", 1, (2 * q, p - q)), ("mono", nk(2), (0, 0, 0, 0, 1, 0, 0))],
-    }
-
-
-def _db(p, q):
-    return {
-        "corrw": [] if p <= 1 else [(nk(2 * (q + 1)), (0, q, 1, 0, 1, 0, 0))],
-        "corrx": [(nk(2 * p), (p - 1, 0, 0, 0, 1, 0, 0))],
-        "xsq_terms": [] if p % 2 == 0 else [(E2, (0, 0, p - 1, q, 1, 0, 0))],
-        "divdiv_terms": [("mono", TRANS_M1, (0, 1, 0, 0, 1, 0, 0))],
-        "top_terms": [
-            ("mono", TRANS_M1, (0, 1, 0, 0, 1, 0, 0)),
-            ("mono", nk(2), (0, 0, 1, 0, 1, 0, 0)),
-        ],
-    }
-
-
-def _bd(p, q):
-    return _swap_deck(_db(q, p))
-
-
-def _swap_deck(deck):
-    """The type deck of Q^{n,m} from that of Q^{m,n}: corrw and corrx trade
-    places, so do the two fixed components, and every monomial and level-e
-    key goes through the swap."""
-
-    def pairs(key):
-        return [(c, _swap_mono(delta)) for c, delta in deck[key]]
-
-    def terms(key):
-        return [(k, c, _swap_mono(x) if k == "mono" else _swap_key(*x)) for k, c, x in deck[key]]
-
-    return {
-        "corrw": pairs("corrx"),
-        "corrx": pairs("corrw"),
-        "xsq_terms": pairs("xsq_terms"),
-        "divdiv_terms": terms("divdiv_terms"),
-        "top_terms": terms("top_terms"),
-    }
-
-
-def _dd(p, q):
-    if p % 2 == 0 and q % 2 == 0:
-        xsq = []
-    elif p % 2 == 1 and q % 2 == 1:
-        xsq = [(E2, (0, 0, p - 1, q - 1, 1, 0, 0))]
-    elif p % 2 == 0:
-        xsq = [(ONE, (1, 0, p, q - 1, 1, 0, 0))]
-    else:
-        xsq = [(ONE, (0, 1, p - 1, q, 1, 0, 0))]
-    return {
-        "corrw": [] if p <= 1 else [(nk(2 * q), (0, q - 1, 1, 0, 1, 0, 0))],
-        "corrx": [] if q <= 1 else [(nk(2 * p), (p - 1, 0, 0, 1, 1, 0, 0))],
-        "xsq_terms": xsq,
-        "divdiv_terms": [("mono", TRANS_M1, (1, 0, 1, 0, 1, 0, 0))],
-        "top_terms": [
-            ("mono", TRANS_M1, (1, 0, 1, 0, 1, 0, 0)),
-            ("mono", nk(2), (0, 0, 1, 1, 1, 0, 0)),
-        ],
-    }
-
-
-# the type of Q^{m,n} by (m % 2, n % 2)
-_QUADRIC_TYPES = {(1, 1): _bb, (0, 1): _db, (1, 0): _bd, (0, 0): _dd}
-
-
 def make_quadric(m, n):
     if m < 0 or n < 0 or m + n < 2:
         raise InvalidSizeError("quadric needs m, n >= 0 with m + n >= 2")
     if m == 1 and n == 1:
         return _make_free_orbit("quadric:1,1", ("quadric", 1, 1))
-    return _quadric(m, n, _QUADRIC_TYPES[m % 2, n % 2](m // 2, n // 2))
+    return _quadric(m, n)
 
 
 def make_nonequiv_quadric(n, kind=None):

@@ -73,8 +73,8 @@ class _Term:
         elif name == "g":
             if power < 0:
                 raise ExprError("g is not invertible")
-            for _ in range(power):
-                self.factors.append(("pt", G_PT))
+            if power:  # g^2 = 2g
+                self.factors.append(("pt", G_PT * (1 << (power - 1))))
         elif name in LEVELE:
             if power < 0 and name in ("c", "y"):
                 raise ExprError("%s is not invertible" % name)
@@ -86,17 +86,12 @@ class _Term:
         coeff = PointElt.from_int(self.coeff)
         if self.xi_exp:
             coeff = coeff * PointElt.monomial(pos(0, self.xi_exp))
-        if self.e_exp < 0:
-            if self.kappa < 1:
-                raise ExprError("e^-n is a class only together with k")
-            coeff = coeff * PointElt.monomial(negkappa(-self.e_exp))
-            for _ in range(self.kappa - 1):
-                coeff = coeff * PointElt.monomial(negkappa(0))
-        else:
-            if self.e_exp:
-                coeff = coeff * PointElt.monomial(pos(self.e_exp, 0))
-            for _ in range(self.kappa):
-                coeff = coeff * PointElt.monomial(negkappa(0))
+        if self.e_exp < 0 and self.kappa < 1:
+            raise ExprError("e^-n is a class only together with k")
+        if self.e_exp > 0:
+            coeff = coeff * PointElt.monomial(pos(self.e_exp, 0))
+        if self.kappa:  # k^2 = 2k, so e^-n k^j = 2^(j-1) e^-n k
+            coeff = coeff * PointElt.monomial(negkappa(max(-self.e_exp, 0))) * (1 << (self.kappa - 1))
         return coeff
 
     def evaluate(self, pres):

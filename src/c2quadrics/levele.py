@@ -204,16 +204,17 @@ def add_elts(x, y):
     return {k: v for k, v in out.items() if v}
 
 
+def iota_zeta_names(a, b):
+    """The printed factors of iota^a zeta^b: none when a = b = 0."""
+    return (["iota^%d" % a] if a else []) + (["zeta^%d" % b] if b else [])
+
+
 def levele_str(elt):
     if not elt:
         return "0"
     parts = []
     for (a, b, d, eps), v in sorted(elt.items()):
-        name = []
-        if a:
-            name.append("iota^%d" % a)
-        if b:
-            name.append("zeta^%d" % b)
+        name = iota_zeta_names(a, b)
         if d:
             name.append("c^%d" % d if d > 1 else "c")
         if eps == 1:

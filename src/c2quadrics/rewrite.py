@@ -331,6 +331,9 @@ class RingElement:
         return g
 
     def __str__(self):
+        # a lazy import: levele imports this module
+        from .levele import iota_zeta_names, levele_str
+
         parts = []
         for m, v in sorted(self.c2.items()):
             cs, ms = str(v), mono_str(m)
@@ -341,16 +344,8 @@ class RingElement:
             else:
                 parts.append("%s*%s" % (cs if len(cs.split(" ")) == 1 else "(%s)" % cs, ms))
         for (a, b), v in sorted(self.atoms.items()):
-            inner = []
-            if a:
-                inner.append("iota^%d" % a)
-            if b:
-                inner.append("zeta^%d" % b)
-            inner.append("y")
-            atom = "t(%s)" % "*".join(inner)
+            atom = "t(%s)" % "*".join(iota_zeta_names(a, b) + ["y"])
             parts.append(atom if v == 1 else "%d*%s" % (v, atom))
-        from .levele import levele_str
-
         if self.e:
             parts.append(levele_str(self.e))
         return " + ".join(parts) if parts else "0"
@@ -752,6 +747,7 @@ class Presentation:
         fresh dicts, so a caller may change what it gets."""
         img = x._eta if x.pres is self else None
         if img is None:
+            # a lazy import: catalog imports this module
             from .catalog import eta_of_element
 
             img = eta_of_element(self, self.normal_form(x))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from .catalog import basis_slice, _enumerate_coset_monomials
+from .catalog import basis_slice, _enumerate_coset_monomials, make_projective
 from .coefficients import BurnsideElt, G_PT, PointElt, pos, negkappa, point_rho, trans
 from .grading import coset_index
 from .rewrite import RingElement, _sample_monomials, confluence_probe
@@ -258,8 +258,6 @@ def rank_law_check(pres):
     the nu-shifted projective-space counts (the free-orbit line sits in the
     separate C2/e summand).  Checked on the cosets 0, 1, -1 and gradings
     within 14 of the origin."""
-    from .catalog import make_projective
-
     if not pres.has_x or pres.free_orbit:
         return True
     radius = 14

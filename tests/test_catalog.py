@@ -8,13 +8,10 @@ import pytest
 from c2quadrics.catalog import (
     E2,
     RestrictedGradingWarning,
-    _bb,
-    _bd,
-    _db,
-    _dd,
     _div_elements,
     _divided_image,
-    _swap_deck,
+    _swap_key,
+    _swap_mono,
     _terms_elt,
     basis_slice,
     make_binate,
@@ -26,7 +23,7 @@ from c2quadrics.catalog import (
     swap_grading,
     swap_involution,
 )
-from c2quadrics.coefficients import XI_PT, PointElt, negkappa, pos, trans
+from c2quadrics.coefficients import ONE, XI_PT, PointElt, negkappa, pos, trans
 from c2quadrics.expressions import parse_expression
 from c2quadrics.grading import Grading, OMEGA0, OMEGA1, W, XW
 from c2quadrics.levele import add_elts
@@ -241,28 +238,163 @@ def test_swap_element_respects_relations():
 
 SIZES = [(p, q) for p in range(9) for q in range(9)]
 
+TRANS_M1 = PointElt.monomial(trans(-1))
+FIELDS = ("corrw", "corrx", "xsq_terms", "divdiv_terms", "top_terms")
 
-def test_swap_deck_is_an_involution():
-    for p, q in SIZES:
-        for deck in (_bb, _db, _bd, _dd):
-            d = deck(p, q)
-            assert _swap_deck(_swap_deck(d)) == d, (deck.__name__, p, q)
+
+# reference for _quadric, which derives corrw, corrx and cw^p*cx^q from
+# (m, n) and takes x^2 and divw*divx by type: the type decks as they were
+# stated by hand, by (m % 2, n % 2)
+def _bb(p, q):
+    return {
+        "corrw": [(nk(2 * (q + 1)), (0, q, 0, 0, 1, 0, 0))],
+        "corrx": [(nk(2 * (p + 1)), (p, 0, 0, 0, 1, 0, 0))],
+        "xsq_terms": [],
+        "divdiv_terms": [("atom", 1, (2 * q, p - q))],
+        "top_terms": [("atom", 1, (2 * q, p - q)), ("mono", nk(2), (0, 0, 0, 0, 1, 0, 0))],
+    }
+
+
+def _db(p, q):
+    return {
+        "corrw": [] if p <= 1 else [(nk(2 * (q + 1)), (0, q, 1, 0, 1, 0, 0))],
+        "corrx": [(nk(2 * p), (p - 1, 0, 0, 0, 1, 0, 0))],
+        "xsq_terms": [] if p % 2 == 0 else [(E2, (0, 0, p - 1, q, 1, 0, 0))],
+        "divdiv_terms": [("mono", TRANS_M1, (0, 1, 0, 0, 1, 0, 0))],
+        "top_terms": [
+            ("mono", TRANS_M1, (0, 1, 0, 0, 1, 0, 0)),
+            ("mono", nk(2), (0, 0, 1, 0, 1, 0, 0)),
+        ],
+    }
+
+
+def _bd(p, q):
+    # the odd-even deck as the paper writes it
+    return {
+        "corrw": [(nk(2 * q), (0, q - 1, 0, 0, 1, 0, 0))],
+        "corrx": [] if q <= 1 else [(nk(2 * (p + 1)), (p, 0, 0, 1, 1, 0, 0))],
+        "xsq_terms": [] if q % 2 == 0 else [(E2, (0, 0, p, q - 1, 1, 0, 0))],
+        "divdiv_terms": [("mono", TRANS_M1, (1, 0, 0, 0, 1, 0, 0))],
+        "top_terms": [
+            ("mono", TRANS_M1, (1, 0, 0, 0, 1, 0, 0)),
+            ("mono", nk(2), (0, 0, 0, 1, 1, 0, 0)),
+        ],
+    }
+
+
+def _dd(p, q):
+    if p % 2 == 0 and q % 2 == 0:
+        xsq = []
+    elif p % 2 == 1 and q % 2 == 1:
+        xsq = [(E2, (0, 0, p - 1, q - 1, 1, 0, 0))]
+    elif p % 2 == 0:
+        xsq = [(ONE, (1, 0, p, q - 1, 1, 0, 0))]
+    else:
+        xsq = [(ONE, (0, 1, p - 1, q, 1, 0, 0))]
+    return {
+        "corrw": [] if p <= 1 else [(nk(2 * q), (0, q - 1, 1, 0, 1, 0, 0))],
+        "corrx": [] if q <= 1 else [(nk(2 * p), (p - 1, 0, 0, 1, 1, 0, 0))],
+        "xsq_terms": xsq,
+        "divdiv_terms": [("mono", TRANS_M1, (1, 0, 1, 0, 1, 0, 0))],
+        "top_terms": [
+            ("mono", TRANS_M1, (1, 0, 1, 0, 1, 0, 0)),
+            ("mono", nk(2), (0, 0, 1, 1, 1, 0, 0)),
+        ],
+    }
+
+
+_TYPE_DECKS = {(1, 1): _bb, (0, 1): _db, (1, 0): _bd, (0, 0): _dd}
+
+
+def _quadric_or_none(m, n):
+    """Q^{m,n}, or None when m + n < 2 or Q^{m,n} is the free orbit."""
+    if m + n < 2 or (m, n) == (1, 1):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RestrictedGradingWarning)
+        return make_quadric(m, n)
+
+
+def _fields(Q):
+    return {key: getattr(Q, key) for key in FIELDS}
+
+
+def _swapped(Q):
+    """The deck fields of Q^{m,n} under the swap Q^{m,n} -> Q^{n,m}: corrw
+    and corrx trade places, and every monomial and level-e key is swapped."""
+
+    def pairs(key):
+        return [(c, _swap_mono(delta)) for c, delta in getattr(Q, key)]
+
+    def terms(key):
+        return [(k, c, _swap_mono(x) if k == "mono" else _swap_key(*x)) for k, c, x in getattr(Q, key)]
+
+    return {
+        "corrw": pairs("corrx"),
+        "corrx": pairs("corrw"),
+        "xsq_terms": pairs("xsq_terms"),
+        "divdiv_terms": terms("divdiv_terms"),
+        "top_terms": terms("top_terms"),
+    }
+
+
+def test_decks_match_the_hand_tables():
+    checked = 0
+    for m in range(40):
+        for n in range(40):
+            Q = _quadric_or_none(m, n)
+            if Q is None:
+                continue
+            deck = _TYPE_DECKS[m % 2, n % 2](m // 2, n // 2)
+            for key in FIELDS:
+                # list order too: the rules and the digests read the terms in order
+                assert repr(getattr(Q, key)) == repr(deck[key]), (m, n, key)
+                assert getattr(Q, key) == deck[key], (m, n, key)
+            checked += 1
+    assert checked == 1596
+
+
+def test_swap_exchanges_the_corrections_and_x_squared():
+    for m in range(14):
+        for n in range(14):
+            Q, S = _quadric_or_none(m, n), _quadric_or_none(n, m)
+            if Q is None:
+                continue
+            swapped = _swapped(Q)
+            for key in ("corrw", "corrx", "xsq_terms"):
+                assert getattr(S, key) == swapped[key], (m, n, key)
 
 
 def test_bd_is_the_swap_of_db():
-    # the odd-even deck as the paper writes it, against the derived one
-    E2, TRANS_M1 = PointElt.monomial(pos(2, 0)), PointElt.monomial(trans(-1))
     for p, q in SIZES:
-        assert _bd(p, q) == {
-            "corrw": [(nk(2 * q), (0, q - 1, 0, 0, 1, 0, 0))],
-            "corrx": [] if q <= 1 else [(nk(2 * (p + 1)), (p, 0, 0, 1, 1, 0, 0))],
-            "xsq_terms": [] if q % 2 == 0 else [(E2, (0, 0, p, q - 1, 1, 0, 0))],
-            "divdiv_terms": [("mono", TRANS_M1, (1, 0, 0, 0, 1, 0, 0))],
-            "top_terms": [
-                ("mono", TRANS_M1, (1, 0, 0, 0, 1, 0, 0)),
-                ("mono", nk(2), (0, 0, 0, 1, 1, 0, 0)),
-            ],
-        }, (p, q)
+        BD, DB = _quadric_or_none(2 * p + 1, 2 * q), _quadric_or_none(2 * q, 2 * p + 1)
+        if BD is not None:
+            assert _fields(BD) == _swapped(DB), (p, q)
+
+
+def test_deck_terms_have_the_gradings_of_their_relations():
+    def term_grading(Q, kind, c, x):
+        if kind == "atom":
+            return Q.atom_grading(*x)
+        return Q.mono_grading(x) + c.grading()
+
+    for m in range(14):
+        for n in range(14):
+            Q = _quadric_or_none(m, n)
+            if Q is None:
+                continue
+            p, q = Q.p, Q.q
+            expected = {
+                "corrw": p * W,
+                "corrx": q * XW,
+                "xsq_terms": 2 * Q.x_grading,
+                "divdiv_terms": p * W + q * XW,
+                "top_terms": p * W + q * XW,
+            }
+            for key, g in expected.items():
+                for term in getattr(Q, key):
+                    term = term if len(term) == 3 else ("mono",) + term
+                    assert term_grading(Q, *term) == g, (m, n, key, term)
 
 
 # reference for _quadric, which derives rho(x) = iota^A zeta^B c^C y from the
@@ -324,20 +456,19 @@ def test_eta_of_x_and_y_match_the_hand_tables():
 
 def test_bb_is_its_own_swap():
     for p, q in SIZES:
-        assert _bb(p, q) == _swap_deck(_bb(q, p)), (p, q)
+        Q = _quadric_or_none(2 * p + 1, 2 * q + 1)
+        if Q is not None:
+            assert _fields(Q) == _swapped(_quadric_or_none(2 * q + 1, 2 * p + 1)), (p, q)
 
 
 def test_dd_is_its_own_swap_up_to_normal_form():
-    # _dd writes trans(-1)*z0*cw*x in divdiv_terms and top_terms, where the
-    # swap gives trans(-1)*z1*cx*x: different monomials, equal classes
+    # the DD deck writes trans(-1)*z0*cw*x in divdiv_terms and top_terms,
+    # where the swap gives trans(-1)*z1*cx*x: different monomials, equal classes
     for p, q in SIZES[1:]:
-        d, s = _dd(p, q), _swap_deck(_dd(q, p))
-        for key in d:
-            if key not in ("divdiv_terms", "top_terms"):
-                assert d[key] == s[key], (p, q, key)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RestrictedGradingWarning)
-            Q = make_quadric(2 * p, 2 * q)
+        Q = _quadric_or_none(2 * p, 2 * q)
+        d, s = _fields(Q), _swapped(_quadric_or_none(2 * q, 2 * p))
+        for key in ("corrw", "corrx", "xsq_terms"):
+            assert d[key] == s[key], (p, q, key)
         for key in ("divdiv_terms", "top_terms"):
             assert d[key] != s[key]
             lhs, rhs = Q.normal_form(_terms_elt(Q, d[key])), Q.normal_form(_terms_elt(Q, s[key]))

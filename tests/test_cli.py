@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import c2quadrics
 from c2quadrics.cli import main
 
 
@@ -222,6 +226,22 @@ def test_result_past_the_digit_limit_is_one_line(capsys):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("result too large to print:")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+@pytest.mark.parametrize("expr", ["k^20000000", "g^20000000*cw", "e^-4*k^20000000*x"])
+def test_huge_point_powers_answer_at_once(expr):
+    # k^j = 2^(j-1) k and g^j = 2^(j-1) g in closed form: no loop over j
+    env = dict(os.environ, PYTHONPATH=str(Path(c2quadrics.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "c2quadrics", "reduce", "quadric:3,3", expr],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("result too large to print:")
 
 
 # sha256 of the exact output of two commands that run eta and phi through
