@@ -778,10 +778,14 @@ def _make_free_orbit(name, space):
         ("x = 0", P.gen("x"), P.zero()),
         ("1 = t(y)", P.scalar(1), P.tau_atom(0, 0)),
     ]
-    # x is killed by its only rule, so rho(x) = 0: the deck has no rho_x
+    # x is killed by the rule x_zero, so rho(x) = 0: the deck has no rho_x
     cfg["raw_lhs"] = {"x = 0": (ONE, _mono(d=1)), "1 = t(y)": (ONE, MONO_ONE)}
     pres = Presentation(name, space, cfg)
-    pres.rules = [("x_zero", lambda m: m[4] >= 1, _rhs())]
+    # the unit 1 = tau(y) is one transfer term at delta 1: M*c = tau(rho(M*c)*y)
+    pres.rules = [
+        ("x_zero", lambda m: m[4] >= 1, _rhs()),
+        ("unit", lambda m: m[4] == 0, ((), (((0, 0), 1, MONO_ONE),))),
+    ]
     pres.eta_sides = _build_eta(pres, deck)
     return pres
 

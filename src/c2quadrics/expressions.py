@@ -11,11 +11,13 @@ Grammar:  expr := term (('+'|'-') term)* ;  term := factor ('*' factor)* ;
 factor := atom ['^' int] ;  atom := int | symbol | t(expr) | (expr).
 Parenthesized sums may be raised to nonnegative powers; negative powers
 are allowed on z0, z1, iota, zeta and on e when a matching k factor makes
-the pair e^-n*k a point-ring class.
+the pair e^-n*k a point-ring class.  The integer factor of a term (its
+integer powers and the 2^(j-1) of k^j and g^j) may not pass 2^25 bits.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .coefficients import G_PT, PointElt, negkappa, pos
@@ -42,18 +44,30 @@ def tokenize(text):
     return out
 
 
+_MAX_BITS = 1 << 25  # for the integer factor of a term, checked before it is built
+
+
+def _int(tok):
+    try:
+        return int(tok)
+    except ValueError:  # the int-to-str digit limit
+        raise ExprError("an integer of %d digits is past the digit limit" % len(tok)) from None
+
+
 class _Term:
-    """A product in flight: generator exponents, point-coefficient parts,
-    level-e exponents, and already-evaluated element factors."""
+    """A product in flight: integer powers, point-coefficient exponents,
+    generator and level-e exponents, and the parenthesised and t(...)
+    factors multiplied in at the end."""
 
     def __init__(self):
-        self.coeff = 1
+        self.ints = []  # (integer, power) pairs
         self.gens = [0] * 7
         self.e_exp = 0
         self.xi_exp = 0
         self.kappa = 0
+        self.g = 0
         self.levele = [0, 0, 0, 0]
-        self.factors = []  # RingElements multiplied in at the end
+        self.factors = []
 
     def mul_symbol(self, name, power):
         if name in GENERATORS:
@@ -73,8 +87,7 @@ class _Term:
         elif name == "g":
             if power < 0:
                 raise ExprError("g is not invertible")
-            if power:  # g^2 = 2g
-                self.factors.append(("pt", G_PT * (1 << (power - 1))))
+            self.g += power
         elif name in LEVELE:
             if power < 0 and name in ("c", "y"):
                 raise ExprError("%s is not invertible" % name)
@@ -83,7 +96,11 @@ class _Term:
             raise ExprError("unknown symbol %r" % name)
 
     def point_coeff(self):
-        coeff = PointElt.from_int(self.coeff)
+        # v <= 2^b for b = (v - 1).bit_length(), so v^n has at most b*n + 1 bits
+        bits = sum(max(v - 1, 0).bit_length() * n for v, n in self.ints)
+        if bits + max(self.kappa - 1, 0) + max(self.g - 1, 0) > _MAX_BITS:
+            raise ExprError("the integer factor of a term is past %d bits" % _MAX_BITS)
+        coeff = PointElt.from_int(math.prod(v ** n for v, n in self.ints))
         if self.xi_exp:
             coeff = coeff * PointElt.monomial(pos(0, self.xi_exp))
         if self.e_exp < 0 and self.kappa < 1:
@@ -95,34 +112,19 @@ class _Term:
         return coeff
 
     def evaluate(self, pres):
-        coeff = self.point_coeff()
-        has_gens = any(self.gens)
-        has_e = any(self.levele)
-        out = None
-        if has_e:
+        out = pres.normal_form(RingElement(pres, "top", c2={tuple(self.gens): self.point_coeff()}))
+        if any(self.levele):
             a, b, d, eps = self.levele
             # a level-e key holds y at most once: in the binate model
-            # (a, b, d, 2) is the key of t(y), so the model multiplies in
-            # the further y factors, up to a fixed point such as 0
-            out = pres.levele_elt({(a, b, d, min(eps, 1)): 1})
-            for _ in range(eps - 1):
-                out, last = pres.mul(out, pres.levele_elt({(0, 0, 0, 1): 1})), out
-                if out == last:
-                    break
-        if has_gens or out is None:
-            mono = tuple(self.gens)
-            top = pres.normal_form(RingElement(pres, "top", c2={mono: coeff}))
-            out = top if out is None else pres.mul(top, out)
-        else:
-            out = out.scale(coeff) if isinstance(coeff, int) else pres.mul(
-                pres.coeff_elt(coeff), out
-            )
-        for kind, f in self.factors:
-            if kind == "pt":
-                out = out.scale(f)
-            else:
-                out = pres.mul(out, f)
-        return out
+            # (a, b, d, 2) is the key of t(y), so further y factors are a power
+            out = pres.mul(out, pres.levele_elt({(a, b, d, min(eps, 1)): 1}))
+            if eps > 1:
+                out = pres.mul(out, pres.levele_elt({(0, 0, 0, 1): 1}) ** (eps - 1))
+        for f in self.factors:
+            out = pres.mul(out, f)
+        # g last: g^j = 2^(j-1) g scales the class, and taken into the
+        # coefficient first it would let a transfer witness absorb a non-class
+        return out.scale(G_PT * (1 << (self.g - 1))) if self.g else out
 
 
 # the deepest nesting of (...) and t(...) that parses: at four frames of
@@ -174,23 +176,21 @@ class Parser:
     def term_factor(self, t):
         while self.peek() == "-":
             self.take()
-            t.coeff = -t.coeff
-        atom = self.atom_term()
+            t.ints.append((-1, 1))
+        kind, val = self.atom_term()
         power = 1
         if self.peek() == "^":
             self.take()
             power = self.signed_int()
-        kind, val = atom
-        if kind == "int":
-            if power < 0:
-                raise ExprError("integers are not invertible here")
-            t.coeff *= val ** power
-        elif kind == "sym":
+        if kind == "sym":
             t.mul_symbol(val, power)
+        elif power < 0:
+            raise ExprError("integers are not invertible here" if kind == "int"
+                            else "cannot invert a general expression")
+        elif kind == "int":
+            t.ints.append((val, power))
         else:
-            if power < 0:
-                raise ExprError("cannot invert a general expression")
-            t.factors.append(("elt", val ** power))
+            t.factors.append(val ** power)
 
     def signed_int(self):
         neg = False
@@ -200,7 +200,7 @@ class Parser:
         tok = self.take()
         if not tok.isdigit():
             raise ExprError("expected integer exponent, found %r" % tok)
-        return -int(tok) if neg else int(tok)
+        return -_int(tok) if neg else _int(tok)
 
     def atom_term(self):
         tok = self.peek()
@@ -208,7 +208,7 @@ class Parser:
             raise ExprError("unexpected end of input")
         self.take()
         if tok.isdigit():
-            return ("int", int(tok))
+            return ("int", _int(tok))
         if tok not in ("(", "t"):
             return ("sym", tok)
         if tok == "t":

@@ -50,7 +50,13 @@ from __future__ import annotations
 from operator import add
 
 from .grading import Grading, IOTA_DEG, OMEGA1
-from .rewrite import NotAClassError
+
+
+class NotAClassError(ValueError):
+    """Well-formed input outside the ring: a non-canonical monomial that no
+    rule rewrites and no transfer witness absorbs, a sum of a level-top and
+    a level-e element, or a level-e monomial outside the model (a y class
+    where the model has none, a y exponent the model does not allow)."""
 
 
 class LevelEModel:

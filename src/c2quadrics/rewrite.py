@@ -52,17 +52,11 @@ from .coefficients import (
     transfer_witness,
 )
 from .grading import Grading, IOTA_DEG, OMEGA0, OMEGA1, W, XW
+from .levele import NotAClassError, iota_zeta_names, levele_str
 
 
 class NonTerminatingError(RuntimeError):
     """Rewriting exceeded its step budget (a bad rule set)."""
-
-
-class NotAClassError(ValueError):
-    """Well-formed input outside the ring: a non-canonical monomial that no
-    rule rewrites and no transfer witness absorbs, a sum of a level-top and
-    a level-e element, or a level-e monomial outside the model (a y class
-    where the model has none, a y exponent the model does not allow)."""
 
 
 # the generators, in the order of their slots in a monomial
@@ -289,10 +283,15 @@ class RingElement:
         if n < 0:
             raise ValueError("negative powers only via divided classes")
         # repeated multiplication: squaring a large element costs more than
-        # multiplying by a short base, so square-and-multiply is slower here
+        # multiplying by a short base, so square-and-multiply is slower here.
+        # Once x*out == out every later power is out (0, 1, or y^2 = y on
+        # the free orbit), so the loop stops there
         out = self.pres.scalar(1)
         for _ in range(n):
-            out = self.pres.mul(out, self)
+            nxt = self.pres.mul(out, self)
+            if nxt == out:
+                break
+            out = nxt
         return out
 
     def __eq__(self, other):
@@ -331,9 +330,6 @@ class RingElement:
         return g
 
     def __str__(self):
-        # a lazy import: levele imports this module
-        from .levele import iota_zeta_names, levele_str
-
         parts = []
         for m, v in sorted(self.c2.items()):
             cs, ms = str(v), mono_str(m)
@@ -400,10 +396,7 @@ class Presentation:
         return RingElement(self, level)
 
     def scalar(self, n):
-        if self.free_orbit:
-            # the unit is tau(y): n = tau(n*y)
-            return self.normal_form(RingElement(self, "top", c2={MONO_ONE: n}))
-        return RingElement(self, "top", c2={MONO_ONE: n})
+        return self.normal_form(RingElement(self, "top", c2={MONO_ONE: n}))
 
     def coeff_elt(self, coeff):
         return self.normal_form(RingElement(self, "top", c2={MONO_ONE: coeff}))
@@ -527,7 +520,7 @@ class Presentation:
         rank = None if rule_order is None else {k: n for n, k in enumerate(rule_order)}
         table = self._rule_table()
         p, q = self.p, self.q
-        free_orbit, max_steps = self.free_orbit, self.max_steps
+        max_steps = self.max_steps
         work = {}
         for m, v in x.c2.items():
             if isinstance(v, PointElt):
@@ -560,12 +553,6 @@ class Presentation:
                 raise NonTerminatingError(
                     "step budget exceeded in %s while reducing %s" % (self.name, what)
                 )
-            if free_orbit and mono[4] == 0:
-                # everything is a multiple of the unit tau(y):
-                # M*c = M*c*tau(y) = tau(rho(M*c)*y)
-                rc = point_rho(_point(coeff))
-                _add_raw(work, atoms, self._frobenius(mono, rc, {(0, 0, 0, 1): 1}, _fallbacks))
-                continue
             cls = _class_key(mono, p, q)
             entry = table.get(cls)
             if entry is None:
@@ -658,14 +645,13 @@ class Presentation:
             a += 2 * w1 * self.q
             b -= w1 * self.q
             deg_c += w1 * self.q
-        out = {(a, b, deg_c, 0): 1}
-        if d:
-            if self.rho_x is None:
-                return {}
-            A, B, C = self.rho_x
-            for _ in range(d):
-                out = self.levele.mul(out, {(A, B, C, 1): 1})
-        return out
+        if not d:
+            return {(a, b, deg_c, 0): 1}
+        if self.rho_x is None:
+            return {}
+        # rho(x)^d = iota^(dA) zeta^(dB) c^(dC) y^d, reduced once
+        A, B, C = self.rho_x
+        return self.levele.reduce({(a + d * A, b + d * B, deg_c + d * C, d): 1})
 
     def _rho_mono_times(self, m, rc):
         """rho(m) times rc, a level-e dict {(n, 0, 0, 0): int} such as
@@ -703,8 +689,9 @@ class Presentation:
     def tau_of_levele(self, w, _fallbacks=()):
         """Transfer: level-e element (raw dict or RingElement) to level top,
         y and t(y) terms as atoms where the deck has them, the rest lifted
-        through ``_tau_lift`` and ``normal_form`` (whose free-orbit unit
-        tau(y) makes atoms of them there).  ``_fallbacks`` is passed on."""
+        through ``_tau_lift`` and ``normal_form`` (on the free orbit its rule
+        ``unit``, 1 = tau(y), makes atoms of them).  ``_fallbacks`` is passed
+        on."""
         if isinstance(w, RingElement):
             w = w.e
         w = self.levele.reduce(w)

@@ -228,20 +228,68 @@ def test_result_past_the_digit_limit_is_one_line(capsys):
     assert err.count("\n") == 1 and err.startswith("result too large to print:")
 
 
+def _reduce_in_subprocess(space, expr):
+    """``reduce space expr`` in a fresh interpreter, which must end in 20 s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(c2quadrics.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "c2quadrics", "reduce", space, "--", expr],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
 )
 @pytest.mark.parametrize("expr", ["k^20000000", "g^20000000*cw", "e^-4*k^20000000*x"])
 def test_huge_point_powers_answer_at_once(expr):
     # k^j = 2^(j-1) k and g^j = 2^(j-1) g in closed form: no loop over j
-    env = dict(os.environ, PYTHONPATH=str(Path(c2quadrics.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "c2quadrics", "reduce", "quadric:3,3", expr],
-        capture_output=True, text=True, timeout=20, env=env,
-    )
+    proc = _reduce_in_subprocess("quadric:3,3", expr)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("result too large to print:")
+
+
+@pytest.mark.parametrize("space, expr, first", [
+    ("quadric:3,3", "(x)^100000000", "0"),
+    ("quadric:3,3", "(1)^100000000", "1"),
+    ("binate:2,1", "(y)^100000000", "0"),
+    ("quadric:1,1", "(t(y))^100000000", "t(y)"),
+])
+def test_powers_stop_at_a_fixed_point(space, expr, first):
+    # x^2 = 0 in type BB, y^2 = 0 in binate and t(y) is the unit of the free
+    # orbit: once x*out == out the power is out, with no further products
+    proc = _reduce_in_subprocess(space, expr)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == first
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+@pytest.mark.parametrize("expr", ["9" * 5000, "x^" + "9" * 5000, "z0^-" + "9" * 5000])
+def test_literals_past_the_digit_limit_are_one_parse_error(expr):
+    proc = _reduce_in_subprocess("quadric:3,3", expr)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("parse error:"), proc.stderr
+
+
+@pytest.mark.parametrize("expr", [
+    "2^400000000",
+    "k^400000000",
+    "g^400000000*cw",
+    "2^100000000000",
+    "2^111111111111111111111111111111",
+    "2^30000000*2^30000000",
+    "3^20000000*k^20000000",
+])
+def test_huge_integer_factors_are_one_parse_error(expr):
+    # the bound on the integer factor of a term passes 2^25 bits before the
+    # factor is built
+    proc = _reduce_in_subprocess("quadric:3,3", expr)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("parse error:"), proc.stderr
 
 
 # sha256 of the exact output of two commands that run eta and phi through

@@ -21,7 +21,7 @@ from c2quadrics.catalog import make_space, swap_element, swap_involution
 from c2quadrics.cli import main
 from c2quadrics.coefficients import G, PointElt, pos
 from c2quadrics.expressions import LEVELE
-from c2quadrics.rewrite import GENERATORS, RingElement, _mono_product, _sample_monomials
+from c2quadrics.rewrite import GENERATORS, MONO_ONE, RingElement, _mono_product, _sample_monomials
 from c2quadrics.solver import POINT_COEFFS
 
 SPACES = ("quadric:3,3", "quadric:4,3", "quadric:5,3", "quadric:4,4", "binate:2,1", "proj:2,1")
@@ -49,9 +49,10 @@ def _space(sid):
 
 def _element(draw, pres, raw=False):
     """A sum of one to three terms, each a canonical monomial (a product of
-    two when ``raw``) times a drawn coefficient, plus up to one transfer
-    atom; reduced to its normal form unless ``raw``."""
-    pool = _sample_monomials(pres)
+    two when ``raw``; the unit on the free orbit, which has no canonical
+    monomial) times a drawn coefficient, plus up to one transfer atom;
+    reduced to its normal form unless ``raw``."""
+    pool = _sample_monomials(pres) or (MONO_ONE,)
     mono = st.sampled_from(pool)
     if raw:
         mono = st.tuples(mono, mono).map(_mono_product)
@@ -111,6 +112,20 @@ def test_distributivity(sid, data):
     lhs = pres.mul(x, y + z)
     rhs = pres.normal_form(pres.mul(x, y) + pres.mul(x, z))
     assert _terms(lhs) == _terms(rhs)
+
+
+@pytest.mark.parametrize("sid", ["quadric:3,3", "quadric:4,4", "binate:2,1", "quadric:1,1"])
+@seed(SEED)
+@LAWS
+@given(data=st.data(), n=st.integers(0, 5))
+def test_power_is_the_repeated_product(sid, data, n):
+    # ** stops once x*out == out; the product of n copies never does
+    pres = _space(sid)
+    x = _element(data.draw, pres)
+    prod = pres.scalar(1)
+    for _ in range(n):
+        prod = pres.mul(prod, x)
+    assert _terms(x ** n) == _terms(prod)
 
 
 @pytest.mark.parametrize("sid", SPACES)

@@ -290,7 +290,7 @@ GOLDEN = {
     "proj:0,3": "cf4c130513336a39dac8a15246848949b59449e3877284dceca55bcc816a0cac",
     "binate:2,1": "41c080d33f43a54bdbb9df6bebcbaad54ba0cf3a613ce0b715ed061ab0bc816e",
     "binate:0,2": "5db6fce442e10a812f3b6f9421dacc21f0b1bfb215364fa38490d2ccb808dc28",
-    "quadric:1,1": "8ea07d99e7bf939a40c99934ecd708545d59fc72f8ca2a0f2647d8a3c693e392",
+    "quadric:1,1": "92e3b741e31a818ce053233946dc0097e0ec3c23cf42178273c059725ca44f31",
     "quadric:3,3": "20ef760f5ef40f6ef1798397dcddca910879670935d767813a1408fcdeadda75",
     "quadric:5,3": "9781035d6284939344a86fd88519d329a04773989153927fee28b260b96d75d4",
     "quadric:4,3": "d8cfceee0551df3d74c7253629c3238bf726b765762ab3be0ec457948a42b345",
@@ -753,6 +753,35 @@ def test_probe_reports_match_reducing_every_order():
     assert mismatches["flip"] >= 10 and mismatches["disable"] >= 100, mismatches
 
 
+@pytest.mark.parametrize("space", [s for s in CLASS_SPACES if s not in ("quadric:1,1", "binate:0,0")])
+def test_scalar_is_a_marked_normal_form(space):
+    pres = _space(space)
+    three = pres.scalar(3)
+    assert three._nf and three.level == "top" and not three.atoms
+    assert {m: v.c for m, v in three.c2.items()} == {MONO_ONE: PointElt.from_int(3).c}
+
+
+def _rho_mono_by_products(pres, m):
+    """rho of a monomial with rho(x) multiplied in d times: the reference
+    for the one reduction of ``_rho_mono``."""
+    s, t, i, j, d, w0, w1 = m
+    out = {(2 * s + 2 * j + 2 * w1 * pres.q, -s + t + i - j + w0 * pres.p - w1 * pres.q,
+            i + j + w0 * pres.p + w1 * pres.q, 0): 1}
+    A, B, C = pres.rho_x
+    for _ in range(d):
+        out = pres.levele.mul(out, {(A, B, C, 1): 1})
+    return out
+
+
+@pytest.mark.parametrize("space", ["quadric:3,3", "quadric:4,3", "quadric:3,4", "quadric:4,4",
+                                   "quadric:1,2", "quadric:2,1", "quadric:5,6", "quadric:0,3", "quadric:2,0"])
+def test_rho_of_a_monomial_is_one_reduction(space):
+    pres = _space(space)
+    box = itertools.product(range(-2, 3), range(-1, 2), range(3), range(3), range(1, 4), (0, 1), (0, 1))
+    for m in box:
+        assert list(pres._rho_mono(m).items()) == list(_rho_mono_by_products(pres, m).items()), m
+
+
 def test_probe_skips_some_orders_and_reduces_others():
     for sid in ("quadric:5,3", "quadric:4,4"):
         pres = make_space(sid)
@@ -811,6 +840,22 @@ def test_free_orbit_rho_of_x_is_zero(sid):
     assert P._rho_mono((0, 0, 0, 0, 2, 0, 0)) == {}
     rows = {row["identity"]: row for row in verify_relations(P)["identities"]}
     assert rows["x = 0"]["rho_raw"] and rows["x = 0"]["status"] == "pass"
+
+
+@pytest.mark.parametrize("sid", ["quadric:1,1", "binate:0,0"])
+def test_free_orbit_unit_is_a_rule(sid):
+    # 1 = t(y) is the rule unit: after reductions every class-table entry
+    # holds one rule, x_zero (x >= 1) or unit (x = 0)
+    P = make_space(sid)
+    names = [name for name, _, _ in P.rules]
+    assert names == ["x_zero", "unit"]
+    confluence_probe(P, samples=20, seed=3)
+    for m in itertools.product(range(-2, 3), range(-2, 3), range(3), range(3), range(3), (0, 1), (0, 1)):
+        P.monomial_elt(m, 3)
+    assert P._class_table
+    for key, entry in P._class_table.items():
+        assert entry == ((names.index("x_zero"),) if key[4] >= 1 else (names.index("unit"),)), key
+    assert str(P.scalar(1)) == "t(y)" and str(P.scalar(-2)) == "-2*t(y)"
 
 
 def _mixed_coeffs():
