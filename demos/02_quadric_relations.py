@@ -10,7 +10,6 @@ free-orbit class y seen through its transfers t(iota^a zeta^b y).
 import warnings
 
 from c2quadrics import RestrictedGradingWarning, make_quadric, parse_expression
-from c2quadrics.catalog import _div_elements
 
 warnings.simplefilter("ignore", RestrictedGradingWarning)
 
@@ -18,7 +17,7 @@ print("== odd-odd: Q^{5,3} ==")
 Q = make_quadric(5, 3)
 print("x * x                =", parse_expression(Q, "x*x"))
 print("cw^2 * cx            =", parse_expression(Q, "cw^2*cx"))
-divw, divx = _div_elements(Q)
+divw, divx = Q.gen("divw"), Q.gen("divx")
 print("divw                 =", divw)
 print("divx                 =", divx)
 print("divw * divx          =", Q.mul(divw, divx))

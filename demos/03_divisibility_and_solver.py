@@ -14,14 +14,13 @@ relations are pinned down.
 import warnings
 
 from c2quadrics import RestrictedGradingWarning, divisibility_witness, make_quadric, solve_undetermined
-from c2quadrics.catalog import _div_elements
 from c2quadrics.coefficients import PointElt, negkappa, trans
 from c2quadrics.grading import W, XW
 
 warnings.simplefilter("ignore", RestrictedGradingWarning)
 
 Q = make_quadric(5, 3)  # odd-odd with p = 2, q = 1
-divw, divx = _div_elements(Q)
+divw, divx = Q.gen("divw"), Q.gen("divx")
 
 print("witness for divw / z0:", divisibility_witness(Q, divw, "z0"))
 print("witness for divx / z1:", divisibility_witness(Q, divx, "z1"))

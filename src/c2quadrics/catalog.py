@@ -38,7 +38,7 @@ from .component import ComponentRing
 from .grading import Grading, OMEGA1, W, XW, coset_index, underlying_degree
 from .levele import LevelEModel, add_elts
 from .noneq import InvalidSizeError, NoneqQuadricRing
-from .rewrite import MONO_ONE, Presentation, RingElement, _add_count, _places, mono_mul
+from .rewrite import MONO_ONE, Presentation, RingElement, _places, mono_mul
 
 
 class RestrictedGradingWarning(UserWarning):
@@ -109,21 +109,6 @@ def make_space(space_id):
 # rule helpers
 
 
-def _terms_elt(pres, terms):
-    """Assemble the sum of terms as a raw RingElement.
-
-    terms entries are ("mono", point_coeff, mono) or ("atom", int, (a, b)),
-    the latter n * tau(iota^a zeta^b y).
-    """
-    out = RingElement(pres, "top")
-    for kind, c, payload in terms:
-        if kind == "mono":
-            _add_term(out.c2, payload, c)
-        else:
-            _add_count(out.atoms, payload, c)
-    return out
-
-
 def _mono(s=0, t=0, i=0, j=0, d=0, w0=0, w1=0):
     return (s, t, i, j, d, w0, w1)
 
@@ -179,10 +164,11 @@ _DIV_S = [(XI_PT, _mono(s=-1, t=-1))]
 # generic quadric-family presentation builder
 
 # deck: dict with p, q, has_x, has_atoms, corrw, corrx, xsq_terms,
-# top_terms, divdiv_terms, rho_x, levele, x_grading, raw_lhs, and for eta
-# (_build_eta) components; _finish adds z0_inv and z1_inv.  _quadric
-# derives a quadric's deck from (m, n): only xsq_terms and divdiv_terms
-# depend on the type, through _xsq_terms and _divdiv_terms
+# top_terms, divdiv_terms, rho_x, levele, x_grading, relations (each as
+# (name, raw left side (coeff, mono), right-side terms), read by
+# Presentation.identities), and for eta (_build_eta) components; _finish
+# adds z0_inv and z1_inv.  _quadric derives a quadric's deck from (m, n):
+# only xsq_terms and divdiv_terms depend on the type
 
 
 def _build_rules(pres):
@@ -663,15 +649,14 @@ def _build_eta(pres, deck):
 # deck constructors
 
 
-def _finish(name, space, deck, identities):
-    """The presentation of a deck; ``identities`` maps it to its relation
-    deck [(name, lhs, rhs)].  A zeta is invertible exactly when its side
-    has size 0 (never on BU(1), whose p is None)."""
+def _finish(name, space, deck):
+    """The presentation of a deck.  A zeta is invertible exactly when its
+    side has size 0 (never on BU(1), whose p is None).  A deck that states
+    its rules keeps them; every other deck gets ``_build_rules``."""
     cfg = dict(deck, z0_inv=deck["p"] == 0, z1_inv=deck["q"] == 0)
     cfg["canonical"] = _make_canonical(cfg)
-    cfg["identities"] = identities
     pres = Presentation(name, space, cfg)
-    pres.rules = _build_rules(pres)
+    pres.rules = deck["rules"] if "rules" in deck else _build_rules(pres)
     pres.eta_sides = _build_eta(pres, deck)
     return pres
 
@@ -698,23 +683,16 @@ def make_bu1():
         "has_x": False,
         "levele": LevelEModel("free"),
         "components": (("free", 0), ("free", 0)),
-        "raw_lhs": {
-            "zeta0*zeta1 = xi": (ONE, _mono(s=1, t=1)),
-            "e^2 = z0*cw - (1-k)*z1*cx": (E2, MONO_ONE),
-            "t(iota^-2)*z0*cw = t(iota^-2)*z1*cx": (TRANS_M1, _mono(s=1, i=1)),
-        },
-    }
-
-    def identities(P):
-        z0, z1, cw, cx = P.gen("z0"), P.gen("z1"), P.gen("cw"), P.gen("cx")
-        return [
-            ("zeta0*zeta1 = xi", z0 * z1, P.scalar(1) * XI_PT),
-            ("e^2 = z0*cw - (1-k)*z1*cx", P.scalar(1) * E2, z0 * cw - (z1 * cx) * UNIT_1MK),
+        "relations": [
+            ("zeta0*zeta1 = xi", (ONE, _mono(s=1, t=1)), [("mono", XI_PT, MONO_ONE)]),
+            ("e^2 = z0*cw - (1-k)*z1*cx", (E2, MONO_ONE),
+             [("mono", ONE, _mono(s=1, i=1)), ("mono", -UNIT_1MK, _mono(t=1, j=1))]),
             # consequence: t(iota^-2) z0 cw = t(iota^-2) z1 cx
-            ("t(iota^-2)*z0*cw = t(iota^-2)*z1*cx", (z0 * cw) * TRANS_M1, (z1 * cx) * TRANS_M1),
-        ]
-
-    return _finish("bu1", ("bu1",), deck, identities)
+            ("t(iota^-2)*z0*cw = t(iota^-2)*z1*cx", (TRANS_M1, _mono(s=1, i=1)),
+             [("mono", TRANS_M1, _mono(t=1, j=1))]),
+        ],
+    }
+    return _finish("bu1", ("bu1",), deck)
 
 
 def make_projective(p, q):
@@ -727,13 +705,9 @@ def make_projective(p, q):
         "levele": LevelEModel("proj", p + q),
         "top_terms": [],
         "components": tuple(("proj", k) if k else ("zero", 0) for k in (p, q)),
-        "raw_lhs": {"cw^p*cx^q = 0": (ONE, _mono(i=p, j=q))},
+        "relations": [("cw^p*cx^q = 0", (ONE, _mono(i=p, j=q)), [])],
     }
-
-    def identities(P):
-        return [("cw^p*cx^q = 0", (P.gen("cw") ** p) * (P.gen("cx") ** q), P.zero())]
-
-    return _finish("proj:%d,%d" % (p, q), ("proj", p, q), deck, identities)
+    return _finish("proj:%d,%d" % (p, q), ("proj", p, q), deck)
 
 
 def make_binate(p, q):
@@ -741,26 +715,24 @@ def make_binate(p, q):
         raise InvalidSizeError("binate needs p, q >= 0")
     if p == 0 and q == 0:
         return _make_free_orbit("binate:0,0", ("binate", 0, 0))
+    top = [("atom", 1, (2 * q, p - q))]
     deck = {
         "p": p,
         "q": q,
         "has_x": False,
         "has_atoms": True,
         "levele": LevelEModel("binate", p + q),
-        "top_terms": [("atom", 1, (2 * q, p - q))],
+        "top_terms": top,
         "components": tuple(("proj", k) if k else ("zero", 0) for k in (p, q)),
-        "raw_lhs": {"cw^p*cx^q = z0^q*z1^p*t(y)": (ONE, _mono(i=p, j=q))},
+        "relations": [("cw^p*cx^q = z0^q*z1^p*t(y)", (ONE, _mono(i=p, j=q)), top)],
     }
-
-    def identities(P):
-        lhs = (P.gen("cw") ** p) * (P.gen("cx") ** q)
-        return [("cw^p*cx^q = z0^q*z1^p*t(y)", lhs, P.tau_atom(2 * q, p - q))]
-
-    return _finish("binate:%d,%d" % (p, q), ("binate", p, q), deck, identities)
+    return _finish("binate:%d,%d" % (p, q), ("binate", p, q), deck)
 
 
 def _make_free_orbit(name, space):
-    """The free orbit C2 (the quadric Q^{1,1} and the binate S^{0,0})."""
+    """The free orbit C2 (the quadric Q^{1,1} and the binate S^{0,0}), where
+    no monomial is canonical.  Its rules: x = 0 (so rho(x) = 0 and there is
+    no rho_x), and 1 = tau(y), one transfer term: M*c = tau(rho(M*c)*y)."""
     deck = {
         "p": 0,
         "q": 0,
@@ -771,64 +743,16 @@ def _make_free_orbit(name, space):
         "x_grading": W + XW - Grading(2),
         "xsq_terms": [],
         "components": (("zero", 0), ("zero", 0)),
+        "rules": [
+            ("x_zero", lambda m: m[4] >= 1, _rhs()),
+            ("unit", lambda m: m[4] == 0, ((), (((0, 0), 1, MONO_ONE),))),
+        ],
+        "relations": [
+            ("x = 0", (ONE, _mono(d=1)), []),
+            ("1 = t(y)", (ONE, MONO_ONE), [("atom", 1, (0, 0))]),
+        ],
     }
-    cfg = dict(deck)
-    cfg["canonical"] = lambda m: False
-    cfg["identities"] = lambda P: [
-        ("x = 0", P.gen("x"), P.zero()),
-        ("1 = t(y)", P.scalar(1), P.tau_atom(0, 0)),
-    ]
-    # x is killed by the rule x_zero, so rho(x) = 0: the deck has no rho_x
-    cfg["raw_lhs"] = {"x = 0": (ONE, _mono(d=1)), "1 = t(y)": (ONE, MONO_ONE)}
-    pres = Presentation(name, space, cfg)
-    # the unit 1 = tau(y) is one transfer term at delta 1: M*c = tau(rho(M*c)*y)
-    pres.rules = [
-        ("x_zero", lambda m: m[4] >= 1, _rhs()),
-        ("unit", lambda m: m[4] == 0, ((), (((0, 0), 1, MONO_ONE),))),
-    ]
-    pres.eta_sides = _build_eta(pres, deck)
-    return pres
-
-
-def _div_elements(P):
-    """divw and divx assembled from their defining expressions."""
-    return tuple(
-        P.normal_form(_terms_elt(P, [("mono", c, m) for c, m in _divided(P, side)])) for side in (0, 1)
-    )
-
-
-def _quad_identities(P):
-    """The relation deck of a quadric."""
-    out = []
-    p, q = P.p, P.q
-    x = P.gen("x")
-    cw, cx = P.gen("cw"), P.gen("cx")
-    divw, divx = _div_elements(P)
-    xsq_rhs = P.zero()
-    for coeff, delta in P.xsq_terms:
-        xsq_rhs = xsq_rhs + P.monomial_elt(delta, coeff)
-    out.append(("x^2", x * x, xsq_rhs))
-    divdiv_rhs = _terms_elt(P, P.divdiv_terms)
-    out.append(("divw*divx", P.mul(divw, divx), P.normal_form(divdiv_rhs)))
-    top_rhs = _terms_elt(P, P.top_terms)
-    out.append(("cw^p*cx^q", (cw ** p) * (cx ** q), P.normal_form(top_rhs)))
-    A, B, C = P.rho_x
-    out.append(("rho(x)", P.rho(x), P.levele_elt({(A, B, C, 1): 1})))
-    # nonequivariant relations of the underlying quadric, level e
-    model = P.levele
-    if model.kind == "B":
-        out.append((
-            "c^%d = 2y" % model.size,
-            P.levele_elt({(0, 0, model.size, 0): 1}),
-            P.levele_elt({(0, 0, 0, 1): 2}),
-        ))
-    elif model.kind == "D" and model.size > 1:
-        out.append((
-            "c^%d = 2cy" % model.size,
-            P.levele_elt({(0, 0, model.size, 0): 1}),
-            P.levele_elt({(0, 0, 1, 1): 2}),
-        ))
-    return out
+    return _finish(name, space, deck)
 
 
 def _xsq_terms(m, n):
@@ -889,7 +813,8 @@ def _quadric(m, n):
     em, en = 1 - m % 2, 1 - n % 2
     g = (m + 1) // 2 * W + (n + 1) // 2 * XW - Grading(2)
     levele = LevelEModel("B" if (m + n) % 2 else "D", (m + n) // 2, t_fixes_y=bool(em and en))
-    divdiv = _divdiv_terms(m, n)
+    xsq, divdiv = _xsq_terms(m, n), _divdiv_terms(m, n)
+    top = divdiv + [("mono", nk(2), _mono(i=em, j=en, d=1))]
     deck = {
         "p": p,
         "q": q,
@@ -901,16 +826,16 @@ def _quadric(m, n):
         "components": tuple(("B" if k % 2 else "D", k // 2) if k > 1 else ("zero", 0) for k in (m, n)),
         "corrw": [] if em and p <= 1 else [(nk(2 * (q + 1 - en)), _mono(t=q - en, i=em, d=1))],
         "corrx": [] if en and q <= 1 else [(nk(2 * (p + 1 - em)), _mono(s=p - em, j=en, d=1))],
-        "xsq_terms": _xsq_terms(m, n),
+        "xsq_terms": xsq,
         "divdiv_terms": divdiv,
-        "top_terms": divdiv + [("mono", nk(2), _mono(i=em, j=en, d=1))],
-        "raw_lhs": {
-            "x^2": (ONE, _mono(d=2)),
-            "divw*divx": (ONE, _mono(w0=1, w1=1)),
-            "cw^p*cx^q": (ONE, _mono(i=p, j=q)),
-        },
+        "top_terms": top,
+        "relations": [
+            ("x^2", (ONE, _mono(d=2)), [("mono", c, x) for c, x in xsq]),
+            ("divw*divx", (ONE, _mono(w0=1, w1=1)), divdiv),
+            ("cw^p*cx^q", (ONE, _mono(i=p, j=q)), top),
+        ],
     }
-    pres = _finish("quadric:%d,%d" % (m, n), ("quadric", m, n), deck, _quad_identities)
+    pres = _finish("quadric:%d,%d" % (m, n), ("quadric", m, n), deck)
     if m == 2 or n == 2:
         warn = "grading restricted: RO(Pi Q^{%d,%d}) is larger than RO(Pi BU(1))" % (m, n)
         pres.warnings.append(warn)

@@ -45,6 +45,20 @@ class InhomogeneousError(ValueError):
 # Burnside ring
 
 
+def _burnside_operand(op):
+    """A binary operation of ``BurnsideElt`` that takes an int operand as a
+    ``BurnsideElt`` and gives NotImplemented for an operand of another type."""
+
+    def wrapped(self, other):
+        if isinstance(other, int):
+            other = BurnsideElt(other)
+        elif not isinstance(other, BurnsideElt):
+            return NotImplemented
+        return op(self, other)
+
+    return wrapped
+
+
 class BurnsideElt:
     """u + v*g in A(C2), exact integer arithmetic."""
 
@@ -54,21 +68,15 @@ class BurnsideElt:
         self.u = u
         self.v = v
 
+    @_burnside_operand
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = BurnsideElt(other)
-        if not isinstance(other, BurnsideElt):
-            return NotImplemented
         return (self.u, self.v) == (other.u, other.v)
 
     def __hash__(self):
         return hash((self.u, self.v))
 
+    @_burnside_operand
     def __add__(self, other):
-        if isinstance(other, int):
-            other = BurnsideElt(other)
-        elif not isinstance(other, BurnsideElt):
-            return NotImplemented
         return BurnsideElt(self.u + other.u, self.v + other.v)
 
     __radd__ = __add__
@@ -76,21 +84,15 @@ class BurnsideElt:
     def __neg__(self):
         return BurnsideElt(-self.u, -self.v)
 
+    @_burnside_operand
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = BurnsideElt(other)
-        elif not isinstance(other, BurnsideElt):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
+    @_burnside_operand
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = BurnsideElt(other)
-        elif not isinstance(other, BurnsideElt):
-            return NotImplemented
         # g*g = 2g
         return BurnsideElt(
             self.u * other.u,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 
-from .coefficients import G_PT, PointElt, negkappa, pos
+from .coefficients import G_PT, ONE_MONO, PointElt, negkappa, pos
 from .rewrite import GENERATORS, RingElement
 
 
@@ -111,6 +111,29 @@ class _Term:
             coeff = coeff * PointElt.monomial(negkappa(max(-self.e_exp, 0))) * (1 << (self.kappa - 1))
         return coeff
 
+    def mul_power(self, pres, x, n):
+        """Join x^n by exponent arithmetic when the normal form x is one term
+        with an integer coefficient v: a monomial whose n-th power is
+        canonical, or iota^a zeta^b c^d y^eps with eps <= 1 at level e.
+        (v, n) joins ``ints`` and n times the term's exponents join the
+        term's own.  False, with the term unchanged, for any other x."""
+        top = x.level == "top"
+        terms = x.c2 if top else x.e
+        if x.atoms or len(terms) != 1:
+            return False
+        (exps, v), = terms.items()
+        if top:
+            if list(v.c) != [ONE_MONO] or not pres.canonical(tuple(e * n for e in exps)):
+                return False
+            v = v.c[ONE_MONO]
+        elif exps[3] > 1:  # t(y) in the binate model
+            return False
+        self.ints.append((v, n))
+        slots = self.gens if top else self.levele
+        for k, e in enumerate(exps):
+            slots[k] += e * n
+        return True
+
     def evaluate(self, pres):
         out = pres.normal_form(RingElement(pres, "top", c2={tuple(self.gens): self.point_coeff()}))
         if any(self.levele):
@@ -189,7 +212,7 @@ class Parser:
                             else "cannot invert a general expression")
         elif kind == "int":
             t.ints.append((val, power))
-        else:
+        elif not t.mul_power(self.pres, val, power):
             t.factors.append(val ** power)
 
     def signed_int(self):

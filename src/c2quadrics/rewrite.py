@@ -118,6 +118,21 @@ def _add_raw(c2, atoms, x):
         _add_count(atoms, k, v)
 
 
+def _terms_elt(pres, terms):
+    """Assemble the sum of terms as a raw RingElement.
+
+    terms entries are ("mono", point_coeff, mono) or ("atom", int, (a, b)),
+    the latter n * tau(iota^a zeta^b y).
+    """
+    out = RingElement(pres, "top")
+    for kind, c, payload in terms:
+        if kind == "mono":
+            _add_term(out.c2, payload, c)
+        else:
+            _add_count(out.atoms, payload, c)
+    return out
+
+
 def _places(n):
     """The exponents that ``_class_key`` compares i with when p = n, and j
     with when q = n (n is None for bu1).  Between two adjacent places the
@@ -378,13 +393,14 @@ class Presentation:
         self.divdiv_terms = cfg.get("divdiv_terms")
         self.eta_sides = ()                  # one catalog.EtaSide per fixed component
         self.eta_images = {}                 # filled by catalog._eta_base on first use
-        self.identity_fn = cfg.get("identities", lambda P: [])  # P -> [(name, lhs, rhs)]
+        # [(name, (coeff, mono), terms)]: each relation's left side as one
+        # unreduced term, its right side as terms (``_terms_elt``)
+        self.relations = cfg.get("relations", [])
         self.max_steps = 200000
         self.rules = []                      # [(name, guard, rhs)], set by the catalog
         self.canonical_fn = cfg["canonical"]
-        # the left side of a top-level identity as one unreduced term:
-        # {identity name: (coeff, mono)}, read by solver.verify_relations
-        self.raw_lhs = cfg.get("raw_lhs", {})
+        # {relation name: (coeff, mono)}, read by solver.verify_relations
+        self.raw_lhs = {name: raw for name, raw, _ in self.relations}
         self._class_table = {}               # {class key: True | (rule index, ...)}
         self._class_rules = []               # the rules the table was built from
         self._sample_pool = None             # filled by _sample_monomials on first use
@@ -749,8 +765,29 @@ class Presentation:
     # -- misc ------------------------------------------------------------------
 
     def identities(self):
-        """The shipped relation deck: list of (name, lhs, rhs)."""
-        return self.identity_fn(self)
+        """The shipped relation deck: list of (name, lhs, rhs).  Each of
+        ``relations`` as coeff * the generator powers of mono = the normal
+        form of its terms, then rho(x) where the deck has it and the
+        nonequivariant relation at level e: c^P = 2y (B), 2cy (D, P > 1)."""
+        out = []
+        for name, (coeff, mono), terms in self.relations:
+            lhs = self.coeff_elt(coeff)
+            for g, e in zip(GENERATORS, mono):
+                if e:
+                    lhs = lhs * self.gen(g) ** e
+            out.append((name, lhs, self.normal_form(_terms_elt(self, terms))))
+        if self.rho_x is not None:
+            A, B, C = self.rho_x
+            out.append(("rho(x)", self.rho(self.gen("x")), self.levele_elt({(A, B, C, 1): 1})))
+        kind, P = self.levele.kind, self.levele.size
+        if kind == "B" or (kind == "D" and P > 1):
+            d = int(kind == "D")
+            out.append((
+                "c^%d = 2%sy" % (P, "c" if d else ""),
+                self.levele_elt({(0, 0, P, 0): 1}),
+                self.levele_elt({(0, 0, d, 1): 2}),
+            ))
+        return out
 
     def __repr__(self):
         return "Presentation(%s)" % self.name

@@ -203,13 +203,11 @@ def verify_relations(pres):
             # rho of the left side as written, one raw term taken termwise
             # to level e, never through normal_form: a reduction that is
             # wrong on both sides alike still shows here
-            if name in pres.raw_lhs:
-                coeff, mono = pres.raw_lhs[name]
-                row["rho_raw"] = pres._rho_mono_times(mono, point_rho(coeff)) == pres.rho(rhs).e
+            coeff, mono = pres.raw_lhs[name]
+            row["rho_raw"] = pres._rho_mono_times(mono, point_rho(coeff)) == pres.rho(rhs).e
             row["status"] = (
                 "pass"
-                if row["nf_zero"] and row["rho"] and row.get("rho_raw", True)
-                and row["eta"] and row["phi"]
+                if row["nf_zero"] and row["rho"] and row["rho_raw"] and row["eta"] and row["phi"]
                 else "fail"
             )
         else:

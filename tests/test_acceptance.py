@@ -12,7 +12,6 @@ import pytest
 
 from c2quadrics.catalog import (
     RestrictedGradingWarning,
-    _div_elements,
     basis_slice,
     make_binate,
     make_bu1,
@@ -124,7 +123,7 @@ def test_criterion_3_lemma_solver():
             Q.monomial_elt((0, 0, 0, 0, 1, 0, 0), nk(2)),
             Q.monomial_elt((1, 0, 1, 0, 1, 0, 0), nk(4)),
         ]
-        divw, divx = _div_elements(Q)
+        divw, divx = Q.gen("divw"), Q.gen("divx")
         prod = Q.mul(divw, divx)
         res = solve_undetermined(
             Q, p * W + q * XW, candidates, {"rho": Q.rho(prod), "phi": Q.phi(prod)}
@@ -137,7 +136,7 @@ def test_criterion_3_lemma_solver():
             D.monomial_elt((0, 0, 1, 0, 1, 0, 0), nk(2)),
             D.monomial_elt((1, 0, 2, 0, 1, 0, 0), nk(4)),
         ]
-        divw, divx = _div_elements(D)
+        divw, divx = D.gen("divw"), D.gen("divx")
         prod = D.mul(divw, divx)
         res = solve_undetermined(
             D, p * W + q * XW, candidates, {"rho": D.rho(prod), "phi": D.phi(prod)}
@@ -306,7 +305,7 @@ def test_criterion_8_witnesses():
         pres = make_quadric(m, n)
         if pres.free_orbit:
             continue
-        divw, divx = _div_elements(pres)
+        divw, divx = pres.gen("divw"), pres.gen("divx")
         assert divisibility_witness(pres, divw, "z0")["divisible"], (m, n)
         assert divisibility_witness(pres, divx, "z1")["divisible"], (m, n)
         succeeded += 2

@@ -13,7 +13,7 @@ from c2quadrics.atlas import (
     element_to_doc,
     load_atlas,
 )
-from c2quadrics.catalog import RestrictedGradingWarning, _div_elements, make_quadric, make_space
+from c2quadrics.catalog import RestrictedGradingWarning, make_quadric, make_space
 from c2quadrics.rewrite import NonTerminatingError
 
 warnings.simplefilter("ignore", RestrictedGradingWarning)
@@ -21,7 +21,7 @@ warnings.simplefilter("ignore", RestrictedGradingWarning)
 
 def test_element_round_trip():
     Q = make_quadric(5, 3)
-    divw, _ = _div_elements(Q)
+    divw = Q.gen("divw")
     x = Q.mul(divw, Q.monomial_elt((-1, 0, 0, 1, 0, 1, 0)))
     doc = element_to_doc(Q.normal_form(x))
     back = element_from_doc(Q, json.loads(json.dumps(doc)))

@@ -1,6 +1,7 @@
 """Deck-level tests: the shipped relation decks, degenerate cases, swap,
 and the slice enumeration against the two dot figures."""
 
+import itertools
 import warnings
 
 import pytest
@@ -8,11 +9,9 @@ import pytest
 from c2quadrics.catalog import (
     E2,
     RestrictedGradingWarning,
-    _div_elements,
     _divided_image,
     _swap_key,
     _swap_mono,
-    _terms_elt,
     basis_slice,
     make_binate,
     make_nonequiv_quadric,
@@ -28,7 +27,7 @@ from c2quadrics.expressions import parse_expression
 from c2quadrics.grading import Grading, OMEGA0, OMEGA1, W, XW
 from c2quadrics.levele import add_elts
 from c2quadrics.noneq import InvalidSizeError
-from c2quadrics.rewrite import GENERATORS
+from c2quadrics.rewrite import GENERATORS, _terms_elt
 from c2quadrics.solver import _grading_counts
 
 
@@ -107,7 +106,7 @@ def test_bb_x_squared_and_div_product():
     Q = make_quadric(5, 3)  # BB(2,1)
     x = Q.gen("x")
     assert (x * x).is_zero()
-    divw, divx = _div_elements(Q)
+    divw, divx = Q.gen("divw"), Q.gen("divx")
     assert Q.mul(divw, divx) == Q.tau_atom(2, 1)
 
 
@@ -172,7 +171,7 @@ def test_db_divdiv():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RestrictedGradingWarning)
         Q = make_quadric(4, 3)  # DB(2,1)
-    divw, divx = _div_elements(Q)
+    divw, divx = Q.gen("divw"), Q.gen("divx")
     rhs = Q.monomial_elt((0, 1, 0, 0, 1, 0, 0), PointElt.monomial(trans(-1)))
     assert Q.mul(divw, divx) == rhs
 
@@ -181,7 +180,7 @@ def test_dd_divdiv_and_final_relation():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RestrictedGradingWarning)
         Q = make_quadric(4, 4)  # DD(2,2)
-    divw, divx = _div_elements(Q)
+    divw, divx = Q.gen("divw"), Q.gen("divx")
     t_m1 = PointElt.monomial(trans(-1))
     rhs = Q.monomial_elt((1, 0, 1, 0, 1, 0, 0), t_m1)
     assert Q.mul(divw, divx) == rhs
@@ -198,6 +197,16 @@ def test_free_orbit_quadric():
     assert Q.scalar(1) == Q.tau_atom(0, 0)
     sl = basis_slice(Q, 0, ((-8, 8), (-8, 8)))
     assert [label for _, label in sl] == ["C2/e"]
+
+
+@pytest.mark.parametrize("sid", ["quadric:1,1", "binate:0,0"])
+def test_free_orbit_is_finished_like_every_deck(sid):
+    # p = q = 0: both zetas are invertible, as on every side of size 0, and
+    # _make_canonical accepts no monomial; the deck states its two rules
+    P = make_space(sid)
+    assert (P.z0_inv, P.z1_inv) == (True, True)
+    assert not any(P.canonical(m) for m in itertools.product(range(-3, 4), repeat=7))
+    assert [name for name, _, _ in P.rules] == ["x_zero", "unit"]
 
 
 def test_trivial_action_quadric():
@@ -762,7 +771,11 @@ def test_generators_and_divided_classes(m):
         if m + n < 2:
             continue
         P = make_space("quadric:%d,%d" % (m, n))
-        divided = _div_elements(P)
+        # divw = cw^p - corrw and divx = cx^q - corrx
+        divided = [
+            P.gen(c) ** size - sum((P.monomial_elt(delta, coeff) for coeff, delta in corr), P.zero())
+            for c, size, corr in (("cw", P.p, P.corrw), ("cx", P.q, P.corrx))
+        ]
         for side, name in enumerate(("divw", "divx")):
             g = P.gen(name)
             assert g == divided[side]

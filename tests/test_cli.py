@@ -263,6 +263,56 @@ def test_powers_stop_at_a_fixed_point(space, expr, first):
     assert proc.stdout.splitlines()[0] == first
 
 
+@pytest.mark.parametrize("space, expr, code, first", [
+    ("quadric:3,3", "(2)^100000000", 2, None),
+    ("quadric:3,3", "(-1)^100000001", 0, "-1"),
+    ("quadric:3,3", "(zeta)^100000000", 0, "zeta^100000000"),
+    ("bu1", "(cw)^100000000", 0, "cw^100000000"),
+])
+def test_single_term_powers_answer_at_once(space, expr, code, first):
+    # a parenthesised base with one term and an integer coefficient is
+    # raised by exponent arithmetic, so its integer power meets the bound
+    # on the integer factor of a term
+    proc = _reduce_in_subprocess(space, expr)
+    assert proc.returncode == code, proc.stderr
+    if first is None:
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("parse error:"), proc.stderr
+    else:
+        assert proc.stdout.splitlines()[0] == first
+
+
+def test_a_parenthesised_non_class_stays_an_error(capsys):
+    code, out, err = run(capsys, "reduce", "quadric:3,3", "(z0^-1)*z0")
+    assert code == 2 and out == ""
+    assert err.startswith("not a class:")
+
+
+def _single_term_bases(sid):
+    from c2quadrics.levele import levele_str
+    from c2quadrics.rewrite import _sample_monomials, mono_str
+
+    P = c2quadrics.make_space(sid)
+    monos = ((0,) * 7,) + _sample_monomials(P)[::4]
+    bases = ["%d*%s" % (c, mono_str(m)) for m in monos for c in (1, -2)]
+    keys = [(a, b, d, eps) for a in (-1, 2) for b in (-1, 1) for d in (0, 1) for eps in (0, 1)]
+    return bases + [levele_str({k: c}) for k in keys for c in (1, -2)]
+
+
+@pytest.mark.parametrize("sid", ["quadric:3,3", "quadric:4,4", "binate:2,1", "bu1", "point"])
+def test_single_term_powers_print_as_repeated_products(capsys, monkeypatch, sid):
+    # for N <= 6 the exponent arithmetic prints what the repeated
+    # multiplication of RingElement.__pow__ prints, byte for byte
+    from c2quadrics.expressions import _Term
+
+    cases = [("(%s)^%d" % (base, n)) for base in _single_term_bases(sid) for n in range(7)]
+    fast = [run(capsys, "reduce", sid, "--", expr) for expr in cases]
+    monkeypatch.setattr(_Term, "mul_power", lambda self, pres, x, n: False)
+    slow = [run(capsys, "reduce", sid, "--", expr) for expr in cases]
+    assert fast == slow
+    assert sum(code == 0 for code, _, _ in fast) > len(cases) // 2
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
 )

@@ -68,6 +68,21 @@ def test_burnside_ring():
     assert G.cardinality() == 2 and G.fixed_mark() == 0
 
 
+def test_burnside_int_operands():
+    # an int operand is a Burnside element on either side; any other type
+    # is left to the other operand
+    x = BurnsideElt(3, -2)
+    assert x == BurnsideElt(3, -2) and BurnsideElt(5) == 5 and x != 3
+    assert (x + 2, 2 + x, x - 2, 2 - x) == (BurnsideElt(5, -2), BurnsideElt(5, -2), BurnsideElt(1, -2), BurnsideElt(-1, 2))
+    assert x * 3 == 3 * x == BurnsideElt(9, -6)
+    for op in ("__eq__", "__add__", "__sub__", "__mul__"):
+        assert getattr(x, op)(1.5) is NotImplemented
+        assert getattr(x, op)("g") is NotImplemented
+    assert x != "g"
+    with pytest.raises(TypeError):
+        x + 1.5
+
+
 def test_levele_taction():
     i3 = iota(3)
     assert FREE.t_act(i3) == iota(3, -1)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from c2quadrics.catalog import (
     RestrictedGradingWarning,
-    _div_elements,
     make_binate,
     make_bu1,
     make_projective,
@@ -261,7 +260,7 @@ def _divdiv_candidates(Q, kind, p, q):
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 2), (3, 2)])
 def test_lemma_solver_bb(p, q):
     Q = make_quadric(2 * p + 1, 2 * q + 1)
-    divw, divx = _div_elements(Q)
+    divw, divx = Q.gen("divw"), Q.gen("divx")
     prod = Q.mul(divw, divx)
     res = solve_undetermined(
         Q,
@@ -277,7 +276,7 @@ def test_lemma_solver_db(p, q):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RestrictedGradingWarning)
         Q = make_quadric(2 * p, 2 * q + 1)
-    divw, divx = _div_elements(Q)
+    divw, divx = Q.gen("divw"), Q.gen("divx")
     prod = Q.mul(divw, divx)
     res = solve_undetermined(
         Q,
@@ -301,7 +300,7 @@ def test_zero_targets_zero_vector():
 
 def test_divisibility_witnesses():
     Q = make_quadric(5, 3)
-    divw, divx = _div_elements(Q)
+    divw, divx = Q.gen("divw"), Q.gen("divx")
     assert divisibility_witness(Q, divw, "z0")["divisible"]
     assert divisibility_witness(Q, divx, "z1")["divisible"]
     assert not divisibility_witness(Q, Q.gen("cw") ** 2, "z0")["divisible"]
