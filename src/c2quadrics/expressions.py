@@ -54,6 +54,14 @@ def _int(tok):
         raise ExprError("an integer of %d digits is past the digit limit" % len(tok)) from None
 
 
+def _levele_term(pres, a, b, d, eps):
+    """iota^a zeta^b c^d y^eps at level e."""
+    # a level-e key holds y at most once: in the binate model
+    # (a, b, d, 2) is the key of t(y), so further y factors are a power
+    out = pres.levele_elt({(a, b, d, min(eps, 1)): 1})
+    return pres.mul(out, pres.levele_elt({(0, 0, 0, 1): 1}) ** (eps - 1)) if eps > 1 else out
+
+
 class _Term:
     """A product in flight: integer powers, point-coefficient exponents,
     generator and level-e exponents, and the parenthesised and t(...)
@@ -96,8 +104,8 @@ class _Term:
             raise ExprError("unknown symbol %r" % name)
 
     def point_coeff(self):
-        # v <= 2^b for b = (v - 1).bit_length(), so v^n has at most b*n + 1 bits
-        bits = sum(max(v - 1, 0).bit_length() * n for v, n in self.ints)
+        # |v| <= 2^b for b = (|v| - 1).bit_length(), so v^n has at most b*n + 1 bits
+        bits = sum(max(abs(v) - 1, 0).bit_length() * n for v, n in self.ints)
         if bits + max(self.kappa - 1, 0) + max(self.g - 1, 0) > _MAX_BITS:
             raise ExprError("the integer factor of a term is past %d bits" % _MAX_BITS)
         coeff = PointElt.from_int(math.prod(v ** n for v, n in self.ints))
@@ -115,8 +123,9 @@ class _Term:
         """Join x^n by exponent arithmetic when the normal form x is one term
         with an integer coefficient v: a monomial whose n-th power is
         canonical, or iota^a zeta^b c^d y^eps with eps <= 1 at level e.
-        (v, n) joins ``ints`` and n times the term's exponents join the
-        term's own.  False, with the term unchanged, for any other x."""
+        (v, n) joins ``ints``, and the term's exponents times n make a
+        factor of its own, multiplied in at the end as x^n would be.  False,
+        with the term unchanged, for any other x."""
         top = x.level == "top"
         terms = x.c2 if top else x.e
         if x.atoms or len(terms) != 1:
@@ -129,20 +138,16 @@ class _Term:
         elif exps[3] > 1:  # t(y) in the binate model
             return False
         self.ints.append((v, n))
-        slots = self.gens if top else self.levele
-        for k, e in enumerate(exps):
-            slots[k] += e * n
+        if n:  # x^0 is the top-level 1, as RingElement.__pow__ gives it
+            exps = tuple(e * n for e in exps)
+            self.factors.append(pres.normal_form(RingElement(pres, "top", c2={exps: 1})) if top
+                                else _levele_term(pres, *exps))
         return True
 
     def evaluate(self, pres):
         out = pres.normal_form(RingElement(pres, "top", c2={tuple(self.gens): self.point_coeff()}))
         if any(self.levele):
-            a, b, d, eps = self.levele
-            # a level-e key holds y at most once: in the binate model
-            # (a, b, d, 2) is the key of t(y), so further y factors are a power
-            out = pres.mul(out, pres.levele_elt({(a, b, d, min(eps, 1)): 1}))
-            if eps > 1:
-                out = pres.mul(out, pres.levele_elt({(0, 0, 0, 1): 1}) ** (eps - 1))
+            out = pres.mul(out, _levele_term(pres, *self.levele))
         for f in self.factors:
             out = pres.mul(out, f)
         # g last: g^j = 2^(j-1) g scales the class, and taken into the

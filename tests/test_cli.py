@@ -265,6 +265,8 @@ def test_powers_stop_at_a_fixed_point(space, expr, first):
 
 @pytest.mark.parametrize("space, expr, code, first", [
     ("quadric:3,3", "(2)^100000000", 2, None),
+    ("quadric:3,3", "(-2)^100000000", 2, None),
+    ("quadric:3,3", "(-2*zeta)^100000000", 2, None),
     ("quadric:3,3", "(-1)^100000001", 0, "-1"),
     ("quadric:3,3", "(zeta)^100000000", 0, "zeta^100000000"),
     ("bu1", "(cw)^100000000", 0, "cw^100000000"),
@@ -280,6 +282,29 @@ def test_single_term_powers_answer_at_once(space, expr, code, first):
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("parse error:"), proc.stderr
     else:
         assert proc.stdout.splitlines()[0] == first
+
+
+@pytest.mark.parametrize("expr, code, first", [
+    ("t(zeta^-1*(zeta))", 0, "(-k + 2)"),
+    ("t((iota)*(iota^-1))", 0, "(-k + 2)"),
+    ("(iota)*(iota^-1)*x", 0, "iota^4*c*y"),
+    ("(zeta)*(zeta^-1)", 0, "1"),
+    ("(zeta)*(zeta^-1) + x", 2, "not a class: cannot add level-e and level-top elements"),
+    ("(z0)*z0^-1", 2, "not a class: no rule rewrites z0^-1 in quadric:3,3"),
+    ("cw*z1^-1*(z0)", 2, "not a class: no rule rewrites z1^-1*cw in quadric:3,3"),
+])
+def test_a_raised_base_is_a_factor_of_its_own(capsys, monkeypatch, expr, code, first):
+    # the exponents of a base raised by exponent arithmetic do not cancel
+    # against the term's other factors: a level-e base keeps the product at
+    # level e, and z0^-1 beside (z0) is still not a class, as when x^n is
+    # multiplied in as it stands
+    from c2quadrics.expressions import _Term
+
+    fast = run(capsys, "reduce", "quadric:3,3", "--", expr)
+    assert fast[0] == code
+    assert (fast[1] or fast[2]).splitlines()[0] == first
+    monkeypatch.setattr(_Term, "mul_power", lambda self, pres, x, n: False)
+    assert run(capsys, "reduce", "quadric:3,3", "--", expr) == fast
 
 
 def test_a_parenthesised_non_class_stays_an_error(capsys):
