@@ -22,6 +22,7 @@ either directly on x-monomials or through the divw/divx flags.
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 from .coefficients import (
@@ -160,6 +161,19 @@ _CX_ELIM = [(UNIT_1MK, _mono(s=1, t=-1, i=1, j=-1)), _CX_TAIL]
 _DIV_S = [(XI_PT, _mono(s=-1, t=-1))]
 
 
+@functools.lru_cache(maxsize=None)
+def _cw_jump(k, side):
+    """``_W0_CW`` (side 0) or ``_W1_CX`` (side 1) raised to the power
+    K = 2^k, as one right-hand side: e^{2K} z0^-K cw^-K + xi^K z0^-2K cw^-K
+    cx^K, or its swap.  Each of the k squarings squares the two terms
+    alone, since (a + b)^2 = a^2 + b^2 when 2ab = 0, and here ab carries the
+    mixed, 2-torsion coefficient e^2 xi (with (1-k)xi = xi, as k*xi = 0)."""
+    pairs = (_W0_CW, _W1_CX)[side]
+    for _ in range(k):
+        pairs = [(c * c, mono_mul(d, d)) for c, d in pairs]
+    return _rhs(pairs)
+
+
 # ---------------------------------------------------------------------------
 # generic quadric-family presentation builder
 
@@ -184,6 +198,15 @@ def _build_rules(pres):
     Every right-hand side is data, ``(pairs, atoms)`` from ``_rhs``; a rule
     whose right-hand side depends on the monomial holds a plain function of
     the monomial that returns it.
+
+    ``w0_cw``, ``w1_cx`` and ``ihigh`` apply the e^2-relation K times in
+    one firing, K the largest power of two <= n for n = i, j and i - p:
+    the K-th power of the one-step right-hand side keeps two terms
+    (``_cw_jump``), and the normal forms are those of the one-step rules
+    (the tests keep those as the reference).  A firing still adds two
+    pairs, so ``max_steps`` keeps its meaning, and a chain of length n
+    takes about 2^popcount(n) - 1 firings where it took one per unit of n
+    per live term.
     """
     p, q = pres.p, pres.q
     has_x, z0_inv, z1_inv = pres.has_x, pres.z0_inv, pres.z1_inv
@@ -262,8 +285,10 @@ def _build_rules(pres):
                 and w0 == 1 and w1 == 0 and d == 0 and i >= 1 and t == 0
             )
 
-        rules.append(("w0_cw", g_w0cw, _rhs(_W0_CW)))
-        rules.append(("w1_cx", lambda m: g_w0cw(_swap_mono(m)), _rhs(_W1_CX)))
+        rules.append(("w0_cw", g_w0cw, lambda m: _cw_jump(m[2].bit_length() - 1, 0)))
+        rules.append((
+            "w1_cx", lambda m: g_w0cw(_swap_mono(m)), lambda m: _cw_jump(m[3].bit_length() - 1, 1)
+        ))
 
         def g_w0cx(m):
             s, t, i, j, d, w0, w1 = m
@@ -369,7 +394,7 @@ def _build_rules(pres):
                     return False
                 return s <= 0 and t == 0 and i >= p + 1 and j <= q - 1 and w0 == 0 and w1 == 0
 
-            rules.append(("ihigh", g_ihigh, _rhs(_W0_CW)))
+            rules.append(("ihigh", g_ihigh, lambda m: _cw_jump((m[2] - p).bit_length() - 1, 0)))
 
             def g_tpos_ihigh(m):
                 s, t, i, j, d, w0, w1 = m

@@ -121,18 +121,22 @@ class _Term:
 
     def mul_power(self, pres, x, n):
         """Join x^n by exponent arithmetic when the normal form x is one term
-        with an integer coefficient v: a monomial whose n-th power is
-        canonical, or iota^a zeta^b c^d y^eps with eps <= 1 at level e.
-        (v, n) joins ``ints``, and the term's exponents times n make a
-        factor of its own, multiplied in at the end as x^n would be.  False,
-        with the term unchanged, for any other x."""
+        with an integer coefficient v: a monomial, iota^a zeta^b c^d y^eps
+        with eps <= 1 at level e, or v*t(y) on the free orbit, where t(y) is
+        the unit.  (v, n) joins ``ints``, and the term's exponents times n
+        make a factor of its own (its normal form at level top), multiplied
+        in at the end as x^n would be.  False, with the term unchanged, for
+        any other x."""
         top = x.level == "top"
         terms = x.c2 if top else x.e
+        if pres.free_orbit and top and not terms and list(x.atoms) == [(0, 0)]:
+            self.ints.append((x.atoms[(0, 0)], n))
+            return True
         if x.atoms or len(terms) != 1:
             return False
         (exps, v), = terms.items()
         if top:
-            if list(v.c) != [ONE_MONO] or not pres.canonical(tuple(e * n for e in exps)):
+            if list(v.c) != [ONE_MONO]:
                 return False
             v = v.c[ONE_MONO]
         elif exps[3] > 1:  # t(y) in the binate model

@@ -205,9 +205,14 @@ def verify_relations(pres):
             # wrong on both sides alike still shows here
             coeff, mono = pres.raw_lhs[name]
             row["rho_raw"] = pres._rho_mono_times(mono, point_rho(coeff)) == pres.rho(rhs).e
+            # the left side as one raw term, reduced as the parser would: the
+            # expanded product in lhs never meets a rule such as divdiv that
+            # states the relation itself
+            row["nf_raw"] = pres.normal_form(RingElement(pres, "top", c2={mono: coeff})) == rhs
             row["status"] = (
                 "pass"
-                if row["nf_zero"] and row["rho"] and row["rho_raw"] and row["eta"] and row["phi"]
+                if row["nf_zero"] and row["rho"] and row["rho_raw"] and row["nf_raw"]
+                and row["eta"] and row["phi"]
                 else "fail"
             )
         else:

@@ -2,6 +2,7 @@
 and the slice enumeration against the two dot figures."""
 
 import itertools
+import random
 import warnings
 
 import pytest
@@ -9,7 +10,10 @@ import pytest
 from c2quadrics.catalog import (
     E2,
     RestrictedGradingWarning,
+    _W0_CW,
+    _W1_CX,
     _divided_image,
+    _rhs,
     _swap_key,
     _swap_mono,
     basis_slice,
@@ -27,8 +31,14 @@ from c2quadrics.expressions import parse_expression
 from c2quadrics.grading import Grading, OMEGA0, OMEGA1, W, XW
 from c2quadrics.levele import add_elts
 from c2quadrics.noneq import InvalidSizeError
-from c2quadrics.rewrite import GENERATORS, _terms_elt
-from c2quadrics.solver import _grading_counts
+from c2quadrics.rewrite import (
+    GENERATORS,
+    NonTerminatingError,
+    NotAClassError,
+    RingElement,
+    _terms_elt,
+)
+from c2quadrics.solver import POINT_COEFFS, _grading_counts
 
 
 def nk(n):
@@ -788,3 +798,49 @@ def test_generators_and_divided_classes(m):
 def test_unknown_generator_raises():
     with pytest.raises(ValueError):
         make_space("quadric:3,3").gen("cz")
+
+
+# every deck kind with a cw chain: the four quadric parities, p or q <= 2,
+# proj:p,q with p or q in {0, 1}, binate, and the z0/z1-invertible decks
+JUMP_SPACES = [
+    "quadric:5,3", "quadric:4,3", "quadric:3,4", "quadric:4,4", "quadric:2,2",
+    "quadric:3,2", "quadric:6,5", "quadric:9,7", "quadric:2,1", "quadric:1,3",
+    "proj:1,3", "proj:3,1", "proj:0,2", "binate:2,1", "binate:1,2",
+]
+
+
+def _outcome(pres, x):
+    """The exact normal form of x, or the error it raises."""
+    try:
+        nf = pres.normal_form(x)
+    except (NotAClassError, NonTerminatingError) as exc:
+        return type(exc).__name__, str(exc)
+    return {m: v.c for m, v in nf.c2.items()}, nf.atoms
+
+
+@pytest.mark.parametrize("sid", JUMP_SPACES)
+def test_chain_jumps_match_single_steps(sid):
+    """w0_cw, w1_cx and ihigh lower the cw (cx) exponent by the largest
+    power of two at once; with the one-step right-hand sides ``_W0_CW`` and
+    ``_W1_CX`` put back in place, every normal form is the same."""
+    jump = make_space(sid)
+    step = make_space(sid)
+    one = {"w0_cw": _rhs(_W0_CW), "w1_cx": _rhs(_W1_CX), "ihigh": _rhs(_W0_CW)}
+    step.rules = [(name, guard, one.get(name, rhs)) for name, guard, rhs in step.rules]
+    assert [name for name, _, _ in step.rules if name in one] == [
+        name for name, _, _ in jump.rules if name in one
+    ]
+    p, q = jump.p, jump.q
+    w = (0, 1) if jump.has_x else (0,)
+    box = [
+        (s, t, i, j, d, w0, w1)
+        for s in (-2, -1, 0, 1) for t in (-1, 0, 1)
+        for i in range(4 * p + 9) for j in range(4 * q + 9)
+        for d in (0, 1) if jump.has_x or d == 0
+        for w0 in w for w1 in w
+    ]
+    rng = random.Random(sid)
+    for _ in range(1000):
+        c2 = {m: rng.choice(POINT_COEFFS) for m in rng.sample(box, rng.choice((1, 2)))}
+        x = RingElement(jump, "top", c2=c2)
+        assert _outcome(jump, x) == _outcome(step, RingElement(step, "top", c2=c2)), (sid, c2)

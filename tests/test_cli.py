@@ -228,13 +228,18 @@ def test_result_past_the_digit_limit_is_one_line(capsys):
     assert err.count("\n") == 1 and err.startswith("result too large to print:")
 
 
-def _reduce_in_subprocess(space, expr):
-    """``reduce space expr`` in a fresh interpreter, which must end in 20 s."""
+def _cli_in_subprocess(*argv):
+    """``c2quadrics argv`` in a fresh interpreter, which must end in 20 s."""
     env = dict(os.environ, PYTHONPATH=str(Path(c2quadrics.__file__).resolve().parents[1]))
     return subprocess.run(
-        [sys.executable, "-m", "c2quadrics", "reduce", space, "--", expr],
+        [sys.executable, "-m", "c2quadrics", *argv],
         capture_output=True, text=True, timeout=20, env=env,
     )
+
+
+def _reduce_in_subprocess(space, expr):
+    """``reduce space expr`` in a fresh interpreter, which must end in 20 s."""
+    return _cli_in_subprocess("reduce", space, "--", expr)
 
 
 @pytest.mark.skipif(
@@ -270,6 +275,11 @@ def test_powers_stop_at_a_fixed_point(space, expr, first):
     ("quadric:3,3", "(-1)^100000001", 0, "-1"),
     ("quadric:3,3", "(zeta)^100000000", 0, "zeta^100000000"),
     ("bu1", "(cw)^100000000", 0, "cw^100000000"),
+    ("quadric:3,3", "(cw)^300000", 0, "e^599998*z0^-299999*divw"),
+    ("quadric:1,1", "(2)^100000000", 2, None),
+    ("quadric:1,1", "(-2)^100000001", 2, None),
+    ("quadric:1,1", "(2)^10", 0, "1024*t(y)"),
+    ("binate:0,0", "(-3)^3", 0, "-27*t(y)"),
 ])
 def test_single_term_powers_answer_at_once(space, expr, code, first):
     # a parenthesised base with one term and an integer coefficient is
@@ -389,11 +399,47 @@ def test_golden_outputs(capsys, argv, digest):
 
 
 def test_step_budget_is_one_line(capsys):
-    code, out, err = run(capsys, "reduce", "quadric:3,3", "cw^300000")
+    # cw^(2^20 - 1) has twenty ones in binary: its chain outgrows the budget
+    code, out, err = run(capsys, "reduce", "quadric:3,3", "cw^1048575")
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("rule set at fault: step budget exceeded in quadric:3,3")
+
+
+def test_a_long_power_chain_answers(capsys):
+    # w0_cw lowers cw by the largest power of two at each firing
+    code, out, err = run(capsys, "reduce", "quadric:3,3", "cw^300000")
+    assert code == 0, err
+    assert out.splitlines()[0] == "e^599998*z0^-299999*divw"
+
+
+@pytest.mark.parametrize("space, expr, first", [
+    ("quadric:8000,3", "cw^6800",
+     "e^5600*z0^-2800*divw + e^-4*k*z1*cw^2801*x + t(iota^-4)*z1^3*cw^2799*x"),
+    ("quadric:20000,3", "z1^3*cw^17343",
+     "e^14686*xi^3*z0^-7346*divw + e^-4*k*z1^4*cw^7344*x + t(iota^-4)*z1^6*cw^7342*x"),
+])
+def test_cw_chains_at_large_p_answer(space, expr, first):
+    # these chains ran past the step budget while w0_cw took one step a firing
+    proc = _reduce_in_subprocess(space, expr)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == first
+
+
+def test_verify_full_passes_at_large_p():
+    # its homogeneity sampler meets (z1*cw^9011)*(z1^2*cw^8332)
+    proc = _cli_in_subprocess("verify", "quadric:20000,3", "--full")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "overall: pass"
+
+
+def test_a_raised_chain_past_the_budget_is_one_line():
+    proc = _reduce_in_subprocess("quadric:3,3", "(cw)^100000000")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("rule set at fault: step budget exceeded in quadric:3,3")
 
 
 @pytest.mark.parametrize("expr", ["cw^", "cw*", "(cw", "2*(cw+", "t("])

@@ -17,6 +17,7 @@ from c2quadrics.catalog import (
 from c2quadrics.coefficients import UNIT_1MK, XI_PT
 from c2quadrics.rewrite import _terms_elt
 from c2quadrics.solver import verify_relations
+from conftest import negated_rhs
 
 
 # -- the reference: the identity functions of the decks, as they were -------
@@ -148,6 +149,23 @@ def test_every_top_level_row_checks_raw_rho(sid):
     assert list(P.raw_lhs) == [name for name, _, _ in P.relations]
     for row in top:
         assert row["rho_raw"] is True and row["status"] == "pass", (sid, row)
+        assert row["nf_raw"] is True, (sid, row)
+
+
+@pytest.mark.parametrize("sid", ["quadric:9,7", "quadric:6,3"])
+def test_a_negated_divdiv_rule_fails_the_raw_left_side(sid):
+    # identities() expands divw*divx through gen("divw") and gen("divx"), so
+    # the rule divdiv, which states the relation, fires only on the raw term
+    P = _space(sid)
+    k = [name for name, _, _ in P.rules].index("divdiv")
+    name, guard, rhs = P.rules[k]
+    P.rules[k] = (name, guard, negated_rhs(rhs))
+    report = verify_relations(P)
+    rows = {row["identity"]: row for row in report["identities"]}
+    row = rows["divw*divx"]
+    assert row["nf_zero"] and row["rho"] and row["rho_raw"] and row["eta"] and row["phi"]
+    assert not row["nf_raw"] and row["status"] == "fail"
+    assert not report["ok"]
 
 
 def _plant(P, name, change):

@@ -437,27 +437,38 @@ def test_golden_atom_products(space):
 # sha256 per space of _exact_digest: a BB, a DB and a binate deck and the
 # free orbit.  The digests above sort the terms; these pin their order (and
 # the order of each coefficient's keys), which restrict's solver candidates
-# follow.  Pinned before every rule right-hand side became data
+# follow
 EXACT_GOLDEN = {
-    "binate:2,1": "c6905b474ee7fb823cf64cbb1aad1c6924a4d06b1cbdd2742e7ee3f9adf2d7b2",
+    "binate:2,1": "31eaad927df55f7c7c1aa2d55fe01f508d33b2daf3a88c1425e3c6dae1e8e670",
     "quadric:1,1": "458f0df6c25cd5ac048320d17fafa1a411ca9b855712819c710d9618013ca387",
-    "quadric:4,3": "96c4766c403374ae9c96a5099f208658e0b0a870b2e379f8f69016db204bd842",
-    "quadric:5,3": "5ec71134a4feb0e884e0f0f7a61b7000c7964101e36f942630f8831dab582f36",
+    "quadric:4,3": "15734ea01f1922832a278b9b9d2bdde4ae06a54b5edecb9e2d7a71f7ba9cbc95",
+    "quadric:5,3": "070329b0ec5a0af9dfc9032ec39136f66641c7fc600e09f9f80af6c0ef469e1a",
+}
+
+# the same terms hashed sorted, so that a change of their order moves
+# EXACT_GOLDEN alone
+VALUE_GOLDEN = {
+    "binate:2,1": "54f0602e8ad0aa09da1e3945d4dc09d81bee5f39267ef8e9b38f3678d367c331",
+    "quadric:1,1": "0239589f209b9f46ead1a62c1d5d14c2e9d180a8c458df083d67c0e67865887a",
+    "quadric:4,3": "e8b79d15dc683d628ef7483e86e10f7033fd2145072dbd5d3dbda9d62cd44d4e",
+    "quadric:5,3": "76340b7650cc601f6e3b3499d953fb0eaeef2fce405704f639eaf36c2ec596c7",
 }
 
 
-def _exact_digest(space, rounds=40):
+def _exact_digest(space, rounds=40, ordered=True):
     """Hash the exact terms of seeded products of three-term elements (one
     transfer atom added where the deck has them) and of reduced products of
-    three monomials, in the order the engine leaves them."""
+    three monomials, in the order the engine leaves them, or sorted when
+    ``ordered`` is false."""
     pres = _space(space)
     rng = random.Random("exact " + space)
     pool = _sample_monomials(pres) or tuple(gen_mono(g) for g in GENERATORS)
     h = hashlib.sha256()
+    arrange = list if ordered else sorted
 
     def add(x):
-        c2 = [(m, list(v.c.items())) for m, v in x.c2.items()]
-        h.update(repr((x.level, c2, list(x.atoms.items()))).encode())
+        c2 = [(m, arrange(v.c.items())) for m, v in x.c2.items()]
+        h.update(repr((x.level, arrange(c2), arrange(x.atoms.items()))).encode())
 
     for _ in range(rounds):
         x, y = pres.zero(), pres.zero()
@@ -478,6 +489,11 @@ def _exact_digest(space, rounds=40):
 @pytest.mark.parametrize("space", sorted(EXACT_GOLDEN))
 def test_exact_term_order_of_products(space):
     assert _exact_digest(space) == EXACT_GOLDEN[space]
+
+
+@pytest.mark.parametrize("space", sorted(VALUE_GOLDEN))
+def test_exact_terms_of_products(space):
+    assert _exact_digest(space, ordered=False) == VALUE_GOLDEN[space]
 
 
 # -- the threshold-class table ---------------------------------------------------
