@@ -121,9 +121,10 @@ class _Term:
 
     def mul_power(self, pres, x, n):
         """Join x^n by exponent arithmetic when the normal form x is one term
-        with an integer coefficient v: a monomial, iota^a zeta^b c^d y^eps
-        with eps <= 1 at level e, or v*t(y) on the free orbit, where t(y) is
-        the unit.  (v, n) joins ``ints``, and the term's exponents times n
+        with an integer coefficient v: a monomial (one with a factor x only
+        when its n-th power is canonical), iota^a zeta^b c^d y^eps with
+        eps <= 1 at level e, or v*t(y) on the free orbit, where t(y) is the
+        unit.  (v, n) joins ``ints``, and the term's exponents times n
         make a factor of its own (its normal form at level top), multiplied
         in at the end as x^n would be.  False, with the term unchanged, for
         any other x."""
@@ -136,7 +137,9 @@ class _Term:
             return False
         (exps, v), = terms.items()
         if top:
-            if list(v.c) != [ONE_MONO]:
+            # x^2 = e^2 cw^2 cx x in type DB, so x^n takes n steps of
+            # x_power, where __pow__ meets its fixed point at once
+            if list(v.c) != [ONE_MONO] or (exps[4] and not pres.canonical(tuple(e * n for e in exps))):
                 return False
             v = v.c[ONE_MONO]
         elif exps[3] > 1:  # t(y) in the binate model

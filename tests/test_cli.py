@@ -228,12 +228,13 @@ def test_result_past_the_digit_limit_is_one_line(capsys):
     assert err.count("\n") == 1 and err.startswith("result too large to print:")
 
 
-def _cli_in_subprocess(*argv):
-    """``c2quadrics argv`` in a fresh interpreter, which must end in 20 s."""
+def _cli_in_subprocess(*argv, timeout=20):
+    """``c2quadrics argv`` in a fresh interpreter, which must end in
+    ``timeout`` seconds."""
     env = dict(os.environ, PYTHONPATH=str(Path(c2quadrics.__file__).resolve().parents[1]))
     return subprocess.run(
         [sys.executable, "-m", "c2quadrics", *argv],
-        capture_output=True, text=True, timeout=20, env=env,
+        capture_output=True, text=True, timeout=timeout, env=env,
     )
 
 
@@ -259,10 +260,14 @@ def test_huge_point_powers_answer_at_once(expr):
     ("quadric:3,3", "(1)^100000000", "1"),
     ("binate:2,1", "(y)^100000000", "0"),
     ("quadric:1,1", "(t(y))^100000000", "t(y)"),
+    ("quadric:6,3", "(x)^100000000", "0"),
+    ("quadric:6,3", "(cw*x)^100000000", "0"),
 ])
 def test_powers_stop_at_a_fixed_point(space, expr, first):
-    # x^2 = 0 in type BB, y^2 = 0 in binate and t(y) is the unit of the free
-    # orbit: once x*out == out the power is out, with no further products
+    # x^2 = 0 in type BB and y^2 = 0 in binate: once x*out == out the power
+    # is out, with no further products.  In type DB x^2 = e^2 cw^2 cx x, so
+    # the monomial x^N would take N rewrite steps; x powers are multiplied
+    # out for that.  t(y) is the unit of the free orbit, raised as (1, N)
     proc = _reduce_in_subprocess(space, expr)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == first
@@ -428,8 +433,9 @@ def test_cw_chains_at_large_p_answer(space, expr, first):
 
 
 def test_verify_full_passes_at_large_p():
-    # its homogeneity sampler meets (z1*cw^9011)*(z1^2*cw^8332)
-    proc = _cli_in_subprocess("verify", "quadric:20000,3", "--full")
+    # its homogeneity sampler meets (z1*cw^9011)*(z1^2*cw^8332); the run
+    # takes about 5 s, and the timeout leaves room for a slow machine
+    proc = _cli_in_subprocess("verify", "quadric:20000,3", "--full", timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "overall: pass"
 

@@ -10,7 +10,10 @@ import warnings
 import pytest
 
 from c2quadrics.catalog import (
+    _W0_CW,
+    _W1_CX,
     RestrictedGradingWarning,
+    _rhs,
     make_binate,
     make_bu1,
     make_point,
@@ -454,13 +457,29 @@ VALUE_GOLDEN = {
     "quadric:5,3": "76340b7650cc601f6e3b3499d953fb0eaeef2fce405704f639eaf36c2ec596c7",
 }
 
+# EXACT_GOLDEN as pinned while w0_cw, w1_cx and ihigh lowered cw (cx) by one
+# a firing.  With those one-step right-hand sides put back the order is the
+# old one, so the power-of-two steps alone moved the three digests.  In
+# binate:2,1 it is ihigh's: the monomials z0^-s cw^4 (i - p = 2) fire it once
+# with K = 2, and two of the 80 hashed results list two terms swapped
+STEP_GOLDEN = {
+    "binate:2,1": "c6905b474ee7fb823cf64cbb1aad1c6924a4d06b1cbdd2742e7ee3f9adf2d7b2",
+    "quadric:1,1": "458f0df6c25cd5ac048320d17fafa1a411ca9b855712819c710d9618013ca387",
+    "quadric:4,3": "96c4766c403374ae9c96a5099f208658e0b0a870b2e379f8f69016db204bd842",
+    "quadric:5,3": "5ec71134a4feb0e884e0f0f7a61b7000c7964101e36f942630f8831dab582f36",
+}
 
-def _exact_digest(space, rounds=40, ordered=True):
+
+def _exact_digest(space, rounds=40, ordered=True, one_step=False):
     """Hash the exact terms of seeded products of three-term elements (one
     transfer atom added where the deck has them) and of reduced products of
     three monomials, in the order the engine leaves them, or sorted when
-    ``ordered`` is false."""
+    ``ordered`` is false.  ``one_step`` puts the one-step right-hand sides
+    back into w0_cw, w1_cx and ihigh."""
     pres = _space(space)
+    if one_step:
+        one = {"w0_cw": _rhs(_W0_CW), "w1_cx": _rhs(_W1_CX), "ihigh": _rhs(_W0_CW)}
+        pres.rules = [(name, guard, one.get(name, rhs)) for name, guard, rhs in pres.rules]
     rng = random.Random("exact " + space)
     pool = _sample_monomials(pres) or tuple(gen_mono(g) for g in GENERATORS)
     h = hashlib.sha256()
@@ -494,6 +513,11 @@ def test_exact_term_order_of_products(space):
 @pytest.mark.parametrize("space", sorted(VALUE_GOLDEN))
 def test_exact_terms_of_products(space):
     assert _exact_digest(space, ordered=False) == VALUE_GOLDEN[space]
+
+
+@pytest.mark.parametrize("space", sorted(STEP_GOLDEN))
+def test_exact_term_order_of_single_steps(space):
+    assert _exact_digest(space, one_step=True) == STEP_GOLDEN[space]
 
 
 # -- the threshold-class table ---------------------------------------------------
