@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 
-from .coefficients import G_PT, ONE_MONO, PointElt, negkappa, pos
+from .coefficients import G_PT, PointElt, negkappa, pos
 from .rewrite import GENERATORS, RingElement
 
 
@@ -52,14 +52,6 @@ def _int(tok):
         return int(tok)
     except ValueError:  # the int-to-str digit limit
         raise ExprError("an integer of %d digits is past the digit limit" % len(tok)) from None
-
-
-def _levele_term(pres, a, b, d, eps):
-    """iota^a zeta^b c^d y^eps at level e."""
-    # a level-e key holds y at most once: in the binate model
-    # (a, b, d, 2) is the key of t(y), so further y factors are a power
-    out = pres.levele_elt({(a, b, d, min(eps, 1)): 1})
-    return pres.mul(out, pres.levele_elt({(0, 0, 0, 1): 1}) ** (eps - 1)) if eps > 1 else out
 
 
 class _Term:
@@ -119,42 +111,22 @@ class _Term:
             coeff = coeff * PointElt.monomial(negkappa(max(-self.e_exp, 0))) * (1 << (self.kappa - 1))
         return coeff
 
-    def mul_power(self, pres, x, n):
-        """Join x^n by exponent arithmetic when the normal form x is one term
-        with an integer coefficient v: a monomial (one with a factor x only
-        when its n-th power is canonical), iota^a zeta^b c^d y^eps with
-        eps <= 1 at level e, or v*t(y) on the free orbit, where t(y) is the
-        unit.  (v, n) joins ``ints``, and the term's exponents times n
-        make a factor of its own (its normal form at level top), multiplied
-        in at the end as x^n would be.  False, with the term unchanged, for
-        any other x."""
-        top = x.level == "top"
-        terms = x.c2 if top else x.e
-        if pres.free_orbit and top and not terms and list(x.atoms) == [(0, 0)]:
-            self.ints.append((x.atoms[(0, 0)], n))
-            return True
-        if x.atoms or len(terms) != 1:
-            return False
-        (exps, v), = terms.items()
-        if top:
-            # x^2 = e^2 cw^2 cx x in type DB, so x^n takes n steps of
-            # x_power, where __pow__ meets its fixed point at once
-            if list(v.c) != [ONE_MONO] or (exps[4] and not pres.canonical(tuple(e * n for e in exps))):
-                return False
-            v = v.c[ONE_MONO]
-        elif exps[3] > 1:  # t(y) in the binate model
-            return False
-        self.ints.append((v, n))
-        if n:  # x^0 is the top-level 1, as RingElement.__pow__ gives it
-            exps = tuple(e * n for e in exps)
-            self.factors.append(pres.normal_form(RingElement(pres, "top", c2={exps: 1})) if top
-                                else _levele_term(pres, *exps))
-        return True
+    def mul_power(self, x, n):
+        """Join x^n = v^n * u^n (``RingElement.int_split``): u^n as a factor,
+        and (v, n) to ``ints`` unless u^n is 0, bounded before it is built."""
+        v, u = x.int_split()
+        f = u ** n
+        self.factors.append(f)
+        if not f.is_zero():
+            self.ints.append((v, n))
 
     def evaluate(self, pres):
         out = pres.normal_form(RingElement(pres, "top", c2={tuple(self.gens): self.point_coeff()}))
         if any(self.levele):
-            out = pres.mul(out, _levele_term(pres, *self.levele))
+            # y^eps is a power: in the binate model (a, b, d, 2) is t(y)
+            a, b, d, eps = self.levele
+            out = pres.mul(out, pres.levele_elt({(a, b, d, 0): 1}))
+            out = pres.mul(out, pres.levele_elt({(0, 0, 0, 1): 1}) ** eps) if eps else out
         for f in self.factors:
             out = pres.mul(out, f)
         # g last: g^j = 2^(j-1) g scales the class, and taken into the
@@ -224,8 +196,8 @@ class Parser:
                             else "cannot invert a general expression")
         elif kind == "int":
             t.ints.append((val, power))
-        elif not t.mul_power(self.pres, val, power):
-            t.factors.append(val ** power)
+        else:
+            t.mul_power(val, power)
 
     def signed_int(self):
         neg = False

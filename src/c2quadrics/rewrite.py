@@ -40,6 +40,7 @@ import itertools
 import random
 
 from .coefficients import (
+    ONE_MONO,
     ONE_PAIRS,
     BurnsideElt,
     InhomogeneousError,
@@ -294,20 +295,52 @@ class RingElement:
 
     __rmul__ = __mul__
 
+    def int_split(self):
+        """(v, u) with self = v*u: for one term with an integer coefficient v,
+        as every atom and level-e term has, u is the term with coefficient 1."""
+        if len(self.c2) + len(self.atoms) + len(self.e) == 1:
+            v, = (self.c2 or self.atoms or self.e).values()
+            v = v.c.get(ONE_MONO) if isinstance(v, PointElt) and len(v.c) == 1 else v
+            if isinstance(v, int):
+                ones = (dict.fromkeys(terms, 1) for terms in (self.c2, self.atoms, self.e))
+                return v, RingElement(self.pres, self.level, *ones)
+        return 1, self  # any other element
+
     def __pow__(self, n):
+        """self^n, the one implementation of powers: 1 + m with m*m = 0 gives
+        1 + n*m, else x^n = v^n * u^n for x = v*u (``int_split``).  u^n is
+        built from exponents for a monomial whose n-th power has no x or is
+        canonical (x^n takes n rewrite steps in type DB) and for iota^a zeta^b
+        c^d y^eps at level e, eps <= 1.  Any other u is multiplied in until
+        u*out == out (0, 1, or the free orbit's unit t(y)), faster here than
+        square-and-multiply."""
         if n < 0:
             raise ValueError("negative powers only via divided classes")
-        # repeated multiplication: squaring a large element costs more than
-        # multiplying by a short base, so square-and-multiply is slower here.
-        # Once x*out == out every later power is out (0, 1, or y^2 = y on
-        # the free orbit), so the loop stops there
-        out = self.pres.scalar(1)
-        for _ in range(n):
-            nxt = self.pres.mul(out, self)
+        pres = self.pres
+        if not n:
+            return pres.scalar(1)
+        x = pres.normal_form(self)
+        if n > 1 and x.c2.get(MONO_ONE) == 1:
+            m = x - 1
+            if pres.mul(m, m).is_zero():
+                return x + m.scale(n - 1)
+        v, u = x.int_split()
+        out, steps = pres.scalar(1), n
+        if u is not x and u.c2:
+            mono = tuple(e * n for e in next(iter(u.c2)))
+            if not mono[4] or pres.canonical(mono):
+                out, steps = pres.monomial_elt(mono), 0
+        elif u is not x and u.e:
+            (a, b, d, eps), = u.e
+            if eps < 2:  # the binate model's t(y) is multiplied out
+                out, steps = pres.levele_elt({(n * a, n * b, n * d, 0): 1}), n * eps
+                u = pres.levele_elt({(0, 0, 0, 1): 1}) if eps else u
+        for _ in range(steps):
+            nxt = pres.mul(out, u)
             if nxt == out:
                 break
             out = nxt
-        return out
+        return out if v == 1 or out.is_zero() else out.scale(v ** n)
 
     def __eq__(self, other):
         if not isinstance(other, RingElement):

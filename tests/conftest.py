@@ -4,6 +4,8 @@ A rule's right-hand side is data, ``(pairs, atoms)``, or a function of the
 monomial that returns it (see ``c2quadrics.rewrite``); ``rhs_at`` and
 ``negated_rhs`` serve the tests that replace a rule in place.
 ``point_transfer`` is the transfer of a point's level-e coefficient.
+``loop_power`` is the reference for the closed forms of
+``RingElement.__pow__``.
 """
 
 from c2quadrics.coefficients import PointElt, point_tau
@@ -33,3 +35,15 @@ def negated_rhs(rhs):
         tuple((tuple((-PointElt(dict(c))).c.items()), delta) for c, delta in pairs),
         tuple((ab, -n, delta) for ab, n, delta in atoms),
     )
+
+
+def loop_power(x, n):
+    """x^n as n products from the top-level 1, stopping once x*out == out:
+    the plain loop of ``RingElement.__pow__``, without its closed forms."""
+    out = x.pres.scalar(1)
+    for _ in range(n):
+        nxt = x.pres.mul(out, x)
+        if nxt == out:
+            break
+        out = nxt
+    return out

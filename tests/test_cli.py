@@ -9,6 +9,8 @@ import pytest
 
 import c2quadrics
 from c2quadrics.cli import main
+from c2quadrics.rewrite import RingElement
+from conftest import loop_power
 
 
 def run(capsys, *argv):
@@ -300,6 +302,20 @@ def test_single_term_powers_answer_at_once(space, expr, code, first):
 
 
 @pytest.mark.parametrize("expr, code, first", [
+    # the integer factor of a power that is 0 is left out, so it meets no bound
+    ("(-2*iota^-1*zeta^-1*c)^100000000", 0, "0"),
+    ("z1*(-2*iota^-1*zeta^-1*c)^100000000", 0, "0"),
+    # x*x = 0, so (1 + x)^N = 1 + N*x at once, and that has no grading
+    ("(1+x)^100000000", 2, "inhomogeneous expression: mixed gradings 0 and 2 + 4s"),
+])
+def test_powers_that_skip_the_loop(expr, code, first):
+    proc = _reduce_in_subprocess("quadric:3,3", expr)
+    assert proc.returncode == code, proc.stderr
+    assert (proc.stdout or proc.stderr).splitlines()[0] == first
+    assert proc.stderr.count("\n") == (code != 0)
+
+
+@pytest.mark.parametrize("expr, code, first", [
     ("t(zeta^-1*(zeta))", 0, "(-k + 2)"),
     ("t((iota)*(iota^-1))", 0, "(-k + 2)"),
     ("(iota)*(iota^-1)*x", 0, "iota^4*c*y"),
@@ -312,13 +328,11 @@ def test_a_raised_base_is_a_factor_of_its_own(capsys, monkeypatch, expr, code, f
     # the exponents of a base raised by exponent arithmetic do not cancel
     # against the term's other factors: a level-e base keeps the product at
     # level e, and z0^-1 beside (z0) is still not a class, as when x^n is
-    # multiplied in as it stands
-    from c2quadrics.expressions import _Term
-
+    # multiplied out
     fast = run(capsys, "reduce", "quadric:3,3", "--", expr)
     assert fast[0] == code
     assert (fast[1] or fast[2]).splitlines()[0] == first
-    monkeypatch.setattr(_Term, "mul_power", lambda self, pres, x, n: False)
+    monkeypatch.setattr(RingElement, "__pow__", loop_power)
     assert run(capsys, "reduce", "quadric:3,3", "--", expr) == fast
 
 
@@ -341,13 +355,11 @@ def _single_term_bases(sid):
 
 @pytest.mark.parametrize("sid", ["quadric:3,3", "quadric:4,4", "binate:2,1", "bu1", "point"])
 def test_single_term_powers_print_as_repeated_products(capsys, monkeypatch, sid):
-    # for N <= 6 the exponent arithmetic prints what the repeated
-    # multiplication of RingElement.__pow__ prints, byte for byte
-    from c2quadrics.expressions import _Term
-
+    # for N <= 6 the exponent arithmetic of RingElement.__pow__ prints what
+    # repeated multiplication prints, byte for byte
     cases = [("(%s)^%d" % (base, n)) for base in _single_term_bases(sid) for n in range(7)]
     fast = [run(capsys, "reduce", sid, "--", expr) for expr in cases]
-    monkeypatch.setattr(_Term, "mul_power", lambda self, pres, x, n: False)
+    monkeypatch.setattr(RingElement, "__pow__", loop_power)
     slow = [run(capsys, "reduce", sid, "--", expr) for expr in cases]
     assert fast == slow
     assert sum(code == 0 for code, _, _ in fast) > len(cases) // 2

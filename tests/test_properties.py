@@ -119,9 +119,19 @@ def test_distributivity(sid, data):
 @LAWS
 @given(data=st.data(), n=st.integers(0, 5))
 def test_power_is_the_repeated_product(sid, data, n):
-    # ** stops once x*out == out; the product of n copies never does
+    # ** takes closed forms and stops once x*out == out; the product of n
+    # copies does neither.  Bases: a sum, one term with an integer
+    # coefficient, or 1 + c*M, unipotent when (c*M)^2 = 0
     pres = _space(sid)
-    x = _element(data.draw, pres)
+    kind = data.draw(st.sampled_from(("sum", "term", "one plus")))
+    if kind == "sum":
+        x = _element(data.draw, pres)
+    else:
+        mono = data.draw(st.sampled_from(_sample_monomials(pres) or (MONO_ONE,)))
+        c = data.draw(st.sampled_from((1, -1, 2, -3) + COEFFS))
+        x = pres.monomial_elt(mono, c)
+        if kind == "one plus":
+            x = 1 + x
     prod = pres.scalar(1)
     for _ in range(n):
         prod = pres.mul(prod, x)

@@ -49,7 +49,7 @@ from c2quadrics.rewrite import (
     mono_mul,
 )
 from c2quadrics.solver import POINT_COEFFS
-from conftest import negated_rhs, rhs_at
+from conftest import loop_power, negated_rhs, rhs_at
 
 E2 = PointElt.monomial(pos(2, 0))
 TRANS_M1 = PointElt.monomial(trans(-1))
@@ -951,3 +951,59 @@ def test_rho_of_level_e_element_is_its_normal_form():
     assert r.level == "e" and r._nf and r.e == {(0, 0, 1, 1): 2}
     assert r.e == Q.normal_form(raw).e
     assert Q.rho(r) is r
+
+
+POWER_SPACES = [
+    "quadric:%d,%d" % (m, n) for m in range(8) for n in range(8) if m + n >= 2
+] + ["proj:2,1", "proj:0,2", "proj:3,3", "binate:2,1", "binate:0,0", "bu1", "point"]
+
+
+def _one_term_bases(pres):
+    """One-term bases of every kind: canonical monomials (1 among them) with
+    coefficients 1, -2, 3 and -k + 1; level-e keys with eps 0 and 1, built
+    unreduced so that a y outside the model meets ``**``; binate's t(y); the
+    free orbit's 2*t(y); and the two zeros."""
+    pool = (MONO_ONE,) + _sample_monomials(pres)
+    out = [pres.monomial_elt(m, c) for m in pool[::max(1, len(pool) // 6)]
+           for c in (1, -2, 3, POINT_COEFFS[-1])]
+    keys = itertools.product((-1, 2), (-1, 1), (0, 1), (0, 1))
+    out += [RingElement(pres, "e", e={k: c}) for k in keys for c in (1, -2)]
+    if pres.levele.kind == "binate":
+        out.append(pres.levele_elt({(0, 0, 0, 2): 1}))
+    if pres.free_orbit:
+        out.append(pres.scalar(2))
+    return out + [pres.zero(), pres.zero("e")]
+
+
+def _power_outcome(x, n, power):
+    try:
+        out = power(x, n)
+    except (NotAClassError, NonTerminatingError) as exc:
+        return type(exc).__name__, str(exc)
+    return out.level, str(out)
+
+
+@pytest.mark.parametrize("space", POWER_SPACES)
+def test_power_closed_forms_match_the_loop(space):
+    # x ** n against n products from the top-level 1 for n = 0..7, errors
+    # included, on every kind of one-term base
+    pres = _space(space)
+    for x in _one_term_bases(pres):
+        for n in range(8):
+            assert _power_outcome(x, n, RingElement.__pow__) == _power_outcome(x, n, loop_power), (x, n)
+
+
+@pytest.mark.parametrize("space, base, n, expect", [
+    ("quadric:3,3", lambda P: P.gen("cw"), 300000, "e^599998*z0^-299999*divw"),
+    ("quadric:3,3", lambda P: P.levele_elt({(0, 1, 0, 0): 1}), 100000000, "zeta^100000000"),
+    ("quadric:1,1", lambda P: P.scalar(2), 10, "1024*t(y)"),
+    # 1 + m with m*m = 0 is unipotent: (1 + m)^n = 1 + n*m
+    ("quadric:3,3", lambda P: 1 + P.gen("x"), 100000000, "1 + 100000000*x"),
+])
+def test_library_powers_answer_at_once(space, base, n, expect):
+    pres = _space(space)
+    x = base(pres)
+    start = time.perf_counter()
+    out = x ** n
+    assert time.perf_counter() - start < 2.0
+    assert str(out) == expect
