@@ -22,7 +22,6 @@ either directly on x-monomials or through the divw/divx flags.
 
 from __future__ import annotations
 
-import functools
 import warnings
 
 from .coefficients import (
@@ -153,25 +152,35 @@ def _xi_shift(n):
 # that uses them: the e^2-relation e^2 = z0*cw - (1-k)*z1*cx and its
 # consequences under zeta0*zeta1 = xi
 _E2 = [(E2, _mono(s=-1, i=-1)), (UNIT_1MK, _mono(s=-1, t=1, i=-1, j=1))]
-_W0_CW = [(E2, _mono(s=-1, i=-1)), (UNIT_1MK * XI_PT, _mono(s=-2, i=-1, j=1))]
-_W1_CX = [(E2, _mono(t=-1, j=-1)), (UNIT_1MK * XI_PT, _mono(t=-2, i=1, j=-1))]
+_W0_CW = ((E2, _mono(s=-1, i=-1)), (UNIT_1MK * XI_PT, _mono(s=-2, i=-1, j=1)))
+_W1_CX = ((E2, _mono(t=-1, j=-1)), (UNIT_1MK * XI_PT, _mono(t=-2, i=1, j=-1)))
 _CX_TAIL = (UNIT_1MK * E2 * -1, _mono(t=-1, j=-1))
-_T2 = [(UNIT_1MK * XI_PT, _mono(t=-2, i=1, j=-1)), _CX_TAIL]
+# t2's xi z1^-2 cw cx^-1 - (1-k) e^2 z1^-1 cx^-1 is _W1_CX with its terms
+# in the other order: (1-k)xi = xi, and -(1-k)e^2 = e^2 as k e^2 = 2e^2
+_T2 = _W1_CX[::-1]
 _CX_ELIM = [(UNIT_1MK, _mono(s=1, t=-1, i=1, j=-1)), _CX_TAIL]
 _DIV_S = [(XI_PT, _mono(s=-1, t=-1))]
 
+# {(id of a one-step tuple above, k): its rhs squared k times}; keyed by
+# identity, because hashing the PointElt coefficients at every firing costs
+# more than the lookup saves
+_JUMPS = {}
 
-@functools.lru_cache(maxsize=None)
-def _cw_jump(k, side):
-    """``_W0_CW`` (side 0) or ``_W1_CX`` (side 1) raised to the power
-    K = 2^k, as one right-hand side: e^{2K} z0^-K cw^-K + xi^K z0^-2K cw^-K
-    cx^K, or its swap.  Each of the k squarings squares the two terms
-    alone, since (a + b)^2 = a^2 + b^2 when 2ab = 0, and here ab carries the
-    mixed, 2-torsion coefficient e^2 xi (with (1-k)xi = xi, as k*xi = 0)."""
-    pairs = (_W0_CW, _W1_CX)[side]
-    for _ in range(k):
-        pairs = [(c * c, mono_mul(d, d)) for c, d in pairs]
-    return _rhs(pairs)
+
+def _jump(pairs, k):
+    """The one-step right-hand side ``pairs`` (``_W0_CW``, ``_W1_CX`` or
+    ``_T2``) raised to the power K = 2^k, as one right-hand side; for
+    ``_W0_CW`` e^{2K} z0^-K cw^-K + xi^K z0^-2K cw^-K cx^K.  Each of the k
+    squarings squares the two terms alone, since (a + b)^2 = a^2 + b^2 when
+    2ab = 0, and here ab carries the mixed, 2-torsion coefficient e^2 xi."""
+    key = (id(pairs), k)
+    rhs = _JUMPS.get(key)
+    if rhs is None:
+        power = pairs
+        for _ in range(k):
+            power = tuple((c * c, mono_mul(d, d)) for c, d in power)
+        rhs = _JUMPS[key] = _rhs(power)
+    return rhs
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +208,24 @@ def _build_rules(pres):
     whose right-hand side depends on the monomial holds a plain function of
     the monomial that returns it.
 
-    ``w0_cw``, ``w1_cx`` and ``ihigh`` apply the e^2-relation K times in
-    one firing, K the largest power of two <= n for n = i, j and i - p:
-    the K-th power of the one-step right-hand side keeps two terms
-    (``_cw_jump``), and the normal forms are those of the one-step rules
-    (the tests keep those as the reference).  A firing still adds two
-    pairs, so ``max_steps`` keeps its meaning, and a chain of length n
-    takes about 2^popcount(n) - 1 firings where it took one per unit of n
-    per live term.
+    Every e^2-chain fires in closed form.  ``w0_cw``, ``w1_cx``, ``ihigh``,
+    ``t2`` and the t2 branch of ``jhigh`` apply their one-step right-hand
+    side K times in one firing, K the largest power of two <= n, for n = i,
+    j, i - p, min(t // 2, j) and min(p - 1 - i, j - q): the K-th power keeps
+    two terms (``_jump``), and K = 1 takes the one-step rhs built here.  The
+    tail branch of ``jhigh`` has one term and takes all its j - q steps at
+    once.  The normal forms are those of the one-step rules (the tests keep
+    those as the reference).  A firing still adds at most two pairs, so
+    ``max_steps`` keeps its meaning.
+
+    On a quadric deck with x where neither zeta is invertible it also sets
+    ``pres.mixed_dies``: a guard-style test of the monomials M with
+    e*xi*M = 0, where ``normal_form`` drops a term with a mixed coefficient
+    e^a xi^b (a, b >= 1).  On side 0 they are divw*cx^q times any class:
+    w0 = 1, w1 = 0, j >= q, save t <= -1 with d = 0 (not a class); side 1
+    is the swap.  One ``w0_cx`` step gives divw*cx^q = corrx*divw + divdiv
+    terms; xi kills corrx's e^-n k, and e kills the transfers of divdiv.
+    So the mixed branches of a cw chain die where they arise.
     """
     p, q = pres.p, pres.q
     has_x, z0_inv, z1_inv = pres.has_x, pres.z0_inv, pres.z1_inv
@@ -219,6 +238,8 @@ def _build_rules(pres):
         return False if infinite else j >= q
 
     rules = []
+    # the one-step right-hand sides of the chains, which K = 1 fires
+    w0cw, w1cx, t2 = _rhs(_W0_CW), _rhs(_W1_CX), _rhs(_T2)
 
     # ---- x powers and div flags -----------------------------------------
 
@@ -285,10 +306,14 @@ def _build_rules(pres):
                 and w0 == 1 and w1 == 0 and d == 0 and i >= 1 and t == 0
             )
 
-        rules.append(("w0_cw", g_w0cw, lambda m: _cw_jump(m[2].bit_length() - 1, 0)))
-        rules.append((
-            "w1_cx", lambda m: g_w0cw(_swap_mono(m)), lambda m: _cw_jump(m[3].bit_length() - 1, 1)
-        ))
+        def r_w0cw(m):
+            return w0cw if m[2] < 2 else _jump(_W0_CW, m[2].bit_length() - 1)
+
+        def r_w1cx(m):
+            return w1cx if m[3] < 2 else _jump(_W1_CX, m[3].bit_length() - 1)
+
+        rules.append(("w0_cw", g_w0cw, r_w0cw))
+        rules.append(("w1_cx", lambda m: g_w0cw(_swap_mono(m)), r_w1cx))
 
         def g_w0cx(m):
             s, t, i, j, d, w0, w1 = m
@@ -360,7 +385,13 @@ def _build_rules(pres):
             s, t, i, j, d, w0, w1 = m
             return t >= 2 and j >= 1 and w0 == 0 and w1 == 0
 
-        rules.append(("t2", g_t2, _rhs(_T2)))
+        def r_t2(m):
+            t, j = m[1], m[3]
+            if t < 4 or j < 2:  # K = 1
+                return t2
+            return _jump(_T2, min(t // 2, j).bit_length() - 1)
+
+        rules.append(("t2", g_t2, r_t2))
 
         if not infinite:
             def g_jhigh(m):
@@ -374,7 +405,7 @@ def _build_rules(pres):
                     return False
                 return True
 
-            t2, tail = _rhs(_T2), _rhs([_CX_TAIL])
+            tail = _rhs([_CX_TAIL])
             # z0 cw X contains the top monomial cw^p cx^q: the tail plus
             # (1-k) times top at z0*cw*m/(z1*cx), where rho(1-k) = 1 leaves
             # the transfer terms as they are
@@ -382,9 +413,18 @@ def _build_rules(pres):
             top_tail = _rhs([_CX_TAIL], head, _mono(s=1, t=-1, i=1 - p, j=-1 - q))
 
             def r_jhigh(m):
-                if m[2] + 1 < p:
-                    return t2
-                return tail if m[4] >= 1 else top_tail  # top times x vanishes
+                i, n = m[2], m[3] - q
+                if i + 1 < p:
+                    if i + 3 > p or n < 2:  # K = 1
+                        return t2
+                    return _jump(_T2, min(p - 1 - i, n).bit_length() - 1)
+                if m[4] == 0:
+                    return top_tail
+                if n < 2:
+                    return tail
+                # top times x vanishes, so the tail alone goes on down to
+                # cx^q: e^{2L} z1^-L cx^-L for L = j - q
+                return (((((pos(2 * n, 0), 1),), _mono(t=-n, j=-n)),), ())
 
             rules.append(("jhigh", g_jhigh, r_jhigh))
 
@@ -394,7 +434,11 @@ def _build_rules(pres):
                     return False
                 return s <= 0 and t == 0 and i >= p + 1 and j <= q - 1 and w0 == 0 and w1 == 0
 
-            rules.append(("ihigh", g_ihigh, lambda m: _cw_jump((m[2] - p).bit_length() - 1, 0)))
+            def r_ihigh(m):
+                n = m[2] - p
+                return w0cw if n < 2 else _jump(_W0_CW, n.bit_length() - 1)
+
+            rules.append(("ihigh", g_ihigh, r_ihigh))
 
             def g_tpos_ihigh(m):
                 s, t, i, j, d, w0, w1 = m
@@ -429,6 +473,16 @@ def _build_rules(pres):
             return i < p and (s >= 1 or (t in (0, 1) and s == 0 and j >= q + 1))
 
         rules.append(("repl1", g_repl1, _rhs([(ONE, _mono(j=-q, w1=1))] + corrx_low)))
+
+        def mixed_dies(m):
+            s, t, i, j, d, w0, w1 = m
+            if w0 == 1 and w1 == 0:
+                return j >= q and (t >= 0 or d >= 1)
+            if w1 == 1 and w0 == 0:
+                return i >= p and (s >= 0 or d >= 1)
+            return False
+
+        pres.mixed_dies = mixed_dies
 
     return rules
 

@@ -40,16 +40,17 @@ import itertools
 import random
 
 from .coefficients import (
-    ONE_MONO,
     ONE_PAIRS,
     BurnsideElt,
     InhomogeneousError,
     PointElt,
     _add_term,
+    _mixed,
     _mul_into,
     _point,
     point_rho,
     point_tau,
+    pos,
     transfer_witness,
 )
 from .grading import Grading, IOTA_DEG, OMEGA0, OMEGA1, W, XW
@@ -296,24 +297,29 @@ class RingElement:
     __rmul__ = __mul__
 
     def int_split(self):
-        """(v, u) with self = v*u: for one term with an integer coefficient v,
-        as every atom and level-e term has, u is the term with coefficient 1."""
+        """(v, u) with self = v*u: for one term whose coefficient is v times a
+        point monomial e^a xi^b, u is the term with coefficient e^a xi^b.  An
+        atom or level-e term has an integer v, and its u has coefficient 1."""
         if len(self.c2) + len(self.atoms) + len(self.e) == 1:
-            v, = (self.c2 or self.atoms or self.e).values()
-            v = v.c.get(ONE_MONO) if isinstance(v, PointElt) and len(v.c) == 1 else v
-            if isinstance(v, int):
-                ones = (dict.fromkeys(terms, 1) for terms in (self.c2, self.atoms, self.e))
-                return v, RingElement(self.pres, self.level, *ones)
+            if not self.c2:
+                v, = (self.atoms or self.e).values()
+                ones = (dict.fromkeys(terms, 1) for terms in (self.atoms, self.e))
+                return v, RingElement(self.pres, self.level, None, *ones)
+            (mono, c), = self.c2.items()
+            if len(c.c) == 1:
+                (key, v), = c.c.items()
+                if key[0] == "p":
+                    return v, RingElement(self.pres, self.level, {mono: PointElt.monomial(key)})
         return 1, self  # any other element
 
     def __pow__(self, n):
         """self^n, the one implementation of powers: 1 + m with m*m = 0 gives
         1 + n*m, else x^n = v^n * u^n for x = v*u (``int_split``).  u^n is
-        built from exponents for a monomial whose n-th power has no x or is
-        canonical (x^n takes n rewrite steps in type DB) and for iota^a zeta^b
-        c^d y^eps at level e, eps <= 1.  Any other u is multiplied in until
-        u*out == out (0, 1, or the free orbit's unit t(y)), faster here than
-        square-and-multiply."""
+        built from exponents for e^a xi^b times a monomial whose n-th power
+        has no x or is canonical (x^n takes n rewrite steps in type DB) and
+        for iota^a zeta^b c^d y^eps at level e, eps <= 1.  Any other u is
+        multiplied in until u*out == out (0, 1, or the free orbit's unit
+        t(y)), faster here than square-and-multiply."""
         if n < 0:
             raise ValueError("negative powers only via divided classes")
         pres = self.pres
@@ -327,9 +333,11 @@ class RingElement:
         v, u = x.int_split()
         out, steps = pres.scalar(1), n
         if u is not x and u.c2:
-            mono = tuple(e * n for e in next(iter(u.c2)))
+            (mono, c), = u.c2.items()
+            mono = tuple(e * n for e in mono)
             if not mono[4] or pres.canonical(mono):
-                out, steps = pres.monomial_elt(mono), 0
+                _, a, b = next(iter(c.c))
+                out, steps = pres.monomial_elt(mono, PointElt.monomial(pos(a * n, b * n))), 0
         elif u is not x and u.e:
             (a, b, d, eps), = u.e
             if eps < 2:  # the binate model's t(y) is multiplied out
@@ -431,6 +439,10 @@ class Presentation:
         self.relations = cfg.get("relations", [])
         self.max_steps = 200000
         self.rules = []                      # [(name, guard, rhs)], set by the catalog
+        # None, or a test of the monomials M with e*xi*M = 0, set with the
+        # rules (catalog._build_rules); normal_form drops a term there whose
+        # coefficient is mixed e^a xi^b (a, b >= 1) alone
+        self.mixed_dies = None
         self.canonical_fn = cfg["canonical"]
         # {relation name: (coeff, mono)}, read by solver.verify_relations
         self.raw_lhs = {name: raw for name, raw, _ in self.relations}
@@ -540,7 +552,9 @@ class Presentation:
         tau(rho(coeff) * rho(mono * delta) * n * w) by ``_frobenius``, into
         the work set.  Then coeff * c goes to mono * delta for each pair
         (c, delta), straight into the work set.  The work set is reduced
-        first in, first out.  Both orders read the per-class
+        first in, first out.  A popped term with a mixed coefficient e^a
+        xi^b alone (a, b >= 1) on a monomial of ``mixed_dies`` is 0 and
+        is dropped; the drop counts as a step.  Both orders read the per-class
         table of ``rule_class``, keyed by ``_class_key``, which is exact
         only while every guard and the canonical test compare exponents with
         the class thresholds alone.  ``_fallbacks`` holds the monomials whose
@@ -570,6 +584,7 @@ class Presentation:
         table = self._rule_table()
         p, q = self.p, self.q
         max_steps = self.max_steps
+        dies = self.mixed_dies
         work = {}
         for m, v in x.c2.items():
             if isinstance(v, PointElt):
@@ -609,6 +624,8 @@ class Presentation:
             if entry is True:
                 _add_term(done, mono, _point(coeff))
                 continue
+            if dies is not None and mono[5] + mono[6] == 1 and dies(mono) and all(map(_mixed, coeff)):
+                continue  # e*xi*mono = 0 (``mixed_dies``), never canonical
             if not entry:
                 # products of divided classes from opposite sides carry
                 # transfer (or kappa-killed) coefficients; absorb them by

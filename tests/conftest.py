@@ -5,9 +5,10 @@ monomial that returns it (see ``c2quadrics.rewrite``); ``rhs_at`` and
 ``negated_rhs`` serve the tests that replace a rule in place.
 ``point_transfer`` is the transfer of a point's level-e coefficient.
 ``loop_power`` is the reference for the closed forms of
-``RingElement.__pow__``.
+``RingElement.__pow__``, and ``one_step`` for the closed-form e^2-chains.
 """
 
+from c2quadrics.catalog import _CX_TAIL, _T2, _W0_CW, _W1_CX, _rhs
 from c2quadrics.coefficients import PointElt, point_tau
 
 
@@ -47,3 +48,26 @@ def loop_power(x, n):
             break
         out = nxt
     return out
+
+
+def one_step(pres):
+    """pres with every e^2-chain back at one step a firing: the one-step
+    right-hand sides in w0_cw, w1_cx, ihigh, t2 and jhigh (whose top_tail
+    branch stays), and no dropped mixed terms (``mixed_dies``)."""
+    p = pres.p
+    one = {"w0_cw": _rhs(_W0_CW), "w1_cx": _rhs(_W1_CX), "ihigh": _rhs(_W0_CW), "t2": _rhs(_T2)}
+
+    def one_jhigh(jump):
+        def rhs(m):
+            if m[2] + 1 < p:
+                return _rhs(_T2)
+            return _rhs([_CX_TAIL]) if m[4] >= 1 else jump(m)
+
+        return rhs
+
+    pres.rules = [
+        (name, guard, one_jhigh(rhs) if name == "jhigh" else one.get(name, rhs))
+        for name, guard, rhs in pres.rules
+    ]
+    pres.mixed_dies = None
+    return pres

@@ -10,10 +10,7 @@ import pytest
 from c2quadrics.catalog import (
     E2,
     RestrictedGradingWarning,
-    _W0_CW,
-    _W1_CX,
     _divided_image,
-    _rhs,
     _swap_key,
     _swap_mono,
     basis_slice,
@@ -39,6 +36,8 @@ from c2quadrics.rewrite import (
     _terms_elt,
 )
 from c2quadrics.solver import POINT_COEFFS, _grading_counts
+
+from conftest import one_step
 
 
 def nk(n):
@@ -820,21 +819,21 @@ def _outcome(pres, x):
 
 @pytest.mark.parametrize("sid", JUMP_SPACES)
 def test_chain_jumps_match_single_steps(sid):
-    """w0_cw, w1_cx and ihigh lower the cw (cx) exponent by the largest
-    power of two at once; with the one-step right-hand sides ``_W0_CW`` and
-    ``_W1_CX`` put back in place, every normal form is the same."""
+    """w0_cw, w1_cx, ihigh, t2 and jhigh fire their chains in closed form,
+    and normal_form drops the mixed terms that vanish; with every chain
+    back at one step a firing (``one_step``), every normal form is the
+    same.  t reaches 8, so that t2 jumps by K = 2 and 4."""
     jump = make_space(sid)
-    step = make_space(sid)
-    one = {"w0_cw": _rhs(_W0_CW), "w1_cx": _rhs(_W1_CX), "ihigh": _rhs(_W0_CW)}
-    step.rules = [(name, guard, one.get(name, rhs)) for name, guard, rhs in step.rules]
-    assert [name for name, _, _ in step.rules if name in one] == [
-        name for name, _, _ in jump.rules if name in one
+    step = one_step(make_space(sid))
+    chains = ("w0_cw", "w1_cx", "ihigh", "t2", "jhigh")
+    assert [name for name, _, _ in step.rules if name in chains] == [
+        name for name, _, _ in jump.rules if name in chains
     ]
     p, q = jump.p, jump.q
     w = (0, 1) if jump.has_x else (0,)
     box = [
         (s, t, i, j, d, w0, w1)
-        for s in (-2, -1, 0, 1) for t in (-1, 0, 1)
+        for s in (-2, -1, 0, 1) for t in range(-1, 9)
         for i in range(4 * p + 9) for j in range(4 * q + 9)
         for d in (0, 1) if jump.has_x or d == 0
         for w0 in w for w1 in w
@@ -844,3 +843,42 @@ def test_chain_jumps_match_single_steps(sid):
         c2 = {m: rng.choice(POINT_COEFFS) for m in rng.sample(box, rng.choice((1, 2)))}
         x = RingElement(jump, "top", c2=c2)
         assert _outcome(jump, x) == _outcome(step, RingElement(step, "top", c2=c2)), (sid, c2)
+
+
+def _region_representatives(pres):
+    """Members of every threshold class of the region of ``mixed_dies``:
+    s, t in {-7, -1, 0, 1, 7}, i and j at the places of the class key and 3
+    above them, d in 0..3, and one divided flag."""
+    p, q = pres.p, pres.q
+    ii = sorted({c + k for c in (0, 1, p - 1, p) for k in (0, 3) if c + k >= 0})
+    jj = sorted({c + k for c in (0, 1, q - 1, q) for k in (0, 3) if c + k >= 0})
+    st = (-7, -1, 0, 1, 7)
+    return [
+        m
+        for s, t, i, j, d, w in itertools.product(st, st, ii, jj, range(4), ((1, 0), (0, 1)))
+        for m in [(s, t, i, j, d) + w]
+        if pres.mixed_dies(m)
+    ]
+
+
+def test_mixed_terms_die_where_the_rules_kill_them():
+    """e^a xi^b * M reduces to 0 with the drop switched off, for every
+    monomial M of the region of ``mixed_dies`` (a representative of each
+    class) on every quadric with 2 <= m, n <= 9; the region is None on the
+    decks where a zeta is invertible (m or n = 1) and on the other kinds."""
+    mixed = [PointElt.monomial(pos(1, 1)), PointElt.monomial(pos(2, 3))]
+    for m in range(2, 10):
+        for n in range(2, 10):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RestrictedGradingWarning)
+                Q = make_quadric(m, n)
+            monos = _region_representatives(Q)
+            assert monos, Q.name
+            Q.mixed_dies = None
+            for k, mono in enumerate(monos):
+                x = RingElement(Q, "top", c2={mono: mixed[k % 2]})
+                assert Q.normal_form(x).is_zero(), (Q.name, mono)
+    for sid in ["quadric:1,%d" % n for n in range(2, 8)] + [
+        "quadric:%d,1" % m for m in range(2, 8)
+    ] + ["quadric:1,1", "proj:2,3", "binate:2,1", "bu1", "point"]:
+        assert make_space(sid).mixed_dies is None, sid

@@ -416,8 +416,8 @@ def test_golden_outputs(capsys, argv, digest):
 
 
 def test_step_budget_is_one_line(capsys):
-    # cw^(2^20 - 1) has twenty ones in binary: its chain outgrows the budget
-    code, out, err = run(capsys, "reduce", "quadric:3,3", "cw^1048575")
+    # the divw chain has no closed form: divw^300000 outgrows the budget
+    code, out, err = run(capsys, "reduce", "quadric:3,3", "divw^300000")
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1
@@ -452,8 +452,23 @@ def test_verify_full_passes_at_large_p():
     assert proc.stdout.splitlines()[-1] == "overall: pass"
 
 
+@pytest.mark.parametrize("expr, first", [
+    ("cw^100000000", "e^199999998*z0^-99999999*divw"),
+    ("cw^1048575", "e^2097148*z0^-1048574*divw"),
+    ("(cw)^100000000", "e^199999998*z0^-99999999*divw"),
+    ("(xi*cw)^300000", "e^599998*xi^300000*z0^-299999*divw"),
+])
+def test_chains_whose_mixed_branches_die_answer(expr, first):
+    # the first three ran past the step budget while every jump of the cw
+    # chain kept its mixed xi branches alive until w0_cx cancelled them; the
+    # last one took 300,000 products while only integer coefficients split off
+    proc = _reduce_in_subprocess("quadric:3,3", expr)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == first
+
+
 def test_a_raised_chain_past_the_budget_is_one_line():
-    proc = _reduce_in_subprocess("quadric:3,3", "(cw)^100000000")
+    proc = _reduce_in_subprocess("quadric:3,3", "(z0^-1*divw)^300000")
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1

@@ -10,10 +10,7 @@ import warnings
 import pytest
 
 from c2quadrics.catalog import (
-    _W0_CW,
-    _W1_CX,
     RestrictedGradingWarning,
-    _rhs,
     make_binate,
     make_bu1,
     make_point,
@@ -49,7 +46,7 @@ from c2quadrics.rewrite import (
     mono_mul,
 )
 from c2quadrics.solver import POINT_COEFFS
-from conftest import loop_power, negated_rhs, rhs_at
+from conftest import loop_power, negated_rhs, one_step, rhs_at
 
 E2 = PointElt.monomial(pos(2, 0))
 TRANS_M1 = PointElt.monomial(trans(-1))
@@ -458,8 +455,9 @@ VALUE_GOLDEN = {
 }
 
 # EXACT_GOLDEN as pinned while w0_cw, w1_cx and ihigh lowered cw (cx) by one
-# a firing.  With those one-step right-hand sides put back the order is the
-# old one, so the power-of-two steps alone moved the three digests.  In
+# a firing.  With every e^2-chain put back at one step a firing (and no
+# mixed term dropped) the order is the old one, so the closed-form chains
+# alone moved the three digests.  In
 # binate:2,1 it is ihigh's: the monomials z0^-s cw^4 (i - p = 2) fire it once
 # with K = 2, and two of the 80 hashed results list two terms swapped
 STEP_GOLDEN = {
@@ -470,16 +468,13 @@ STEP_GOLDEN = {
 }
 
 
-def _exact_digest(space, rounds=40, ordered=True, one_step=False):
+def _exact_digest(space, rounds=40, ordered=True, single=False):
     """Hash the exact terms of seeded products of three-term elements (one
     transfer atom added where the deck has them) and of reduced products of
     three monomials, in the order the engine leaves them, or sorted when
-    ``ordered`` is false.  ``one_step`` puts the one-step right-hand sides
-    back into w0_cw, w1_cx and ihigh."""
-    pres = _space(space)
-    if one_step:
-        one = {"w0_cw": _rhs(_W0_CW), "w1_cx": _rhs(_W1_CX), "ihigh": _rhs(_W0_CW)}
-        pres.rules = [(name, guard, one.get(name, rhs)) for name, guard, rhs in pres.rules]
+    ``ordered`` is false.  ``single`` puts every e^2-chain back at one step
+    a firing (conftest's ``one_step``)."""
+    pres = one_step(_space(space)) if single else _space(space)
     rng = random.Random("exact " + space)
     pool = _sample_monomials(pres) or tuple(gen_mono(g) for g in GENERATORS)
     h = hashlib.sha256()
@@ -517,7 +512,7 @@ def test_exact_terms_of_products(space):
 
 @pytest.mark.parametrize("space", sorted(STEP_GOLDEN))
 def test_exact_term_order_of_single_steps(space):
-    assert _exact_digest(space, one_step=True) == STEP_GOLDEN[space]
+    assert _exact_digest(space, single=True) == STEP_GOLDEN[space]
 
 
 # -- the threshold-class table ---------------------------------------------------
@@ -960,12 +955,14 @@ POWER_SPACES = [
 
 def _one_term_bases(pres):
     """One-term bases of every kind: canonical monomials (1 among them) with
-    coefficients 1, -2, 3 and -k + 1; level-e keys with eps 0 and 1, built
-    unreduced so that a y outside the model meets ``**``; binate's t(y); the
-    free orbit's 2*t(y); and the two zeros."""
+    coefficients 1, -2, 3, -k + 1 and the split point monomials -2*xi, e*xi
+    (mixed) and 3*e^2; level-e keys with eps 0 and 1, built unreduced so that
+    a y outside the model meets ``**``; binate's t(y); the free orbit's
+    2*t(y); and the two zeros."""
     pool = (MONO_ONE,) + _sample_monomials(pres)
+    split = (XI_PT * -2, E_PT * XI_PT, PointElt.monomial(pos(2, 0), 3))
     out = [pres.monomial_elt(m, c) for m in pool[::max(1, len(pool) // 6)]
-           for c in (1, -2, 3, POINT_COEFFS[-1])]
+           for c in (1, -2, 3, POINT_COEFFS[-1]) + split]
     keys = itertools.product((-1, 2), (-1, 1), (0, 1), (0, 1))
     out += [RingElement(pres, "e", e={k: c}) for k in keys for c in (1, -2)]
     if pres.levele.kind == "binate":
@@ -995,6 +992,8 @@ def test_power_closed_forms_match_the_loop(space):
 
 @pytest.mark.parametrize("space, base, n, expect", [
     ("quadric:3,3", lambda P: P.gen("cw"), 300000, "e^599998*z0^-299999*divw"),
+    # a point monomial coefficient splits off: xi^n * cw^n, not n products
+    ("quadric:3,3", lambda P: P.gen("cw").scale(XI_PT), 300000, "e^599998*xi^300000*z0^-299999*divw"),
     ("quadric:3,3", lambda P: P.levele_elt({(0, 1, 0, 0): 1}), 100000000, "zeta^100000000"),
     ("quadric:1,1", lambda P: P.scalar(2), 10, "1024*t(y)"),
     # 1 + m with m*m = 0 is unipotent: (1 + m)^n = 1 + n*m
