@@ -225,7 +225,11 @@ class RingElement:
             return self.pres.coeff_elt(other)
         return None
 
-    def __add__(self, other):
+    def __add__(self, other, _minus=False):
+        """self + other.  ``__sub__`` passes ``_minus``: other's terms are
+        then negated on their way into the copy of self's, so a difference
+        is one pass as well, and ``perfbench/tracer.py``, which wraps this
+        method, times sums and differences together."""
         if not isinstance(other, RingElement):
             other = self._coerce(other)
             if other is None:
@@ -235,12 +239,15 @@ class RingElement:
                 "cannot add level-%s and level-%s elements" % (self.level, other.level)
             )
         out = RingElement(self.pres, self.level)
-        out.c2 = dict(self.c2)
-        out.atoms = dict(self.atoms)
-        _add_elt(out.c2, out.atoms, other)
-        out.e = dict(self.e)
+        c2 = out.c2 = dict(self.c2)
+        for m, v in other.c2.items():
+            _add_term(c2, m, -v if _minus else v)
+        atoms = out.atoms = dict(self.atoms)
+        for k, v in other.atoms.items():
+            _add_count(atoms, k, -v if _minus else v)
+        e = out.e = dict(self.e)
         for k, v in other.e.items():
-            _add_count(out.e, k, v)
+            _add_count(e, k, -v if _minus else v)
         out._nf = self._nf and other._nf and other.pres is self.pres
         return out
 
@@ -255,11 +262,7 @@ class RingElement:
         return out
 
     def __sub__(self, other):
-        if not isinstance(other, RingElement):
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return self + (-other)
+        return self.__add__(other, True)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -859,16 +862,26 @@ def confluence_probe(pres, samples=100, seed=0):
     identically, so the reduction retraces the reference and ends at the
     same normal form.  Such an order is drawn as always but not reduced, and
     the report is the one that reducing it would give, for any rule set.
+
+    The draws are those of ``random.Random(seed)``'s ``choice`` and
+    ``shuffle``, written out on its ``getrandbits`` (``_below`` and
+    ``_shuffled``): the same stream, samples and orders, without a method
+    call per index.  An order is tested through its rank array, which is
+    filled only when the reference fired a table entry of two or more
+    rules: otherwise every order retraces it.
     """
     rng = random.Random(seed)
     report = {"space": pres.name, "samples": samples, "mismatches": []}
     pool = _sample_monomials(pres)
     if not pool:
         return report
+    bits = rng.getrandbits
+    n_rules = len(pres.rules)
+    steps = _shuffle_steps(n_rules)
     for k in range(samples):
-        n_factors = rng.choice([2, 2, 3])
-        monos = [rng.choice(pool) for _ in range(n_factors)]
-        coeff = rng.choice([1, 1, 1, -1, 2])
+        n_factors = (2, 2, 3)[_below(bits, 3)]
+        monos = [pool[_below(bits, len(pool))] for _ in range(n_factors)]
+        coeff = (1, 1, 1, -1, 2)[_below(bits, 5)]
         raw = RingElement(pres, "top", c2={_mono_product(monos): coeff})
         seen = set()
         try:
@@ -877,9 +890,13 @@ def confluence_probe(pres, samples=100, seed=0):
             report["mismatches"].append({"sample": k, "error": str(exc)})
             continue
         for _ in range(3):
-            order = list(range(len(pres.rules)))
-            rng.shuffle(order)
-            if all(min(entry, key=order.index) == entry[0] for entry in seen):
+            order = _shuffled(bits, n_rules, steps)
+            if not seen:
+                continue
+            rank = [0] * n_rules
+            for place, r in enumerate(order):
+                rank[r] = place
+            if all(min(entry, key=rank.__getitem__) == entry[0] for entry in seen):
                 continue
             try:
                 alt = pres.normal_form(raw, rule_order=order)
@@ -898,6 +915,36 @@ def confluence_probe(pres, samples=100, seed=0):
     return report
 
 
+def _below(getrandbits, n):
+    """The index that ``random.Random.choice`` draws from n > 0 items:
+    getrandbits(n.bit_length()), drawn again until it is below n."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _shuffle_steps(n):
+    """(i, (i + 1).bit_length()) for i from n - 1 down to 1: the places of
+    ``random.Random.shuffle``'s swaps on n items, with the bit width of
+    each draw."""
+    return [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+
+
+def _shuffled(getrandbits, n, steps):
+    """list(range(n)) after ``random.Random.shuffle``, given
+    ``_shuffle_steps(n)``: at each i, the j <= i that ``_below(i + 1)``
+    draws swaps places with i."""
+    order = list(range(n))
+    for i, k in steps:
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
 def _mono_product(monos):
     out = MONO_ONE
     for m in monos:
@@ -907,13 +954,20 @@ def _mono_product(monos):
 
 def _sample_monomials(pres):
     """A pool of canonical monomials of small exponents, as a tuple built
-    once per presentation."""
+    once per presentation.  The box is scanned in lexicographic order, past
+    the cells that ``canonical`` never accepts: s and t both nonzero, or
+    both divided flags set (see ``_make_canonical``)."""
     if pres._sample_pool is None:
         p = pres.p if pres.p is not None else 3
         q = pres.q if pres.q is not None else 3
+        st = [(s, t) for s in range(-2, 3) for t in range(-2, 3) if not (s and t)]
         box = itertools.product(
-            range(-2, 3), range(-2, 3), range(p + 2), range(q + 2),
-            range(2 if pres.has_x else 1), (0, 1), (0, 1),
+            st, range(p + 2), range(q + 2), range(2 if pres.has_x else 1), ((0, 0), (0, 1), (1, 0)),
         )
-        pres._sample_pool = tuple(m for m in box if pres.canonical(m) and m != MONO_ONE)
+        pool = []
+        for (s, t), i, j, d, (w0, w1) in box:
+            m = (s, t, i, j, d, w0, w1)
+            if pres.canonical(m) and m != MONO_ONE:
+                pool.append(m)
+        pres._sample_pool = tuple(pool)
     return pres._sample_pool

@@ -604,6 +604,37 @@ def test_canonical_monomials_never_mix_zeta_signs():
                                     assert not pres.canonical(m), (sid, m)
 
 
+AGREEMENT_SPACES = [
+    "quadric:%d,%d" % (m, n) for m in range(12) for n in range(12) if m + n >= 2
+] + ["point", "bu1", "proj:0,2", "proj:2,0", "proj:2,1", "proj:2,3", "proj:3,3",
+     "binate:0,0", "binate:0,2", "binate:2,1", "binate:3,3"]
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_canonical_agrees_with_the_enumerated_cells(chunk):
+    # every monomial that canonical accepts has s == 0 or t == 0, in a cell
+    # (d, w0, w1) that _enumerate_coset_monomials visits; one representative
+    # per threshold class: s, t, d, w0, w1 at -1..2, i and j at -1, 0, 1, 2
+    # and p-1, p, p+1.  _sample_monomials skips the other cells unscanned
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RestrictedGradingWarning)
+        decks = [make_space(sid) for sid in AGREEMENT_SPACES[chunk::4]]
+    small = range(-1, 3)
+    for pres in decks:
+        cells = {(0, 0, 0)}
+        if pres.has_x:
+            cells |= {(0, 1, 0), (0, 0, 1), (1, 0, 0)}
+        ipl, jpl = ({-1, 0, 1, 2} | ({n - 1, n, n + 1} if n is not None else set())
+                    for n in (pres.p, pres.q))
+        canonical = pres.canonical
+        accepted = 0
+        for s, t, i, j, d, w0, w1 in itertools.product(small, small, ipl, jpl, small, small, small):
+            if canonical((s, t, i, j, d, w0, w1)):
+                assert (s == 0 or t == 0) and (d, w0, w1) in cells, (pres.name, (s, t, i, j, d, w0, w1))
+                accepted += 1
+        assert accepted or pres.free_orbit, pres.name
+
+
 def _scan_coset_monomials(pres, coset, window):
     """Reference: scan every zeta exponent s in [-bound, bound] per cell."""
     from c2quadrics.grading import coset_index

@@ -40,7 +40,10 @@ from c2quadrics.rewrite import (
     _class_key,
     _mono_product,
     _places,
+    _below,
     _sample_monomials,
+    _shuffle_steps,
+    _shuffled,
     confluence_probe,
     gen_mono,
     mono_mul,
@@ -854,13 +857,68 @@ def _fresh_pool(pres):
 
 
 def test_sample_pool_built_once():
-    for sid in ("point", "bu1", "proj:2,1", "proj:0,2", "binate:2,1", "quadric:1,1",
-                "quadric:3,3", "quadric:6,5"):
-        pres = make_space(sid)
+    # the pool skips the cells that canonical never accepts (s and t both
+    # nonzero, both divided flags) and keeps the order of the full box scan
+    for sid in CLASS_SPACES + ["quadric:6,5"]:
+        pres = _space(sid)
         pool = _sample_monomials(pres)
         assert isinstance(pool, tuple)
         assert _sample_monomials(pres) is pool
         assert list(pool) == _fresh_pool(pres), sid
+
+
+def test_inline_draws_match_shuffle_and_choice():
+    # the probe's draws on getrandbits against random's own shuffle and
+    # choice: the same permutations and indices, and the same state after
+    for n in range(1, 41):
+        steps = _shuffle_steps(n)
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            order = list(range(n))
+            theirs.shuffle(order)
+            assert _shuffled(ours.getrandbits, n, steps) == order, (n, seed)
+            assert _below(ours.getrandbits, n) == theirs.choice(range(n)), (n, seed)
+            assert ours.getstate() == theirs.getstate(), (n, seed)
+
+
+def _subtraction_operands(pres, rng):
+    """Mixed-coefficient elements of pres: raw and marked at the top level,
+    with transfer atoms where the deck has them, and at level e."""
+    pool = _sample_monomials(pres) or (MONO_ONE, (0, 0, 1, 0, 0, 0, 0))
+    coeffs = _mixed_coeffs()
+    out = []
+    for _ in range(6):
+        c2 = {rng.choice(pool): rng.choice(coeffs) for _ in range(rng.randrange(4))}
+        atoms = {(rng.randrange(-2, 3), rng.randrange(-2, 3)): rng.choice((1, -2, 3))} if pres.has_atoms else None
+        x = RingElement(pres, "top", c2=c2, atoms=atoms)
+        out += [x, pres.normal_form(x)]
+    keys = list(itertools.product((-1, 0, 2), (-1, 1), (0, 1), (0, 1)))
+    for _ in range(4):
+        x = RingElement(pres, "e", e={rng.choice(keys): rng.choice((1, -1, 2)) for _ in range(3)})
+        out.append(x)
+        try:
+            out.append(pres.normal_form(x))
+        except NotAClassError:  # y in a model without y classes
+            pass
+    # shared monomials, so that some differences cancel
+    return out + [out[1], out[-1]]
+
+
+@pytest.mark.parametrize("sid", ["quadric:3,3", "quadric:4,3", "quadric:5,6", "binate:2,1", "proj:2,1", "bu1"])
+def test_subtraction_is_adding_the_negative(sid):
+    pres = make_space(sid)
+    elts = _subtraction_operands(pres, random.Random("sub " + sid))
+
+    def state(z):
+        return z.level, [(m, v.c) for m, v in z.c2.items()], z.atoms, z.e, z._nf
+
+    for x, y in itertools.product(elts, repeat=2):
+        if x.level != y.level:
+            with pytest.raises(NotAClassError):
+                x - y
+            continue
+        assert state(x - y) == state(x + (-y)), (x, y)
+    assert any((x - x)._nf for x in elts) and all((x - x).is_zero() for x in elts)
 
 
 @pytest.mark.parametrize("sid", ["quadric:1,1", "binate:0,0"])
