@@ -35,7 +35,7 @@ from .coefficients import (
     trans,
 )
 from .component import ComponentRing
-from .grading import Grading, OMEGA1, W, XW, coset_index, underlying_degree
+from .grading import Grading, W, XW, coset_index, underlying_degree
 from .levele import LevelEModel, add_elts
 from .noneq import InvalidSizeError, NoneqQuadricRing
 from .rewrite import MONO_ONE, Presentation, RingElement, _places, mono_mul
@@ -986,25 +986,37 @@ def basis_slice(pres, coset, window):
     Returns a sorted list of (Grading, "C2/C2" | "C2/e") pairs; the C2/e
     entries are the free-orbit line representatives (one per coset,
     position along the line a + b = const arbitrary).
+
+    Each enumerated monomial costs one closed-form grading
+    (``Presentation.mono_grading``); the window test and the sort run on
+    its integers, and an offset ``Grading`` is built only for the rows
+    returned.
     """
     (a0, a1), (b0, b1) = window
     if a0 > a1 or b0 > b1:
         raise InvalidWindowError("window bounds are reversed: %r" % (window,))
-    base = coset * OMEGA1
-    found = []
+    # coset * OMEGA1 = (-2 coset, 0, coset), and the grading g of every
+    # monomial of the coset has g.m == coset, so its offset is
+    # (g.a + 2 coset, g.b, 0)
+    da = 2 * coset
+    kept = []
     for mono in _enumerate_coset_monomials(pres, coset, window):
         g = pres.mono_grading(mono)
-        off = g - base
-        if a0 <= off.a <= a1 and b0 <= off.b <= b1:
-            found.append((off, "C2/C2", mono))
-    out = [(g, label) for g, label, _ in sorted(found, key=lambda r: (r[0].a, r[0].b))]
+        a, b = g.a + da, g.b
+        if a0 <= a <= a1 and b0 <= b <= b1:
+            kept.append((a, b))
+    kept.sort()
+    out = [(Grading(a, b), "C2/C2") for a, b in kept]
     if pres.has_atoms:
+        # the free-orbit line a + b = line meets the window in the points
+        # (line - b, b) with max(b0, line - a1) <= b <= min(b1, line - a0);
+        # (line, 0) stands for the line when it is one of them, else the
+        # point of least b does
         line = pres.levele.y_degree()
-        rep = Grading(line)
-        candidates = [Grading(line - a, a) for a in range(b0, b1 + 1)]
-        vis = [g for g in candidates if a0 <= g.a <= a1 and b0 <= g.b <= b1]
-        if vis:
-            out.append((rep if (a0 <= line <= a1 and b0 <= 0 <= b1) else vis[0], "C2/e"))
+        first = max(b0, line - a1)
+        if first <= min(b1, line - a0):
+            visible = a0 <= line <= a1 and b0 <= 0 <= b1
+            out.append((Grading(line) if visible else Grading(line - first, first), "C2/e"))
     return out
 
 
@@ -1054,19 +1066,29 @@ def _enumerate_coset_monomials(pres, coset, window):
                 # t0 runs over tlo..thi in the box; its band k is t0 clamped
                 # to -2..2, so bands -1, 0 and 1 hold one value each
                 tlo, thi = shift - ihi + jlo, shift - ilo + jhi
-                klo, khi = min(max(tlo, -2), 2), min(max(thi, -2), 2)
+                klo = -2 if tlo < -2 else 2 if tlo > 2 else tlo
+                khi = -2 if thi < -2 else 2 if thi > 2 else thi
                 for k in range(klo, khi + 1):
                     lo = tlo if k == klo else k
                     hi = thi if k == khi else k
-                    # the member (i, j) of the box with t0 == lo stands for the band
-                    ri = max(ilo, jlo - lo + shift)
-                    rj = ri + lo - shift
+                    # row i of the band holds jlo..jhi cut to i + dlo..i + dhi
+                    dlo, dhi = lo - shift, hi - shift
+                    # the member (i, j) of the box with t0 == lo stands for
+                    # the band: the least i >= ilo with j = i + dlo >= jlo
+                    ri = jlo - dlo
+                    if ri < ilo:
+                        ri = ilo
+                    rj = ri + dlo
                     # (fs, ft) puts t0 into s = fs * t0, t = ft * t0
                     for fs, ft in ((0, 1),) if k == 0 else ((0, 1), (-1, 0)):
                         if pres.canonical((fs * lo, ft * lo, ri, rj, d, w0, w1)):
-                            out.extend(
-                                (fs * (shift - i + j), ft * (shift - i + j), i, j, d, w0, w1)
-                                for i in range(ilo, ihi + 1)
-                                for j in range(max(jlo, lo - shift + i), min(jhi, hi - shift + i) + 1)
-                            )
+                            for i in range(ilo, ihi + 1):
+                                jl, jh = i + dlo, i + dhi
+                                if jl < jlo:
+                                    jl = jlo
+                                if jh > jhi:
+                                    jh = jhi
+                                for j in range(jl, jh + 1):
+                                    t0 = shift - i + j
+                                    out.append((fs * t0, ft * t0, i, j, d, w0, w1))
     return out

@@ -53,7 +53,7 @@ from .coefficients import (
     pos,
     transfer_witness,
 )
-from .grading import Grading, IOTA_DEG, OMEGA0, OMEGA1, W, XW
+from .grading import Grading, IOTA_DEG, OMEGA1
 from .levele import NotAClassError, iota_zeta_names, levele_str
 
 
@@ -492,15 +492,34 @@ class Presentation:
     # -- gradings -----------------------------------------------------------
 
     def mono_grading(self, m):
+        """The grading g of the monomial m = (s, t, i, j, d, w0, w1), one
+        closed form that builds one ``Grading``.
+
+        g = s*OMEGA0 + t*OMEGA1 + i*W + j*XW + d*nu + (w0*p)*W + (w1*q)*XW,
+        with nu the x grading (divw sits in the grading of cw^p, divx in
+        that of cx^q).  In canonical coordinates OMEGA0 = (0, 2, -1),
+        OMEGA1 = (-2, 0, 1), W = (0, 0, 1) and XW = (2, 2, -1), so with
+        I = i + w0*p and J = j + w1*q:
+
+            g.a = 2J - 2t + d*nu.a
+            g.b = 2s + 2J + d*nu.b
+            g.m = t - s + I - J + d*nu.m
+
+        p, q and nu are read only when w0, w1 or d is nonzero: bu1 has no
+        p, q, and the decks without x have no nu.
+        """
         s, t, i, j, d, w0, w1 = m
-        g = s * OMEGA0 + t * OMEGA1 + i * W + j * XW
-        if d:
-            g = g + d * self.x_grading
         if w0:
-            g = g + (w0 * self.p) * W
+            i += w0 * self.p
         if w1:
-            g = g + (w1 * self.q) * XW
-        return g
+            j += w1 * self.q
+        a, b, n = 2 * (j - t), 2 * (s + j), t - s + i - j
+        if d:
+            nu = self.x_grading
+            a += d * nu.a
+            b += d * nu.b
+            n += d * nu.m
+        return Grading(a, b, n)
 
     def atom_grading(self, a, b):
         return a * IOTA_DEG + b * OMEGA1 + Grading(self.levele.y_degree())

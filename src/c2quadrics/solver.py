@@ -249,10 +249,9 @@ def rank_table(pres, coset, window):
 def _grading_counts(pres, coset, window, shift=None):
     """How many canonical monomials of one coset sit in each absolute
     grading (a, b, m), every grading moved by ``shift`` when it is given."""
-    gradings = (pres.mono_grading(m) for m in _enumerate_coset_monomials(pres, coset, window))
-    if shift is not None:
-        gradings = (g + shift for g in gradings)
-    return Counter((g.a, g.b, g.m) for g in gradings)
+    da, db, dm = (0, 0, 0) if shift is None else (shift.a, shift.b, shift.m)
+    gradings = map(pres.mono_grading, _enumerate_coset_monomials(pres, coset, window))
+    return Counter((g.a + da, g.b + db, g.m + dm) for g in gradings)
 
 
 def rank_law_check(pres):

@@ -547,6 +547,105 @@ def test_figure_two_slice():
     assert len(ce) == 1 and ce[0][0] + ce[0][1] == 20
 
 
+def _lattice_grading(pres, m):
+    """The grading of m summed in the lattice, one term per exponent."""
+    s, t, i, j, d, w0, w1 = m
+    g = s * OMEGA0 + t * OMEGA1 + i * W + j * XW
+    if d:
+        g = g + d * pres.x_grading
+    if w0:
+        g = g + (w0 * pres.p) * W
+    if w1:
+        g = g + (w1 * pres.q) * XW
+    return g
+
+
+@pytest.mark.parametrize("sid", [
+    "quadric:5,3", "quadric:4,3", "quadric:3,4", "quadric:4,4", "quadric:1,1", "quadric:0,3",
+    "quadric:100000000000,3", "proj:2,3", "binate:2,1", "bu1", "point",
+])
+def test_mono_grading_is_the_lattice_sum(sid):
+    """The closed form of mono_grading on random monomials with negative and
+    large exponents; x only on decks with an x grading, and no divided
+    flags on bu1 (no finite p, q) and point."""
+    pres = make_space(sid)
+    rng = random.Random(sid)
+    divided = sid not in ("bu1", "point")
+
+    def exponent():
+        return rng.choice([rng.randint(-6, 6), rng.randint(-10**12, 10**12)])
+
+    for _ in range(300):
+        s, t, i, j = (exponent() for _ in range(4))
+        d = rng.randint(-3, 3) if pres.x_grading is not None else 0
+        w0, w1 = (rng.randint(-3, 3), rng.randint(-3, 3)) if divided else (0, 0)
+        m = (s, t, i, j, d, w0, w1)
+        assert pres.mono_grading(m) == _lattice_grading(pres, m), (sid, m)
+
+
+def _slice_reference(pres, coset, window):
+    """basis_slice by its definition: each monomial's grading less
+    coset * OMEGA1, kept in the window and sorted by (a, b); the C2/e entry
+    is (line, 0) when visible, else the first visible point (line - b, b)."""
+    from c2quadrics.catalog import _enumerate_coset_monomials
+
+    (a0, a1), (b0, b1) = window
+    found = []
+    for mono in _enumerate_coset_monomials(pres, coset, window):
+        off = _lattice_grading(pres, mono) - coset * OMEGA1
+        if a0 <= off.a <= a1 and b0 <= off.b <= b1:
+            found.append((off, "C2/C2"))
+    out = sorted(found, key=lambda r: (r[0].a, r[0].b))
+    if pres.has_atoms:
+        line = pres.levele.y_degree()
+        candidates = [Grading(line - b, b) for b in range(b0, b1 + 1)]
+        vis = [g for g in candidates if a0 <= g.a <= a1 and b0 <= g.b <= b1]
+        if vis:
+            out.append((Grading(line) if (a0 <= line <= a1 and b0 <= 0 <= b1) else vis[0], "C2/e"))
+    return out
+
+
+@pytest.mark.parametrize("sid", [
+    "quadric:3,3", "quadric:5,7", "quadric:1,1", "binate:2,1", "bu1", "quadric:10,11", "proj:3,2",
+])
+def test_basis_slice_matches_its_definition(sid):
+    """Random windows: one-point windows, windows that miss the free-orbit
+    line, windows wholly in a negative quadrant, and wide ones, cosets -3..3."""
+    pres = make_space(sid)
+    rng = random.Random(sid)
+    line = pres.levele.y_degree() if pres.has_atoms else 0
+
+    def one_point():
+        a, b = rng.randint(-20, 30), rng.randint(-20, 30)
+        if rng.random() < 0.5 and pres.has_atoms:
+            b = line - a    # on the line
+        return (a, a), (b, b)
+
+    def off_line():
+        a0, b0 = rng.randint(-20, 20), rng.randint(-20, 20)
+        a1, b1 = a0 + rng.randint(0, 12), b0 + rng.randint(0, 12)
+        if rng.random() < 0.5:
+            shift = line - a1 - b1 - rng.randint(1, 6)    # below the line
+        else:
+            shift = line - a0 - b0 + rng.randint(1, 6)    # above it
+        return (a0 + shift, a1 + shift), (b0, b1)
+
+    def negative():
+        a1, b1 = -rng.randint(1, 10), -rng.randint(1, 10)
+        return (a1 - rng.randint(0, 15), a1), (b1 - rng.randint(0, 15), b1)
+
+    def wide():
+        a0, b0 = rng.randint(-25, 10), rng.randint(-25, 10)
+        return (a0, a0 + rng.randint(0, 35)), (b0, b0 + rng.randint(0, 35))
+
+    for make in (one_point, off_line, negative, wide):
+        for _ in range(6):
+            window = make()
+            for coset in range(-3, 4):
+                assert basis_slice(pres, coset, window) == _slice_reference(pres, coset, window), (
+                    sid, coset, window)
+
+
 def test_binate_relation_range():
     for p, q in [(1, 1), (2, 1), (1, 2), (2, 2)]:
         S = make_binate(p, q)
@@ -799,6 +898,30 @@ def test_enumeration_tests_do_not_grow_with_p(monkeypatch):
 
     for m, n in [(41, 41), (40, 41), (41, 40), (40, 40)]:
         assert 0 < count(m, n) == count(m + 3960, n + 3960) <= 400, (m, n)
+
+
+def test_enumeration_tests_go_through_canonical(monkeypatch):
+    """Every canonical test of the enumeration is a call of
+    Presentation.canonical (the benchmark's tracer counts them there), and
+    their number per coset is the same at p, q = 15 as at 500."""
+    from c2quadrics.catalog import _enumerate_coset_monomials
+    from c2quadrics.rewrite import Presentation
+
+    calls = []
+    canonical = Presentation.canonical
+    monkeypatch.setattr(Presentation, "canonical", lambda pres, mono: calls.append(mono) or canonical(pres, mono))
+
+    def counts(sid):
+        pres = make_space(sid)
+        out = []
+        for coset in (-1, 0, 1):
+            calls.clear()
+            _enumerate_coset_monomials(pres, coset, ((-50, 50), (-50, 50)))
+            out.append(len(calls))
+        return out
+
+    assert counts("quadric:31,30") == counts("quadric:1001,1000") == [330, 312, 316]
+    assert counts("quadric:40,41") == counts("quadric:1000,1001") == [316, 312, 330]
 
 
 @pytest.mark.parametrize("m", range(9))
