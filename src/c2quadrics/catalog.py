@@ -987,7 +987,12 @@ def basis_slice(pres, coset, window):
     entries are the free-orbit line representatives (one per coset,
     position along the line a + b = const arbitrary).
 
-    Each enumerated monomial costs one closed-form grading
+    The monomials come from ``_enumerate_coset_monomials``: the first slice
+    of a coset on a presentation makes a fixed number of canonical tests
+    and stores the coset's canonical strips, and every later slice of it,
+    at any window, makes none.  The presentation keeps one entry per coset
+    asked for (per coset and reach on bu1), each O(1) in p and q.  Each
+    enumerated monomial costs one closed-form grading
     (``Presentation.mono_grading``); the window test and the sort run on
     its integers, and an offset ``Grading`` is built only for the rows
     returned.
@@ -1036,7 +1041,8 @@ def _pieces(n, top):
 
 
 def _enumerate_coset_monomials(pres, coset, window):
-    """Canonical monomials of one coset whose gradings can meet the window.
+    """Canonical monomials of one coset whose gradings can meet the window,
+    as a fresh list.
 
     Every canonical monomial has s == 0 or t == 0 (see _make_canonical), and
     inside one coset t = t0 + s with t0 = shift - i + j fixed by the cell
@@ -1044,16 +1050,49 @@ def _enumerate_coset_monomials(pres, coset, window):
     (0, t0) and (-t0, 0).  ``canonical`` depends on a monomial only through
     ``_class_key``, so it is tested once per box (an i piece times a j
     piece, see ``_pieces``), band of t0 and candidate, on one member, and a
-    canonical box and band is emitted whole.  The bands are t0 <= -2, -1,
-    0, 1 and >= 2: the s and t clamps of the key, seen from both candidates
-    (in band 0 the two are one).  That is a fixed number of tests per coset,
-    and the rest of the cost is O(p + q) (for bu1 the stand-ins for p and q
-    grow with the window's reach).
+    canonical box and band (a strip, see ``_canonical_strips``) is emitted
+    whole.  Nothing in those tests depends on the window but the stand-ins
+    for p and q, so the strips are kept on the presentation under
+    (coset, p, q) (``Presentation._strip_table``): the first enumeration of
+    a coset makes a fixed number of ``Presentation.canonical`` tests, and a
+    later one makes none and walks only its strips.  The table holds one
+    entry per coset asked for, and on bu1, whose stand-ins grow with the
+    window's reach, one per coset and reach; each entry is O(1) in p and q.
+    The rest of the cost is O(p + q), the size of the output.
     """
     (a0, a1), (b0, b1) = window
     span = max(abs(a0), abs(a1), abs(b0), abs(b1)) + abs(coset)
     p = pres.p if pres.p is not None else span + 2
     q = pres.q if pres.q is not None else span + 2
+    table = pres._strip_table()
+    strips = table.get((coset, p, q))
+    if strips is None:
+        strips = table[coset, p, q] = _canonical_strips(pres, coset, p, q)
+    out = []
+    for fs, ft, d, w0, w1, shift, ilo, ihi, jlo, jhi, dlo, dhi in strips:
+        # row i of the strip holds jlo..jhi cut to i + dlo..i + dhi
+        for i in range(ilo, ihi + 1):
+            jl, jh = i + dlo, i + dhi
+            if jl < jlo:
+                jl = jlo
+            if jh > jhi:
+                jh = jhi
+            for j in range(jl, jh + 1):
+                t0 = shift - i + j
+                out.append((fs * t0, ft * t0, i, j, d, w0, w1))
+    return out
+
+
+def _canonical_strips(pres, coset, p, q):
+    """The canonical strips of one coset, with p and q the enumeration's
+    stand-ins: a tuple of (fs, ft, d, w0, w1, shift, ilo, ihi, jlo, jhi,
+    dlo, dhi), one per cell, box, band and candidate whose member passes
+    ``Presentation.canonical``, in emission order.  Its monomials are
+    (fs * t0, ft * t0, i, j, d, w0, w1) with ilo <= i <= ihi, jlo <= j <=
+    jhi, dlo <= j - i <= dhi and t0 = shift - i + j.  The bands are
+    t0 <= -2, -1, 0, 1 and >= 2: the s and t clamps of the key, seen from
+    both candidates (in band 0 the two are one).  That is one test per box,
+    band and candidate, a fixed number per coset."""
     ipieces, jpieces = _pieces(pres.p, p + 1), _pieces(pres.q, q + 1)
     cells = [(0, 0, 0)]
     if pres.has_x:
@@ -1071,7 +1110,6 @@ def _enumerate_coset_monomials(pres, coset, window):
                 for k in range(klo, khi + 1):
                     lo = tlo if k == klo else k
                     hi = thi if k == khi else k
-                    # row i of the band holds jlo..jhi cut to i + dlo..i + dhi
                     dlo, dhi = lo - shift, hi - shift
                     # the member (i, j) of the box with t0 == lo stands for
                     # the band: the least i >= ilo with j = i + dlo >= jlo
@@ -1082,13 +1120,5 @@ def _enumerate_coset_monomials(pres, coset, window):
                     # (fs, ft) puts t0 into s = fs * t0, t = ft * t0
                     for fs, ft in ((0, 1),) if k == 0 else ((0, 1), (-1, 0)):
                         if pres.canonical((fs * lo, ft * lo, ri, rj, d, w0, w1)):
-                            for i in range(ilo, ihi + 1):
-                                jl, jh = i + dlo, i + dhi
-                                if jl < jlo:
-                                    jl = jlo
-                                if jh > jhi:
-                                    jh = jhi
-                                for j in range(jl, jh + 1):
-                                    t0 = shift - i + j
-                                    out.append((fs * t0, ft * t0, i, j, d, w0, w1))
-    return out
+                            out.append((fs, ft, d, w0, w1, shift, ilo, ihi, jlo, jhi, dlo, dhi))
+    return tuple(out)

@@ -227,9 +227,12 @@ class RingElement:
 
     def __add__(self, other, _minus=False):
         """self + other.  ``__sub__`` passes ``_minus``: other's terms are
-        then negated on their way into the copy of self's, so a difference
-        is one pass as well, and ``perfbench/tracer.py``, which wraps this
-        method, times sums and differences together."""
+        then subtracted on their way into the copy of self's, so a
+        difference is one pass as well, and ``perfbench/tracer.py``, which
+        wraps this method, times sums and differences together.  A
+        coefficient is subtracted in a raw {point monomial: int} dict, with
+        the mixed e^i xi^j terms kept mod 2, and wrapped once; no negated
+        ``PointElt`` is built on the way."""
         if not isinstance(other, RingElement):
             other = self._coerce(other)
             if other is None:
@@ -240,8 +243,26 @@ class RingElement:
             )
         out = RingElement(self.pres, self.level)
         c2 = out.c2 = dict(self.c2)
-        for m, v in other.c2.items():
-            _add_term(c2, m, -v if _minus else v)
+        if _minus:
+            for m, v in other.c2.items():
+                w = c2.get(m)
+                c = {} if w is None else dict(w.c)
+                for k, n in v.c.items():
+                    n = c.get(k, 0) - n
+                    if _mixed(k):
+                        n %= 2
+                    if n:
+                        c[k] = n
+                    else:
+                        # v has no zero coefficient, so k was in c
+                        del c[k]
+                if c:
+                    c2[m] = _point(c)
+                elif w is not None:
+                    del c2[m]
+        else:
+            for m, v in other.c2.items():
+                _add_term(c2, m, v)
         atoms = out.atoms = dict(self.atoms)
         for k, v in other.atoms.items():
             _add_count(atoms, k, -v if _minus else v)
@@ -413,7 +434,18 @@ class Presentation:
 
     Configured by the catalog; carries the rewrite rules, the basis
     descriptor, the level-e model, and the homomorphism data.
+
+    Its caches are filled on first use and live as long as it does:
+    ``eta_images`` (catalog._eta_base), the class table of ``rule_class``
+    (emptied when ``rules`` changes), the pool of ``_sample_monomials``,
+    and the canonical strips of the basis enumeration (``_strip_table``,
+    emptied when ``canonical_fn`` is replaced).  They live in the 29
+    attributes that __init__ sets: on CPython 3.11 a 30th gives each
+    instance dict its own keys, and every attribute load gets slower, so
+    ``max_steps`` is a class attribute (an instance may shadow it).
     """
+
+    max_steps = 200000                       # the step bound of normal_form
 
     def __init__(self, name, space, cfg):
         self.name = name
@@ -440,7 +472,6 @@ class Presentation:
         # [(name, (coeff, mono), terms)]: each relation's left side as one
         # unreduced term, its right side as terms (``_terms_elt``)
         self.relations = cfg.get("relations", [])
-        self.max_steps = 200000
         self.rules = []                      # [(name, guard, rhs)], set by the catalog
         # None, or a test of the monomials M with e*xi*M = 0, set with the
         # rules (catalog._build_rules); normal_form drops a term there whose
@@ -451,6 +482,9 @@ class Presentation:
         self.raw_lhs = {name: raw for name, raw, _ in self.relations}
         self._class_table = {}               # {class key: True | (rule index, ...)}
         self._class_rules = []               # the rules the table was built from
+        # (canonical_fn, {(coset, p, q): canonical strips}): the strips that
+        # catalog._enumerate_coset_monomials found with that function
+        self._strips = (self.canonical_fn, {})
         self._sample_pool = None             # filled by _sample_monomials on first use
         self.warnings = []
 
@@ -551,6 +585,15 @@ class Presentation:
             self._class_table = {}
             self._class_rules = list(self.rules)
         return self._class_table
+
+    def _strip_table(self):
+        """The canonical-strip table of the basis enumeration, emptied first
+        if ``canonical_fn`` was replaced since it was filled."""
+        fn, table = self._strips
+        if fn is not self.canonical_fn:
+            table = {}
+            self._strips = (self.canonical_fn, table)
+        return table
 
     def _classify(self, mono, key):
         """Fill the table entry of mono's class by one ordered guard scan."""

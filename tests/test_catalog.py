@@ -924,6 +924,88 @@ def test_enumeration_tests_go_through_canonical(monkeypatch):
     assert counts("quadric:40,41") == counts("quadric:1000,1001") == [316, 312, 330]
 
 
+@pytest.mark.parametrize("sid", [
+    "quadric:11,11", "quadric:10,11", "quadric:11,10", "quadric:10,10",
+    "quadric:3,3", "quadric:2,5", "quadric:1001,1000", "point", "bu1", "proj:3,2", "binate:2,1",
+])
+def test_stored_strips_give_the_fresh_enumeration(sid):
+    """One presentation serves a seeded run of (coset, window) requests with
+    repeats, from its stored strips after the first of each coset; every
+    answer is the list, order included, that a fresh presentation gives.
+    On bu1 the stand-ins for p and q follow the reach, so a coset is asked
+    at two reaches."""
+    from c2quadrics.catalog import _enumerate_coset_monomials
+
+    windows = [((-40, 40), (-40, 40)), ((-6, 30), (-3, 12)), ((0, 1), (-1, 0)), ((-12, 0), (0, 12))]
+    rng = random.Random(sid)
+    requests = [(rng.randint(-3, 3), rng.choice(windows)) for _ in range(24)]
+    requests += requests[:6] + [(1, ((-9, 9), (-9, 9))), (1, ((-30, 3), (-2, 5))), (1, ((-9, 9), (-9, 9)))]
+    pres = make_space(sid)
+    for coset, window in requests:
+        got = _enumerate_coset_monomials(pres, coset, window)
+        assert got == _enumerate_coset_monomials(make_space(sid), coset, window), (sid, coset, window)
+        got.append(None)    # a caller's change to its list reaches no later answer
+
+
+def _counting_canonical(monkeypatch):
+    from c2quadrics.rewrite import Presentation
+
+    calls = []
+    canonical = Presentation.canonical
+    monkeypatch.setattr(Presentation, "canonical", lambda pres, mono: calls.append(mono) or canonical(pres, mono))
+    return calls
+
+
+def test_a_stored_coset_makes_no_canonical_test(monkeypatch):
+    """Once a finite deck has served a coset, enumerating that coset again
+    makes no canonical test, whatever the window."""
+    from c2quadrics.catalog import _enumerate_coset_monomials
+
+    calls = _counting_canonical(monkeypatch)
+    windows = [((-50, 50), (-50, 50)), ((0, 0), (0, 0)), ((-3, 6), (-2, 5)), ((-90, -80), (60, 70))]
+    for sid in ["quadric:11,11", "quadric:10,11", "quadric:11,10", "quadric:10,10", "quadric:2,5",
+                "proj:3,2", "binate:2,1", "point"]:
+        pres = make_space(sid)
+        for coset in (-1, 0, 1):
+            calls.clear()
+            _enumerate_coset_monomials(pres, coset, windows[0])
+            assert calls or pres.free_orbit, (sid, coset)
+            for window in windows:
+                calls.clear()
+                _enumerate_coset_monomials(pres, coset, window)
+                assert not calls, (sid, coset, window)
+
+
+def test_a_new_class_function_empties_the_stored_strips(monkeypatch):
+    """Replacing canonical_fn by one that flips a single class (canonical
+    on quadric:9,9, rejected after) makes the next enumeration test again,
+    as many times as the first, and follow the new function."""
+    from c2quadrics.catalog import _enumerate_coset_monomials
+    from c2quadrics.rewrite import _class_key
+
+    calls = _counting_canonical(monkeypatch)
+    window = ((-20, 20), (-20, 20))
+    pres = make_space("quadric:9,9")
+    first = []
+    for coset in (0, 1):
+        calls.clear()
+        before = _enumerate_coset_monomials(pres, coset, window)
+        first.append(len(calls))
+    flipped = _class_key(before[len(before) // 2], pres.p, pres.q)
+    old = pres.canonical_fn
+    pres.canonical_fn = lambda m: old(m) != (_class_key(m, pres.p, pres.q) == flipped)
+    calls.clear()
+    after = _enumerate_coset_monomials(pres, 1, window)
+    assert len(calls) == first[1]
+    assert sorted(after) == sorted(_walk_coset_monomials(pres, 1, window))
+    assert after == [m for m in before if _class_key(m, pres.p, pres.q) != flipped] != before
+    calls.clear()
+    assert _enumerate_coset_monomials(pres, 1, window) == after and not calls
+    calls.clear()
+    _enumerate_coset_monomials(pres, 0, window)
+    assert len(calls) == first[0]
+
+
 @pytest.mark.parametrize("m", range(9))
 def test_generators_and_divided_classes(m):
     """For every quadric:m,n with m, n <= 8: the generators divw and divx

@@ -867,6 +867,20 @@ def test_sample_pool_built_once():
         assert list(pool) == _fresh_pool(pres), sid
 
 
+def test_presentations_keep_to_29_instance_attributes():
+    # on CPython 3.11 a 30th instance attribute gives each instance dict its
+    # own keys, and every attribute load of the rewrite loop gets slower;
+    # the caches (class table, sample pool, strip table) are filled in place
+    from c2quadrics.catalog import basis_slice
+
+    for sid in CLASS_SPACES + ["quadric:6,5", "bu1", "point"]:
+        pres = _space(sid)
+        basis_slice(pres, 1, ((-9, 9), (-9, 9)))
+        _sample_monomials(pres)
+        pres.mul(pres.scalar(3), pres.scalar(5))
+        assert len(vars(pres)) <= 29, (sid, sorted(vars(pres)))
+
+
 def test_inline_draws_match_shuffle_and_choice():
     # the probe's draws on getrandbits against random's own shuffle and
     # choice: the same permutations and indices, and the same state after
@@ -919,6 +933,20 @@ def test_subtraction_is_adding_the_negative(sid):
             continue
         assert state(x - y) == state(x + (-y)), (x, y)
     assert any((x - x)._nf for x in elts) and all((x - x).is_zero() for x in elts)
+
+    # a subtrahend whose coefficients are mixed e^i xi^j terms alone, on
+    # monomials of the minuend and one more: 2-torsion, so x - y == x + y,
+    # and a term that meets its own coefficient cancels
+    rng = random.Random("mixed " + sid)
+    mixed = [PointElt.monomial(pos(i, j)) for i, j in ((1, 1), (2, 1), (1, 2), (3, 2))]
+    fresh = (0, 0, 0, 0, 0, 0, 0)
+    for x in elts:
+        if x.level != "top":
+            continue
+        c2 = {m: sum(rng.sample(mixed, rng.randint(1, 3)), PointElt()) for m in list(x.c2)[:3] + [fresh]}
+        for y in (RingElement(pres, "top", c2=c2), pres.normal_form(RingElement(pres, "top", c2=c2))):
+            assert state(x - y) == state(x + (-y)) == state(x + y), (x, y)
+            assert (y - y).is_zero() and state(y - y) == state(y + y)
 
 
 @pytest.mark.parametrize("sid", ["quadric:1,1", "binate:0,0"])
