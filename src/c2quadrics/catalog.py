@@ -570,11 +570,13 @@ class EtaSide:
     ``other_w`` are the monomial slots of the invertible zeta, the
     non-invertible zeta, this side's c (cw on side 0, cx on side 1) and the
     two divided flags; ``size`` is p on side 0 and q on side 1 (None for
-    BU(1)).  ``cw``, ``cx``, ``x`` and ``div_other`` are the images of the
-    generators and of the other side's divided class; ``w_div`` and
-    ``w_xcore`` are level-e witnesses of the own divided class and of the
-    x-core c^size x as transfers; ``y`` is the level-e image of y.  Images
-    that a space does not have are zero.
+    BU(1) and the point, which have no divided classes).  ``cw``, ``cx``
+    and ``x`` are the images of the generators and ``y`` is the level-e
+    image of y.  ``div_other`` is the image of the other side's divided
+    class; ``w_div`` and ``w_xcore`` are level-e witnesses of the own
+    divided class and of the x-core c^size x as transfers.  These three
+    are None until ``_fill_divided`` sets them on first use.  Images that
+    a space does not have are zero.
     """
 
     __slots__ = (
@@ -592,7 +594,8 @@ class EtaSide:
         own = R.monomial(1, 1, 0)
         other = add_elts(R.monomial(-1, 0, 0, E2), R.monomial(-1, 1, 0, XI_PT))
         self.cw, self.cx = (own, other) if side == 0 else (other, own)
-        self.x, self.div_other, self.w_div, self.w_xcore, self.y = {}, {}, {}, {}, {}
+        self.x, self.y = {}, {}
+        self.div_other = self.w_div = self.w_xcore = None
 
 
 def _eta_base(pres, S, i, j, d, w):
@@ -604,15 +607,20 @@ def _eta_base(pres, S, i, j, d, w):
     (or their divided cores): i <= p, j <= q, d <= 1, w <= 1, so the table
     never exceeds 2*(p+1)*(q+1)*2*2 entries and lives as long as the
     presentation.  BU(1) has no such bound, so its products are not kept.
+    Only the factors with a nonzero exponent are multiplied, and a divided
+    factor fills the divided-class data first (``_fill_divided``).
     """
     key = (S.side, i, j, d, w)
     img = pres.eta_images.get(key)
     if img is None:
         R = S.R
-        img = R.one()
+        if w and S.div_other is None:
+            _fill_divided(pres)
         for gen, e in zip((S.cw, S.cx, S.x, S.div_other), (i, j, d, w)):
             if e:
-                img = R.mul(img, R.power(gen, e))
+                img = R.power(gen, e) if img is None else R.mul(img, R.power(gen, e))
+        if img is None:
+            img = R.one()
         if pres.p is not None:
             pres.eta_images[key] = img
     return img
@@ -654,6 +662,8 @@ def eta_of_element(pres, x):
                     _add_term(acc, key, v)
                 continue
             # divided class: tau(shift of a witness) times the direct rest
+            if S.w_div is None:
+                _fill_divided(pres)
             rest = list(mono)
             rest[S.non] = 0
             if mono[S.own_w]:
@@ -689,16 +699,38 @@ def _witness(pres, S, img, what):
     return w
 
 
+def _fill_divided(pres):
+    """Set both sides' divided-class data: the image of the other side's
+    divided class (``div_other``) and the witnesses of the own divided class
+    and x-core (``w_div``, ``w_xcore``).  Called the first time a divided
+    class or a negative power of a non-invertible zeta is restricted.
+    BU(1) and the point (size None) have no divided classes, so theirs are
+    zero."""
+    sides = pres.eta_sides
+    for S in sides:
+        if S.size is None:
+            S.div_other = S.w_div = S.w_xcore = {}
+            continue
+        S.div_other = _divided_image(pres, S, sides[1 - S.side])
+        S.w_div = _witness(pres, S, _divided_image(pres, S, S), "divided class")
+        # witnesses for divided x-monomials (and bare divided cores in the
+        # projective/binate rings)
+        core = [0] * 7
+        core[S.c], core[4] = S.size, int(pres.has_x)
+        S.w_xcore = _witness(pres, S, _eta_direct_mono(pres, S, tuple(core), ONE), "x-core")
+
+
 def _build_eta(pres, deck):
-    """The two EtaSide records of a deck (``Presentation.eta_sides``).
+    """The two EtaSide records of a deck (``Presentation.eta_sides``), with
+    the generator images.
 
     The deck gives each component's ring kind and size.  Where rho(x) =
     iota^A zeta^B y^C (the quadrics), x -> (e^2 + xi c)^a zc^u y with
     (a, u) = (A/2, B) on side 0 and, through the swap (``_swap_key``),
     (A/2 + B, -B) on side 1; y -> c^d y, d half the y degree of the
-    level-e model less that of the side's model.  On spaces with finite
-    p, q each side also gets the image of the other side's divided class
-    and the witnesses of its own divided class and x-core.
+    level-e model less that of the side's model.  The divided-class data
+    are left to ``_fill_divided``, which the first divided restriction
+    calls.
     """
     sizes = (pres.p, pres.q)
     sides = tuple(
@@ -711,16 +743,6 @@ def _build_eta(pres, deck):
             E = add_elts(R.monomial(0, 0, 0, E2), R.monomial(0, 1, 0, XI_PT))
             S.x = R.mul(R.power(E, a), R.monomial(u, 0, 1))
             S.y = {(0, 0, (pres.levele.y_degree() - R.model.y_degree()) // 2, 1): 1}
-    if pres.p is None:
-        return sides  # BU(1) has no divided classes
-    for S in sides:
-        S.div_other = _divided_image(pres, S, sides[1 - S.side])
-        S.w_div = _witness(pres, S, _divided_image(pres, S, S), "divided class")
-        # witnesses for divided x-monomials (and bare divided cores in the
-        # projective/binate rings)
-        core = [0] * 7
-        core[S.c], core[4] = S.size, int(pres.has_x)
-        S.w_xcore = _witness(pres, S, _eta_direct_mono(pres, S, tuple(core), ONE), "x-core")
     return sides
 
 
@@ -751,7 +773,7 @@ def make_point():
     cfg = dict(deck)
     cfg["canonical"] = lambda m: m == MONO_ONE
     pres = Presentation("point", ("point",), cfg)
-    pres.eta_sides = (EtaSide(0, ("free", 0), 0), EtaSide(1, ("zero", 0), 0))
+    pres.eta_sides = (EtaSide(0, ("free", 0), None), EtaSide(1, ("zero", 0), None))
     return pres
 
 

@@ -61,15 +61,22 @@ class ComponentRing:
         return self.model.mul(x, y)
 
     def power(self, x, n):
-        """x^n by square-and-multiply."""
-        out = self.one()
-        while n:
+        """x^n (n >= 0) by square-and-multiply, starting from the first
+        factor, so that nothing is multiplied by one.
+
+        x must be reduced.  Neither x nor any dict it holds is changed, but
+        x^1 is x itself: the result may share x, so a caller must not
+        change it in place (no ring operation here does)."""
+        if not n:
+            return self.one()
+        out = None
+        while True:
             if n & 1:
-                out = self.mul(out, x)
+                out = x if out is None else self.mul(out, x)
             n >>= 1
-            if n:
-                x = self.mul(x, x)
-        return out
+            if not n:
+                return out
+            x = self.mul(x, x)
 
     # -- Mackey structure -------------------------------------------------
 

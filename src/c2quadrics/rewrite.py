@@ -436,13 +436,16 @@ class Presentation:
     descriptor, the level-e model, and the homomorphism data.
 
     Its caches are filled on first use and live as long as it does:
-    ``eta_images`` (catalog._eta_base), the class table of ``rule_class``
-    (emptied when ``rules`` changes), the pool of ``_sample_monomials``,
-    and the canonical strips of the basis enumeration (``_strip_table``,
-    emptied when ``canonical_fn`` is replaced).  They live in the 29
-    attributes that __init__ sets: on CPython 3.11 a 30th gives each
-    instance dict its own keys, and every attribute load gets slower, so
-    ``max_steps`` is a class attribute (an instance may shadow it).
+    ``eta_images`` (catalog._eta_base), the divided-class data of the two
+    ``eta_sides`` (catalog._fill_divided, at the first divided
+    restriction), the class table of ``rule_class`` (emptied when
+    ``rules`` changes or ``canonical_fn`` is replaced), the pool of
+    ``_sample_monomials``, and the canonical strips of the basis
+    enumeration (``_strip_table``, emptied when ``canonical_fn`` is
+    replaced).  They live in the 29 attributes that __init__ sets: on
+    CPython 3.11 a 30th gives each instance dict its own keys, and every
+    attribute load gets slower, so ``max_steps`` is a class attribute (an
+    instance may shadow it).
     """
 
     max_steps = 200000                       # the step bound of normal_form
@@ -481,7 +484,8 @@ class Presentation:
         # {relation name: (coeff, mono)}, read by solver.verify_relations
         self.raw_lhs = {name: raw for name, raw, _ in self.relations}
         self._class_table = {}               # {class key: True | (rule index, ...)}
-        self._class_rules = []               # the rules the table was built from
+        # (canonical_fn, rules): what the class table was built from
+        self._class_rules = (self.canonical_fn, [])
         # (canonical_fn, {(coset, p, q): canonical strips}): the strips that
         # catalog._enumerate_coset_monomials found with that function
         self._strips = (self.canonical_fn, {})
@@ -571,7 +575,7 @@ class Presentation:
         fixed thresholds (s, t, d, w0, w1 with -1..2; i with 0, 1, p-1, p;
         j with 0, 1, q-1, q), so the answer depends on the threshold class of
         mono alone (``_class_key``), and is kept per class.  The table is
-        rebuilt when ``rules`` changes."""
+        rebuilt when ``rules`` changes or ``canonical_fn`` is replaced."""
         key = _class_key(mono, self.p, self.q)
         entry = self._rule_table().get(key)
         if entry is None:
@@ -579,11 +583,13 @@ class Presentation:
         return entry
 
     def _rule_table(self):
-        """The class table, emptied first if ``rules`` changed since it was
-        filled (a rule may be replaced in place)."""
-        if self._class_rules != self.rules:
+        """The class table, emptied first if ``rules`` changed (a rule may
+        be replaced in place) or ``canonical_fn`` was replaced since it was
+        filled."""
+        fn, rules = self._class_rules
+        if fn is not self.canonical_fn or rules != self.rules:
             self._class_table = {}
-            self._class_rules = list(self.rules)
+            self._class_rules = (self.canonical_fn, list(self.rules))
         return self._class_table
 
     def _strip_table(self):

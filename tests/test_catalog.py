@@ -1030,6 +1030,75 @@ def test_generators_and_divided_classes(m):
             assert parse_expression(P, name) == P.gen(name)
 
 
+# every deck kind: the quadrics with m, n <= 9 (empty components, the free
+# orbit and the z0/z1-invertible decks among them), proj, binate, bu1, point
+DIVIDED_SPACES = (
+    ["quadric:%d,%d" % (m, n) for m in range(10) for n in range(10) if m + n >= 2]
+    + ["proj:2,3", "proj:3,2", "proj:0,3", "proj:2,0", "proj:1,1"]
+    + ["binate:2,1", "binate:2,2", "binate:0,2", "binate:0,0", "bu1", "point"]
+)
+
+
+def _divided_spaces():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RestrictedGradingWarning)
+        return [make_space(sid) for sid in DIVIDED_SPACES]
+
+
+def test_divided_class_data_filled_on_every_deck(monkeypatch):
+    """make_space leaves each side's divided-class data unset; one fill sets
+    both sides'.  On every deck with finite p, q the fill asserts that the
+    own divided class and the x-core restrict to transfers (two witnesses
+    per side), and each witness's transfer is that image; on bu1 and the
+    point, which have no divided classes, the data are zero."""
+    from c2quadrics import catalog
+
+    seen, real = [], catalog._witness
+
+    def witness(pres, S, img, what):
+        seen.append(what)
+        return real(pres, S, img, what)
+
+    monkeypatch.setattr(catalog, "_witness", witness)
+    for P in _divided_spaces():
+        sides = P.eta_sides
+        assert all(S.div_other is S.w_div is S.w_xcore is None for S in sides), P.name
+        seen.clear()
+        catalog._fill_divided(P)
+        if P.name in ("bu1", "point"):
+            assert not seen
+            assert all(S.div_other == S.w_div == S.w_xcore == {} for S in sides)
+            continue
+        assert seen == ["divided class", "x-core"] * 2, P.name
+        for S in sides:
+            R, other = S.R, sides[1 - S.side]
+            assert S.div_other == _divided_image(P, S, other), (P.name, S.side)
+            assert R.tau(S.w_div) == _divided_image(P, S, S), (P.name, S.side)
+            core = [0] * 7
+            core[S.c], core[4] = S.size, int(P.has_x)
+            xcore = catalog._eta_direct_mono(P, S, tuple(core), ONE)
+            assert R.tau(S.w_xcore) == xcore, (P.name, S.side)
+
+
+def test_make_space_and_an_undivided_atlas_restrict_no_divided_class(monkeypatch):
+    """make_space builds no divided image, and neither does an atlas of
+    decks whose generators have no divided normal form: its eta table
+    restricts z0, z1, cw, cx and x only."""
+    from c2quadrics import catalog
+    from c2quadrics.atlas import atlas_document
+
+    def divided_image(pres, S, T):
+        raise AssertionError("divided image built on %s" % pres.name)
+
+    monkeypatch.setattr(catalog, "_divided_image", divided_image)
+    _divided_spaces()
+    spaces = ["quadric:3,3", "quadric:4,3", "quadric:5,4", "quadric:6,6", "proj:2,3",
+              "binate:2,2", "bu1", "point"]
+    doc = atlas_document(spaces)
+    tables = {s["space"]: s["presentation"]["hom_tables"] for s in doc["spaces"]}
+    assert all("eta0" in tables[sid] for sid in spaces if sid != "point")
+
+
 def test_unknown_generator_raises():
     with pytest.raises(ValueError):
         make_space("quadric:3,3").gen("cz")

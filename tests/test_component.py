@@ -110,3 +110,36 @@ def test_zero_point_elements_are_falsy():
     assert not 2 * E_PT * XI_PT  # a mixed e^i xi^j coefficient is 0 mod 2
     assert PointElt.from_int(2)
     assert E_PT * XI_PT
+
+
+# (kind, size, legal (d, eps) range) of the models power is checked on:
+# B, D, proj, free and binate, whose y and t(y) sit at c^0 only
+POWER_MODELS = (
+    [("B", P) for P in (1, 2, 4)]
+    + [("D", P) for P in (1, 2, 3)]
+    + [("proj", N) for N in (1, 3)]
+    + [("free", 0)]
+    + [("binate", N) for N in (1, 2, 3)]
+)
+
+
+@pytest.mark.parametrize("kind,size", POWER_MODELS)
+def test_power_is_the_repeated_product(kind, size):
+    """power(x, n) for n = 0..6 equals x multiplied n times onto one(), and
+    leaves x and its coefficients as they were; x^1 is x itself."""
+    R = ComponentRing(kind, size, "z1")
+    rng = random.Random("power %s:%d" % (kind, size))
+    if kind == "binate":
+        monos = [(d, 0) for d in range(size + 2)] + [(0, 1), (0, 2)]
+    else:
+        legal = (0,) if kind in ("proj", "free") else (0, 1)
+        monos = [(d, eps) for d in range(2 * size + 2) for eps in legal]
+    for _ in range(12):
+        x = R.reduce(_component_elt(rng, monos, rng.randint(1, 4)))
+        before = {k: dict(v.c) for k, v in x.items()}
+        expect = R.one()
+        for n in range(7):
+            assert R.power(x, n) == expect, (kind, size, n)
+            assert {k: dict(v.c) for k, v in x.items()} == before
+            expect = R.mul(expect, x)
+        assert R.power(x, 1) is x

@@ -35,12 +35,16 @@ def _reference_power(R, x, n):
 
 def _reference_direct_mono(pres, S, mono, coeff):
     """The uncached image of coeff*mono: every factor multiplied out anew
-    from the generator images of the side record S."""
+    from the generator images of the side record S.  The image of the other
+    side's divided class is filled on first use, so a divided factor fills
+    it first (the fill reaches this function only on undivided monomials)."""
     R = S.R
     if R.empty:
         return {}
     non_exp = mono[S.non]
     assert non_exp >= 0 and mono[S.own_w] == 0
+    if mono[S.other_w] and S.div_other is None:
+        catalog._fill_divided(pres)
     out = R.monomial(mono[S.inv], 0, 0, coeff)
     if non_exp:
         out = R.mul(out, _reference_power(R, R.monomial(-1, 0, 0, XI_PT), non_exp))

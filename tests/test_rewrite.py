@@ -881,6 +881,27 @@ def test_presentations_keep_to_29_instance_attributes():
         assert len(vars(pres)) <= 29, (sid, sorted(vars(pres)))
 
 
+def test_a_new_class_function_empties_the_class_table():
+    # rule_class and normal_form follow a replaced canonical_fn: cw, canonical
+    # and kept before, is neither after (no rule rewrites it), and is both
+    # again under the deck's own function
+    pres = make_space("quadric:5,3")
+    cw = pres.gen("cw")
+    (mono,) = cw.c2
+    own = pres.canonical_fn
+
+    def reduce_cw():
+        return pres.normal_form(RingElement(pres, "top", c2=dict(cw.c2)))
+
+    assert pres.rule_class(mono) is True and reduce_cw() == cw
+    pres.canonical_fn = lambda m: False
+    assert pres.rule_class(mono) == _direct_class(pres, mono) == ()
+    with pytest.raises(NotAClassError, match="no rule rewrites cw"):
+        reduce_cw()
+    pres.canonical_fn = own
+    assert pres.rule_class(mono) is True and reduce_cw() == cw
+
+
 def test_inline_draws_match_shuffle_and_choice():
     # the probe's draws on getrandbits against random's own shuffle and
     # choice: the same permutations and indices, and the same state after
