@@ -169,8 +169,9 @@ _JUMPS = {}
 
 def _jump(pairs, k):
     """The one-step right-hand side ``pairs`` (``_W0_CW``, ``_W1_CX`` or
-    ``_T2``) raised to the power K = 2^k, as one right-hand side; for
-    ``_W0_CW`` e^{2K} z0^-K cw^-K + xi^K z0^-2K cw^-K cx^K.  Each of the k
+    ``_T2``) raised to the power K = 2^k, as one right-hand side (k = 0
+    gives the one-step rhs); for ``_W0_CW`` e^{2K} z0^-K cw^-K + xi^K
+    z0^-2K cw^-K cx^K.  Each of the k
     squarings squares the two terms alone, since (a + b)^2 = a^2 + b^2 when
     2ab = 0, and here ab carries the mixed, 2-torsion coefficient e^2 xi."""
     key = (id(pairs), k)
@@ -212,7 +213,7 @@ def _build_rules(pres):
     ``t2`` and the t2 branch of ``jhigh`` apply their one-step right-hand
     side K times in one firing, K the largest power of two <= n, for n = i,
     j, i - p, min(t // 2, j) and min(p - 1 - i, j - q): the K-th power keeps
-    two terms (``_jump``), and K = 1 takes the one-step rhs built here.  The
+    two terms (``_jump``), and K = 1 is the one-step rhs.  The
     tail branch of ``jhigh`` has one term and takes all its j - q steps at
     once.  The normal forms are those of the one-step rules (the tests keep
     those as the reference).  A firing still adds at most two pairs, so
@@ -238,8 +239,6 @@ def _build_rules(pres):
         return False if infinite else j >= q
 
     rules = []
-    # the one-step right-hand sides of the chains, which K = 1 fires
-    w0cw, w1cx, t2 = _rhs(_W0_CW), _rhs(_W1_CX), _rhs(_T2)
 
     # ---- x powers and div flags -----------------------------------------
 
@@ -307,10 +306,10 @@ def _build_rules(pres):
             )
 
         def r_w0cw(m):
-            return w0cw if m[2] < 2 else _jump(_W0_CW, m[2].bit_length() - 1)
+            return _jump(_W0_CW, m[2].bit_length() - 1)
 
         def r_w1cx(m):
-            return w1cx if m[3] < 2 else _jump(_W1_CX, m[3].bit_length() - 1)
+            return _jump(_W1_CX, m[3].bit_length() - 1)
 
         rules.append(("w0_cw", g_w0cw, r_w0cw))
         rules.append(("w1_cx", lambda m: g_w0cw(_swap_mono(m)), r_w1cx))
@@ -386,10 +385,7 @@ def _build_rules(pres):
             return t >= 2 and j >= 1 and w0 == 0 and w1 == 0
 
         def r_t2(m):
-            t, j = m[1], m[3]
-            if t < 4 or j < 2:  # K = 1
-                return t2
-            return _jump(_T2, min(t // 2, j).bit_length() - 1)
+            return _jump(_T2, min(m[1] // 2, m[3]).bit_length() - 1)
 
         rules.append(("t2", g_t2, r_t2))
 
@@ -415,8 +411,6 @@ def _build_rules(pres):
             def r_jhigh(m):
                 i, n = m[2], m[3] - q
                 if i + 1 < p:
-                    if i + 3 > p or n < 2:  # K = 1
-                        return t2
                     return _jump(_T2, min(p - 1 - i, n).bit_length() - 1)
                 if m[4] == 0:
                     return top_tail
@@ -435,8 +429,7 @@ def _build_rules(pres):
                 return s <= 0 and t == 0 and i >= p + 1 and j <= q - 1 and w0 == 0 and w1 == 0
 
             def r_ihigh(m):
-                n = m[2] - p
-                return w0cw if n < 2 else _jump(_W0_CW, n.bit_length() - 1)
+                return _jump(_W0_CW, (m[2] - p).bit_length() - 1)
 
             rules.append(("ihigh", g_ihigh, r_ihigh))
 
@@ -1012,8 +1005,9 @@ def basis_slice(pres, coset, window):
     The monomials come from ``_enumerate_coset_monomials``: the first slice
     of a coset on a presentation makes a fixed number of canonical tests
     and stores the coset's canonical strips, and every later slice of it,
-    at any window, makes none.  The presentation keeps one entry per coset
-    asked for (per coset and reach on bu1), each O(1) in p and q.  Each
+    at any window, makes none until ``canonical_fn`` or ``rules`` changes
+    (``Presentation._derived``).  The presentation keeps one entry per
+    coset asked for (per coset and reach on bu1), each O(1) in p and q.  Each
     enumerated monomial costs one closed-form grading
     (``Presentation.mono_grading``); the window test and the sort run on
     its integers, and an offset ``Grading`` is built only for the rows
@@ -1075,9 +1069,11 @@ def _enumerate_coset_monomials(pres, coset, window):
     canonical box and band (a strip, see ``_canonical_strips``) is emitted
     whole.  Nothing in those tests depends on the window but the stand-ins
     for p and q, so the strips are kept on the presentation under
-    (coset, p, q) (``Presentation._strip_table``): the first enumeration of
-    a coset makes a fixed number of ``Presentation.canonical`` tests, and a
-    later one makes none and walks only its strips.  The table holds one
+    (coset, p, q), in the ``strips`` of ``Presentation._derived``, which
+    are emptied with the class table when ``canonical_fn`` or ``rules``
+    changes.  The first enumeration of a coset makes a fixed number of
+    ``Presentation.canonical`` tests, and a later one makes none and walks
+    only its strips.  The table holds one
     entry per coset asked for, and on bu1, whose stand-ins grow with the
     window's reach, one per coset and reach; each entry is O(1) in p and q.
     The rest of the cost is O(p + q), the size of the output.
@@ -1086,7 +1082,7 @@ def _enumerate_coset_monomials(pres, coset, window):
     span = max(abs(a0), abs(a1), abs(b0), abs(b1)) + abs(coset)
     p = pres.p if pres.p is not None else span + 2
     q = pres.q if pres.q is not None else span + 2
-    table = pres._strip_table()
+    table = pres._derived().strips
     strips = table.get((coset, p, q))
     if strips is None:
         strips = table[coset, p, q] = _canonical_strips(pres, coset, p, q)

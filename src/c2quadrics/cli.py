@@ -171,6 +171,17 @@ def _verify_one(space_id, seed, full):
     return rep["ok"]
 
 
+def _check_verify(args):
+    """Refuse the ``verify --all`` arguments that it would ignore: space
+    ids, since --all lists its own quadrics, and a negative --max, which
+    lists none."""
+    if args.command == "verify" and args.all:
+        if args.spaces:
+            raise argparse.ArgumentError(None, "give space ids or --all, not both")
+        if args.max < 0:
+            raise argparse.ArgumentError(None, "argument --max: must be at least 0 with --all")
+
+
 def cmd_verify(args):
     ok = True
     with warnings.catch_warnings():
@@ -264,6 +275,7 @@ def main(argv=None):
         return 2
     try:
         args = build_parser().parse_args(_joined_window(argv))
+        _check_verify(args)
     except argparse.ArgumentError as exc:
         # an argument with a line break in it stays on the one line
         print("usage error: %s (see c2quadrics -h)" % " ".join(str(exc).splitlines()), file=sys.stderr)

@@ -227,12 +227,9 @@ class RingElement:
 
     def __add__(self, other, _minus=False):
         """self + other.  ``__sub__`` passes ``_minus``: other's terms are
-        then subtracted on their way into the copy of self's, so a
-        difference is one pass as well, and ``perfbench/tracer.py``, which
-        wraps this method, times sums and differences together.  A
-        coefficient is subtracted in a raw {point monomial: int} dict, with
-        the mixed e^i xi^j terms kept mod 2, and wrapped once; no negated
-        ``PointElt`` is built on the way."""
+        then negated on their way into the copy of self's, so a difference
+        is one pass as well, and ``perfbench/tracer.py``, which wraps this
+        method, times sums and differences together."""
         if not isinstance(other, RingElement):
             other = self._coerce(other)
             if other is None:
@@ -243,26 +240,8 @@ class RingElement:
             )
         out = RingElement(self.pres, self.level)
         c2 = out.c2 = dict(self.c2)
-        if _minus:
-            for m, v in other.c2.items():
-                w = c2.get(m)
-                c = {} if w is None else dict(w.c)
-                for k, n in v.c.items():
-                    n = c.get(k, 0) - n
-                    if _mixed(k):
-                        n %= 2
-                    if n:
-                        c[k] = n
-                    else:
-                        # v has no zero coefficient, so k was in c
-                        del c[k]
-                if c:
-                    c2[m] = _point(c)
-                elif w is not None:
-                    del c2[m]
-        else:
-            for m, v in other.c2.items():
-                _add_term(c2, m, v)
+        for m, v in other.c2.items():
+            _add_term(c2, m, -v if _minus else v)
         atoms = out.atoms = dict(self.atoms)
         for k, v in other.atoms.items():
             _add_count(atoms, k, -v if _minus else v)
@@ -429,6 +408,23 @@ class RingElement:
     __repr__ = __str__
 
 
+class Derived:
+    """The tables a presentation derives from ``canonical_fn`` and ``rules``
+    together: ``classes`` {class key: True | (rule index, ...)} of
+    ``rule_class``, ``strips`` {(coset, p, q): canonical strips} of
+    catalog._enumerate_coset_monomials, and ``pool``, the tuple of
+    ``_sample_monomials`` (None before first use)."""
+
+    __slots__ = ("canonical_fn", "rules", "classes", "strips", "pool")
+
+    def __init__(self, canonical_fn, rules):
+        self.canonical_fn = canonical_fn
+        self.rules = list(rules)
+        self.classes = {}
+        self.strips = {}
+        self.pool = None
+
+
 class Presentation:
     """A finitely presented graded algebra over the point ring.
 
@@ -438,14 +434,15 @@ class Presentation:
     Its caches are filled on first use and live as long as it does:
     ``eta_images`` (catalog._eta_base), the divided-class data of the two
     ``eta_sides`` (catalog._fill_divided, at the first divided
-    restriction), the class table of ``rule_class`` (emptied when
-    ``rules`` changes or ``canonical_fn`` is replaced), the pool of
-    ``_sample_monomials``, and the canonical strips of the basis
-    enumeration (``_strip_table``, emptied when ``canonical_fn`` is
-    replaced).  They live in the 29 attributes that __init__ sets: on
-    CPython 3.11 a 30th gives each instance dict its own keys, and every
-    attribute load gets slower, so ``max_steps`` is a class attribute (an
-    instance may shadow it).
+    restriction), and the tables derived from ``rules`` and
+    ``canonical_fn`` together, in one ``Derived`` record (``_derived``):
+    the class table of ``rule_class``, the canonical strips of the basis
+    enumeration and the pool of ``_sample_monomials``.  The record is
+    replaced whole when ``canonical_fn`` is replaced or ``rules`` changes
+    (a rule may be replaced in place).  The caches live in the 26
+    attributes that __init__ sets: on CPython 3.11 a 30th gives each
+    instance dict its own keys, and every attribute load gets slower, so
+    ``max_steps`` is a class attribute (an instance may shadow it).
     """
 
     max_steps = 200000                       # the step bound of normal_form
@@ -483,13 +480,7 @@ class Presentation:
         self.canonical_fn = cfg["canonical"]
         # {relation name: (coeff, mono)}, read by solver.verify_relations
         self.raw_lhs = {name: raw for name, raw, _ in self.relations}
-        self._class_table = {}               # {class key: True | (rule index, ...)}
-        # (canonical_fn, rules): what the class table was built from
-        self._class_rules = (self.canonical_fn, [])
-        # (canonical_fn, {(coset, p, q): canonical strips}): the strips that
-        # catalog._enumerate_coset_monomials found with that function
-        self._strips = (self.canonical_fn, {})
-        self._sample_pool = None             # filled by _sample_monomials on first use
+        self._tables = Derived(self.canonical_fn, [])   # see _derived
         self.warnings = []
 
     # -- element constructors ---------------------------------------------
@@ -574,40 +565,32 @@ class Presentation:
         Every guard and the canonical test compare each exponent only with
         fixed thresholds (s, t, d, w0, w1 with -1..2; i with 0, 1, p-1, p;
         j with 0, 1, q-1, q), so the answer depends on the threshold class of
-        mono alone (``_class_key``), and is kept per class.  The table is
-        rebuilt when ``rules`` changes or ``canonical_fn`` is replaced."""
+        mono alone (``_class_key``), and is kept per class, in the record of
+        ``_derived``."""
         key = _class_key(mono, self.p, self.q)
-        entry = self._rule_table().get(key)
+        entry = self._derived().classes.get(key)
         if entry is None:
             entry = self._classify(mono, key)
         return entry
 
-    def _rule_table(self):
-        """The class table, emptied first if ``rules`` changed (a rule may
-        be replaced in place) or ``canonical_fn`` was replaced since it was
-        filled."""
-        fn, rules = self._class_rules
-        if fn is not self.canonical_fn or rules != self.rules:
-            self._class_table = {}
-            self._class_rules = (self.canonical_fn, list(self.rules))
-        return self._class_table
-
-    def _strip_table(self):
-        """The canonical-strip table of the basis enumeration, emptied first
-        if ``canonical_fn`` was replaced since it was filled."""
-        fn, table = self._strips
-        if fn is not self.canonical_fn:
-            table = {}
-            self._strips = (self.canonical_fn, table)
-        return table
+    def _derived(self):
+        """The ``Derived`` record of the current ``rules`` and
+        ``canonical_fn``: a new, empty one if ``canonical_fn`` is not the
+        function the kept record was built with, or ``rules`` no longer
+        equals its copy of them (a rule may be replaced in place)."""
+        d = self._tables
+        if d.canonical_fn is not self.canonical_fn or d.rules != self.rules:
+            d = self._tables = Derived(self.canonical_fn, self.rules)
+        return d
 
     def _classify(self, mono, key):
-        """Fill the table entry of mono's class by one ordered guard scan."""
+        """Fill the entry of mono's class by one ordered guard scan, in the
+        class table that ``_derived`` last returned."""
         if self.canonical_fn(mono):
             entry = True
         else:
             entry = tuple(k for k, (_, guard, _) in enumerate(self.rules) if guard(mono))
-        self._class_table[key] = entry
+        self._tables.classes[key] = entry
         return entry
 
     def normal_form(self, x, rule_order=None, _fallbacks=(), _seen=None):
@@ -652,7 +635,7 @@ class Presentation:
             return self._levele_nf(self.levele.reduce(x.e))
         rules = self.rules
         rank = None if rule_order is None else {k: n for n, k in enumerate(rule_order)}
-        table = self._rule_table()
+        table = self._derived().classes
         p, q = self.p, self.q
         max_steps = self.max_steps
         dies = self.mixed_dies
@@ -1022,10 +1005,12 @@ def _mono_product(monos):
 
 def _sample_monomials(pres):
     """A pool of canonical monomials of small exponents, as a tuple built
-    once per presentation.  The box is scanned in lexicographic order, past
-    the cells that ``canonical`` never accepts: s and t both nonzero, or
-    both divided flags set (see ``_make_canonical``)."""
-    if pres._sample_pool is None:
+    once per ``Presentation._derived`` record.  The box is scanned in
+    lexicographic order, past the cells that ``canonical`` never accepts:
+    s and t both nonzero, or both divided flags set (see
+    ``_make_canonical``)."""
+    tables = pres._derived()
+    if tables.pool is None:
         p = pres.p if pres.p is not None else 3
         q = pres.q if pres.q is not None else 3
         st = [(s, t) for s in range(-2, 3) for t in range(-2, 3) if not (s and t)]
@@ -1037,5 +1022,5 @@ def _sample_monomials(pres):
             m = (s, t, i, j, d, w0, w1)
             if pres.canonical(m) and m != MONO_ONE:
                 pool.append(m)
-        pres._sample_pool = tuple(pool)
-    return pres._sample_pool
+        tables.pool = tuple(pool)
+    return tables.pool

@@ -535,6 +535,9 @@ def test_every_emitted_atlas_loads(tmp_path, capsys):
     (("basis", "quadric:3,3", "-x\ny"), "unrecognized arguments: -x y"),
     (("no-such-command",), "argument command: invalid choice"),
     ((), "the following arguments are required: command"),
+    # --all lists its own quadrics: --max -1 lists none, and a space id beside it is ignored
+    (("verify", "--all", "--max", "-1"), "argument --max: must be at least 0"),
+    (("verify", "quadric:3,3", "--all", "--max", "0"), "give space ids or --all, not both"),
 ])
 def test_usage_error_is_one_line(capsys, argv, what):
     code, out, err = run(capsys, *argv)

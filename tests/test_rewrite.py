@@ -565,10 +565,10 @@ def test_class_table_matches_direct_scan(space):
             pres.monomial_elt(mono_mul(a, b))
         except NotAClassError:
             pass
-    assert pres._class_table
+    assert pres._derived().classes
     for m in _class_box(pres):
         assert pres.rule_class(m) == _direct_class(pres, m), (space, m)
-    assert len(pres._class_table) <= 4 * 4 * 7 * 7 * 4 * 4 * 4
+    assert len(pres._derived().classes) <= 4 * 4 * 7 * 7 * 4 * 4 * 4
 
 
 def test_class_key_places_exponents_against_their_thresholds():
@@ -607,7 +607,7 @@ def test_class_table_does_not_depend_on_p_and_q(small, large):
         st, dw = range(-1, 2), range(-1, 3)
         for m in itertools.product(st, st, range(-1, pres.p + 3), range(-1, pres.q + 3), dw, dw, dw):
             pres.rule_class(m)
-        tables.append(([r[0] for r in pres.rules], pres._class_table))
+        tables.append(([r[0] for r in pres.rules], pres._derived().classes))
     assert tables[0] == tables[1]
 
 
@@ -624,7 +624,7 @@ def test_huge_space_builds_and_reduces_at_once():
         tracemalloc.stop()
     assert took < 1.0
     assert peak < 1 << 20
-    assert 0 < len(pres._class_table) <= 4 * 4 * 7 * 7 * 4 * 4 * 4
+    assert 0 < len(pres._derived().classes) <= 4 * 4 * 7 * 7 * 4 * 4 * 4
 
 
 def _outcome(pres, x):
@@ -656,7 +656,7 @@ def test_warm_table_follows_rules_replaced_in_place():
         for _ in range(150)
     ]
     before = [_outcome(pres, x) for x in raws]
-    assert len(pres._class_table) > 20
+    assert len(pres._derived().classes) > 20
     _fault(pres, "xi_mix", "t2")
     # the faulty rules on a cold table are the reference
     cold = make_space("quadric:3,3")
@@ -902,6 +902,44 @@ def test_a_new_class_function_empties_the_class_table():
     assert pres.rule_class(mono) is True and reduce_cw() == cw
 
 
+def _flipped(own, pres, key):
+    """The canonical test ``own`` with its answer negated on one threshold
+    class (``_class_key``) of pres."""
+    return lambda m: own(m) != (_class_key(m, pres.p, pres.q) == key)
+
+
+def test_the_sample_pool_follows_a_new_class_function():
+    pres = make_space("quadric:5,3")
+    own = pres.canonical_fn
+    pool = _sample_monomials(pres)
+    key = _class_key(pool[len(pool) // 2], pres.p, pres.q)
+    pres.canonical_fn = _flipped(own, pres, key)
+    after = _sample_monomials(pres)
+    assert list(after) == _fresh_pool(pres)
+    assert list(after) == [m for m in pool if _class_key(m, pres.p, pres.q) != key] != list(pool)
+    pres.canonical_fn = own
+    assert _sample_monomials(pres) == pool
+
+
+def test_a_warm_audit_follows_a_new_class_function():
+    # the class table, the stored strips and the sample pool are emptied
+    # together, so after a class flip of canonical_fn a warm presentation
+    # audits as a fresh one flipped before first use
+    from c2quadrics.solver import audit_full
+
+    warm = make_space("quadric:5,3")
+    own = warm.canonical_fn
+    first = audit_full(warm, 0, 20, 30)
+    keys = sorted({_class_key(m, warm.p, warm.q) for m in _sample_monomials(warm)})
+    for key in random.Random("class flips").sample(keys, 5):
+        warm.canonical_fn = _flipped(own, warm, key)
+        fresh = make_space("quadric:5,3")
+        fresh.canonical_fn = _flipped(fresh.canonical_fn, fresh, key)
+        assert audit_full(warm, 0, 20, 30) == audit_full(fresh, 0, 20, 30), key
+    warm.canonical_fn = own
+    assert audit_full(warm, 0, 20, 30) == first
+
+
 def test_inline_draws_match_shuffle_and_choice():
     # the probe's draws on getrandbits against random's own shuffle and
     # choice: the same permutations and indices, and the same state after
@@ -994,8 +1032,8 @@ def test_free_orbit_unit_is_a_rule(sid):
     confluence_probe(P, samples=20, seed=3)
     for m in itertools.product(range(-2, 3), range(-2, 3), range(3), range(3), range(3), (0, 1), (0, 1)):
         P.monomial_elt(m, 3)
-    assert P._class_table
-    for key, entry in P._class_table.items():
+    assert P._derived().classes
+    for key, entry in P._derived().classes.items():
         assert entry == ((names.index("x_zero"),) if key[4] >= 1 else (names.index("unit"),)), key
     assert str(P.scalar(1)) == "t(y)" and str(P.scalar(-2)) == "-2*t(y)"
 
