@@ -104,11 +104,11 @@ def _hom_tables(pres):
         tables["rho"] = {g: levele_str(pres.rho(pres.gen(g)).e) for g in gens}
     except NotAClassError:
         return tables  # the point ring: its generators are not classes
-    if all(S.R.empty for S in pres.eta_sides):
+    if all(S.empty for S in pres.eta_sides):
         return tables  # no fixed points (the free orbit): no eta table
     images = [pres.eta(pres.gen(g)) for g in gens]
     for S in pres.eta_sides:
-        tables["eta%d" % S.side] = {g: S.R.str_elt(img[S.side]) for g, img in zip(gens, images)}
+        tables["eta%d" % S.side] = {g: S.str_elt(img[S.side]) for g, img in zip(gens, images)}
     return tables
 
 

@@ -34,9 +34,10 @@ from .coefficients import (
     pos,
     trans,
 )
-from .component import ComponentRing
+# eta_of_element is also read here, as the catalog name perfbench/tracer.py times
+from .component import E2, ComponentRing, _build_eta, _divided, eta_of_element
 from .grading import Grading, W, XW, coset_index, underlying_degree
-from .levele import LevelEModel, add_elts
+from .levele import LevelEModel
 from .noneq import InvalidSizeError, NoneqQuadricRing
 from .rewrite import MONO_ONE, Presentation, RingElement, _places, mono_mul
 
@@ -49,17 +50,12 @@ class InvalidWindowError(ValueError):
     """A grading window with reversed bounds."""
 
 
-E2 = PointElt.monomial(pos(2, 0))
 TRANS_M1 = PointElt.monomial(trans(-1))
 
 
 def nk(n):
     """e^{-n} kappa as a point element (n = 0 is kappa)."""
     return PointElt.monomial(negkappa(n))
-
-
-def _xi_pow(n):
-    return PointElt.monomial(pos(0, n)) if n else ONE
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +121,6 @@ def _swap_key(a, b):
     return (a + 2 * b, -b)
 
 
-def _divided(pres, side):
-    """The divided class of a side as (coefficient, monomial) pairs:
-    divw = cw^p - corrw on side 0, divx = cx^q - corrx on side 1."""
-    top = (_mono(i=pres.p), _mono(j=pres.q))[side]
-    return [(ONE, top)] + [(-c, delta) for c, delta in (pres.corrw, pres.corrx)[side]]
-
-
 def _rhs(pairs=(), terms=(), delta=MONO_ONE):
     """A right-hand side as data, ``(pairs, atoms)`` (see rewrite.py): the
     mono entries of the deck ``terms`` shifted by ``delta``, then the
@@ -190,9 +179,10 @@ def _jump(pairs, k):
 # deck: dict with p, q, has_x, has_atoms, corrw, corrx, xsq_terms,
 # top_terms, divdiv_terms, rho_x, levele, x_grading, relations (each as
 # (name, raw left side (coeff, mono), right-side terms), read by
-# Presentation.identities), and for eta (_build_eta) components; _finish
-# adds z0_inv and z1_inv.  _quadric derives a quadric's deck from (m, n):
-# only xsq_terms and divdiv_terms depend on the type
+# Presentation.identities), and for eta (component._build_eta)
+# components; _finish adds z0_inv and z1_inv.  _quadric derives a
+# quadric's deck from (m, n): only xsq_terms and divdiv_terms depend on
+# the type
 
 
 def _build_rules(pres):
@@ -540,206 +530,6 @@ def _make_canonical(deck):
 
 
 # ---------------------------------------------------------------------------
-# eta machinery
-#
-# eta restricts to the two fixed-set components.  Both restrictions are one
-# construction with the roles of (zeta0, cw, divw) and (zeta1, cx, divx)
-# exchanged: over component 0 zeta1 is invertible and zeta0 maps to
-# xi * zeta1^-1, over component 1 the other way round.  An EtaSide holds
-# what one component reads; eta_of_element runs the same code on each.
-
-# monomial slots per side: (invertible zeta, non-invertible zeta, own c,
-# own divided flag, other divided flag)
-_SIDE_SLOTS = ((1, 0, 2, 5, 6), (0, 1, 3, 6, 5))
-# zeta = rho(z1) restricts to iota^a zc^b: zc over component 0, and
-# iota^2 zc^-1 (from rho(z0) = iota^2 zeta^-1) over component 1
-_ZETA_IMAGE = ((0, 1), (2, -1))
-
-
-class EtaSide:
-    """The restriction eta to one fixed component (``side`` 0 or 1).
-
-    ``R`` is the component ring; ``inv``, ``non``, ``c``, ``own_w`` and
-    ``other_w`` are the monomial slots of the invertible zeta, the
-    non-invertible zeta, this side's c (cw on side 0, cx on side 1) and the
-    two divided flags; ``size`` is p on side 0 and q on side 1 (None for
-    BU(1) and the point, which have no divided classes).  ``cw``, ``cx``
-    and ``x`` are the images of the generators and ``y`` is the level-e
-    image of y.  ``div_other`` is the image of the other side's divided
-    class; ``w_div`` and ``w_xcore`` are level-e witnesses of the own
-    divided class and of the x-core c^size x as transfers.  These three
-    are None until ``_fill_divided`` sets them on first use.  Images that
-    a space does not have are zero.
-    """
-
-    __slots__ = (
-        "side", "R", "inv", "non", "c", "own_w", "other_w", "zeta", "size",
-        "cw", "cx", "x", "div_other", "w_div", "w_xcore", "y",
-    )
-
-    def __init__(self, side, component, size):
-        self.side = side
-        self.R = R = ComponentRing(*component, ("z1", "z0")[side])
-        self.inv, self.non, self.c, self.own_w, self.other_w = _SIDE_SLOTS[side]
-        self.zeta = _ZETA_IMAGE[side]
-        self.size = size
-        # the own c restricts to zc*c, the other one to (e^2 + xi c) * zc^-1
-        own = R.monomial(1, 1, 0)
-        other = add_elts(R.monomial(-1, 0, 0, E2), R.monomial(-1, 1, 0, XI_PT))
-        self.cw, self.cx = (own, other) if side == 0 else (other, own)
-        self.x, self.y = {}, {}
-        self.div_other = self.w_div = self.w_xcore = None
-
-
-def _eta_base(pres, S, i, j, d, w):
-    """eta_S(cw^i cx^j x^d div^w), div the other side's divided class,
-    computed once per presentation.
-
-    ``pres.eta_images`` holds these products keyed (side, i, j, d, w).  On
-    spaces with finite p, q the arguments come from canonical monomials
-    (or their divided cores): i <= p, j <= q, d <= 1, w <= 1, so the table
-    never exceeds 2*(p+1)*(q+1)*2*2 entries and lives as long as the
-    presentation.  BU(1) has no such bound, so its products are not kept.
-    Only the factors with a nonzero exponent are multiplied, and a divided
-    factor fills the divided-class data first (``_fill_divided``).
-    """
-    key = (S.side, i, j, d, w)
-    img = pres.eta_images.get(key)
-    if img is None:
-        R = S.R
-        if w and S.div_other is None:
-            _fill_divided(pres)
-        for gen, e in zip((S.cw, S.cx, S.x, S.div_other), (i, j, d, w)):
-            if e:
-                img = R.power(gen, e) if img is None else R.mul(img, R.power(gen, e))
-        if img is None:
-            img = R.one()
-        if pres.p is not None:
-            pres.eta_images[key] = img
-    return img
-
-
-def _eta_direct_mono(pres, S, mono, coeff):
-    """Image of coeff*mono under eta_S, valid when the non-invertible
-    zeta exponent is >= 0 and the own divided flag is absent."""
-    if S.R.empty:
-        return {}
-    non_exp = mono[S.non]
-    assert non_exp >= 0 and mono[S.own_w] == 0
-    # the non-invertible zeta maps to xi * zc^-1, so the rest of the
-    # monomial maps to the single term coeff*xi^non_exp * zc^shift at
-    # c^0 y^0, which commutes with the quotient: apply it termwise
-    scale = coeff * _xi_pow(non_exp) if non_exp else coeff
-    shift = mono[S.inv] - non_exp
-    out = {}
-    for (u, d2, eps), v in _eta_base(pres, S, mono[2], mono[3], mono[4], mono[S.other_w]).items():
-        v = v * scale
-        if v.c:
-            out[(u + shift, d2, eps)] = v
-    return out
-
-
-def eta_of_element(pres, x):
-    """Restriction of a normal-form element to the two fixed components."""
-    outs = []
-    for S in pres.eta_sides:
-        R = S.R
-        acc = {}
-        outs.append(acc)
-        if R.empty:
-            continue
-        for mono, coeff in x.c2.items():
-            k = -mono[S.non]
-            if k <= 0 and not mono[S.own_w]:
-                for key, v in _eta_direct_mono(pres, S, mono, coeff).items():
-                    _add_term(acc, key, v)
-                continue
-            # divided class: tau(shift of a witness) times the direct rest
-            if S.w_div is None:
-                _fill_divided(pres)
-            rest = list(mono)
-            rest[S.non] = 0
-            if mono[S.own_w]:
-                core_w = S.w_div
-                rest[S.own_w] = 0
-            else:
-                core_w = S.w_xcore
-                rest[S.c] -= S.size
-                if pres.has_x:
-                    rest[4] -= 1
-            rest_img = _eta_direct_mono(pres, S, tuple(rest), coeff)
-            w = R.shift_noninvertible(core_w, k) if k else core_w
-            for term, val in R.tau(R.model.mul(w, R.rho(rest_img))).items():
-                _add_term(acc, term, val)
-        ia, zb = S.zeta
-        for (a, b), v in x.atoms.items():
-            for term, val in R.tau(R.model.mul({(a + ia * b, zb * b, 0, 0): v}, S.y)).items():
-                _add_term(acc, term, val)
-    return tuple(outs)
-
-
-def _divided_image(pres, S, T):
-    """eta_S of the divided class of side T (``_divided``)."""
-    img = {}
-    for coeff, mono in _divided(pres, T.side):
-        img = add_elts(img, _eta_direct_mono(pres, S, mono, coeff))
-    return img
-
-
-def _witness(pres, S, img, what):
-    w = S.R.transfer_witness(img)
-    assert w is not None, "%s image is not a transfer in %s" % (what, pres.name)
-    return w
-
-
-def _fill_divided(pres):
-    """Set both sides' divided-class data: the image of the other side's
-    divided class (``div_other``) and the witnesses of the own divided class
-    and x-core (``w_div``, ``w_xcore``).  Called the first time a divided
-    class or a negative power of a non-invertible zeta is restricted.
-    BU(1) and the point (size None) have no divided classes, so theirs are
-    zero."""
-    sides = pres.eta_sides
-    for S in sides:
-        if S.size is None:
-            S.div_other = S.w_div = S.w_xcore = {}
-            continue
-        S.div_other = _divided_image(pres, S, sides[1 - S.side])
-        S.w_div = _witness(pres, S, _divided_image(pres, S, S), "divided class")
-        # witnesses for divided x-monomials (and bare divided cores in the
-        # projective/binate rings)
-        core = [0] * 7
-        core[S.c], core[4] = S.size, int(pres.has_x)
-        S.w_xcore = _witness(pres, S, _eta_direct_mono(pres, S, tuple(core), ONE), "x-core")
-
-
-def _build_eta(pres, deck):
-    """The two EtaSide records of a deck (``Presentation.eta_sides``), with
-    the generator images.
-
-    The deck gives each component's ring kind and size.  Where rho(x) =
-    iota^A zeta^B y^C (the quadrics), x -> (e^2 + xi c)^a zc^u y with
-    (a, u) = (A/2, B) on side 0 and, through the swap (``_swap_key``),
-    (A/2 + B, -B) on side 1; y -> c^d y, d half the y degree of the
-    level-e model less that of the side's model.  The divided-class data
-    are left to ``_fill_divided``, which the first divided restriction
-    calls.
-    """
-    sizes = (pres.p, pres.q)
-    sides = tuple(
-        EtaSide(side, comp, sizes[side]) for side, comp in enumerate(deck["components"])
-    )
-    if pres.rho_x is not None:
-        A, B, _ = pres.rho_x
-        for S, (a, u) in zip(sides, ((A // 2, B), (A // 2 + B, -B))):
-            R = S.R
-            E = add_elts(R.monomial(0, 0, 0, E2), R.monomial(0, 1, 0, XI_PT))
-            S.x = R.mul(R.power(E, a), R.monomial(u, 0, 1))
-            S.y = {(0, 0, (pres.levele.y_degree() - R.model.y_degree()) // 2, 1): 1}
-    return sides
-
-
-# ---------------------------------------------------------------------------
 # deck constructors
 
 
@@ -751,7 +541,7 @@ def _finish(name, space, deck):
     cfg["canonical"] = _make_canonical(cfg)
     pres = Presentation(name, space, cfg)
     pres.rules = deck["rules"] if "rules" in deck else _build_rules(pres)
-    pres.eta_sides = _build_eta(pres, deck)
+    pres.eta_sides = _build_eta(pres, deck["components"])
     return pres
 
 
@@ -766,7 +556,7 @@ def make_point():
     cfg = dict(deck)
     cfg["canonical"] = lambda m: m == MONO_ONE
     pres = Presentation("point", ("point",), cfg)
-    pres.eta_sides = (EtaSide(0, ("free", 0), None), EtaSide(1, ("zero", 0), None))
+    pres.eta_sides = (ComponentRing(0, "free", 0), ComponentRing(1, "zero", 0))
     return pres
 
 
@@ -901,7 +691,8 @@ def _quadric(m, n):
 
     and cw^p cx^q = divw divx + e^-2 k cw^em cx^en x.  Only x^2 and
     divw*divx depend on the type (``_xsq_terms``, ``_divdiv_terms``);
-    eta(x) and eta(y) follow from rho(x) and the models (``_build_eta``).
+    eta(x) and eta(y) follow from rho(x) and the models
+    (``component.ComponentRing``).
     """
     p, q = m // 2, n // 2
     em, en = 1 - m % 2, 1 - n % 2

@@ -4,7 +4,7 @@ Commands:
     reduce SPACE EXPR                normal form and grading of an expression
     basis SPACE [--coset N] [--window a0:a1,b0:b1]
     diagram SPACE [--coset N] [--window ...] [--format ascii|svg]
-    verify [SPACE... | --all --max N] [--seed S]
+    verify [SPACE... | --all [--max N]] [--full [--seed S]]
     atlas emit SPACES... [-o FILE]   / atlas load FILE
 
 Space ids: point, bu1, proj:p,q, binate:p,q, quadric:m,n, neq:n,B|D.
@@ -80,8 +80,8 @@ def build_parser():
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("spaces", nargs="*")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--max", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max", type=int, help="with --all: the largest p, q (default 3)")
+    p.add_argument("--seed", type=int, help="with --full: the audit's seed (default 0)")
     p.add_argument("--full", action="store_true", help="run the full audit, not just the relation deck")
 
     p = sub.add_parser("atlas", help="emit or load a JSON atlas")
@@ -172,29 +172,34 @@ def _verify_one(space_id, seed, full):
 
 
 def _check_verify(args):
-    """Refuse the ``verify --all`` arguments that it would ignore: space
-    ids, since --all lists its own quadrics, and a negative --max, which
-    lists none."""
-    if args.command == "verify" and args.all:
-        if args.spaces:
-            raise argparse.ArgumentError(None, "give space ids or --all, not both")
-        if args.max < 0:
-            raise argparse.ArgumentError(None, "argument --max: must be at least 0 with --all")
+    """Refuse the ``verify`` arguments that it would ignore: space ids
+    beside --all, which lists its own quadrics, --max without --all, --seed
+    without --full, and a negative --max, which lists none."""
+    if args.command != "verify":
+        return
+    if args.all and args.spaces:
+        raise argparse.ArgumentError(None, "give space ids or --all, not both")
+    if args.max is not None and not args.all:
+        raise argparse.ArgumentError(None, "argument --max: only with --all")
+    if args.seed is not None and not args.full:
+        raise argparse.ArgumentError(None, "argument --seed: only with --full")
+    if args.all and args.max is not None and args.max < 0:
+        raise argparse.ArgumentError(None, "argument --max: must be at least 0 with --all")
 
 
 def cmd_verify(args):
-    ok = True
+    ok, seed = True, args.seed or 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RestrictedGradingWarning)
         if args.all:
-            bound = args.max
+            bound = 3 if args.max is None else args.max
             # every quadric:m,n with m, n >= 1 and p = m // 2, q = n // 2 <= bound
             for m in range(1, 2 * bound + 2):
                 for n in range(1, 2 * bound + 2):
-                    ok = _verify_one("quadric:%d,%d" % (m, n), args.seed, args.full) and ok
+                    ok = _verify_one("quadric:%d,%d" % (m, n), seed, args.full) and ok
         elif args.spaces:
             for space_id in args.spaces:
-                ok = _verify_one(space_id, args.seed, args.full) and ok
+                ok = _verify_one(space_id, seed, args.full) and ok
         else:
             print("give a space id or --all", file=sys.stderr)
             return 2

@@ -53,6 +53,7 @@ from .coefficients import (
     pos,
     transfer_witness,
 )
+from .component import eta_of_element
 from .grading import Grading, IOTA_DEG, OMEGA1
 from .levele import NotAClassError, iota_zeta_names, levele_str
 
@@ -432,17 +433,19 @@ class Presentation:
     descriptor, the level-e model, and the homomorphism data.
 
     Its caches are filled on first use and live as long as it does:
-    ``eta_images`` (catalog._eta_base), the divided-class data of the two
-    ``eta_sides`` (catalog._fill_divided, at the first divided
-    restriction), and the tables derived from ``rules`` and
-    ``canonical_fn`` together, in one ``Derived`` record (``_derived``):
-    the class table of ``rule_class``, the canonical strips of the basis
-    enumeration and the pool of ``_sample_monomials``.  The record is
-    replaced whole when ``canonical_fn`` is replaced or ``rules`` changes
-    (a rule may be replaced in place).  The caches live in the 26
-    attributes that __init__ sets: on CPython 3.11 a 30th gives each
-    instance dict its own keys, and every attribute load gets slower, so
-    ``max_steps`` is a class attribute (an instance may shadow it).
+    each of the two ``eta_sides`` (one ``component.ComponentRing`` per
+    fixed component) keeps its own table of generator-product images
+    (component._eta_base) and its divided-class data
+    (component._fill_divided, at the first divided restriction), and the
+    tables derived from ``rules`` and ``canonical_fn`` together, in one
+    ``Derived`` record (``_derived``): the class table of ``rule_class``,
+    the canonical strips of the basis enumeration and the pool of
+    ``_sample_monomials``.  The record is replaced whole when
+    ``canonical_fn`` is replaced or ``rules`` changes (a rule may be
+    replaced in place).  The caches live in the 25 attributes that
+    __init__ sets: on CPython 3.11 a 30th gives each instance dict its own
+    keys, and every attribute load gets slower, so ``max_steps`` is a class
+    attribute (an instance may shadow it).
     """
 
     max_steps = 200000                       # the step bound of normal_form
@@ -467,8 +470,7 @@ class Presentation:
         self.corrx = cfg.get("corrx", [])
         self.top_terms = cfg.get("top_terms")    # cw^p cx^q as [(coeff|"atom", mono|(a,b))]
         self.divdiv_terms = cfg.get("divdiv_terms")
-        self.eta_sides = ()                  # one catalog.EtaSide per fixed component
-        self.eta_images = {}                 # filled by catalog._eta_base on first use
+        self.eta_sides = ()                  # one component.ComponentRing per fixed component
         # [(name, (coeff, mono), terms)]: each relation's left side as one
         # unreduced term, its right side as terms (``_terms_elt``)
         self.relations = cfg.get("relations", [])
@@ -488,11 +490,11 @@ class Presentation:
     def zero(self, level="top"):
         return RingElement(self, level)
 
-    def scalar(self, n):
-        return self.normal_form(RingElement(self, "top", c2={MONO_ONE: n}))
-
     def coeff_elt(self, coeff):
+        """coeff * 1, for a point element or an int coeff."""
         return self.normal_form(RingElement(self, "top", c2={MONO_ONE: coeff}))
+
+    scalar = coeff_elt
 
     def monomial_elt(self, mono, coeff=1):
         return self.normal_form(RingElement(self, "top", c2={mono: coeff}))
@@ -854,9 +856,6 @@ class Presentation:
         fresh dicts, so a caller may change what it gets."""
         img = x._eta if x.pres is self else None
         if img is None:
-            # a lazy import: catalog imports this module
-            from .catalog import eta_of_element
-
             img = eta_of_element(self, self.normal_form(x))
             if x.pres is self:
                 x._eta = img
@@ -864,7 +863,7 @@ class Presentation:
 
     def phi(self, x):
         """Fixed-point map: collapse eta through the point ring."""
-        return tuple(S.R.phi(img) for S, img in zip(self.eta_sides, self.eta(x)))
+        return tuple(S.phi(img) for S, img in zip(self.eta_sides, self.eta(x)))
 
     # -- misc ------------------------------------------------------------------
 

@@ -116,7 +116,7 @@ def _g_coords(pres, x, coords, constraints, g_pt):
     eta(g*x) = g*eta(x) coefficientwise."""
     out = {k: 2 * v for k, v in coords.items() if k[0] == "e"}
     if constraints.get("eta") is not None:
-        out.update(_coords(eta=[S.R.scale(img, g_pt) for S, img in zip(pres.eta_sides, pres.eta(x))]))
+        out.update(_coords(eta=[S.scale(img, g_pt) for S, img in zip(pres.eta_sides, pres.eta(x))]))
     return out
 
 
@@ -175,7 +175,7 @@ def divisibility_witness(pres, x, side):
         k = 1
     else:
         raise ValueError("side must be z0 or z1")
-    w = pres.eta_sides[k].R.transfer_witness(images[k])
+    w = pres.eta_sides[k].transfer_witness(images[k])
     if w is None:
         return {"divisible": False, "witness": None}
     return {"divisible": True, "witness": w}
@@ -316,10 +316,10 @@ def _hom_failure(pres, x, y, xy, rx):
     if not (pres.rho(xy) - pres.mul(rx, pres.rho(y))).is_zero():
         return "rho mult"
     sides = zip(pres.eta_sides, pres.eta(x), pres.eta(y), pres.eta(xy))
-    if not all(exy == S.R.mul(ex, ey) for S, ex, ey, exy in sides):
+    if not all(exy == S.mul(ex, ey) for S, ex, ey, exy in sides):
         return "eta mult"
     sides = zip(pres.eta_sides, pres.phi(x), pres.phi(y), pres.phi(xy))
-    if not all(S.R.model.mul(px, py) == pxy for S, px, py, pxy in sides):
+    if not all(S.model.mul(px, py) == pxy for S, px, py, pxy in sides):
         return "phi mult"
     return None
 

@@ -10,7 +10,6 @@ import pytest
 from c2quadrics.catalog import (
     E2,
     RestrictedGradingWarning,
-    _divided_image,
     _swap_key,
     _swap_mono,
     basis_slice,
@@ -24,6 +23,7 @@ from c2quadrics.catalog import (
     swap_involution,
 )
 from c2quadrics.coefficients import ONE, XI_PT, PointElt, negkappa, pos, trans
+from c2quadrics.component import _divided_image
 from c2quadrics.expressions import parse_expression
 from c2quadrics.grading import Grading, OMEGA0, OMEGA1, W, XW
 from c2quadrics.levele import add_elts
@@ -95,7 +95,7 @@ def test_shared_fields_follow_from_m_and_n():
             # level e: the quadric in C^{m+n}; the fixed components: those in C^m and C^n
             assert _model(Q.levele) == _model(make_nonequiv_quadric(m + n).model)
             for S, k in zip(Q.eta_sides, (m, n)):
-                assert _model(S.R.model) == (_model(make_nonequiv_quadric(k).model) if k >= 2 else ("zero", 0))
+                assert _model(S.model) == (_model(make_nonequiv_quadric(k).model) if k >= 2 else ("zero", 0))
             assert Q.levele.key_grading(Q.rho_x + (1,)) == Q.x_grading
             assert Q.has_atoms == (m % 2 == 1 and n % 2 == 1)
             assert (Q.z0_inv, Q.z1_inv) == (m <= 1, n <= 1)
@@ -462,11 +462,10 @@ def test_eta_of_x_and_y_match_the_hand_tables():
                 Q = make_quadric(m, n)
             eta_x, eta_y = _ETA_TABLES[m % 2, n % 2](m // 2, n // 2)
             for S, (a, u), d in zip(Q.eta_sides, eta_x, eta_y):
-                if S.R.empty:
+                if S.empty:
                     continue  # the zero ring: every image is 0
-                R = S.R
-                E = add_elts(R.monomial(0, 0, 0, E2), R.monomial(0, 1, 0, XI_PT))
-                assert S.x == R.mul(R.power(E, a), R.monomial(u, 0, 1)), (m, n, S.side)
+                E = add_elts(S.monomial(0, 0, 0, E2), S.monomial(0, 1, 0, XI_PT))
+                assert S.x == S.mul(S.power(E, a), S.monomial(u, 0, 1)), (m, n, S.side)
                 assert S.y == {(0, 0, d, 1): 1}, (m, n, S.side)
                 checked += 1
     assert checked == 2 * 192 - 48  # 192 decks; m or n <= 1 leaves one side empty
@@ -1010,7 +1009,7 @@ def test_a_new_class_function_empties_the_stored_strips(monkeypatch):
 def test_generators_and_divided_classes(m):
     """For every quadric:m,n with m, n <= 8: the generators divw and divx
     are their defining expressions, their eta images are the divided images
-    the eta sides are built from, and every generator name parses to the
+    the components are built from, and every generator name parses to the
     generator."""
     for n in range(9):
         if m + n < 2:
@@ -1051,46 +1050,46 @@ def test_divided_class_data_filled_on_every_deck(monkeypatch):
     own divided class and the x-core restrict to transfers (two witnesses
     per side), and each witness's transfer is that image; on bu1 and the
     point, which have no divided classes, the data are zero."""
-    from c2quadrics import catalog
+    from c2quadrics import component
 
-    seen, real = [], catalog._witness
+    seen, real = [], component._witness
 
     def witness(pres, S, img, what):
         seen.append(what)
         return real(pres, S, img, what)
 
-    monkeypatch.setattr(catalog, "_witness", witness)
+    monkeypatch.setattr(component, "_witness", witness)
     for P in _divided_spaces():
         sides = P.eta_sides
         assert all(S.div_other is S.w_div is S.w_xcore is None for S in sides), P.name
         seen.clear()
-        catalog._fill_divided(P)
+        component._fill_divided(P)
         if P.name in ("bu1", "point"):
             assert not seen
             assert all(S.div_other == S.w_div == S.w_xcore == {} for S in sides)
             continue
         assert seen == ["divided class", "x-core"] * 2, P.name
         for S in sides:
-            R, other = S.R, sides[1 - S.side]
+            other = sides[1 - S.side]
             assert S.div_other == _divided_image(P, S, other), (P.name, S.side)
-            assert R.tau(S.w_div) == _divided_image(P, S, S), (P.name, S.side)
+            assert S.tau(S.w_div) == _divided_image(P, S, S), (P.name, S.side)
             core = [0] * 7
             core[S.c], core[4] = S.size, int(P.has_x)
-            xcore = catalog._eta_direct_mono(P, S, tuple(core), ONE)
-            assert R.tau(S.w_xcore) == xcore, (P.name, S.side)
+            xcore = component._eta_direct_mono(P, S, tuple(core), ONE)
+            assert S.tau(S.w_xcore) == xcore, (P.name, S.side)
 
 
 def test_make_space_and_an_undivided_atlas_restrict_no_divided_class(monkeypatch):
     """make_space builds no divided image, and neither does an atlas of
     decks whose generators have no divided normal form: its eta table
     restricts z0, z1, cw, cx and x only."""
-    from c2quadrics import catalog
+    from c2quadrics import component
     from c2quadrics.atlas import atlas_document
 
     def divided_image(pres, S, T):
         raise AssertionError("divided image built on %s" % pres.name)
 
-    monkeypatch.setattr(catalog, "_divided_image", divided_image)
+    monkeypatch.setattr(component, "_divided_image", divided_image)
     _divided_spaces()
     spaces = ["quadric:3,3", "quadric:4,3", "quadric:5,4", "quadric:6,6", "proj:2,3",
               "binate:2,2", "bu1", "point"]

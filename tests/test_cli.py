@@ -538,6 +538,9 @@ def test_every_emitted_atlas_loads(tmp_path, capsys):
     # --all lists its own quadrics: --max -1 lists none, and a space id beside it is ignored
     (("verify", "--all", "--max", "-1"), "argument --max: must be at least 0"),
     (("verify", "quadric:3,3", "--all", "--max", "0"), "give space ids or --all, not both"),
+    # --max is read only with --all, --seed only with --full
+    (("verify", "quadric:1,1", "--max", "5"), "argument --max: only with --all"),
+    (("verify", "quadric:1,1", "--seed", "9"), "argument --seed: only with --full"),
 ])
 def test_usage_error_is_one_line(capsys, argv, what):
     code, out, err = run(capsys, *argv)

@@ -81,7 +81,7 @@ def _component_elt(rng, monos, n):
 @pytest.mark.parametrize("kind,size", COMPONENTS)
 def test_component_ring_matches_the_old_loops(kind, size):
     rng = random.Random("%s:%d" % (kind, size))
-    new, old = ComponentRing(kind, size, "z1"), _OldComponentRing(kind, size, "z1")
+    new, old = ComponentRing(0, kind, size), _OldComponentRing(0, kind, size)
     legal = (0,) if kind in ("proj", "free") else (0, 1)
     monos = [(d, eps) for d in range(3 * size + 3) for eps in legal]
     for _ in range(40):
@@ -127,7 +127,7 @@ POWER_MODELS = (
 def test_power_is_the_repeated_product(kind, size):
     """power(x, n) for n = 0..6 equals x multiplied n times onto one(), and
     leaves x and its coefficients as they were; x^1 is x itself."""
-    R = ComponentRing(kind, size, "z1")
+    R = ComponentRing(0, kind, size)
     rng = random.Random("power %s:%d" % (kind, size))
     if kind == "binate":
         monos = [(d, 0) for d in range(size + 2)] + [(0, 1), (0, 2)]

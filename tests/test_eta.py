@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from c2quadrics import catalog
+from c2quadrics import component
 from c2quadrics.catalog import RestrictedGradingWarning, make_space, swap_element, swap_involution
 from c2quadrics.coefficients import XI_PT, PointElt, pos
 from c2quadrics.rewrite import NotAClassError, RingElement, _sample_monomials
@@ -35,33 +35,38 @@ def _reference_power(R, x, n):
 
 def _reference_direct_mono(pres, S, mono, coeff):
     """The uncached image of coeff*mono: every factor multiplied out anew
-    from the generator images of the side record S.  The image of the other
+    from the generator images of the component S.  The image of the other
     side's divided class is filled on first use, so a divided factor fills
     it first (the fill reaches this function only on undivided monomials)."""
-    R = S.R
-    if R.empty:
+    if S.empty:
         return {}
     non_exp = mono[S.non]
     assert non_exp >= 0 and mono[S.own_w] == 0
     if mono[S.other_w] and S.div_other is None:
-        catalog._fill_divided(pres)
-    out = R.monomial(mono[S.inv], 0, 0, coeff)
+        component._fill_divided(pres)
+    out = S.monomial(mono[S.inv], 0, 0, coeff)
     if non_exp:
-        out = R.mul(out, _reference_power(R, R.monomial(-1, 0, 0, XI_PT), non_exp))
+        out = S.mul(out, _reference_power(S, S.monomial(-1, 0, 0, XI_PT), non_exp))
     exps = (mono[2], mono[3], mono[4], mono[S.other_w])
     for img, e in zip((S.cw, S.cx, S.x, S.div_other), exps):
         if e:
-            out = R.mul(out, _reference_power(R, img, e))
+            out = S.mul(out, _reference_power(S, img, e))
     return out
 
 
-def _reference_images(monkeypatch, pres, x):
-    """(eta, phi) of x with the uncached monomial images."""
+def _reference_images(monkeypatch, pres, x, calls):
+    """(eta, phi) of x with the uncached monomial images; ``calls`` counts
+    the reference's calls, so a patch that misses eta's own lookup shows."""
+
+    def reference(*args):
+        calls.append(None)
+        return _reference_direct_mono(*args)
+
     with monkeypatch.context() as mp:
-        mp.setattr(catalog, "_eta_direct_mono", _reference_direct_mono)
-        e0, e1 = catalog.eta_of_element(pres, pres.normal_form(x))
-    R0, R1 = (S.R for S in pres.eta_sides)
-    return (e0, e1), (R0.phi(e0), R1.phi(e1))
+        mp.setattr(component, "_eta_direct_mono", reference)
+        e0, e1 = component.eta_of_element(pres, pres.normal_form(x))
+    S0, S1 = pres.eta_sides
+    return (e0, e1), (S0.phi(e0), S1.phi(e1))
 
 
 def _space(sid):
@@ -101,7 +106,9 @@ def _elements(pres, rng):
 def test_cached_images_match_uncached(monkeypatch, sid):
     pres = _space(sid)
     elts = _elements(pres, random.Random("eta " + sid))
-    expect = [_reference_images(monkeypatch, pres, x) for x in elts]
+    calls = []
+    expect = [_reference_images(monkeypatch, pres, x, calls) for x in elts]
+    assert calls, sid
     # a fresh presentation fills its table in this order ...
     cold = _space(sid)
     cold_elts = _elements(cold, random.Random("eta " + sid))
@@ -120,23 +127,28 @@ def test_cached_images_match_uncached(monkeypatch, sid):
         _assert_bounded(cold)
 
 
+def _image_count(pres):
+    return sum(len(S.images) for S in pres.eta_sides)
+
+
 def _assert_bounded(pres):
     p, q = pres.p, pres.q
-    for side, i, j, d, w in pres.eta_images:
-        assert side in (0, 1) and 0 <= i <= p and 0 <= j <= q and d in (0, 1) and w in (0, 1)
-    assert len(pres.eta_images) <= 2 * (p + 1) * (q + 1) * 2 * 2
+    for S in pres.eta_sides:
+        for i, j, d, w in S.images:
+            assert 0 <= i <= p and 0 <= j <= q and d in (0, 1) and w in (0, 1)
+    assert _image_count(pres) <= 2 * (p + 1) * (q + 1) * 2 * 2
 
 
 @pytest.mark.parametrize("sid", SPACES)
 def test_eta_is_multiplicative(sid):
     pres = _space(sid)
-    R0, R1 = (S.R for S in pres.eta_sides)
+    S0, S1 = pres.eta_sides
     rng = random.Random("mult " + sid)
     elts = _elements(pres, rng)
     for _ in range(30):
         x, y = rng.choice(elts), rng.choice(elts)
         (x0, x1), (y0, y1) = pres.eta(x), pres.eta(y)
-        assert pres.eta(pres.mul(x, y)) == (R0.mul(x0, y0), R1.mul(x1, y1)), (sid, str(x), str(y))
+        assert pres.eta(pres.mul(x, y)) == (S0.mul(x0, y0), S1.mul(x1, y1)), (sid, str(x), str(y))
 
 
 def test_image_table_is_bounded():
@@ -152,14 +164,14 @@ def test_image_table_is_bounded():
         for mono, coeff in xy.c2.items():
             for pm in coeff.c:
                 pres.eta(pres.monomial_elt(mono, PointElt.monomial(pm)))
-    assert len(pres.eta_images) > 20
+    assert _image_count(pres) > 20
     _assert_bounded(pres)
 
 
 def test_bu1_images_are_not_kept():
     pres = _space("bu1")
     pres.eta(pres.gen("cw") ** 5 * pres.gen("cx") ** 3)
-    assert pres.eta_images == {}
+    assert _image_count(pres) == 0
 
 
 def _fresh(x):
@@ -169,9 +181,9 @@ def _fresh(x):
 
 def _fresh_images(pres, x):
     """(eta, phi) of x computed anew."""
-    e0, e1 = catalog.eta_of_element(pres, pres.normal_form(_fresh(x)))
-    R0, R1 = (S.R for S in pres.eta_sides)
-    return (e0, e1), (R0.phi(e0), R1.phi(e1))
+    e0, e1 = component.eta_of_element(pres, pres.normal_form(_fresh(x)))
+    S0, S1 = pres.eta_sides
+    return (e0, e1), (S0.phi(e0), S1.phi(e1))
 
 
 def _witnesses(pres, x):

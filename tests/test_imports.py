@@ -1,4 +1,4 @@
-"""The package's relative imports: acyclic at module top, and one lazy import."""
+"""The package's relative imports: acyclic, and all at module top."""
 
 import ast
 from pathlib import Path
@@ -41,8 +41,7 @@ def test_top_level_relative_imports_form_a_dag():
         visit(mod)
 
 
-def test_the_one_function_level_import_is_eta_of_element():
-    # catalog imports rewrite, so Presentation.eta imports catalog lazily;
-    # every other relative import sits at module top
+def test_no_function_level_relative_import():
+    # every relative import sits at module top, where the DAG test sees it
     nested = [line for _, lines in _relative_imports().values() for line in lines]
-    assert nested == ["rewrite: from .catalog import eta_of_element"]
+    assert nested == []

@@ -250,8 +250,7 @@ def test_level_e_results_are_reduced(sid, data):
     for z in (ex, pres.mul(ex, ey), pres.mul(y, w), pres.mul(w, w), pres.t_act(ex), pres.t_act(w)):
         assert model.reduce(z.e) == z.e
     g_pt = PointElt.from_burnside(G)
-    for S, img_x, img_y in zip(pres.eta_sides, pres.eta(x), pres.eta(y)):
-        R = S.R
+    for R, img_x, img_y in zip(pres.eta_sides, pres.eta(x), pres.eta(y)):
         rx, ry = R.rho(img_x), R.rho(img_y)
         assert R.model.reduce(rx) == rx and R.model.reduce(ry) == ry
         t = R.tau(R.model.mul(rx, ry))
@@ -270,9 +269,9 @@ def test_eta_and_phi_multiplicative(sid, data):
     pres, x, y, _ = data.draw(triples(sid))
     xy = pres.mul(x, y)
     for S, ex, ey, exy in zip(pres.eta_sides, pres.eta(x), pres.eta(y), pres.eta(xy)):
-        assert exy == S.R.mul(ex, ey)
+        assert exy == S.mul(ex, ey)
     for S, px, py, pxy in zip(pres.eta_sides, pres.phi(x), pres.phi(y), pres.phi(xy)):
-        assert S.R.model.mul(px, py) == pxy
+        assert S.model.mul(px, py) == pxy
 
 
 @pytest.mark.parametrize("sid", SPACES)

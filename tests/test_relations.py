@@ -11,10 +11,10 @@ from c2quadrics.catalog import (
     E2,
     TRANS_M1,
     RestrictedGradingWarning,
-    _divided,
     make_space,
 )
 from c2quadrics.coefficients import UNIT_1MK, XI_PT
+from c2quadrics.component import _divided
 from c2quadrics.rewrite import _terms_elt
 from c2quadrics.solver import verify_relations
 from conftest import negated_rhs

@@ -306,7 +306,7 @@ def test_divisibility_witnesses():
     assert not divisibility_witness(Q, Q.gen("cw") ** 2, "z0")["divisible"]
     assert not divisibility_witness(Q, Q.gen("cx"), "z1")["divisible"]
     # the witness of divw is zeta^p y: check it transfers back to eta0(divw)
-    R0 = Q.eta_sides[0].R
+    R0 = Q.eta_sides[0]
     w = divisibility_witness(Q, divw, "z0")["witness"]
     e0 = Q.eta(divw)[0]
     assert R0.tau(w) == e0
