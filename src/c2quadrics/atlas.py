@@ -8,6 +8,8 @@ documents are rejected loudly.
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii as _quote
 
 from .catalog import basis_slice, make_space
 from .coefficients import PointElt
@@ -101,12 +103,13 @@ def _hom_tables(pres):
     tables = {}
     gens = GENERATORS[:5] if pres.has_x else GENERATORS[:4]  # x, not the divided classes
     try:
-        tables["rho"] = {g: levele_str(pres.rho(pres.gen(g)).e) for g in gens}
+        elts = [pres.gen(g) for g in gens]
     except NotAClassError:
         return tables  # the point ring: its generators are not classes
+    tables["rho"] = {g: levele_str(pres.rho(x).e) for g, x in zip(gens, elts)}
     if all(S.empty for S in pres.eta_sides):
         return tables  # no fixed points (the free orbit): no eta table
-    images = [pres.eta(pres.gen(g)) for g in gens]
+    images = [pres.eta(x) for x in elts]
     for S in pres.eta_sides:
         tables["eta%d" % S.side] = {g: S.str_elt(img[S.side]) for g, img in zip(gens, images)}
     return tables
@@ -143,7 +146,70 @@ def atlas_document(space_ids, coset=0, window=((-16, 16), (-16, 16)), seed=0, au
 
 
 def dump_atlas(doc):
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    """The text of ``doc``: byte for byte ``json.dumps(doc, sort_keys=True,
+    indent=1) + "\\n"``, written in one pass.
+
+    ``json`` falls back to its pure-Python encoder whenever ``indent`` is
+    set; this writer keeps that layout and its escaping.  Dicts (with str
+    keys, written in sorted order) become objects, lists and tuples arrays;
+    str goes through ``json``'s own ASCII escaper, int through
+    ``int.__repr__``, float as ``json`` writes it (``NaN``, ``Infinity``,
+    ``-Infinity``, else ``float.__repr__``), and True, False and None are
+    ``true``, ``false`` and ``null``.  Any other value, or a key that is
+    not a str, raises ``TypeError``; an atlas holds neither."""
+    out = []
+    emit = out.append
+
+    def write(o, nl):
+        if isinstance(o, str):
+            emit(_quote(o))
+        elif o is None:
+            emit("null")
+        elif o is True:
+            emit("true")
+        elif o is False:
+            emit("false")
+        elif isinstance(o, int):
+            emit(int.__repr__(o))
+        elif isinstance(o, float):
+            if o != o:
+                emit("NaN")
+            elif o == math.inf:
+                emit("Infinity")
+            elif o == -math.inf:
+                emit("-Infinity")
+            else:
+                emit(float.__repr__(o))
+        elif isinstance(o, dict):
+            if not o:
+                emit("{}")
+                return
+            inner = nl + " "
+            sep = "{" + inner
+            for k in sorted(o):
+                if not isinstance(k, str):
+                    raise TypeError("keys must be str, not %s" % type(k).__name__)
+                emit(sep + _quote(k) + ": ")
+                write(o[k], inner)
+                sep = "," + inner
+            emit(nl + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                emit("[]")
+                return
+            inner = nl + " "
+            sep = "[" + inner
+            for v in o:
+                emit(sep)
+                write(v, inner)
+                sep = "," + inner
+            emit(nl + "]")
+        else:
+            raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
+
+    write(doc, "\n")
+    emit("\n")
+    return "".join(out)
 
 
 def load_atlas(text):

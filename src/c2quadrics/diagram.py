@@ -16,12 +16,12 @@ class UnsupportedFormatError(ValueError):
 
 
 def diagram(pres, coset, window, fmt="ascii"):
+    if fmt not in ("ascii", "svg"):
+        raise UnsupportedFormatError("format must be ascii or svg, not %r" % fmt)
     rows = basis_slice(pres, coset, window)
     if fmt == "ascii":
         return _ascii(pres, rows, window)
-    if fmt == "svg":
-        return _svg(pres, rows, window)
-    raise UnsupportedFormatError("format must be ascii or svg, not %r" % fmt)
+    return _svg(pres, rows, window)
 
 
 def _line_const(pres):
@@ -29,30 +29,41 @@ def _line_const(pres):
 
 
 def _ascii(pres, rows, window):
+    """One text row per even b of the window, top down, with a cell per
+    even a from a0 rounded down to a1.  Each row starts from a template:
+    ``.`` cells, or ``-`` on b = 0.  Then the axis cell (``|``, or ``+`` at
+    the origin) and the free-orbit line's cell a + b = const (``/``) are
+    set, and then the row's dots, bucketed by b in one pass over the
+    slice: solid ``*`` and open ``o``, where a solid dot wins a shared cell."""
     (a0, a1), (b0, b1) = window
-    solid = {(g.a, g.b) for g, label in rows if label == "C2/C2"}
-    open_ = {(g.a, g.b) for g, label in rows if label == "C2/e"}
+    start = a0 - (a0 % 2)
+    width = len(range(start, a1 + 1, 2))
+
+    def column(a):
+        i, odd = divmod(a - start, 2)
+        return i if not odd and 0 <= i < width else None
+
+    dots = {}
+    for g, label in rows:
+        i = column(g.a)
+        if i is not None:
+            dots.setdefault(g.b, []).append((i, "*" if label == "C2/C2" else "o"))
     line = _line_const(pres)
+    axis = column(0)
     out = []
     for b in range(b1 - (b1 % 2), b0 - 1, -2):
-        cells = []
-        for a in range(a0 - (a0 % 2), a1 + 1, 2):
-            if (a, b) in solid:
-                cells.append("*")
-            elif (a, b) in open_:
-                cells.append("o")
-            elif line is not None and a + b == line:
-                cells.append("/")
-            elif a == 0 and b == 0:
-                cells.append("+")
-            elif a == 0:
-                cells.append("|")
-            elif b == 0:
-                cells.append("-")
-            else:
-                cells.append(".")
+        cells = ["-" if b == 0 else "."] * width
+        if axis is not None:
+            cells[axis] = "+" if b == 0 else "|"
+        if line is not None:
+            i = column(line - b)
+            if i is not None:
+                cells[i] = "/"
+        for i, mark in dots.get(b, ()):
+            if mark == "*" or cells[i] != "*":
+                cells[i] = mark
         out.append("%5d " % b + " ".join(cells))
-    footer = "      " + " ".join("%-2d" % a if a % 4 == 0 else "  " for a in range(a0 - (a0 % 2), a1 + 1, 2))
+    footer = "      " + " ".join("%-2d" % a if a % 4 == 0 else "  " for a in range(start, a1 + 1, 2))
     out.append(footer)
     return "\n".join(out) + "\n"
 
