@@ -29,7 +29,6 @@ from .coefficients import (
     UNIT_1MK,
     XI_PT,
     PointElt,
-    _add_term,
     negkappa,
     pos,
     trans,

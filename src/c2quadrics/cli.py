@@ -5,14 +5,18 @@ Commands:
     basis SPACE [--coset N] [--window a0:a1,b0:b1]
     diagram SPACE [--coset N] [--window ...] [--format ascii|svg]
     verify [SPACE... | --all [--max N]] [--full [--seed S]]
-    atlas emit SPACES... [-o FILE]   / atlas load FILE
+    atlas emit SPACE... [-o FILE] [--coset N] [--window ...] [--seed S] [--audit]
+    atlas load FILE
 
 Space ids: point, bu1, proj:p,q, binate:p,q, quadric:m,n, neq:n,B|D.
+
+An error ends a run in one stderr line and a nonzero exit status (``_OUTCOMES``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 import warnings
@@ -36,6 +40,28 @@ from .solver import audit_full, verify_relations
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
+class _Refused(Exception):
+    """A command line that a command refuses, in the words of its message."""
+
+
+# each error a run may raise, first match first: its exit status and its one
+# stderr line, filled in with the error ``exc`` and the parsed ``args``.  A
+# command puts the rows of the file it names first, in ``args.outcomes``.
+_OUTCOMES = (
+    (argparse.ArgumentError, 2, "usage error: {exc} (see c2quadrics -h)"),
+    (_Refused, 2, "{exc}"),
+    (ExprError, 2, "parse error: {exc}"),
+    (InhomogeneousError, 2, "inhomogeneous expression: {exc}"),
+    (InvalidSizeError, 2, "invalid space: {exc}"),
+    (InvalidWindowError, 2, "invalid window: {exc}"),
+    (NotAClassError, 2, "not a class: {exc}"),
+    (SchemaError, 1, "atlas rejected: {exc}"),
+    (NonTerminatingError, 1, "rule set at fault: {exc}"),
+    # the package's ValueErrors are all above: this is the int-to-str digit limit
+    (ValueError, 2, "result too large to print: {exc}"),
+)
+
+
 def _window(text):
     try:
         apart, bpart = text.split(",")
@@ -54,6 +80,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise argparse.ArgumentError(None, message)
 
+    def exit(self, status=0, message=None):
+        sys.stdout.flush()  # after the help: a closed stdout shows in main
+        super().exit(status, message)
+
+
+class _OutputFile(argparse.Action):
+    """``-o FILE``: the file to write, which a failed write names."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        namespace.output = value
+        namespace.outcomes = ((OSError, 1, "cannot write {args.output}: {exc.strerror}"),)
+
 
 def build_parser():
     ap = _Parser(
@@ -65,17 +103,20 @@ def build_parser():
     p = sub.add_parser("reduce", help="reduce an expression to its canonical form")
     p.add_argument("space")
     p.add_argument("expr")
+    p.set_defaults(run=cmd_reduce)
 
     p = sub.add_parser("basis", help="tabulate a basis slice")
     p.add_argument("space")
     p.add_argument("--coset", type=int, default=0)
     p.add_argument("--window", type=_window, default=((-16, 40), (-16, 40)))
+    p.set_defaults(run=cmd_basis)
 
     p = sub.add_parser("diagram", help="draw the dot diagram of a basis slice")
     p.add_argument("space")
     p.add_argument("--coset", type=int, default=0)
     p.add_argument("--window", type=_window, default=((-2, 30), (-2, 20)))
     p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
+    p.set_defaults(run=cmd_diagram)
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("spaces", nargs="*")
@@ -83,58 +124,43 @@ def build_parser():
     p.add_argument("--max", type=int, help="with --all: the largest p, q (default 3)")
     p.add_argument("--seed", type=int, help="with --full: the audit's seed (default 0)")
     p.add_argument("--full", action="store_true", help="run the full audit, not just the relation deck")
+    p.set_defaults(run=cmd_verify)
 
-    p = sub.add_parser("atlas", help="emit or load a JSON atlas")
-    p.add_argument("mode", choices=("emit", "load"))
-    p.add_argument("spaces", nargs="*")
-    p.add_argument("-o", "--output")
+    modes = sub.add_parser("atlas", help="emit or load a JSON atlas").add_subparsers(dest="mode", required=True)
+    p = modes.add_parser("emit", help="write the atlas of some spaces")
+    p.add_argument("spaces", nargs="+")
+    p.add_argument("-o", "--output", action=_OutputFile, help="the file to write (default stdout)")
     p.add_argument("--coset", type=int, default=0)
     p.add_argument("--window", type=_window, default=((-16, 16), (-16, 16)))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--audit", action="store_true")
+    p.set_defaults(run=cmd_atlas_emit)
+    p = modes.add_parser("load", help="check an atlas file and list its spaces")
+    p.add_argument("file")
+    p.set_defaults(run=cmd_atlas_load, outcomes=((OSError, 1, "atlas rejected: {exc}"),))
     return ap
 
 
 def _equivariant_space(args):
-    """The presentation of args.space, or None (after one line on stderr)
-    for a nonequivariant ring, which has no gradings or classes to show."""
+    """The presentation of args.space; a nonequivariant ring, which has no
+    gradings or classes to show, is refused."""
     pres = make_space(args.space)
     if isinstance(pres, NoneqQuadricRing):
-        print("use an equivariant space id with `%s`" % args.command, file=sys.stderr)
-        return None
+        raise _Refused("use an equivariant space id with `%s`" % args.command)
     return pres
 
 
 def cmd_reduce(args):
-    pres = _equivariant_space(args)
-    if pres is None:
-        return 2
-    try:
-        val = parse_expression(pres, args.expr)
-    except ExprError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return 2
-    try:
-        grading = val.grading()
-    except InhomogeneousError as exc:
-        print("inhomogeneous expression: %s" % exc, file=sys.stderr)
-        return 2
-    try:
-        text = str(val)
-    except ValueError as exc:  # the int-to-str digit limit
-        print("result too large to print: %s" % exc, file=sys.stderr)
-        return 2
-    print(text)
+    val = parse_expression(_equivariant_space(args), args.expr)
+    grading = val.grading()
+    print(val)
     if grading is not None:
         print("# grading: %s  (level %s)" % (grading, val.level))
     return 0
 
 
 def cmd_basis(args):
-    pres = _equivariant_space(args)
-    if pres is None:
-        return 2
-    rows = basis_slice(pres, args.coset, args.window)
+    rows = basis_slice(_equivariant_space(args), args.coset, args.window)
     for g, label in rows:
         print("%4d %4d  %-6s  %s" % (g.a, g.b, label, g))
     print("# %d classes (%d of type C2/C2, %d of type C2/e)" % (
@@ -146,10 +172,7 @@ def cmd_basis(args):
 
 
 def cmd_diagram(args):
-    pres = _equivariant_space(args)
-    if pres is None:
-        return 2
-    sys.stdout.write(diagram(pres, args.coset, args.window, args.format))
+    sys.stdout.write(diagram(_equivariant_space(args), args.coset, args.window, args.format))
     return 0
 
 
@@ -172,11 +195,9 @@ def _verify_one(space_id, seed, full):
 
 
 def _check_verify(args):
-    """Refuse the ``verify`` arguments that it would ignore: space ids
-    beside --all, which lists its own quadrics, --max without --all, --seed
-    without --full, and a negative --max, which lists none."""
-    if args.command != "verify":
-        return
+    """Refuse the ``verify`` arguments that it would ignore (space ids
+    beside --all, --max without --all, --seed without --full, a negative
+    --max with --all) and a call with neither space ids nor --all."""
     if args.all and args.spaces:
         raise argparse.ArgumentError(None, "give space ids or --all, not both")
     if args.max is not None and not args.all:
@@ -185,9 +206,12 @@ def _check_verify(args):
         raise argparse.ArgumentError(None, "argument --seed: only with --full")
     if args.all and args.max is not None and args.max < 0:
         raise argparse.ArgumentError(None, "argument --max: must be at least 0 with --all")
+    if not (args.all or args.spaces):
+        raise _Refused("give a space id or --all")
 
 
 def cmd_verify(args):
+    _check_verify(args)
     ok, seed = True, args.seed or 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RestrictedGradingWarning)
@@ -197,44 +221,33 @@ def cmd_verify(args):
             for m in range(1, 2 * bound + 2):
                 for n in range(1, 2 * bound + 2):
                     ok = _verify_one("quadric:%d,%d" % (m, n), seed, args.full) and ok
-        elif args.spaces:
+        else:
             for space_id in args.spaces:
                 ok = _verify_one(space_id, seed, args.full) and ok
-        else:
-            print("give a space id or --all", file=sys.stderr)
-            return 2
     print("overall: %s" % ("pass" if ok else "FAIL"))
     return 0 if ok else 1
 
 
-def cmd_atlas(args):
-    if args.mode == "emit":
-        if not args.spaces:
-            print("list the spaces to emit", file=sys.stderr)
-            return 2
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RestrictedGradingWarning)
-            doc = atlas_document(
-                args.spaces, coset=args.coset, window=args.window,
-                seed=args.seed, audit=args.audit,
-            )
-        text = dump_atlas(doc)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    path = args.spaces[0] if args.spaces else args.output
-    if not path:
-        print("give the atlas file to load", file=sys.stderr)
-        return 2
-    try:
-        with open(path, "rb") as fh:
-            doc = load_atlas(fh.read())
-    except (OSError, SchemaError) as exc:
-        print("atlas rejected: %s" % exc, file=sys.stderr)
-        return 1
+def cmd_atlas_emit(args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RestrictedGradingWarning)
+        doc = atlas_document(
+            args.spaces, coset=args.coset, window=args.window,
+            seed=args.seed, audit=args.audit,
+        )
+    text = dump_atlas(doc)
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+def cmd_atlas_load(args):
+    with open(args.file, "rb") as fh:
+        doc = load_atlas(fh.read())
+    args.outcomes = ()  # the atlas is read: an OSError from here on is stdout's
     print("atlas with %d spaces: %s" % (
         len(doc["spaces"]), ", ".join(s["space"] for s in doc["spaces"])
     ))
@@ -274,45 +287,31 @@ def _joined_window(argv):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    if _dash_expression(argv):
-        print("an expression that starts with '-' needs '--' before it: "
-              "c2quadrics reduce SPACE -- EXPR", file=sys.stderr)
-        return 2
+    args = None
     try:
+        if _dash_expression(argv):
+            raise _Refused("an expression that starts with '-' needs '--' before it: "
+                           "c2quadrics reduce SPACE -- EXPR")
         args = build_parser().parse_args(_joined_window(argv))
-        _check_verify(args)
-    except argparse.ArgumentError as exc:
-        # an argument with a line break in it stays on the one line
-        print("usage error: %s (see c2quadrics -h)" % " ".join(str(exc).splitlines()), file=sys.stderr)
-        return 2
-    except SystemExit as exc:  # -h or --help, after printing the help
-        return exc.code
-    try:
         with warnings.catch_warnings():
             warnings.showwarning = _one_line_warning
-            if args.command == "reduce":
-                return cmd_reduce(args)
-            if args.command == "basis":
-                return cmd_basis(args)
-            if args.command == "diagram":
-                return cmd_diagram(args)
-            if args.command == "verify":
-                return cmd_verify(args)
-            if args.command == "atlas":
-                return cmd_atlas(args)
-    except InvalidSizeError as exc:
-        print("invalid space: %s" % exc, file=sys.stderr)
-        return 2
-    except InvalidWindowError as exc:
-        print("invalid window: %s" % exc, file=sys.stderr)
-        return 2
-    except NotAClassError as exc:
-        print("not a class: %s" % exc, file=sys.stderr)
-        return 2
-    except NonTerminatingError as exc:
-        print("rule set at fault: %s" % exc, file=sys.stderr)
+            status = args.run(args)
+        sys.stdout.flush()  # a failing stdout shows here, not at exit
+        return status
+    except SystemExit as exc:  # -h or --help, after printing the help
+        return exc.code
+    except tuple(row[0] for row in getattr(args, "outcomes", ()) + _OUTCOMES) as exc:
+        rows = getattr(args, "outcomes", ()) + _OUTCOMES
+        status, template = next(row[1:] for row in rows if isinstance(exc, row[0]))
+        # a message with a line break in it stays on the one line
+        print(" ".join(template.format(exc=exc, args=args).splitlines()), file=sys.stderr)
+        return status
+    except OSError as exc:
+        # stdout failed: what it still holds goes to devnull, not to the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe needs no word
+            print("cannot write stdout: %s" % exc.strerror, file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -666,8 +666,10 @@ class Presentation:
                 continue
             steps += 1
             if steps > max_steps:
+                # a raw coefficient that mul handed over prints as a PointElt
+                shown = {m: v if isinstance(v, PointElt) else PointElt(v) for m, v in x.c2.items()}
                 try:
-                    what = str(x)
+                    what = str(RingElement(self, "top", c2=shown, atoms=x.atoms))
                 except ValueError:  # the int-to-str digit limit
                     what = "an element with coefficients too large to print"
                 raise NonTerminatingError(

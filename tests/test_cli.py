@@ -527,6 +527,75 @@ def test_every_emitted_atlas_loads(tmp_path, capsys):
     assert out == "atlas with 8 spaces: %s\n" % ", ".join(sorted(spaces))
 
 
+def _cli_with_stdout(stdout, *argv, buffered):
+    """``c2quadrics argv`` in a fresh interpreter that writes its stdout to
+    the file descriptor ``stdout``.  Buffered, a short answer reaches it
+    only when stdout is flushed."""
+    env = dict(os.environ, PYTHONPATH=str(Path(c2quadrics.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "c2quadrics", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=20, env=env,
+    )
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [
+    ("reduce", "quadric:3,3", "cw*x"),
+    ("basis", "quadric:40,41", "--window", "-10:90,-10:90"),
+])
+def test_closed_stdout_exits_1_in_silence(argv, buffered):
+    # a pipe with no reader: every write to it fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_with_stdout(write, *argv, buffered=buffered)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    # no traceback, and no "Exception ignored" from the flush at exit
+    assert proc.stderr == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [("reduce", "quadric:3,3", "cw*x"), ("atlas", "load", "FILE")])
+def test_full_stdout_is_one_line(tmp_path, capsys, argv, buffered):
+    # atlas load names a file of its own, and still reads this as stdout's failure
+    path = tmp_path / "atlas.json"
+    assert run(capsys, "atlas", "emit", "point", "-o", str(path))[0] == 0
+    with open("/dev/full", "w") as full:
+        proc = _cli_with_stdout(full, *(str(path) if a == "FILE" else a for a in argv), buffered=buffered)
+    assert proc.returncode == 1
+    assert proc.stderr == "cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.parametrize("target", ["a directory", "a missing directory", "/dev/full"])
+def test_failed_atlas_write_is_one_line(tmp_path, target):
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full")
+    path = {"a directory": str(tmp_path), "a missing directory": str(tmp_path / "missing" / "x.json")}.get(target, target)
+    proc = _cli_in_subprocess("atlas", "emit", "point", "-o", path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("cannot write %s: " % path), proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("FILE", "EXTRA"), ("--coset", "5", "FILE"), ("FILE", "--coset", "5"), ("-o", "FILE"),
+])
+def test_atlas_load_takes_one_file_and_no_other_option(tmp_path, capsys, argv):
+    path = tmp_path / "atlas.json"
+    assert run(capsys, "atlas", "emit", "point", "-o", str(path))[0] == 0
+    names = {"FILE": str(path), "EXTRA": str(tmp_path / "other.json")}
+    proc = _cli_in_subprocess("atlas", "load", *(names.get(a, a) for a in argv))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("usage error: "), proc.stderr
+
+
 @pytest.mark.parametrize("argv, what", [
     (("basis", "quadric:3,3", "--window", "1:2"), "argument --window: window must look like"),
     (("basis", "quadric:3,3", "--coset", "x"), "argument --coset: invalid int value"),

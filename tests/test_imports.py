@@ -1,4 +1,4 @@
-"""The package's relative imports: acyclic, and all at module top."""
+"""The package's relative imports: acyclic, all at module top, and used."""
 
 import ast
 from pathlib import Path
@@ -45,3 +45,27 @@ def test_no_function_level_relative_import():
     # every relative import sits at module top, where the DAG test sees it
     nested = [line for _, lines in _relative_imports().values() for line in lines]
     assert nested == []
+
+
+# names a module imports for another one to read there
+READ_ELSEWHERE = {
+    # perfbench/tracer.py wraps catalog.eta_of_element to count its calls
+    ("catalog", "eta_of_element"),
+}
+
+
+def test_every_imported_name_is_used():
+    # __init__ imports its names to export them
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            (path.stem, alias.asname or alias.name)
+            for node in tree.body if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if (alias.asname or alias.name) not in used
+        ]
+    assert sorted(set(unused) - READ_ELSEWHERE) == []

@@ -9,9 +9,11 @@ model kind, and raise ``ValueError`` on the same inputs.
 """
 
 import random
+import warnings
 
 import pytest
 
+from c2quadrics.catalog import RestrictedGradingWarning, make_space
 from c2quadrics.levele import LevelEModel
 from c2quadrics.noneq import NoneqQuadricRing
 
@@ -237,3 +239,55 @@ def test_noneq_t_act_matches_ruling_swap(n):
         t = R.t_act(x)
         assert t == _old_noneq_t_act(R, x)
         assert R.t_act(t) == R.reduce(x)  # t is an involution
+
+
+def _fixed_euler(k):
+    """r(k), the Euler characteristic of the quadric of dimension k - 2 in
+    CP^(k-1), one fixed component of t on Q^{m,n} (empty for k <= 1)."""
+    if k <= 1:
+        return 0
+    return k - 1 if k % 2 else k
+
+
+def _quadric_decks():
+    """(m, n, levele) for every quadric with 0 <= m, n <= 15 and m + n >= 2."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RestrictedGradingWarning)
+        return [
+            (m, n, make_space("quadric:%d,%d" % (m, n)).levele)
+            for m in range(16) for n in range(16) if m + n >= 2
+        ]
+
+
+def _lefschetz_holds(m, n, model):
+    """The trace of t on the underlying ring, over the basis keys
+    (0, 0, d, eps) at iota^0 zeta^0, equals r(m) + r(n), the Euler
+    characteristic of the fixed set."""
+    keys = [(0, 0, d, eps) for d in range(m + n) for eps in (0, 1)
+            if model.monomial_quotient(d, eps) == ((d, eps, 1),)]
+    # the rank of the underlying ring, the Euler characteristic of Q^{m+n-2}
+    assert len(keys) == (m + n - 1 if (m + n) % 2 else m + n)
+    trace = sum(model.t_act({k: 1}).get(k, 0) for k in keys)
+    return trace == _fixed_euler(m) + _fixed_euler(n)
+
+
+def test_lefschetz_number_of_t():
+    decks = _quadric_decks()
+    assert len(decks) == 253
+    for m, n, model in decks:
+        assert _lefschetz_holds(m, n, model), (m, n)
+
+
+def test_lefschetz_number_catches_a_flipped_ruling_swap():
+    # on type D (m + n even) t fixes the rulings or swaps them, and the
+    # trace reads which: flipping t_fixes_y moves it by 2
+    caught = 0
+    for m, n, model in _quadric_decks():
+        if (m + n) % 2:
+            continue
+        model.t_fixes_y = not model.t_fixes_y
+        try:
+            caught += not _lefschetz_holds(m, n, model)
+        finally:
+            model.t_fixes_y = not model.t_fixes_y
+    assert caught == 127

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from c2quadrics.atlas import SCHEMA, element_from_doc, element_to_doc
+from c2quadrics.atlas import SCHEMA, atlas_document, dump_atlas, element_from_doc, element_to_doc
 from c2quadrics.catalog import make_space, swap_element, swap_involution
 from c2quadrics.cli import main
 from c2quadrics.coefficients import G, PointElt, pos
@@ -397,6 +397,7 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
+_POINT_ATLAS = dump_atlas(atlas_document(["point"]))
 _ATLAS_TEXTS = st.one_of(
     _JSON.map(json.dumps),
     st.fixed_dictionaries(
@@ -439,6 +440,30 @@ def test_atlas_load_answers_or_prints_one_line(text, missing):
         code, err = _cli(["atlas", "load", path])
     assert code in (0, 1, 2)
     assert len(err) <= 1, err
+
+
+# an atlas load command line: the atlas file, a missing one, -o and the
+# options that only emit reads, in any order
+_LOAD_TOKENS = st.lists(st.sampled_from((
+    "FILE", "FILE", "MISSING", "-o", "--coset", "5", "--window=0:1,0:1", "--seed", "3", "--audit", "--",
+)), max_size=6)
+
+
+@seed(SEED)
+@settings(LAWS, max_examples=100)
+@given(_LOAD_TOKENS)
+def test_atlas_load_command_lines_answer_or_print_one_line(tokens):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "atlas.json")
+        with open(path, "w") as fh:
+            fh.write(_POINT_ATLAS)
+        names = {"FILE": path, "MISSING": os.path.join(tmp, "missing.json")}
+        code, err = _cli(["atlas", "load"] + [names.get(t, t) for t in tokens])
+    assert code in (0, 1, 2)
+    assert len(err) <= 1, (tokens, err)
+    # load reads one file and no option
+    if code == 0:
+        assert [t for t in tokens if t != "--"] == ["FILE"], tokens
 
 
 # space ids, windows, cosets and formats for basis, diagram, verify and atlas

@@ -186,6 +186,20 @@ def test_step_budget_message_past_the_digit_limit():
         B.normal_form(huge)
 
 
+def test_step_budget_message_prints_the_product():
+    # mul hands normal_form raw coefficient dicts; the message prints each as
+    # a PointElt, not as the dict
+    P = make_space("quadric:5,3")
+    x = parse_expression(P, "cw^2+cx+z0+x+divw+z1")
+    y = parse_expression(P, "cw^2*x + e*z0 + divw + 3*cx")
+    P.max_steps = 2
+    with pytest.raises(NonTerminatingError) as info:
+        P.mul(x, y)
+    message = str(info.value)
+    assert message.startswith("step budget exceeded in quadric:5,3")
+    assert "{(" not in message
+
+
 def test_not_a_class():
     import c2quadrics
 
