@@ -80,6 +80,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise argparse.ArgumentError(None, message)
 
+    def print_help(self, file=None):
+        # argparse's own writer swallows an OSError; this one leaves it to main
+        (file or sys.stdout).write(self.format_help())
+
     def exit(self, status=0, message=None):
         sys.stdout.flush()  # after the help: a closed stdout shows in main
         super().exit(status, message)

@@ -55,7 +55,7 @@ from .coefficients import (
 )
 from .component import eta_of_element
 from .grading import Grading, IOTA_DEG, OMEGA1
-from .levele import NotAClassError, iota_zeta_names, levele_str
+from .levele import NotAClassError, add_elts, iota_zeta_names, levele_str
 
 
 class NonTerminatingError(RuntimeError):
@@ -105,20 +105,27 @@ def _add_count(d, k, v):
         d.pop(k, None)
 
 
-def _add_elt(c2, atoms, x):
-    """Add the level-top element x into the two dicts."""
-    for m, v in x.c2.items():
-        _add_term(c2, m, v)
-    for k, v in x.atoms.items():
-        _add_count(atoms, k, v)
-
-
 def _add_raw(c2, atoms, x):
-    """``_add_elt`` into a c2 dict of raw coefficients."""
+    """Add the level-top element x into a raw c2 dict and an atoms dict."""
     for m, v in x.c2.items():
         _mul_term(c2, m, v.c.items(), ONE_PAIRS)
     for k, v in x.atoms.items():
         _add_count(atoms, k, v)
+
+
+def _atoms_e(atoms):
+    """The level-e element whose transfer the atoms {(a, b): n} are."""
+    return {(a, b, 0, 1): n for (a, b), n in atoms.items()}
+
+
+def _budget_error(pres, *factors):
+    """The ``NonTerminatingError`` of a step budget that ran out in pres
+    while reducing the product of factors (one or two elements)."""
+    try:
+        what = "*".join("(%s)" % f for f in factors) if len(factors) > 1 else str(factors[0])
+    except ValueError:  # the int-to-str digit limit
+        what = "an element with coefficients too large to print"
+    return NonTerminatingError("step budget exceeded in %s while reducing %s" % (pres.name, what))
 
 
 def _terms_elt(pres, terms):
@@ -185,8 +192,9 @@ class RingElement:
     it sound.  ``_eta`` holds the pair of fixed-component images that
     ``Presentation.eta`` computed for it, or None before the first call.
     ``_nf`` marks an element that is its own normal form in ``pres``: it
-    is set on the results of ``Presentation.normal_form`` (both levels)
-    and on the level-e results of ``rho``, ``t_act`` and ``mul``, kept by
+    is set on the results of ``Presentation.normal_form`` (both levels,
+    and so on those of ``mul`` and ``tau_of_levele`` at level top) and on
+    the level-e results of ``rho``, ``t_act`` and ``mul``, kept by
     ``+``, ``-``, negation and scaling when every operand carries it, and
     never set by a constructor or ``levele_elt``.  ``normal_form`` returns
     a marked element of its own presentation as it is.
@@ -604,7 +612,7 @@ class Presentation:
         indices), whose guard holds on it.  The rule's rhs data (see the
         module docstring; a function of the monomial is called first) is
         applied in one way.  Its transfer terms come first, each in one
-        Frobenius step as in ``mul``: coeff * mono * delta * n * tau(w) =
+        Frobenius step: coeff * mono * delta * n * tau(w) =
         tau(rho(coeff) * rho(mono * delta) * n * w) by ``_frobenius``, into
         the work set.  Then coeff * c goes to mono * delta for each pair
         (c, delta), straight into the work set.  The work set is reduced
@@ -666,15 +674,7 @@ class Presentation:
                 continue
             steps += 1
             if steps > max_steps:
-                # a raw coefficient that mul handed over prints as a PointElt
-                shown = {m: v if isinstance(v, PointElt) else PointElt(v) for m, v in x.c2.items()}
-                try:
-                    what = str(RingElement(self, "top", c2=shown, atoms=x.atoms))
-                except ValueError:  # the int-to-str digit limit
-                    what = "an element with coefficients too large to print"
-                raise NonTerminatingError(
-                    "step budget exceeded in %s while reducing %s" % (self.name, what)
-                )
+                raise _budget_error(self, x)  # mul renames it: its raw x prints as dicts
             cls = _class_key(mono, p, q)
             entry = table.get(cls)
             if entry is None:
@@ -727,30 +727,34 @@ class Presentation:
     # -- multiplication -------------------------------------------------------
 
     def mul(self, x, y):
+        """x * y; a level-e factor takes the other through ``rho``.  At level
+        top, with x = X + tau(w_x) and y = Y + tau(w_y) (monomial terms and
+        atoms), Frobenius reciprocity and rho tau = 1 + t give x * y =
+        X * Y + tau(rho(X) * w_y + w_x * rho(y)): one ``tau_of_levele``, then
+        one ``normal_form``.  A step budget that runs out names the product."""
         if x.level == "e" or y.level == "e":
             # top * level-e acts through rho
             ex = x.e if x.level == "e" else self.rho(x).e
             ey = y.e if y.level == "e" else self.rho(y).e
             return self._levele_nf(self.levele.mul(ex, ey))
-        # the cross terms, as raw coefficients inside the element that
+        # the products X * Y, as raw coefficients inside the element that
         # normal_form takes over (see its docstring)
         terms = RingElement(self, "top")
-        c2, atoms = terms.c2, terms.atoms
+        c2 = terms.c2
         for m1, v1 in x.c2.items():
             a1 = v1.c.items()
             for m2, v2 in y.c2.items():
                 _mul_term(c2, mono_mul(m1, m2), a1, v2.c.items())
-            for (a, b), v2 in y.atoms.items():
-                _add_raw(c2, atoms, self._frobenius(m1, point_rho(v1 * v2), {(a, b, 0, 1): 1}))
-        for (a, b), v1 in x.atoms.items():
-            for m2, v2 in y.c2.items():
-                _add_raw(c2, atoms, self._frobenius(m2, point_rho(v2 * v1), {(a, b, 0, 1): 1}))
-            for (a2, b2), v2 in y.atoms.items():
-                # tau(w) tau(w') = tau(w * (1+t) w')
-                w2 = self.levele.one_plus_t({(a2, b2, 0, 1): v2})
-                prod = self.levele.mul({(a, b, 0, 1): v1}, w2)
-                _add_raw(c2, atoms, self.tau_of_levele(prod))
-        return self.normal_form(terms)
+        try:
+            if x.atoms or y.atoms:
+                wx, wy, times = _atoms_e(x.atoms), _atoms_e(y.atoms), self.levele.mul
+                w = add_elts(times(self._rho_terms(x.c2, {}), wy) if wy else {},
+                             times(wx, self._rho_terms(y.c2, y.atoms)) if wx else {})
+                if w:
+                    _add_raw(c2, terms.atoms, self.tau_of_levele(w))
+            return self.normal_form(terms)
+        except NonTerminatingError:
+            raise _budget_error(self, x, y) from None
 
     # -- Mackey structure -------------------------------------------------------
 
@@ -783,20 +787,24 @@ class Presentation:
         c^(i+j), which can leave the basis."""
         return self.levele.mul(rc, self._rho_mono(m))
 
+    def _rho_terms(self, c2, atoms):
+        """rho of the terms c2 and atoms, which need not be a normal form,
+        as a reduced dict: a sum of reduced images, less its zero terms."""
+        out = {}
+        for m, v in c2.items():
+            for k, n in self._rho_mono_times(m, point_rho(v)).items():
+                out[k] = out.get(k, 0) + n
+        for (a, b), v in atoms.items():
+            for k, n in self.levele.one_plus_t({(a, b, 0, 1): v}).items():
+                out[k] = out.get(k, 0) + n
+        return {k: n for k, n in out.items() if n}
+
     def rho(self, x):
+        """The marked level-e image of x's normal form (``_rho_terms``)."""
         x = self.normal_form(x)
         if x.level == "e":
             return x
-        # a sum of reduced images is reduced once its zero terms are gone
-        out = {}
-        for m, v in x.c2.items():
-            for k, n in self._rho_mono_times(m, point_rho(v)).items():
-                out[k] = out.get(k, 0) + n
-        for (a, b), v in x.atoms.items():
-            w = self.levele.one_plus_t({(a, b, 0, 1): v})
-            for k, n in w.items():
-                out[k] = out.get(k, 0) + n
-        return self._levele_nf({k: n for k, n in out.items() if n})
+        return self._levele_nf(self._rho_terms(x.c2, x.atoms))
 
     def _frobenius(self, mono, rc, w, fallbacks=()):
         """tau(rho(M)*rc*w) for a monomial M and level-e dicts rc and w: by
@@ -811,44 +819,37 @@ class Presentation:
         return self._levele_nf(self.levele.t_act(x.e))
 
     def tau_of_levele(self, w, _fallbacks=()):
-        """Transfer: level-e element (raw dict or RingElement) to level top,
-        y and t(y) terms as atoms where the deck has them, the rest lifted
-        through ``_tau_lift`` and ``normal_form`` (on the free orbit its rule
-        ``unit``, 1 = tau(y), makes atoms of them).  ``_fallbacks`` is passed
-        on."""
+        """Transfer: a level-e element (raw dict or RingElement) to level top,
+        as a marked normal form.  Each term of the reduced w is lifted into one
+        raw element: y and t(y) as atoms where the deck has them, any other
+        term by Frobenius reciprocity (rho(x) divided out of a y term).  One
+        ``normal_form`` reduces it (on the free orbit its rule ``unit``, 1 =
+        tau(y), makes atoms of the lifts); atoms alone need none.
+        ``_fallbacks`` is passed on."""
         if isinstance(w, RingElement):
             w = w.e
-        w = self.levele.reduce(w)
         out = RingElement(self, "top")
         c2, atoms = out.c2, out.atoms
-        for (a, b, d, eps), v in w.items():
-            if eps == 0:
-                _add_elt(c2, atoms, self._tau_lift(a, b, d, 0, v, _fallbacks))
-            elif eps == 2:
+        for (a, b, d, eps), v in self.levele.reduce(w).items():
+            if eps == 2:
                 # binate t(y): tau(iota^a zeta^b ty) = (-1)^a tau(iota^a zeta^b y)
                 _add_count(atoms, (a, b), -v if a % 2 else v)
-            else:
+                continue
+            if eps:
                 if self.has_atoms and d == 0:
                     _add_count(atoms, (a, b), v)
-                else:
-                    A, B, C = self.rho_x
-                    if d < C:
-                        raise ValueError("cannot lift %s along rho(x)" % ((a, b, d, eps),))
-                    _add_elt(c2, atoms, self._tau_lift(a - A, b - B, d - C, 1, v, _fallbacks))
-        return out
-
-    def _tau_lift(self, a, b, d, xexp, v, fallbacks):
-        """tau(iota^a zeta^b c^d) * x^xexp via Frobenius reciprocity."""
-        tb = b - d
-        if tb >= 0:
-            coeff = point_tau(a) * v
-            mono = (0, tb, d, 0, xexp, 0, 0)
-        else:
-            coeff = point_tau(a + 2 * tb) * v
-            mono = (-tb, 0, d, 0, xexp, 0, 0)
-        if coeff.is_zero():
-            return RingElement(self, "top")
-        return self.normal_form(RingElement(self, "top", c2={mono: coeff}), None, fallbacks)
+                    continue
+                A, B, C = self.rho_x
+                if d < C:
+                    raise ValueError("cannot lift %s along rho(x)" % ((a, b, d, eps),))
+                a, b, d = a - A, b - B, d - C
+            tb = b - d
+            if tb >= 0:
+                _add_term(c2, (0, tb, d, 0, eps, 0, 0), point_tau(a) * v)
+            else:
+                _add_term(c2, (-tb, 0, d, 0, eps, 0, 0), point_tau(a + 2 * tb) * v)
+        out._nf = not c2
+        return out if out._nf else self.normal_form(out, None, _fallbacks)
 
     # -- homomorphisms -------------------------------------------------------
 

@@ -545,6 +545,8 @@ def _cli_with_stdout(stdout, *argv, buffered):
 @pytest.mark.parametrize("argv", [
     ("reduce", "quadric:3,3", "cw*x"),
     ("basis", "quadric:40,41", "--window", "-10:90,-10:90"),
+    ("-h",),
+    ("reduce", "-h"),
 ])
 def test_closed_stdout_exits_1_in_silence(argv, buffered):
     # a pipe with no reader: every write to it fails
@@ -561,7 +563,9 @@ def test_closed_stdout_exits_1_in_silence(argv, buffered):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("buffered", [True, False])
-@pytest.mark.parametrize("argv", [("reduce", "quadric:3,3", "cw*x"), ("atlas", "load", "FILE")])
+@pytest.mark.parametrize("argv", [
+    ("reduce", "quadric:3,3", "cw*x"), ("atlas", "load", "FILE"), ("-h",), ("reduce", "-h"),
+])
 def test_full_stdout_is_one_line(tmp_path, capsys, argv, buffered):
     # atlas load names a file of its own, and still reads this as stdout's failure
     path = tmp_path / "atlas.json"

@@ -69,3 +69,31 @@ def test_every_imported_name_is_used():
             if (alias.asname or alias.name) not in used
         ]
     assert sorted(set(unused) - READ_ELSEWHERE) == []
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_every_private_name_is_referenced():
+    # a private function, method, class or module-level name that nothing in
+    # the package reads is dead code
+    defined, referenced = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.stem, node.name))
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+        defined += [
+            (path.stem, target.id)
+            for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)
+        ]
+    assert sorted((mod, name) for mod, name in defined if _private(name) and name not in referenced) == []

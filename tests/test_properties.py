@@ -24,7 +24,10 @@ from c2quadrics.expressions import LEVELE
 from c2quadrics.rewrite import GENERATORS, MONO_ONE, RingElement, _mono_product, _sample_monomials
 from c2quadrics.solver import POINT_COEFFS
 
-SPACES = ("quadric:3,3", "quadric:4,3", "quadric:5,3", "quadric:4,4", "binate:2,1", "proj:2,1")
+SPACES = (
+    "quadric:3,3", "quadric:4,3", "quadric:5,3", "quadric:4,4", "binate:2,1", "proj:2,1",
+    "quadric:1,1", "binate:0,0", "quadric:7,5",
+)
 COEFFS = tuple(POINT_COEFFS) + tuple(PointElt.monomial(pos(i, j)) for i, j in ((1, 1), (2, 1), (1, 2), (3, 2)))
 
 settings.register_profile(
@@ -184,7 +187,7 @@ def test_normal_form_mark(sid, data):
     _, raw = data.draw(raw_elements(sid))
     c = data.draw(st.sampled_from(COEFFS))
     n = data.draw(st.integers(-3, 3))
-    mono = data.draw(st.sampled_from(_sample_monomials(pres)))
+    mono = data.draw(st.sampled_from(_sample_monomials(pres) or (MONO_ONE,)))
     w = _levele_terms(data.draw, pres)
     assert not raw._nf and not w._nf
     ex, ey = pres.rho(x), pres.rho(y)
@@ -220,7 +223,7 @@ def _other(sid):
 def test_mark_is_trusted_only_in_its_presentation(sid, data):
     pres, x, y, _ = data.draw(triples(sid))
     other = _other(sid)
-    z = other.monomial_elt(data.draw(st.sampled_from(_sample_monomials(other))))
+    z = other.monomial_elt(data.draw(st.sampled_from(_sample_monomials(other) or (MONO_ONE,))))
     assert x._nf and z._nf
     assert not (x + z)._nf and not (z - y)._nf
     seen = []

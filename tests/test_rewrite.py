@@ -187,17 +187,80 @@ def test_step_budget_message_past_the_digit_limit():
 
 
 def test_step_budget_message_prints_the_product():
-    # mul hands normal_form raw coefficient dicts; the message prints each as
-    # a PointElt, not as the dict
+    # mul hands normal_form raw coefficient dicts, which the reduction changes
+    # in place; the message names the two factors instead, the same at every
+    # budget
     P = make_space("quadric:5,3")
     x = parse_expression(P, "cw^2+cx+z0+x+divw+z1")
     y = parse_expression(P, "cw^2*x + e*z0 + divw + 3*cx")
-    P.max_steps = 2
-    with pytest.raises(NonTerminatingError) as info:
-        P.mul(x, y)
-    message = str(info.value)
+    messages = set()
+    for budget in (1, 2, 5, 20):
+        P.max_steps = budget
+        with pytest.raises(NonTerminatingError) as info:
+            P.mul(x, y)
+        messages.add(str(info.value))
+    message, = messages
     assert message.startswith("step budget exceeded in quadric:5,3")
     assert "{(" not in message
+    assert str(x) in message and str(y) in message
+
+
+def _logged_calls(P):
+    """Wrap P's normal_form and tau_of_levele.  Each call is logged as
+    [name, index of the enclosing logged call or None, its result]."""
+    log, open_calls = [], []
+
+    def wrap(name):
+        inner = getattr(P, name)
+
+        def call(*args, **kwargs):
+            entry = [name, open_calls[-1] if open_calls else None, None]
+            open_calls.append(len(log))
+            log.append(entry)
+            try:
+                entry[2] = inner(*args, **kwargs)
+            finally:
+                open_calls.pop()
+            return entry[2]
+
+        setattr(P, name, call)
+
+    wrap("normal_form")
+    wrap("tau_of_levele")
+    return log
+
+
+@pytest.mark.parametrize("sid", ["quadric:5,3", "binate:2,1", "quadric:1,1"])
+def test_a_product_lifts_its_transfer_part_once(sid):
+    P = make_space(sid)
+    pool = _sample_monomials(P) or (MONO_ONE,)
+    coeffs = (ONE, XI_PT, E_PT, PointElt.from_int(3))
+    # a unit term keeps the transfer part nonzero on binate:2,1, where c*y = 0
+    x, y = (
+        P.normal_form(RingElement(
+            P, "top", c2={MONO_ONE: ONE, **dict(zip(pool[k::7], coeffs))},
+            atoms={(k, -1): 2, (1, k): -1},
+        ))
+        for k in (0, 1)
+    )
+    log = _logged_calls(P)
+    xy = P.mul(x, y)
+    # mul lifts its transfer part in one tau_of_levele, outside normal_form
+    assert [e[0] for e in log if e[1] is None] == ["tau_of_levele", "normal_form"]
+    # each tau_of_levele reduces at most once, into a marked normal form
+    for k, (name, _, out) in enumerate(log):
+        if name == "tau_of_levele":
+            assert sum(e[1] == k for e in log) <= 1 and out._nf
+    # y and t(y) terms lift to atoms alone, which need no reduction
+    del log[:]
+    eps = (1, 2) if P.levele.kind == "binate" else (1,)
+    w = {(a, 1 - a, 0, e): a - 3 for a in range(3) for e in eps}
+    atoms = P.tau_of_levele(w)
+    assert [e[0] for e in log] == ["tau_of_levele"] and atoms._nf and not atoms.c2
+    # the product is the sum of the products of its terms
+    del P.normal_form, P.tau_of_levele
+    terms = [P.monomial_elt(m, c) for m, c in x.c2.items()] + [P.tau_atom(a, b, n) for (a, b), n in x.atoms.items()]
+    assert xy == sum((P.mul(t, y) for t in terms), P.zero())
 
 
 def test_not_a_class():
