@@ -130,10 +130,35 @@ def _rhs(pairs=(), terms=(), delta=MONO_ONE):
     return tuple((tuple(c.c.items()), d) for c, d in mono + list(pairs)), atoms
 
 
-def _xi_shift(n):
-    """xi^n / (z0*z1)^n, from zeta0*zeta1 = xi, with xi^n written as its
-    raw pairs: it is built at every firing."""
-    return ((((pos(0, n), 1),), _mono(s=-n, t=-n)),), ()
+def _powers(step):
+    """The one-step right-hand side ``step``, (coeff, delta) pairs, as the
+    function n -> that rhs fired n >= 1 times in one firing, as rhs data.
+
+    One term c*delta, with c = e^a xi^b: c^n at n*delta, built at every
+    firing.  Two terms a + b with 2ab = 0: a^K + b^K for K the largest
+    power of two <= n, since (a + b)^2 = a^2 + b^2; each square is built
+    once and kept in this function's own list, and K = 1 is ``step``.  Any
+    other step raises ``ValueError`` here, where the deck is built."""
+    if len(step) == 1:
+        ((c, delta),) = step
+        ((key, value),) = c.c.items()
+        if key[0] != "p" or value != 1:
+            raise ValueError("a one-term power needs a coefficient e^a xi^b: %r" % (c.c,))
+        _, a, b = key
+        return lambda n: (((((pos(n * a, n * b), 1),), tuple(n * k for k in delta)),), ())
+    (a, _), (b, _) = step
+    if not (a * b * 2).is_zero():
+        raise ValueError("a two-term power needs 2ab = 0")
+    squares, rhs = [step], [_rhs(step)]
+
+    def power(n):
+        k = n.bit_length() - 1
+        while len(rhs) <= k:
+            squares.append([(c * c, mono_mul(d, d)) for c, d in squares[-1]])
+            rhs.append(_rhs(squares[-1]))
+        return rhs[k]
+
+    return power
 
 
 # fixed right-hand sides as (coeff, delta) lists, named after a rule
@@ -148,28 +173,6 @@ _CX_TAIL = (UNIT_1MK * E2 * -1, _mono(t=-1, j=-1))
 _T2 = _W1_CX[::-1]
 _CX_ELIM = [(UNIT_1MK, _mono(s=1, t=-1, i=1, j=-1)), _CX_TAIL]
 _DIV_S = [(XI_PT, _mono(s=-1, t=-1))]
-
-# {(id of a one-step tuple above, k): its rhs squared k times}; keyed by
-# identity, because hashing the PointElt coefficients at every firing costs
-# more than the lookup saves
-_JUMPS = {}
-
-
-def _jump(pairs, k):
-    """The one-step right-hand side ``pairs`` (``_W0_CW``, ``_W1_CX`` or
-    ``_T2``) raised to the power K = 2^k, as one right-hand side (k = 0
-    gives the one-step rhs); for ``_W0_CW`` e^{2K} z0^-K cw^-K + xi^K
-    z0^-2K cw^-K cx^K.  Each of the k
-    squarings squares the two terms alone, since (a + b)^2 = a^2 + b^2 when
-    2ab = 0, and here ab carries the mixed, 2-torsion coefficient e^2 xi."""
-    key = (id(pairs), k)
-    rhs = _JUMPS.get(key)
-    if rhs is None:
-        power = pairs
-        for _ in range(k):
-            power = tuple((c * c, mono_mul(d, d)) for c, d in power)
-        rhs = _JUMPS[key] = _rhs(power)
-    return rhs
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +201,16 @@ def _build_rules(pres):
     whose right-hand side depends on the monomial holds a plain function of
     the monomial that returns it.
 
-    Every e^2-chain fires in closed form.  ``w0_cw``, ``w1_cx``, ``ihigh``,
-    ``t2`` and the t2 branch of ``jhigh`` apply their one-step right-hand
-    side K times in one firing, K the largest power of two <= n, for n = i,
-    j, i - p, min(t // 2, j) and min(p - 1 - i, j - q): the K-th power keeps
-    two terms (``_jump``), and K = 1 is the one-step rhs.  The
-    tail branch of ``jhigh`` has one term and takes all its j - q steps at
-    once.  The normal forms are those of the one-step rules (the tests keep
-    those as the reference).  A firing still adds at most two pairs, so
-    ``max_steps`` keeps its meaning.
+    Every closed-form rule names its one-step right-hand side and its
+    reach n, and fires that rhs n times in one firing through ``_powers``:
+    ``xi_mix``, ``z0_pos`` and ``z1_pos`` fire ``_DIV_S``, ``w0_cw`` and
+    ``ihigh`` ``_W0_CW``, ``w1_cx`` ``_W1_CX``, ``t2`` and the t2 branch of
+    ``jhigh`` ``_T2``, the tail branch of ``jhigh`` ``_CX_TAIL`` and, where
+    x^2 has its one term, ``x_power`` the deck's x^2.  A one-term rhs takes
+    all its n steps at once; a two-term one takes K, the largest power of
+    two <= n.  The normal forms are those of the one-step rules (the tests
+    keep those as the reference).  A firing still adds at most two pairs,
+    so ``max_steps`` keeps its meaning.
 
     On a quadric deck with x where neither zeta is invertible it also sets
     ``pres.mixed_dies``: a guard-style test of the monomials M with
@@ -227,13 +231,16 @@ def _build_rules(pres):
     def ge_q(j):
         return False if infinite else j >= q
 
+    w0_cw, w1_cx, t2, div_s = (_powers(step) for step in (_W0_CW, _W1_CX, _T2, _DIV_S))
     rules = []
 
     # ---- x powers and div flags -----------------------------------------
 
     if has_x:
+        # x^d lands on d = 1 in one firing
         xsq = [(c, mono_mul(delta, _mono(d=-2))) for c, delta in pres.xsq_terms]
-        rules.append(("x_power", lambda m: m[4] >= 2, _rhs(xsq)))
+        x_power = _powers(xsq) if xsq else None
+        rules.append(("x_power", lambda m: m[4] >= 2, (lambda m: x_power(m[4] - 1)) if xsq else _rhs()))
 
         def g_topx(m):
             s, t, i, j, d, w0, w1 = m
@@ -294,14 +301,8 @@ def _build_rules(pres):
                 and w0 == 1 and w1 == 0 and d == 0 and i >= 1 and t == 0
             )
 
-        def r_w0cw(m):
-            return _jump(_W0_CW, m[2].bit_length() - 1)
-
-        def r_w1cx(m):
-            return _jump(_W1_CX, m[3].bit_length() - 1)
-
-        rules.append(("w0_cw", g_w0cw, r_w0cw))
-        rules.append(("w1_cx", lambda m: g_w0cw(_swap_mono(m)), r_w1cx))
+        rules.append(("w0_cw", g_w0cw, lambda m: w0_cw(m[2])))
+        rules.append(("w1_cx", lambda m: g_w0cw(_swap_mono(m)), lambda m: w1_cx(m[3])))
 
         def g_w0cx(m):
             s, t, i, j, d, w0, w1 = m
@@ -329,13 +330,13 @@ def _build_rules(pres):
         def g_z1pos(m):
             return m[1] >= 1 and m[5] == 0 and m[6] == 0
 
-        rules.append(("z1_pos", g_z1pos, lambda m: _xi_shift(m[1])))
+        rules.append(("z1_pos", g_z1pos, lambda m: div_s(m[1])))
         rules.append(("cw_elim", lambda m: m[2] >= 1, _rhs(_E2)))
     elif z1_inv:
         def g_z0pos(m):
             return m[0] >= 1 and m[5] == 0 and m[6] == 0
 
-        rules.append(("z0_pos", g_z0pos, lambda m: _xi_shift(m[0])))
+        rules.append(("z0_pos", g_z0pos, lambda m: div_s(m[0])))
         rules.append(("cx_elim", lambda m: m[3] >= 1, _rhs(_CX_ELIM)))
     else:
         def g_ximix(m):
@@ -349,8 +350,8 @@ def _build_rules(pres):
         def r_ximix(m):
             s, t = m[0], m[1]
             if s > 0:
-                return _xi_shift(min(s, t) if t > 0 else s)
-            return _xi_shift(t)
+                return div_s(min(s, t) if t > 0 else s)
+            return div_s(t)
 
         rules.append(("xi_mix", g_ximix, r_ximix))
 
@@ -373,10 +374,7 @@ def _build_rules(pres):
             s, t, i, j, d, w0, w1 = m
             return t >= 2 and j >= 1 and w0 == 0 and w1 == 0
 
-        def r_t2(m):
-            return _jump(_T2, min(m[1] // 2, m[3]).bit_length() - 1)
-
-        rules.append(("t2", g_t2, r_t2))
+        rules.append(("t2", g_t2, lambda m: t2(min(m[1] // 2, m[3]))))
 
         if not infinite:
             def g_jhigh(m):
@@ -390,7 +388,7 @@ def _build_rules(pres):
                     return False
                 return True
 
-            tail = _rhs([_CX_TAIL])
+            cx_tail = _powers([_CX_TAIL])
             # z0 cw X contains the top monomial cw^p cx^q: the tail plus
             # (1-k) times top at z0*cw*m/(z1*cx), where rho(1-k) = 1 leaves
             # the transfer terms as they are
@@ -400,14 +398,11 @@ def _build_rules(pres):
             def r_jhigh(m):
                 i, n = m[2], m[3] - q
                 if i + 1 < p:
-                    return _jump(_T2, min(p - 1 - i, n).bit_length() - 1)
+                    return t2(min(p - 1 - i, n))
                 if m[4] == 0:
                     return top_tail
-                if n < 2:
-                    return tail
-                # top times x vanishes, so the tail alone goes on down to
-                # cx^q: e^{2L} z1^-L cx^-L for L = j - q
-                return (((((pos(2 * n, 0), 1),), _mono(t=-n, j=-n)),), ())
+                # top times x vanishes, so the tail alone goes on down to cx^q
+                return cx_tail(n)
 
             rules.append(("jhigh", g_jhigh, r_jhigh))
 
@@ -417,10 +412,7 @@ def _build_rules(pres):
                     return False
                 return s <= 0 and t == 0 and i >= p + 1 and j <= q - 1 and w0 == 0 and w1 == 0
 
-            def r_ihigh(m):
-                return _jump(_W0_CW, (m[2] - p).bit_length() - 1)
-
-            rules.append(("ihigh", g_ihigh, r_ihigh))
+            rules.append(("ihigh", g_ihigh, lambda m: w0_cw(m[2] - p)))
 
             def g_tpos_ihigh(m):
                 s, t, i, j, d, w0, w1 = m

@@ -97,3 +97,15 @@ def test_every_private_name_is_referenced():
             if isinstance(target, ast.Name)
         ]
     assert sorted((mod, name) for mod, name in defined if _private(name) and name not in referenced) == []
+
+
+def test_no_call_of_the_builtin_id():
+    # a cache keyed by id() is sound only while its keys never die, since a
+    # dead object's id may be given to a new one
+    calls = [
+        "%s:%d" % (path.stem, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+    ]
+    assert calls == []
