@@ -784,15 +784,15 @@ def basis_slice(pres, coset, window):
     entries are the free-orbit line representatives (one per coset,
     position along the line a + b = const arbitrary).
 
-    The monomials come from ``_enumerate_coset_monomials``: the first slice
-    of a coset on a presentation makes a fixed number of canonical tests
-    and stores the coset's canonical strips, and every later slice of it,
-    at any window, makes none until ``canonical_fn`` or ``rules`` changes
-    (``Presentation._derived``).  The presentation keeps one entry per
-    coset asked for (per coset and reach on bu1), each O(1) in p and q.  Each
-    enumerated monomial costs one closed-form grading
-    (``Presentation.mono_grading``); the window test and the sort run on
-    its integers, and an offset ``Grading`` is built only for the rows
+    The classes come from ``_enumerate_coset_monomials`` as runs already
+    cut to the window: the first slice of a coset on a presentation makes a
+    fixed number of canonical tests and stores the coset's canonical
+    strips, and every later slice of it, at any window, makes none until
+    ``canonical_fn`` or ``rules`` changes (``Presentation._derived``).  The
+    presentation keeps one entry per coset asked for (per coset and reach on
+    bu1), each O(1) in p and q.  A run's gradings step by (2, 2), so they
+    are read as two ``range``s: a slice costs O(strips + rows in the window)
+    at every p and q, and an offset ``Grading`` is built only for the rows
     returned.
     """
     (a0, a1), (b0, b1) = window
@@ -803,11 +803,9 @@ def basis_slice(pres, coset, window):
     # (g.a + 2 coset, g.b, 0)
     da = 2 * coset
     kept = []
-    for mono in _enumerate_coset_monomials(pres, coset, window):
-        g = pres.mono_grading(mono)
-        a, b = g.a + da, g.b
-        if a0 <= a <= a1 and b0 <= b <= b1:
-            kept.append((a, b))
+    for _, n, a, b in _enumerate_coset_monomials(pres, coset, window):
+        a += da
+        kept += zip(range(a, a + 2 * n, 2), range(b, b + 2 * n, 2))
     kept.sort()
     out = [(Grading(a, b), "C2/C2") for a, b in kept]
     if pres.has_atoms:
@@ -839,8 +837,10 @@ def _pieces(n, top):
 
 
 def _enumerate_coset_monomials(pres, coset, window):
-    """Canonical monomials of one coset whose gradings can meet the window,
-    as a fresh list.
+    """The canonical monomials of one coset whose offset gradings (as in
+    ``basis_slice``) lie in the window, as a fresh list of runs
+    (mono, n, a, b): the monomials mono * (cw*cx)^k for 0 <= k < n, whose
+    gradings are (a + 2k, b + 2k, coset).
 
     Every canonical monomial has s == 0 or t == 0 (see _make_canonical), and
     inside one coset t = t0 + s with t0 = shift - i + j fixed by the cell
@@ -848,17 +848,23 @@ def _enumerate_coset_monomials(pres, coset, window):
     (0, t0) and (-t0, 0).  ``canonical`` depends on a monomial only through
     ``_class_key``, so it is tested once per box (an i piece times a j
     piece, see ``_pieces``), band of t0 and candidate, on one member, and a
-    canonical box and band (a strip, see ``_canonical_strips``) is emitted
-    whole.  Nothing in those tests depends on the window but the stand-ins
-    for p and q, so the strips are kept on the presentation under
-    (coset, p, q), in the ``strips`` of ``Presentation._derived``, which
-    are emptied with the class table when ``canonical_fn`` or ``rules``
-    changes.  The first enumeration of a coset makes a fixed number of
-    ``Presentation.canonical`` tests, and a later one makes none and walks
-    only its strips.  The table holds one
-    entry per coset asked for, and on bu1, whose stand-ins grow with the
-    window's reach, one per coset and reach; each entry is O(1) in p and q.
-    The rest of the cost is O(p + q), the size of the output.
+    canonical box and band is a strip (see ``_canonical_strips``).  Nothing
+    in those tests depends on the window but the stand-ins for p and q, so
+    the strips are kept on the presentation under (coset, p, q), in the
+    ``strips`` of ``Presentation._derived``, which are emptied with the
+    class table when ``canonical_fn`` or ``rules`` changes.  The first
+    enumeration of a coset makes a fixed number of
+    ``Presentation.canonical`` tests, and a later one makes none.  The table
+    holds one entry per coset asked for, and on bu1, whose stand-ins grow
+    with the window's reach, one per coset and reach; each entry is O(1) in
+    p and q.
+
+    A strip's gradings are affine in (i, j): a = 2i + ca and b = 2j + cb
+    on the t candidate, a = 2j + ca and b = 2i + cb on the s candidate.  So
+    two floor divisions per axis cut its i and j ranges to the window, and
+    each diagonal j - i = e of the cut box that the strip's band meets is
+    one run, its t0 = shift + e fixed.  The cost is O(strips + runs), and
+    every run holds at least one row of the window.
     """
     (a0, a1), (b0, b1) = window
     span = max(abs(a0), abs(a1), abs(b0), abs(b1)) + abs(coset)
@@ -868,31 +874,55 @@ def _enumerate_coset_monomials(pres, coset, window):
     strips = table.get((coset, p, q))
     if strips is None:
         strips = table[coset, p, q] = _canonical_strips(pres, coset, p, q)
+    # the window on absolute gradings: g.a is the offset less 2 coset
+    a0 -= 2 * coset
+    a1 -= 2 * coset
     out = []
-    for fs, ft, d, w0, w1, shift, ilo, ihi, jlo, jhi, dlo, dhi in strips:
-        # row i of the strip holds jlo..jhi cut to i + dlo..i + dhi
-        for i in range(ilo, ihi + 1):
-            jl, jh = i + dlo, i + dhi
-            if jl < jlo:
-                jl = jlo
-            if jh > jhi:
-                jh = jhi
-            for j in range(jl, jh + 1):
-                t0 = shift - i + j
-                out.append((fs * t0, ft * t0, i, j, d, w0, w1))
+    for fs, ft, d, w0, w1, shift, ilo, ihi, jlo, jhi, dlo, dhi, ca, cb in strips:
+        # lo <= 2x + c <= hi  <=>  -((c - lo) // 2) <= x <= (hi - c) // 2
+        if ft:
+            il, ih, jl, jh = -((ca - a0) // 2), (a1 - ca) // 2, -((cb - b0) // 2), (b1 - cb) // 2
+        else:
+            il, ih, jl, jh = -((cb - b0) // 2), (b1 - cb) // 2, -((ca - a0) // 2), (a1 - ca) // 2
+        if il < ilo:
+            il = ilo
+        if ih > ihi:
+            ih = ihi
+        if jl < jlo:
+            jl = jlo
+        if jh > jhi:
+            jh = jhi
+        if il > ih or jl > jh:
+            continue
+        # diagonal e of the cut box holds max(il, jl - e) <= i <= min(ih, jh - e),
+        # and the box meets diagonals jl - ih..jh - il
+        elo, ehi = jl - ih, jh - il
+        if elo < dlo:
+            elo = dlo
+        if ehi > dhi:
+            ehi = dhi
+        for e in range(elo, ehi + 1):
+            i = il if il > jl - e else jl - e
+            n = (ih if ih < jh - e else jh - e) - i + 1
+            j, t0 = i + e, shift + e
+            a, b = (2 * i + ca, 2 * j + cb) if ft else (2 * j + ca, 2 * i + cb)
+            out.append(((fs * t0, ft * t0, i, j, d, w0, w1), n, a, b))
     return out
 
 
 def _canonical_strips(pres, coset, p, q):
     """The canonical strips of one coset, with p and q the enumeration's
     stand-ins: a tuple of (fs, ft, d, w0, w1, shift, ilo, ihi, jlo, jhi,
-    dlo, dhi), one per cell, box, band and candidate whose member passes
-    ``Presentation.canonical``, in emission order.  Its monomials are
+    dlo, dhi, ca, cb), one per cell, box, band and candidate whose member
+    passes ``Presentation.canonical``, in emission order.  Its monomials are
     (fs * t0, ft * t0, i, j, d, w0, w1) with ilo <= i <= ihi, jlo <= j <=
     jhi, dlo <= j - i <= dhi and t0 = shift - i + j.  The bands are
     t0 <= -2, -1, 0, 1 and >= 2: the s and t clamps of the key, seen from
     both candidates (in band 0 the two are one).  That is one test per box,
-    band and candidate, a fixed number per coset."""
+    band and candidate, a fixed number per coset.  (ca, cb) are the grading
+    offsets of the strip, read off ``Presentation.mono_grading`` at the
+    tested member (i, j): a = 2i + ca and b = 2j + cb when ft == 1,
+    a = 2j + ca and b = 2i + cb when fs == -1."""
     ipieces, jpieces = _pieces(pres.p, p + 1), _pieces(pres.q, q + 1)
     cells = [(0, 0, 0)]
     if pres.has_x:
@@ -919,6 +949,9 @@ def _canonical_strips(pres, coset, p, q):
                     rj = ri + dlo
                     # (fs, ft) puts t0 into s = fs * t0, t = ft * t0
                     for fs, ft in ((0, 1),) if k == 0 else ((0, 1), (-1, 0)):
-                        if pres.canonical((fs * lo, ft * lo, ri, rj, d, w0, w1)):
-                            out.append((fs, ft, d, w0, w1, shift, ilo, ihi, jlo, jhi, dlo, dhi))
+                        member = (fs * lo, ft * lo, ri, rj, d, w0, w1)
+                        if pres.canonical(member):
+                            g = pres.mono_grading(member)
+                            ca, cb = (g.a - 2 * ri, g.b - 2 * rj) if ft else (g.a - 2 * rj, g.b - 2 * ri)
+                            out.append((fs, ft, d, w0, w1, shift, ilo, ihi, jlo, jhi, dlo, dhi, ca, cb))
     return tuple(out)

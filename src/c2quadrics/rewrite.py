@@ -751,7 +751,7 @@ class Presentation:
                 w = add_elts(times(self._rho_terms(x.c2, {}), wy) if wy else {},
                              times(wx, self._rho_terms(y.c2, y.atoms)) if wx else {})
                 if w:
-                    _add_raw(c2, terms.atoms, self.tau_of_levele(w))
+                    _add_raw(c2, terms.atoms, self.tau_of_levele(self._levele_nf(w)))
             return self.normal_form(terms)
         except NonTerminatingError:
             raise _budget_error(self, x, y) from None
@@ -811,7 +811,7 @@ class Presentation:
         Frobenius reciprocity M*c*tau(w) when rc = rho(c) (``point_rho``),
         and M*c when w = 1 and rc is a transfer witness of c.  ``fallbacks``
         is passed on to ``tau_of_levele``."""
-        return self.tau_of_levele(self.levele.mul(self._rho_mono_times(mono, rc), w), fallbacks)
+        return self.tau_of_levele(self._levele_nf(self.levele.mul(self._rho_mono_times(mono, rc), w)), fallbacks)
 
     def t_act(self, x):
         if x.level != "e":
@@ -825,12 +825,16 @@ class Presentation:
         term by Frobenius reciprocity (rho(x) divided out of a y term).  One
         ``normal_form`` reduces it (on the free orbit its rule ``unit``, 1 =
         tau(y), makes atoms of the lifts); atoms alone need none.
-        ``_fallbacks`` is passed on."""
+        A marked element (``_levele_nf``: ``mul``'s and ``_frobenius``'s
+        ``LevelEModel`` results, a ``rho``) is lifted as it is; a raw dict or
+        an unmarked element is reduced first.  ``_fallbacks`` is passed on."""
         if isinstance(w, RingElement):
-            w = w.e
+            w = w.e if w._nf else self.levele.reduce(w.e)
+        else:
+            w = self.levele.reduce(w)
         out = RingElement(self, "top")
         c2, atoms = out.c2, out.atoms
-        for (a, b, d, eps), v in self.levele.reduce(w).items():
+        for (a, b, d, eps), v in w.items():
             if eps == 2:
                 # binate t(y): tau(iota^a zeta^b ty) = (-1)^a tau(iota^a zeta^b y)
                 _add_count(atoms, (a, b), -v if a % 2 else v)

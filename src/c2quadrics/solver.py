@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import repeat
 
 from .catalog import basis_slice, _enumerate_coset_monomials, make_projective
 from .coefficients import BurnsideElt, G_PT, PointElt, pos, negkappa, point_rho, trans
@@ -248,10 +249,20 @@ def rank_table(pres, coset, window):
 
 def _grading_counts(pres, coset, window, shift=None):
     """How many canonical monomials of one coset sit in each absolute
-    grading (a, b, m), every grading moved by ``shift`` when it is given."""
+    grading (a, b, m), every grading moved by ``shift`` when it is given.
+    Only the gradings whose (a, b) lie in the window ((a0, a1), (b0, b1))
+    before the shift are counted: the runs of ``_enumerate_coset_monomials``
+    are cut to it, and each is read as two ``range``s, so the cost is
+    O(strips + counted classes) at every p and q."""
     da, db, dm = (0, 0, 0) if shift is None else (shift.a, shift.b, shift.m)
-    gradings = map(pres.mono_grading, _enumerate_coset_monomials(pres, coset, window))
-    return Counter((g.a + da, g.b + db, g.m + dm) for g in gradings)
+    (a0, a1), (b0, b1) = window
+    # the enumeration's window is on offsets g.a + 2 coset (basis_slice)
+    runs = _enumerate_coset_monomials(pres, coset, ((a0 + 2 * coset, a1 + 2 * coset), (b0, b1)))
+    counts = Counter()
+    for _, n, a, b in runs:
+        a, b = a + da, b + db
+        counts.update(zip(range(a, a + 2 * n, 2), range(b, b + 2 * n, 2), repeat(coset + dm)))
+    return counts
 
 
 def rank_law_check(pres):
@@ -259,7 +270,10 @@ def rank_law_check(pres):
     C2/C2 counts of the quadric must equal the projective-space counts plus
     the nu-shifted projective-space counts (the free-orbit line sits in the
     separate C2/e summand).  Checked on the cosets 0, 1, -1 and gradings
-    within 14 of the origin."""
+    within 14 of the origin.  The counts are taken in a window padded by
+    2|nu.a| + 2|nu.b| + 8, which covers the nu shift, so a class within the
+    radius after the shift lies inside the window before it and the check
+    is exact; its cost is O(window) at every p and q."""
     if not pres.has_x or pres.free_orbit:
         return True
     radius = 14
@@ -303,7 +317,7 @@ def _mackey_failure(pres, x, rx):
     """The first Mackey axiom that fails on x, whose rho is rx, or None."""
     if not (pres.t_act(rx) - rx).is_zero():
         return "t rho"
-    trx = pres.tau_of_levele(rx.e)
+    trx = pres.tau_of_levele(rx)
     if not (trx - x.scale(G_PT)).is_zero():
         return "tau rho"
     if not (pres.rho(trx) - rx.scale(2)).is_zero():

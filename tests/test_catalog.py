@@ -499,8 +499,10 @@ def test_dd_is_its_own_swap_up_to_normal_form():
 def test_swapped_quadrics_have_swapped_ranks():
     # the rules favour one side (e2, div_s, t2, jhigh, ihigh), so Q^{m,n}
     # and Q^{n,m} reach their bases by different rewrite systems; the swap
-    # must still carry the class counts of coset c onto those of coset -c
-    window = ((-10, 10), (-10, 10))
+    # must still carry the class counts of coset c onto those of coset -c.
+    # It moves (a, b) by (2c, 2c), so Q is counted on a window wider by 6
+    # and cut to the box after the swap
+    window, wide = ((-10, 10), (-10, 10)), ((-16, 16), (-16, 16))
     classes = 0
     for m in range(12):
         for n in range(m, 12):
@@ -511,12 +513,14 @@ def test_swapped_quadrics_have_swapped_ranks():
                 Q, S = make_quadric(m, n), make_quadric(n, m)
             for coset in range(-3, 4):
                 swapped = {}
-                for (a, b, k), v in _grading_counts(Q, coset, window).items():
+                for (a, b, k), v in _grading_counts(Q, coset, wide).items():
                     g = swap_grading(Grading(a, b, k))
-                    swapped[g.a, g.b, g.m] = swapped.get((g.a, g.b, g.m), 0) + v
+                    if abs(g.a) <= 10 and abs(g.b) <= 10:
+                        swapped[g.a, g.b, g.m] = swapped.get((g.a, g.b, g.m), 0) + v
                 assert swapped == _grading_counts(S, -coset, window), (m, n, coset)
                 classes += sum(swapped.values())
-    assert classes == 5460
+    # the classes of S in the box, as _scan_coset_monomials finds them
+    assert classes == 3932
 
 
 def test_figure_one_slice():
@@ -587,14 +591,16 @@ def test_mono_grading_is_the_lattice_sum(sid):
 
 
 def _slice_reference(pres, coset, window):
-    """basis_slice by its definition: each monomial's grading less
+    """basis_slice by its definition: each scanned monomial's grading less
     coset * OMEGA1, kept in the window and sorted by (a, b); the C2/e entry
-    is (line, 0) when visible, else the first visible point (line - b, b)."""
-    from c2quadrics.catalog import _enumerate_coset_monomials
-
+    is (line, 0) when visible, else the first visible point (line - b, b).
+    On bu1 the stand-ins for p and q and the scan's s range all follow the
+    window's reach, so the scan costs its cube; there the cell walk takes
+    its place."""
     (a0, a1), (b0, b1) = window
     found = []
-    for mono in _enumerate_coset_monomials(pres, coset, window):
+    reference = _scan_coset_monomials if pres.p is not None else _walk_coset_monomials
+    for mono in reference(pres, coset, window):
         off = _lattice_grading(pres, mono) - coset * OMEGA1
         if a0 <= off.a <= a1 and b0 <= off.b <= b1:
             found.append((off, "C2/C2"))
@@ -662,8 +668,10 @@ def test_per_coset_counts_projective():
     for p, q in [(1, 1), (2, 2), (5, 3), (1, 4)]:
         P = make_projective(p, q)
         for coset in (-3, -1, 0, 2, 4):
-            monos = _enumerate_coset_monomials(P, coset, ((-60, 60), (-60, 60)))
+            window = ((-60, 60), (-60, 60))
+            monos = _run_monomials(_enumerate_coset_monomials(P, coset, window))
             assert len(monos) == p + q, (p, q, coset)
+            assert set(monos) == _window_cut(P, coset, window, _scan_coset_monomials(P, coset, window))
 
 
 def test_quadric_per_coset_counts():
@@ -675,8 +683,10 @@ def test_quadric_per_coset_counts():
             Q = make_quadric(m, n)
         expect = 2 * (Q.p + Q.q)
         for coset in (-2, 0, 1, 3):
-            monos = _enumerate_coset_monomials(Q, coset, ((-60, 60), (-60, 60)))
+            window = ((-60, 60), (-60, 60))
+            monos = _run_monomials(_enumerate_coset_monomials(Q, coset, window))
             assert len(monos) == expect, (m, n, coset)
+            assert set(monos) == _window_cut(Q, coset, window, _scan_coset_monomials(Q, coset, window))
 
 
 ENUM_SPACES = [
@@ -737,6 +747,29 @@ def test_canonical_agrees_with_the_enumerated_cells(chunk):
         assert accepted or pres.free_orbit, pres.name
 
 
+def _run_monomials(runs):
+    """The monomials of runs (mono, n, a, b): mono * (cw*cx)^k, k < n."""
+    return [(s, t, i + k, j + k, d, w0, w1) for (s, t, i, j, d, w0, w1), n, _, _ in runs for k in range(n)]
+
+
+def _window_cut(pres, coset, window, monos):
+    """The set of monos whose offset grading (basis_slice's) lies in the window."""
+    (a0, a1), (b0, b1) = window
+    out = set()
+    for m in monos:
+        g = pres.mono_grading(m)
+        if a0 <= g.a + 2 * coset <= a1 and b0 <= g.b <= b1:
+            out.add(m)
+    return out
+
+
+def _assert_runs_are(pres, coset, window, runs, reference):
+    """runs hold each monomial of the reference cut to the window once."""
+    monos = _run_monomials(runs)
+    assert len(set(monos)) == len(monos) and all(n > 0 for _, n, _, _ in runs), (pres.name, coset, window)
+    assert set(monos) == _window_cut(pres, coset, window, reference), (pres.name, coset, window)
+
+
 def _scan_coset_monomials(pres, coset, window):
     """Reference: scan every zeta exponent s in [-bound, bound] per cell."""
     from c2quadrics.grading import coset_index
@@ -781,8 +814,7 @@ def test_enumeration_matches_scan():
         for coset in range(-4, 5):
             for window in windows:
                 got = _enumerate_coset_monomials(pres, coset, window)
-                want = _scan_coset_monomials(pres, coset, window)
-                assert sorted(got) == sorted(want), (sid, coset, window)
+                _assert_runs_are(pres, coset, window, got, _scan_coset_monomials(pres, coset, window))
 
 
 def _walk_coset_monomials(pres, coset, window):
@@ -819,7 +851,8 @@ WALK_SPACES = (
 
 @pytest.mark.parametrize("m", range(1, 16))
 def test_enumeration_matches_the_cell_walk(m):
-    """The threshold-class boxes give every monomial of the cell walk, once:
+    """The threshold-class boxes give every monomial of the cell walk that
+    lies in the window, once:
     quadric:m,n for n in 1..15 covers the four parity kinds and every
     merge of the places 0, 1, p-1, p; m == 1 adds the other decks."""
     from c2quadrics.catalog import _enumerate_coset_monomials
@@ -833,8 +866,7 @@ def test_enumeration_matches_the_cell_walk(m):
         for coset in range(-5, 6):
             for window in windows:
                 got = _enumerate_coset_monomials(pres, coset, window)
-                assert len(set(got)) == len(got), (sid, coset, window)
-                assert sorted(got) == sorted(_walk_coset_monomials(pres, coset, window)), (sid, coset, window)
+                _assert_runs_are(pres, coset, window, got, _walk_coset_monomials(pres, coset, window))
 
 
 def test_enumeration_is_exact_for_any_class_function():
@@ -862,7 +894,7 @@ def test_enumeration_is_exact_for_any_class_function():
             pres.canonical_fn = canonical
             for coset in range(-3, 4):
                 got = _enumerate_coset_monomials(pres, coset, window)
-                assert sorted(got) == sorted(_walk_coset_monomials(pres, coset, window)), (sid, salt, coset)
+                _assert_runs_are(pres, coset, window, got, _walk_coset_monomials(pres, coset, window))
 
 
 @pytest.mark.parametrize("n", [None, *range(9), 50])
@@ -903,6 +935,62 @@ def test_enumeration_tests_do_not_grow_with_p(monkeypatch):
         assert 0 < count(m, n) == count(m + 3960, n + 3960) <= 400, (m, n)
 
 
+def test_enumeration_runs_do_not_grow_with_p():
+    """The runs of one enumeration are cut to the window: for a fixed window
+    and coset, quadric:40000,40001 gives no more runs than quadric:40,41,
+    and as many runs and monomials as quadric:80000,80001; so on for proj,
+    binate and each parity kind."""
+    from c2quadrics.catalog import _enumerate_coset_monomials
+
+    def size(pres, coset, window):
+        runs = _enumerate_coset_monomials(pres, coset, window)
+        return len(runs), sum(n for _, n, _, _ in runs)
+
+    windows = [((-30, 30), (-30, 30)), ((-3, 17), (-11, 9)), ((0, 60), (0, 60))]
+    for kind in ("proj", "binate", "quadric"):
+        for m, n in ([(40, 41)] if kind != "quadric" else [(40, 41), (41, 40), (41, 41), (40, 40)]):
+            small, big, bigger = (make_space("%s:%d,%d" % (kind, m + k, n + k)) for k in (0, 39960, 79960))
+            for coset in (-3, -1, 0, 1, 2, 5):
+                for window in windows:
+                    runs, monos = size(big, coset, window)
+                    assert runs <= size(small, coset, window)[0], (kind, m, n, coset, window)
+                    assert (runs, monos) == size(bigger, coset, window), (kind, m, n, coset, window)
+
+
+def test_a_small_window_of_a_huge_deck_keeps_its_rows():
+    """basis_slice on quadric:64000,3 at the window 0:4,0:4, whose coset
+    bases hold about 64,000 classes each: the rows, as before the cut."""
+    pres = make_space("quadric:64000,3")
+    rows = {c: [(g.a, g.b, g.m, label) for g, label in basis_slice(pres, c, ((0, 4), (0, 4)))] for c in (-1, 0, 1)}
+    assert rows == {
+        -1: [(0, 2, 0, "C2/C2"), (2, 2, 0, "C2/C2"), (4, 2, 0, "C2/C2")],
+        0: [(0, 0, 0, "C2/C2"), (0, 2, 0, "C2/C2"), (2, 2, 0, "C2/C2"), (4, 2, 0, "C2/C2")],
+        1: [(0, 0, 0, "C2/C2"), (2, 0, 0, "C2/C2"), (2, 2, 0, "C2/C2"), (4, 2, 0, "C2/C2")],
+    }
+
+
+@pytest.mark.parametrize("sid", ["bu1", "proj:3,2", "binate:2,1", "quadric:5,3", "quadric:4,4", "quadric:3,4",
+                                 "quadric:4,3", "quadric:1,4", "quadric:0,5", "quadric:31,30"])
+def test_run_gradings_are_mono_gradings(sid):
+    """Each run (mono, n, a, b) holds n monomials mono * (cw*cx)^k whose
+    gradings, by ``mono_grading``, are (a + 2k, b + 2k, coset), each inside
+    the window."""
+    from c2quadrics.catalog import _enumerate_coset_monomials
+
+    pres = make_space(sid)
+    rng = random.Random(sid)
+    for _ in range(20):
+        a0, b0 = rng.randint(-40, 30), rng.randint(-40, 30)
+        window = (a0, a0 + rng.randint(0, 40)), (b0, b0 + rng.randint(0, 40))
+        (a0, a1), (b0, b1) = window
+        for coset in range(-4, 5):
+            for (s, t, i, j, d, w0, w1), n, a, b in _enumerate_coset_monomials(pres, coset, window):
+                for k in range(n):
+                    g = pres.mono_grading((s, t, i + k, j + k, d, w0, w1))
+                    assert (g.a, g.b, g.m) == (a + 2 * k, b + 2 * k, coset), (sid, coset, window)
+                    assert a0 <= g.a + 2 * coset <= a1 and b0 <= g.b <= b1, (sid, coset, window)
+
+
 def test_enumeration_tests_go_through_canonical(monkeypatch):
     """Every canonical test of the enumeration is a call of
     Presentation.canonical (the benchmark's tracer counts them there), and
@@ -934,9 +1022,11 @@ def test_enumeration_tests_go_through_canonical(monkeypatch):
 def test_stored_strips_give_the_fresh_enumeration(sid):
     """One presentation serves a seeded run of (coset, window) requests with
     repeats, from its stored strips after the first of each coset; every
-    answer is the list, order included, that a fresh presentation gives.
-    On bu1 the stand-ins for p and q follow the reach, so a coset is asked
-    at two reaches."""
+    answer is the list, order included, that a fresh presentation gives,
+    and holds the cell walk cut to the window.  On bu1 the stand-ins for p
+    and q follow the reach, so a coset is asked at two reaches.  The walk
+    of quadric:1001,1000 costs a second per coset, so there the fresh
+    answer alone is compared (quadric:200,7 in the walk test has a large p)."""
     from c2quadrics.catalog import _enumerate_coset_monomials
 
     windows = [((-40, 40), (-40, 40)), ((-6, 30), (-3, 12)), ((0, 1), (-1, 0)), ((-12, 0), (0, 12))]
@@ -944,9 +1034,12 @@ def test_stored_strips_give_the_fresh_enumeration(sid):
     requests = [(rng.randint(-3, 3), rng.choice(windows)) for _ in range(24)]
     requests += requests[:6] + [(1, ((-9, 9), (-9, 9))), (1, ((-30, 3), (-2, 5))), (1, ((-9, 9), (-9, 9)))]
     pres = make_space(sid)
+    walk = sid != "quadric:1001,1000"
     for coset, window in requests:
         got = _enumerate_coset_monomials(pres, coset, window)
         assert got == _enumerate_coset_monomials(make_space(sid), coset, window), (sid, coset, window)
+        if walk:
+            _assert_runs_are(pres, coset, window, got, _walk_coset_monomials(pres, coset, window))
         got.append(None)    # a caller's change to its list reaches no later answer
 
 
@@ -994,14 +1087,15 @@ def test_a_new_class_function_empties_the_stored_strips(monkeypatch):
         calls.clear()
         before = _enumerate_coset_monomials(pres, coset, window)
         first.append(len(calls))
-    flipped = _class_key(before[len(before) // 2], pres.p, pres.q)
+    # a run lies in one strip, so all its monomials share one class key
+    flipped = _class_key(before[len(before) // 2][0], pres.p, pres.q)
     old = pres.canonical_fn
     pres.canonical_fn = lambda m: old(m) != (_class_key(m, pres.p, pres.q) == flipped)
     calls.clear()
     after = _enumerate_coset_monomials(pres, 1, window)
     assert len(calls) == first[1]
-    assert sorted(after) == sorted(_walk_coset_monomials(pres, 1, window))
-    assert after == [m for m in before if _class_key(m, pres.p, pres.q) != flipped] != before
+    _assert_runs_are(pres, 1, window, after, _walk_coset_monomials(pres, 1, window))
+    assert after == [r for r in before if _class_key(r[0], pres.p, pres.q) != flipped] != before
     calls.clear()
     assert _enumerate_coset_monomials(pres, 1, window) == after and not calls
     calls.clear()

@@ -205,6 +205,34 @@ def test_step_budget_message_prints_the_product():
     assert str(x) in message and str(y) in message
 
 
+@pytest.mark.parametrize("sid", ["quadric:5,3", "quadric:4,3", "quadric:3,4", "quadric:4,4", "binate:2,1", "proj:2,3"])
+def test_an_unreduced_transfer_argument_is_reduced_first(sid):
+    """tau_of_levele lifts a marked element as it is, but a raw dict or an
+    unmarked element whose c^d y^eps terms leave the level-e basis is reduced
+    first: it lifts to the transfer of its reduction."""
+    P = make_space(sid)
+    rng = random.Random(sid)
+    eps = (0, 1) if P.levele.kind != "proj" else (0,)
+    unreduced = 0
+    for _ in range(40):
+        w = {(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(0, 2 * P.levele.size + 2), rng.choice(eps)):
+             rng.choice((1, 2, -3)) for _ in range(3)}
+        reduced = P.levele.reduce(w)
+        unreduced += reduced != w
+        want = P.tau_of_levele(P._levele_nf(reduced))
+        assert P.tau_of_levele(w) == want == P.tau_of_levele(RingElement(P, "e", e=w)), (sid, w)
+    assert unreduced >= 20, sid
+    # y terms lift to atoms with no normal form, so a marked one is not reduced at all
+    if P.has_atoms:
+        calls = []
+        reduce = P.levele.reduce
+        P.levele.reduce = lambda e: calls.append(e) or reduce(e)
+        P.tau_of_levele(P._levele_nf({(1, -1, 0, 1): 2}))
+        assert not calls, sid
+        P.tau_of_levele({(1, -1, 0, 1): 2})
+        assert len(calls) == 1, sid
+
+
 def _logged_calls(P):
     """Wrap P's normal_form and tau_of_levele.  Each call is logged as
     [name, index of the enclosing logged call or None, its result]."""

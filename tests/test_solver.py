@@ -387,9 +387,9 @@ def test_rank_table_dd_is_twice_proj():
 
     P = make_projective(2, 2)
     for coset in (0, 1, -2):
-        nq = len(_enumerate_coset_monomials(Q, coset, ((-40, 40), (-40, 40))))
-        np_ = len(_enumerate_coset_monomials(P, coset, ((-40, 40), (-40, 40))))
-        assert nq == 2 * np_
+        nq = sum(n for _, n, _, _ in _enumerate_coset_monomials(Q, coset, ((-40, 40), (-40, 40))))
+        np_ = sum(n for _, n, _, _ in _enumerate_coset_monomials(P, coset, ((-40, 40), (-40, 40))))
+        assert nq == 2 * np_ == 2 * (P.p + P.q)
 
 
 def test_audit_full_passes():
