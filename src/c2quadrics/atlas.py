@@ -11,7 +11,7 @@ import json
 import math
 from json.encoder import encode_basestring_ascii as _quote
 
-from .catalog import basis_slice, make_space
+from .catalog import _slice_points, make_space
 from .coefficients import PointElt
 from .levele import levele_str
 from .noneq import NoneqQuadricRing
@@ -124,14 +124,16 @@ def atlas_document(space_ids, coset=0, window=((-16, 16), (-16, 16)), seed=0, au
                 {"key": list(k), "degree": d} for k, d in pres.basis()
             ]})
             continue
+        # the basis rows are the slice's points, offset gradings with m = n = 0
+        points, free = _slice_points(pres, coset, window)
+        basis = [{"grading": {"a": a, "b": b, "m": 0, "n": 0}, "type": "C2/C2"} for a, b in points]
+        if free is not None:
+            basis.append({"grading": {"a": free[0], "b": free[1], "m": 0, "n": 0}, "type": "C2/e"})
         entry = {
             "space": sid,
             "kind": "equivariant",
             "presentation": presentation_to_doc(pres),
-            "basis": [
-                {"grading": g.to_json(), "type": label}
-                for g, label in basis_slice(pres, coset, window)
-            ],
+            "basis": basis,
             "coset": coset,
             "window": [list(window[0]), list(window[1])],
         }

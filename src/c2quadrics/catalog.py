@@ -782,7 +782,21 @@ def basis_slice(pres, coset, window):
     coset * OMEGA1, i.e. as the a + b*sigma offsets the dot diagrams plot.
     Returns a sorted list of (Grading, "C2/C2" | "C2/e") pairs; the C2/e
     entries are the free-orbit line representatives (one per coset,
-    position along the line a + b = const arbitrary).
+    position along the line a + b = const arbitrary).  The rows are
+    ``_slice_points`` with a ``Grading`` built for each.
+    """
+    points, free = _slice_points(pres, coset, window)
+    out = [(Grading(a, b), "C2/C2") for a, b in points]
+    if free is not None:
+        out.append((Grading(*free), "C2/e"))
+    return out
+
+
+def _slice_points(pres, coset, window):
+    """The basis slice as integer points: the sorted list of offset points
+    (a, b) of the C2/C2 classes, one per class, and the C2/e class's point
+    or None.  Diagrams, atlas rows and rank tables read these directly;
+    ``basis_slice`` builds its rows from them.
 
     The classes come from ``_enumerate_coset_monomials`` as runs already
     cut to the window: the first slice of a coset on a presentation makes a
@@ -791,9 +805,8 @@ def basis_slice(pres, coset, window):
     ``canonical_fn`` or ``rules`` changes (``Presentation._derived``).  The
     presentation keeps one entry per coset asked for (per coset and reach on
     bu1), each O(1) in p and q.  A run's gradings step by (2, 2), so they
-    are read as two ``range``s: a slice costs O(strips + rows in the window)
-    at every p and q, and an offset ``Grading`` is built only for the rows
-    returned.
+    are read as two ``range``s: a slice costs O(strips + points in the
+    window) at every p and q.
     """
     (a0, a1), (b0, b1) = window
     if a0 > a1 or b0 > b1:
@@ -802,12 +815,12 @@ def basis_slice(pres, coset, window):
     # monomial of the coset has g.m == coset, so its offset is
     # (g.a + 2 coset, g.b, 0)
     da = 2 * coset
-    kept = []
+    points = []
     for _, n, a, b in _enumerate_coset_monomials(pres, coset, window):
         a += da
-        kept += zip(range(a, a + 2 * n, 2), range(b, b + 2 * n, 2))
-    kept.sort()
-    out = [(Grading(a, b), "C2/C2") for a, b in kept]
+        points += zip(range(a, a + 2 * n, 2), range(b, b + 2 * n, 2))
+    points.sort()
+    free = None
     if pres.has_atoms:
         # the free-orbit line a + b = line meets the window in the points
         # (line - b, b) with max(b0, line - a1) <= b <= min(b1, line - a0);
@@ -817,8 +830,8 @@ def basis_slice(pres, coset, window):
         first = max(b0, line - a1)
         if first <= min(b1, line - a0):
             visible = a0 <= line <= a1 and b0 <= 0 <= b1
-            out.append((Grading(line) if visible else Grading(line - first, first), "C2/e"))
-    return out
+            free = (line, 0) if visible else (line - first, first)
+    return points, free
 
 
 def _pieces(n, top):

@@ -15,7 +15,7 @@ import random
 from collections import Counter
 from itertools import repeat
 
-from .catalog import basis_slice, _enumerate_coset_monomials, make_projective
+from .catalog import _enumerate_coset_monomials, _slice_points, make_projective
 from .coefficients import BurnsideElt, G_PT, PointElt, pos, negkappa, point_rho, trans
 from .grading import coset_index
 from .rewrite import RingElement, _sample_monomials, confluence_probe
@@ -239,11 +239,12 @@ def verify_relations(pres):
 
 def rank_table(pres, coset, window):
     """Counts of basis classes per grading, split by type."""
+    points, free = _slice_points(pres, coset, window)
     table = {}
-    for g, label in basis_slice(pres, coset, window):
-        key = (g.a, g.b)
-        ranks = table.setdefault(key, {"C2/C2": 0, "C2/e": 0})
-        ranks[label] += 1
+    for key in points:
+        table.setdefault(key, {"C2/C2": 0, "C2/e": 0})["C2/C2"] += 1
+    if free is not None:
+        table.setdefault(free, {"C2/C2": 0, "C2/e": 0})["C2/e"] += 1
     return table
 
 

@@ -15,10 +15,22 @@ from c2quadrics.atlas import (
     element_to_doc,
     load_atlas,
 )
-from c2quadrics.catalog import RestrictedGradingWarning, make_quadric, make_space
+from c2quadrics.catalog import RestrictedGradingWarning, basis_slice, make_quadric, make_space
 from c2quadrics.rewrite import NonTerminatingError
 
 warnings.simplefilter("ignore", RestrictedGradingWarning)
+
+
+def test_atlas_basis_rows_are_the_slice_rows():
+    # the atlas builds its basis rows from the slice's points; they are the
+    # rows of basis_slice, grading by grading
+    ids = ["quadric:11,11", "quadric:1,1", "binate:0,0", "bu1", "proj:3,2", "point"]
+    for coset in (-2, 0, 1):
+        for window in (((-16, 16), (-16, 16)), ((-7, 13), (-5, 9)), ((3, 3), (5, 5))):
+            doc = atlas_document(ids, coset, window)
+            for entry in doc["spaces"]:
+                rows = basis_slice(make_space(entry["space"]), coset, window)
+                assert entry["basis"] == [{"grading": g.to_json(), "type": label} for g, label in rows]
 
 
 def test_element_round_trip():

@@ -3,8 +3,8 @@ import warnings
 import pytest
 
 import c2quadrics.diagram as diagram_module
-from c2quadrics.catalog import RestrictedGradingWarning, basis_slice, make_space
-from c2quadrics.diagram import UnsupportedFormatError, _ascii, _line_const, diagram
+from c2quadrics.catalog import RestrictedGradingWarning, _slice_points, basis_slice, make_space
+from c2quadrics.diagram import UnsupportedFormatError, _ascii, _line_const, _svg, diagram
 from c2quadrics.grading import Grading
 
 warnings.simplefilter("ignore", RestrictedGradingWarning)
@@ -40,6 +40,67 @@ def reference_ascii(pres, rows, window):
     return "\n".join(out) + "\n"
 
 
+def reference_svg(pres, rows, window):
+    # the drawing on (Grading, label) rows that the one on points replaced
+    (a0, a1), (b0, b1) = window
+    scale = 14
+    pad = 20
+
+    def X(a):
+        return pad + (a - a0) * scale // 2
+
+    def Y(b):
+        return pad + (b1 - b) * scale // 2
+
+    width = X(a1) + pad
+    height = Y(b0) + pad
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
+        'viewBox="0 0 %d %d">' % (width, height, width, height)
+    ]
+    for a in range(a0 - (a0 % 2), a1 + 1, 2):
+        parts.append(
+            '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#ddd"/>'
+            % (X(a), Y(b1), X(a), Y(b0))
+        )
+    for b in range(b0 - (b0 % 2), b1 + 1, 2):
+        parts.append(
+            '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#ddd"/>'
+            % (X(a0), Y(b), X(a1), Y(b))
+        )
+    parts.append(
+        '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#000"/>'
+        % (X(a0), Y(0), X(a1), Y(0))
+    )
+    parts.append(
+        '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#000"/>'
+        % (X(0), Y(b0), X(0), Y(b1))
+    )
+    line = _line_const(pres)
+    if line is not None:
+        parts.append(
+            '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#555" '
+            'stroke-dasharray="4 3"/>' % (X(line - b1), Y(b1), X(line - b0), Y(b0))
+        )
+    for g, label in sorted(rows, key=lambda r: (r[0].a, r[0].b, r[1])):
+        if label == "C2/C2":
+            parts.append('<circle cx="%d" cy="%d" r="4" fill="#000"/>' % (X(g.a), Y(g.b)))
+        else:
+            parts.append(
+                '<circle cx="%d" cy="%d" r="4" fill="#fff" stroke="#000"/>'
+                % (X(g.a), Y(g.b))
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def rows_of(points, free):
+    """The (Grading, label) rows of a slice's points, as ``basis_slice``
+    builds them."""
+    rows = [(Grading(a, b), "C2/C2") for a, b in points]
+    return rows + [(Grading(*free), "C2/e")] if free is not None else rows
+
+
 WINDOWS = [
     ((-40, 40), (-40, 40)),  # even bounds around the origin
     ((-7, 13), (-5, 9)),  # odd bounds around the origin
@@ -56,45 +117,72 @@ WINDOWS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "sid",
-    ["quadric:11,11", "quadric:10,10", "quadric:1,1", "bu1", "binate:2,1", "proj:3,2", "point"],
-)
+SPACES = ["quadric:11,11", "quadric:10,10", "quadric:1,1", "bu1", "binate:2,1", "proj:3,2", "point"]
+
+
+@pytest.mark.parametrize("sid", SPACES)
 def test_ascii_matches_the_cell_by_cell_drawing(sid):
     pres = make_space(sid)
     kinds = set()
     for window in WINDOWS:
         for coset in (-1, 0, 1, 2):
+            points, free = _slice_points(pres, coset, window)
             rows = basis_slice(pres, coset, window)
-            text = _ascii(pres, rows, window)
+            assert rows == rows_of(points, free)
+            text = _ascii(pres, points, free, window)
             assert text == reference_ascii(pres, rows, window), (sid, window, coset)
             assert diagram(pres, coset, window) == text
             kinds.add(bool(rows))
     assert kinds == {True, False}  # some slices are empty, some are not
 
 
+@pytest.mark.parametrize("sid", SPACES)
+def test_svg_matches_the_reference_drawing(sid):
+    pres = make_space(sid)
+    for window in WINDOWS:
+        for coset in (-1, 0, 1, 2):
+            points, free = _slice_points(pres, coset, window)
+            text = _svg(pres, points, free, window)
+            assert text == reference_svg(pres, basis_slice(pres, coset, window), window), (sid, window, coset)
+            assert diagram(pres, coset, window, "svg") == text
+
+
 def test_ascii_on_shared_and_off_grid_dots():
-    # a solid dot wins a cell it shares with an open one, a dot off the grid
-    # of even a, b is not drawn, and the column that odd a0 rounds down to is
+    # a solid dot wins a cell it shares with the open one, a dot off the grid
+    # of even a, b is not drawn, and the column that odd a0 rounds down to is;
+    # the SVG draws every point, the open one after a solid one on its cell
     pres = make_space("quadric:1,1")
     window = ((-5, 5), (-5, 5))
-    rows = [
-        (Grading(2, 2, 0), "C2/C2"), (Grading(2, 2, 0), "C2/e"),
-        (Grading(-4, 4, 0), "C2/e"), (Grading(-4, 4, 0), "C2/C2"),
-        (Grading(1, 2, 0), "C2/C2"), (Grading(2, 1, 0), "C2/e"), (Grading(-6, 0, 0), "C2/C2"),
-    ]
-    text = _ascii(pres, rows, window)
-    assert text == reference_ascii(pres, rows, window)
-    assert text.count("*") == 3 and "o" not in text
+    points = sorted([(2, 2), (-4, 4), (1, 2), (-6, 0)])
+    for free, opens in (((2, 2), 0), ((-4, 4), 0), ((2, 1), 0), (None, 0), ((0, 4), 1)):
+        rows = rows_of(points, free)
+        text = _ascii(pres, points, free, window)
+        assert text == reference_ascii(pres, rows, window), free
+        assert text.count("*") == 3 and text.count("o") == opens, free
+        svg = _svg(pres, points, free, window)
+        assert svg == reference_svg(pres, rows, window), free
+        assert svg.count('fill="#000"') == 4 and svg.count('fill="#fff"') == (free is not None)
+
+
+@pytest.mark.xfail(strict=True, reason="footer labels take 3 characters a column, the rows 2")
+def test_ascii_footer_labels_sit_under_their_columns():
+    # the axis cell of every row is at character 18; the footer's 0 is at 25
+    text = diagram(make_space("quadric:3,3"), 0, ((-12, 12), (-4, 4)))
+    *rows, footer = text.splitlines()
+    assert {row.index("|") for row in rows if "|" in row} == {18}
+    for a in range(-12, 13, 4):
+        col = 6 + (a + 12)
+        assert footer[col:col + len(str(a))] == str(a), (a, footer)
+    assert len(footer) <= len(rows[0])
 
 
 def test_unknown_format_is_refused_before_the_slice(monkeypatch):
     def no_slice(*args):
-        raise AssertionError("basis_slice ran")
+        raise AssertionError("_slice_points ran")
 
-    monkeypatch.setattr(diagram_module, "basis_slice", no_slice)
+    monkeypatch.setattr(diagram_module, "_slice_points", no_slice)
     pres = make_space("quadric:3,3")
     with pytest.raises(UnsupportedFormatError):
         diagram(pres, 0, ((-2, 2), (-2, 2)), "png")
-    with pytest.raises(AssertionError, match="basis_slice ran"):
+    with pytest.raises(AssertionError, match="_slice_points ran"):
         diagram(pres, 0, ((-2, 2), (-2, 2)), "svg")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from c2quadrics.catalog import (
     RestrictedGradingWarning,
+    basis_slice,
     make_binate,
     make_bu1,
     make_projective,
@@ -377,6 +378,20 @@ def test_rank_table_bb53():
     c2 = sum(v["C2/C2"] for v in table.values())
     ce = sum(v["C2/e"] for v in table.values())
     assert (c2, ce) == (16, 1)
+
+
+def test_rank_table_counts_the_slice_rows():
+    # rank_table counts the slice's points; the counts are those of the
+    # rows of basis_slice, in their order
+    for sid in ("quadric:11,7", "quadric:10,10", "quadric:1,1", "bu1", "binate:2,1", "point"):
+        P = make_space(sid)
+        for coset in (-1, 0, 2):
+            for window in (((-20, 30), (-20, 30)), ((-7, 13), (-5, 9)), ((16, 16), (0, 0))):
+                table = {}
+                for g, label in basis_slice(P, coset, window):
+                    table.setdefault((g.a, g.b), {"C2/C2": 0, "C2/e": 0})[label] += 1
+                got = rank_table(P, coset, window)
+                assert list(got.items()) == list(table.items()), (sid, coset, window)
 
 
 def test_rank_table_dd_is_twice_proj():
